@@ -220,14 +220,21 @@ def zero_vanna_strike(
     ``d2(k, I(k))`` over ``[x - 2 I(x)^2 tau, x]`` before giving up.
 
     ``tol`` bounds the absolute d2 residual at the returned strike. For a
-    constant curve the first iterate is already exact.
+    constant curve the first iterate is already exact. Iterates that
+    diverge (a smile with no zero-vanna strike can drive k to -inf) raise
+    NoSolutionError.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     k = x - 0.5 * iv_curve(x) ** 2 * tau
     resid = math.nan
     for _ in range(max_iter):
-        sig = iv_curve(k)
+        sig = iv_curve(k) if math.isfinite(k) else math.inf
+        if not math.isfinite(sig):
+            raise NoSolutionError(
+                f"zero-vanna strike: fixed-point iteration diverged at k={k}; "
+                "the smile has no zero-vanna strike"
+            )
         if sig <= 0.0:
             raise ValueError(f"iv_curve returned non-positive vol {sig} at k={k}")
         resid = d2(x, k, sig, tau)

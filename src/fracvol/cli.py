@@ -32,7 +32,10 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import __version__
+from .blackscholes import ConvergenceError
 from .fbm import TimeGrid
 from .mcpricer import (
     VALID_ESTIMATORS,
@@ -95,22 +98,24 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.sigma0 <= 0.0:
-            raise ConfigError(f"key 'sigma0': must be positive, got {self.sigma0}")
-        if self.nu < 0.0:
-            raise ConfigError(f"key 'nu': must be nonnegative, got {self.nu}")
         for name in ("rho", "hurst", "maturities"):
             values = getattr(self, name)
             if len(values) == 0:
                 raise ConfigError(f"key '{name}': list must not be empty")
             if len(set(values)) != len(values):
                 raise ConfigError(f"key '{name}': values must be distinct")
-        for r in self.rho:
-            if not -1.0 <= r <= 1.0:
-                raise ConfigError(f"key 'rho': {r} outside [-1, 1]")
-        for h in self.hurst:
-            if not 0.0 < h <= 1.0:
-                raise ConfigError(f"key 'hurst': {h} outside (0, 1]")
+        # ModelParams owns the model's ranges; its messages lead with the
+        # offending field's name
+        for rho in self.rho:
+            for hurst in self.hurst:
+                values = dict(sigma0=self.sigma0, nu=self.nu, rho=rho, hurst=hurst)
+                try:
+                    ModelParams(**values)
+                except ValueError as exc:
+                    key = str(exc).split()[0]
+                    raise ConfigError(
+                        f"key '{key}': {exc}, got {values[key]}"
+                    ) from None
         for t in self.maturities:
             if t <= 0.0:
                 raise ConfigError(f"key 'maturities': {t} must be positive")
@@ -241,7 +246,11 @@ def _cell_seed(config: ExperimentConfig, h_index: int, t_index: int) -> int:
 def _cell_rows(
     config: ExperimentConfig, h_index: int, t_index: int
 ) -> list[tuple[float, SwapReport | None, str | None]]:
-    """Price every rho for one (H, T) cell; never raises."""
+    """Price every rho for one (H, T) cell.
+
+    Numerical failures (including NoSolutionError, a ValueError) become
+    the cell's error message; anything else is a bug and propagates.
+    """
     hurst = config.hurst[h_index]
     maturity = config.maturities[t_index]
     mc = McConfig(
@@ -266,16 +275,11 @@ def _cell_rows(
             else:
                 funcs = simulate_functionals(grid, params, mc, want_terminal=True)
             pricer = strike_pricer(
-                funcs,
-                params,
-                X0,
-                maturity,
-                estimator=config.estimator,
-                control_variate=mc.control_variate,
+                funcs, params, X0, maturity, estimator=config.estimator
             )
             report = zero_vanna_report(pricer, funcs, params, X0, maturity, mc)
             results.append((rho, report, None))
-        except Exception as exc:
+        except (ValueError, ConvergenceError, np.linalg.LinAlgError) as exc:
             results.append((rho, None, f"{type(exc).__name__}: {exc}"))
     return results
 
@@ -397,9 +401,10 @@ def run(config: ExperimentConfig, stream=None) -> int:
             for (rho, hurst, maturity), msg in sorted(failures.items())
         }
     if config.mode == "convergence":
-        extra["rate_fits"] = _convergence_section(config, reports, stream)
+        fits = _rate_fits(config, reports, stream)
+        extra["rate_fits"] = {_rate_label(*pair): fit for pair, fit in fits.items()}
         rates_path = csv_path.with_suffix(".rates.csv")
-        _write_rates_csv(rates_path, extra["rate_fits"])
+        _write_rates_csv(rates_path, fits)
         print(f"wrote rate fits to {rates_path}", file=stream)
 
     manifest_path = _write_manifest(csv_path, config, extra)
@@ -426,21 +431,25 @@ RATES_COLUMNS = (
 )
 
 
-def _write_rates_csv(path: Path, section: dict[str, object]) -> None:
+def _rate_label(rho: float, hurst: float) -> str:
+    return f"rho={rho:g},H={hurst:g}"
+
+
+def _write_rates_csv(path: Path, fits: dict[tuple[float, float], object]) -> None:
+    """One row per (rho, H, series), in the manifest's key order."""
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(RATES_COLUMNS)
-        for label in sorted(section):
-            entry = section[label]
+        for rho, hurst in sorted(fits, key=lambda pair: _rate_label(*pair)):
+            entry = fits[(rho, hurst)]
             if not isinstance(entry, dict):
                 continue
-            pairs = dict(part.split("=") for part in label.split(","))
             for series in ("err_zero_vanna", "err_atmi"):
                 fit = entry[series]
                 writer.writerow(
                     [
-                        pairs["rho"],
-                        pairs["H"],
+                        f"{rho:g}",
+                        f"{hurst:g}",
                         series,
                         _format_csv_value(fit["slope"]),
                         _format_csv_value(fit["intercept"]),
@@ -451,34 +460,25 @@ def _write_rates_csv(path: Path, section: dict[str, object]) -> None:
                 )
 
 
-def _convergence_section(config, reports, stream) -> dict[str, object]:
+def _rate_fits(config, reports, stream) -> dict[tuple[float, float], object]:
     """Fit gap-decay rates per (rho, H) from the already-priced grid."""
-    section: dict[str, object] = {}
+    fits: dict[tuple[float, float], object] = {}
     for rho in config.rho:
         for hurst in config.hurst:
+            label = _rate_label(rho, hurst)
             series = [
                 reports[(rho, hurst, t)]
                 for t in config.maturities
                 if (rho, hurst, t) in reports
             ]
-            label = f"rho={rho:g},H={hurst:g}"
             if len(series) < 3:
-                section[label] = "insufficient cells"
+                fits[(rho, hurst)] = "insufficient cells"
                 continue
             params = ModelParams(
                 sigma0=config.sigma0, nu=config.nu, rho=rho, hurst=hurst
             )
-            mats = [rep.maturity for rep in series]
-            fits = convergence_study(
-                params,
-                X0,
-                mats,
-                McConfig(n_paths=config.n_paths, seed=config.seed),
-                n_steps=config.n_steps,
-                reports=series,
-            )
             entry = {}
-            for name, fit in fits.items():
+            for name, fit in convergence_study(params, series).items():
                 entry[name] = {
                     "slope": fit.slope,
                     "intercept": fit.intercept,
@@ -492,8 +492,8 @@ def _convergence_section(config, reports, stream) -> dict[str, object]:
                     else f"slope={fit.slope:.3f} r2={fit.r_squared:.3f}"
                 )
                 print(f"rate {label} {name}: {verdict}", file=stream)
-            section[label] = entry
-    return section
+            fits[(rho, hurst)] = entry
+    return fits
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -506,7 +506,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", type=Path, help="config file (key = value)")
     parser.add_argument(
-        "--hurst", type=float, nargs="+", help="Hurst exponents in (0, 1]"
+        "--hurst", type=float, nargs="+", help="Hurst exponents in (0, 1)"
     )
     parser.add_argument(
         "--maturities", type=float, nargs="+", help="maturities in years"

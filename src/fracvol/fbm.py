@@ -9,7 +9,6 @@ as a test oracle.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +25,6 @@ __all__ = [
     "iter_path_blocks",
     "cholesky_oracle",
     "block_rng",
-    "save_path_batch",
-    "load_path_batch",
     "W_STREAM",
     "B_STREAM",
     "ORACLE_STREAM",
@@ -45,10 +42,6 @@ ORACLE_STREAM = 2
 DEFAULT_BLOCK_SIZE = 65_536
 # Below this step count the dense Toeplitz product beats FFT on constants.
 FFT_THRESHOLD = 128
-
-_DUMP_MAGIC = b"FVPB"
-_DUMP_VERSION = 1
-_DUMP_HEADER = struct.Struct("<4sIIIdd")  # magic, version, n_paths, n_steps, H, T
 
 
 @dataclass(frozen=True)
@@ -314,38 +307,3 @@ def cholesky_oracle(
     dw = np.diff(w_levels, axis=1, prepend=0.0)
     return GaussianPathBatch(dw=dw, wh=np.ascontiguousarray(wh))
 
-
-def save_path_batch(
-    path, batch: GaussianPathBatch, grid: TimeGrid, hurst: float
-) -> None:
-    """Dump a batch for debugging: 32-byte header (magic, version, n_paths,
-    n_steps, H, T) then dW and wh row-major, little-endian float64."""
-    header = _DUMP_HEADER.pack(
-        _DUMP_MAGIC,
-        _DUMP_VERSION,
-        batch.n_paths,
-        batch.n_steps,
-        hurst,
-        grid.maturity,
-    )
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(np.ascontiguousarray(batch.dw, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(batch.wh, dtype="<f8").tobytes())
-
-
-def load_path_batch(path) -> tuple[GaussianPathBatch, TimeGrid, float]:
-    """Inverse of save_path_batch. Returns (batch, grid, hurst)."""
-    with open(path, "rb") as f:
-        magic, version, n_paths, n_steps, hurst, maturity = _DUMP_HEADER.unpack(
-            f.read(_DUMP_HEADER.size)
-        )
-        if magic != _DUMP_MAGIC:
-            raise ValueError(f"not a path batch file (magic {magic!r})")
-        if version != _DUMP_VERSION:
-            raise ValueError(f"unsupported dump version {version}")
-        count = n_paths * n_steps
-        dw = np.fromfile(f, dtype="<f8", count=count).reshape(n_paths, n_steps)
-        wh = np.fromfile(f, dtype="<f8", count=count).reshape(n_paths, n_steps)
-    batch = GaussianPathBatch(dw=dw.astype(float), wh=wh.astype(float))
-    return batch, TimeGrid(maturity=maturity, n_steps=n_steps), hurst

@@ -5,9 +5,9 @@ Two call estimators share one set of path functionals. The conditional
 given the vol path, the log-price is Gaussian, so each path contributes a
 shifted-spot, reduced-vol Black-Scholes value and no B draws are needed.
 The direct estimator simulates the log-price by left-point Euler and
-averages the payoff, optionally with a terminal-spot control variate
-(e^{X_T} is an exact martingale of the discrete scheme, so the control has
-known mean zero).
+averages the payoff against a terminal-spot control variate (e^{X_T} is an
+exact martingale of the discrete scheme, so the control has known mean
+zero).
 
 Everything is deterministic given (seed, n_paths, block_size, grid, params):
 per-path arrays are assembled positionally by block index and reduced once,
@@ -25,7 +25,6 @@ from .blackscholes import bs_price
 from .fbm import (
     B_STREAM,
     DEFAULT_BLOCK_SIZE,
-    GaussianPathBatch,
     TimeGrid,
     block_rng,
     cholesky_oracle,
@@ -39,18 +38,15 @@ __all__ = [
     "PriceEstimate",
     "simulate_functionals",
     "call_price_conditional",
-    "call_price_direct",
     "vol_swap_strike",
     "variance_swap_strike",
     "strike_pricer",
     "VALID_SCHEMES",
     "VALID_ESTIMATORS",
-    "VALID_CONTROLS",
 ]
 
 VALID_SCHEMES = ("convolution", "midpoint_convolution", "cholesky_oracle")
 VALID_ESTIMATORS = ("conditional_mixing", "direct_euler")
-VALID_CONTROLS = ("none", "bs_terminal")
 
 
 @dataclass(frozen=True)
@@ -66,7 +62,6 @@ class McConfig:
     seed: int
     scheme: str = "convolution"
     estimator: str = "conditional_mixing"
-    control_variate: str = "bs_terminal"
     block_size: int = DEFAULT_BLOCK_SIZE
 
     def __post_init__(self):
@@ -78,8 +73,6 @@ class McConfig:
             raise ValueError(f"scheme must be one of {VALID_SCHEMES}")
         if self.estimator not in VALID_ESTIMATORS:
             raise ValueError(f"estimator must be one of {VALID_ESTIMATORS}")
-        if self.control_variate not in VALID_CONTROLS:
-            raise ValueError(f"control_variate must be one of {VALID_CONTROLS}")
 
 
 @dataclass(frozen=True)
@@ -182,57 +175,16 @@ def call_price_conditional(
     return _mean_se(_conditional_values(funcs, params, x0, k, maturity))
 
 
-def _direct_values(
-    terminal_log_return: np.ndarray, x0: float, k: float, control_variate: str
-) -> np.ndarray:
+def _direct_values(terminal_log_return: np.ndarray, x0: float, k: float) -> np.ndarray:
+    """Per-path Euler payoffs less beta times the terminal-spot control."""
     spot = np.exp(x0 + terminal_log_return)
     payoff = np.maximum(spot - math.exp(k), 0.0)
-    if control_variate == "none":
-        return payoff
     control = spot - math.exp(x0)  # exactly mean-zero: e^X is a martingale
     var = control.var(ddof=1) if control.shape[0] > 1 else 0.0
     if var == 0.0:
         return payoff
     beta = np.cov(payoff, control, ddof=1)[0, 1] / var
     return payoff - beta * control
-
-
-def call_price_direct(
-    batch: GaussianPathBatch,
-    vols: np.ndarray,
-    params: ModelParams,
-    x0: float,
-    k: float,
-    maturity: float,
-    config: McConfig,
-) -> PriceEstimate:
-    """Direct Euler call estimator on a materialized batch.
-
-    Draws the independent factor block-by-block (aligned with the batch's
-    row blocks) so the result is bit-identical to the streaming driver for
-    the same config.
-    """
-    if maturity <= 0.0:
-        raise ValueError("maturity must be positive")
-    if vols.shape != batch.dw.shape:
-        raise ValueError("vols and batch disagree on shape")
-    grid = TimeGrid(maturity, batch.n_steps)
-    funcs = path_functionals(vols, batch, grid)
-    rho = params.rho
-    orth = math.sqrt(max(1.0 - rho * rho, 0.0))
-    sqrt_dt = math.sqrt(grid.dt)
-    ret = np.empty(batch.n_paths)
-    for row in range(0, batch.n_paths, config.block_size):
-        stop = min(row + config.block_size, batch.n_paths)
-        rng = block_rng(config.seed, B_STREAM, row // config.block_size)
-        db = rng.standard_normal((stop - row, batch.n_steps)) * sqrt_dt
-        ito_b = np.einsum("ij,ij->i", vols[row:stop], db)
-        ret[row:stop] = (
-            -0.5 * funcs.integrated_variance[row:stop]
-            + rho * funcs.int_sigma_dw[row:stop]
-            + orth * ito_b
-        )
-    return _mean_se(_direct_values(ret, x0, k, config.control_variate))
 
 
 def vol_swap_strike(funcs: PathFunctionals, maturity: float) -> PriceEstimate:
@@ -255,7 +207,6 @@ def strike_pricer(
     x0: float,
     maturity: float,
     estimator: str = "conditional_mixing",
-    control_variate: str = "none",
 ) -> Callable[[float], PriceEstimate]:
     """Bind one simulated batch into a price-of-log-strike function.
 
@@ -265,8 +216,6 @@ def strike_pricer(
     """
     if estimator not in VALID_ESTIMATORS:
         raise ValueError(f"estimator must be one of {VALID_ESTIMATORS}")
-    if control_variate not in VALID_CONTROLS:
-        raise ValueError(f"control_variate must be one of {VALID_CONTROLS}")
     if estimator == "direct_euler":
         if funcs.terminal_log_spot is None:
             raise ValueError(
@@ -276,7 +225,7 @@ def strike_pricer(
         ret = funcs.terminal_log_spot
 
         def price_direct(k: float) -> PriceEstimate:
-            return _mean_se(_direct_values(ret, x0, k, control_variate))
+            return _mean_se(_direct_values(ret, x0, k))
 
         return price_direct
 

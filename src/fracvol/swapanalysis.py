@@ -69,9 +69,6 @@ class SwapReport:
 
     ``err_zero_vanna`` and ``err_atmi`` are signed gaps against the
     volatility-swap strike; their SEs combine the two legs in quadrature.
-    ``comparator`` is reserved for an externally supplied approximation to
-    place alongside the Monte Carlo columns; nothing in this package
-    computes it.
     """
 
     hurst: float
@@ -93,7 +90,6 @@ class SwapReport:
     zero_vanna_residual: float
     n_paths: int
     seed: int
-    comparator: float | None = None
 
     def __post_init__(self) -> None:
         for name in ("vol_swap", "iv_zero_vanna", "atmi"):
@@ -215,7 +211,6 @@ def zero_vanna_report(
     x0: float,
     maturity: float,
     config: McConfig,
-    comparator: float | None = None,
 ) -> SwapReport:
     """Assemble the full per-cell report for one simulated maturity.
 
@@ -256,7 +251,6 @@ def zero_vanna_report(
         zero_vanna_residual=residual,
         n_paths=config.n_paths,
         seed=config.seed,
-        comparator=comparator,
     )
 
 
@@ -275,14 +269,7 @@ def simulate_report(
     grid = TimeGrid(maturity, n_steps)
     want_terminal = config.estimator == "direct_euler"
     funcs = simulate_functionals(grid, params, config, want_terminal=want_terminal)
-    pricer = strike_pricer(
-        funcs,
-        params,
-        x0,
-        maturity,
-        estimator=config.estimator,
-        control_variate=config.control_variate,
-    )
+    pricer = strike_pricer(funcs, params, x0, maturity, estimator=config.estimator)
     return zero_vanna_report(pricer, funcs, params, x0, maturity, config)
 
 
@@ -317,38 +304,30 @@ def _fit_rate(
 
 
 def convergence_study(
-    params: ModelParams,
-    x0: float,
-    maturities: Sequence[float],
-    config: McConfig,
-    n_steps: int = 250,
-    reports: Sequence[SwapReport] | None = None,
+    params: ModelParams, reports: Sequence[SwapReport]
 ) -> dict[str, RateFit]:
     """Fit the maturity decay rate of both strike-vs-swap gaps.
 
-    Runs one simulation per maturity (same seed: common random numbers
-    across maturities keep the gap series smooth) unless precomputed
-    ``reports`` for exactly these maturities are supplied.  A maturity
-    enters a fit only if its |gap| clears max(3 SE, solver tolerance);
-    fewer than three surviving points flags the fit inconclusive.
+    ``reports`` are already-priced cells of one (hurst, rho) pair, which
+    must match ``params``; their maturities (at least three, distinct,
+    spanning a factor of 2) are the fit's abscissae.  A maturity enters a
+    fit only if its |gap| clears max(3 SE, solver tolerance); fewer than
+    three surviving points flags the fit inconclusive.
     """
-    mats = np.asarray(sorted(float(t) for t in maturities), dtype=np.float64)
+    for rep in reports:
+        if (rep.hurst, rep.rho) != (params.hurst, params.rho):
+            raise ValueError(
+                f"report (hurst={rep.hurst}, rho={rep.rho}) does not match "
+                f"params (hurst={params.hurst}, rho={params.rho})"
+            )
+    reports = sorted(reports, key=lambda r: r.maturity)
+    mats = np.asarray([r.maturity for r in reports], dtype=np.float64)
     if mats.size < 3:
         raise ValueError("need at least 3 maturities to fit a rate")
     if np.any(mats <= 0.0) or np.unique(mats).size != mats.size:
         raise ValueError("maturities must be positive and distinct")
     if mats[-1] / mats[0] < 2.0:
         raise ValueError("maturities must span at least a factor of 2")
-
-    if reports is None:
-        reports = [
-            simulate_report(params, x0, float(t), n_steps, config) for t in mats
-        ]
-    else:
-        reports = sorted(reports, key=lambda r: r.maturity)
-        got = np.asarray([r.maturity for r in reports], dtype=np.float64)
-        if got.size != mats.size or not np.allclose(got, mats, rtol=0.0, atol=1e-12):
-            raise ValueError("supplied reports do not match the maturities")
 
     fits: dict[str, RateFit] = {}
     for field in ("err_zero_vanna", "err_atmi"):

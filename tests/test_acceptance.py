@@ -148,14 +148,7 @@ def test_criterion_4_gap_decay_rates(table_reports):
     for hurst in (0.3, 0.5):
         params = ModelParams(sigma0=SIGMA0, nu=NU, rho=-0.8, hurst=hurst)
         series = [table_reports[(-0.8, hurst, t)] for t in fit_maturities]
-        fits = convergence_study(
-            params,
-            0.0,
-            fit_maturities,
-            McConfig(n_paths=ACCEPT_PATHS, seed=ACCEPT_SEED),
-            n_steps=ACCEPT_STEPS,
-            reports=series,
-        )
+        fits = convergence_study(params, series)
         fit = fits["err_zero_vanna"]
         assert not fit.inconclusive, f"H={hurst}: fit inconclusive"
         assert len(fit.maturities) >= 3, f"H={hurst}: only {fit.maturities} usable"
@@ -285,8 +278,7 @@ def test_both_estimators_agree_at_scale():
         )
         funcs = simulate_functionals(grid, params, config, want_terminal=True)
         direct = strike_pricer(
-            funcs, params, 0.0, maturity,
-            estimator="direct_euler", control_variate="bs_terminal",
+            funcs, params, 0.0, maturity, estimator="direct_euler"
         )
         conditional = strike_pricer(
             funcs, params, 0.0, maturity, estimator="conditional_mixing"

@@ -193,6 +193,23 @@ class TestImpliedVol:
         assert a == b
 
 
+@st.composite
+def smiles_with_a_root(draw):
+    """(x, sig0, slope, tau) of an affine smile I(k) = sig0 + slope (k - x)
+    that has a zero-vanna strike.
+
+    With u = k - x the fixed point k = x - I(k)^2 tau / 2 is a quadratic in
+    u whose discriminant is 1 + 2 tau sig0 slope, so a root exists only
+    when that is nonnegative.  Keep it at least 0.05 so the root is not a
+    tangency.
+    """
+    x = draw(st.floats(-0.2, 0.2))
+    sig0 = draw(st.floats(0.1, 0.6))
+    tau = draw(st.floats(0.1, 3.0))
+    slope = draw(st.floats(max(-0.4, -0.95 / (2.0 * tau * sig0)), 0.4))
+    return x, sig0, slope, tau
+
+
 class TestZeroVannaStrike:
     def test_constant_curve_exact(self):
         x, sig, tau = 0.02, 0.22, 1.5
@@ -211,17 +228,21 @@ class TestZeroVannaStrike:
         k_hat = zero_vanna_strike(curve, x, tau, tol=1e-10)
         assert abs(d2(x, k_hat, curve(k_hat), tau)) < 1e-10
 
-    @given(
-        x=st.floats(-0.2, 0.2),
-        sig0=st.floats(0.1, 0.6),
-        slope=st.floats(-0.4, 0.4),
-        tau=st.floats(0.1, 3.0),
-    )
+    @given(smile=smiles_with_a_root())
     @settings(max_examples=100, deadline=None)
-    def test_smooth_smiles_leave_tiny_residual(self, x, sig0, slope, tau):
+    def test_smooth_smiles_leave_tiny_residual(self, smile):
+        x, sig0, slope, tau = smile
         curve = lambda k: max(sig0 + slope * (k - x), 0.01)
         k_hat = zero_vanna_strike(curve, x, tau, tol=1e-9)
         assert abs(d2(x, k_hat, curve(k_hat), tau)) < 1e-9
+
+    def test_smile_without_root_raises_no_solution(self):
+        # 1 + 2 tau sig0 slope = -0.125 < 0: k = x - I(k)^2 tau / 2 has no
+        # real root, and the fixed-point iterates run off to k = -inf.
+        x, sig0, slope, tau = 0.0, 0.5, -0.375, 3.0
+        curve = lambda k: max(sig0 + slope * (k - x), 0.01)
+        with pytest.raises(NoSolutionError, match="diverged"):
+            zero_vanna_strike(curve, x, tau)
 
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):

@@ -3,9 +3,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from fracvol.blackscholes import ConvergenceError
 from fracvol.cli import (
     CSV_COLUMNS,
     FAILED_TOKEN,
@@ -214,10 +219,10 @@ class TestRun:
 
         real = cli_module.zero_vanna_report
 
-        def flaky(pricer, funcs, params, x0, maturity, config, **kwargs):
+        def flaky(pricer, funcs, params, x0, maturity, config):
             if params.rho == 0.0 and maturity == 1.0:
-                raise RuntimeError("boom")
-            return real(pricer, funcs, params, x0, maturity, config, **kwargs)
+                raise ConvergenceError("boom", best=0.0, residual=1.0)
+            return real(pricer, funcs, params, x0, maturity, config)
 
         monkeypatch.setattr(cli_module, "zero_vanna_report", flaky)
         out = tmp_path / "partial.csv"
@@ -231,9 +236,24 @@ class TestRun:
         row = failed[0]
         assert [row[0], row[1], row[2]] == ["0.5", "1.0", "0.0"]
         assert row[3:] == [FAILED_TOKEN] * (len(CSV_COLUMNS) - 3)
-        manifest = json.loads(out.with_suffix(".manifest.json").read_text())
-        assert "rho=0,H=0.5,T=1" in manifest["failed_cells"]
-        assert "boom" in manifest["failed_cells"]["rho=0,H=0.5,T=1"]
+        manifest_path = out.with_suffix(".manifest.json")
+        assert manifest_path.exists()
+        manifest = json.loads(manifest_path.read_text())
+        assert list(manifest["failed_cells"]) == ["rho=0,H=0.5,T=1"]
+        assert manifest["failed_cells"]["rho=0,H=0.5,T=1"] == (
+            "ConvergenceError: boom"
+        )
+
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        import fracvol.cli as cli_module
+
+        def broken(*args):
+            raise TypeError("not a numerical failure")
+
+        monkeypatch.setattr(cli_module, "zero_vanna_report", broken)
+        config = ExperimentConfig(out=str(tmp_path / "bug.csv"), **FAST)
+        with pytest.raises(TypeError, match="not a numerical failure"):
+            run(config, stream=open("/dev/null", "w"))
 
     def test_convergence_mode_writes_rate_fits(self, tmp_path):
         out = tmp_path / "conv.csv"
@@ -351,5 +371,46 @@ class TestMain:
         assert "config error" in capsys.readouterr().err
 
     def test_invalid_inline_values_exit_two(self, capsys):
-        assert main(["--hurst", "1.5"]) == 2
-        assert "hurst" in capsys.readouterr().err
+        for hurst in ("1.5", "1.0"):
+            assert main(["--hurst", hurst]) == 2
+            assert "hurst" in capsys.readouterr().err
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+HOOK_SCRIPT = """
+import io, json, sys
+import spans
+from fracvol import cli
+
+tracer = spans.Tracer()
+spans.install(tracer, [])
+config = cli.ExperimentConfig(
+    mode="convergence", estimator="direct_euler", n_paths=256, n_steps=8,
+    hurst=(0.3,), maturities=(0.25, 0.5, 1.0), rho=(-0.8,), out=sys.argv[1],
+)
+rc = cli.run(config, stream=io.StringIO())
+print(json.dumps({"rc": rc, "spans": sorted({s[0] for s in tracer.spans})}))
+"""
+
+
+class TestBenchmarkHooks:
+    def test_span_wrappers_still_fit_the_cli(self, tmp_path):
+        # perfbench/spans.py wraps names that cli, mcpricer and
+        # swapanalysis import; a rename must fail here, not in the bench.
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", HOOK_SCRIPT, str(tmp_path / "hooks.csv")],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result["rc"] == 0
+        for name in ("swapanalysis.rate_fit", "mcpricer.simulate", "fbm.block"):
+            assert name in result["spans"], name

@@ -18,9 +18,7 @@ from fracvol.fbm import (
     cholesky_oracle,
     iter_path_blocks,
     kernel_weights,
-    load_path_batch,
     sample_paths,
-    save_path_batch,
 )
 
 HURSTS = st.floats(0.05, 0.95)
@@ -236,28 +234,6 @@ class TestCholeskyOracle:
     def test_rejects_oversized_grid(self):
         with pytest.raises(ValueError):
             cholesky_oracle(TimeGrid(1.0, 4096), 0.3, 10, seed=0)
-
-
-class TestPathDump:
-    def test_roundtrip(self, tmp_path):
-        grid = TimeGrid(1.5, 16)
-        w = kernel_weights(grid, 0.25)
-        batch = sample_paths(grid, w, 40, seed=2)
-        target = tmp_path / "batch.bin"
-        save_path_batch(target, batch, grid, 0.25)
-        loaded, loaded_grid, hurst = load_path_batch(target)
-        assert np.array_equal(loaded.dw, batch.dw)
-        assert np.array_equal(loaded.wh, batch.wh)
-        assert loaded_grid == grid
-        assert hurst == 0.25
-        # 32-byte header then two row-major float64 blocks.
-        assert target.stat().st_size == 32 + 2 * 40 * 16 * 8
-
-    def test_rejects_foreign_file(self, tmp_path):
-        target = tmp_path / "junk.bin"
-        target.write_bytes(b"\x00" * 64)
-        with pytest.raises(ValueError):
-            load_path_batch(target)
 
 
 class TestBatchValidation:

@@ -5,18 +5,22 @@ import numpy as np
 import pytest
 
 from fracvol.blackscholes import bs_price, implied_vol
-from fracvol.fbm import TimeGrid, kernel_weights, sample_paths
+from fracvol.fbm import B_STREAM, TimeGrid, block_rng, kernel_weights, sample_paths
 from fracvol.mcpricer import (
     McConfig,
     PriceEstimate,
     call_price_conditional,
-    call_price_direct,
     simulate_functionals,
     strike_pricer,
     variance_swap_strike,
     vol_swap_strike,
 )
-from fracvol.volmodel import ModelParams, variance_swap_oracle, vol_paths
+from fracvol.volmodel import (
+    ModelParams,
+    path_functionals,
+    variance_swap_oracle,
+    vol_paths,
+)
 
 SIGMA0 = 0.2
 NU = 0.4
@@ -24,6 +28,13 @@ NU = 0.4
 
 def combined_se(a: PriceEstimate, b: PriceEstimate) -> float:
     return math.hypot(a.std_error, b.std_error)
+
+
+def plain_direct_price(funcs, x0: float, k: float) -> PriceEstimate:
+    """Direct Euler payoff mean without the terminal-spot control."""
+    payoff = np.maximum(np.exp(x0 + funcs.terminal_log_spot) - math.exp(k), 0.0)
+    se = payoff.std(ddof=1) / math.sqrt(payoff.shape[0])
+    return PriceEstimate(float(payoff.mean()), float(se), payoff.shape[0])
 
 
 @pytest.fixture(scope="module")
@@ -54,10 +65,6 @@ class TestConfigValidation:
     def test_rejects_unknown_estimator(self):
         with pytest.raises(ValueError):
             McConfig(n_paths=10, seed=1, estimator="qmc")
-
-    def test_rejects_unknown_control(self):
-        with pytest.raises(ValueError):
-            McConfig(n_paths=10, seed=1, control_variate="antithetic")
 
     def test_rejects_negative_se(self):
         with pytest.raises(ValueError):
@@ -107,23 +114,20 @@ class TestDirectEstimator:
     def test_zero_nu_matches_bs(self):
         grid = TimeGrid(1.0, 50)
         params = ModelParams(SIGMA0, 0.0, 0.0, 0.3)
-        w = kernel_weights(grid, 0.3)
-        batch = sample_paths(grid, w, 50_000, seed=4)
-        vols = vol_paths(batch, params, grid)
-        config = McConfig(n_paths=50_000, seed=4, control_variate="none")
-        est = call_price_direct(batch, vols, params, 0.0, 0.0, 1.0, config)
+        config = McConfig(n_paths=50_000, seed=4)
+        funcs = simulate_functionals(grid, params, config, want_terminal=True)
+        est = plain_direct_price(funcs, 0.0, 0.0)
         assert abs(est.value - bs_price(0.0, 0.0, SIGMA0, 1.0)) < 3.0 * est.std_error
 
-    def test_control_variate_reduces_se_and_keeps_mean(self):
+    def test_terminal_control_reduces_se_and_keeps_mean(self):
         grid = TimeGrid(1.0, 100)
         params = ModelParams(SIGMA0, NU, 0.0, 0.5)
-        w = kernel_weights(grid, 0.5)
-        batch = sample_paths(grid, w, 100_000, seed=5)
-        vols = vol_paths(batch, params, grid)
-        base = McConfig(n_paths=100_000, seed=5, control_variate="none")
-        cv = McConfig(n_paths=100_000, seed=5, control_variate="bs_terminal")
-        est_plain = call_price_direct(batch, vols, params, 0.0, 0.0, 1.0, base)
-        est_cv = call_price_direct(batch, vols, params, 0.0, 0.0, 1.0, cv)
+        config = McConfig(n_paths=100_000, seed=5)
+        funcs = simulate_functionals(grid, params, config, want_terminal=True)
+        est_plain = plain_direct_price(funcs, 0.0, 0.0)
+        est_cv = strike_pricer(
+            funcs, params, 0.0, 1.0, estimator="direct_euler"
+        )(0.0)
         assert est_cv.std_error < est_plain.std_error
         assert abs(est_cv.value - est_plain.value) < 3.0 * combined_se(
             est_plain, est_cv
@@ -139,6 +143,9 @@ class TestDirectEstimator:
         assert abs(spot.mean() - 1.0) < 3.0 * se
 
     def test_streaming_matches_materialized(self):
+        # Rebuild the Euler log-return from one materialized batch with the
+        # B stream drawn per block: the streaming driver must match it
+        # bit for bit, so its B draws are block-aligned with the W draws.
         grid = TimeGrid(1.0, 64)
         params = ModelParams(SIGMA0, NU, -0.5, 0.3)
         config = McConfig(n_paths=3000, seed=7, block_size=1000)
@@ -146,13 +153,19 @@ class TestDirectEstimator:
         w = kernel_weights(grid, 0.3)
         batch = sample_paths(grid, w, 3000, seed=7, block_size=1000)
         vols = vol_paths(batch, params, grid)
-        direct = call_price_direct(batch, vols, params, 0.0, 0.0, 1.0, config)
-        from_funcs = strike_pricer(
-            funcs, params, 0.0, 1.0,
-            estimator="direct_euler", control_variate="bs_terminal",
-        )(0.0)
-        assert direct.value == from_funcs.value
-        assert direct.std_error == from_funcs.std_error
+        whole = path_functionals(vols, batch, grid)
+        orth = math.sqrt(1.0 - params.rho**2)
+        expected = np.empty(3000)
+        for b, row in enumerate(range(0, 3000, 1000)):
+            rows = slice(row, row + 1000)
+            db = block_rng(7, B_STREAM, b).standard_normal((1000, 64))
+            ito_b = np.einsum("ij,ij->i", vols[rows], db * math.sqrt(grid.dt))
+            expected[rows] = (
+                -0.5 * whole.integrated_variance[rows]
+                + params.rho * whole.int_sigma_dw[rows]
+                + orth * ito_b
+            )
+        assert np.array_equal(funcs.terminal_log_spot, expected)
 
     @pytest.mark.parametrize("hurst", [0.1, 0.3, 0.5, 0.7, 0.9])
     @pytest.mark.parametrize("rho", [0.0, -0.8])
@@ -166,8 +179,7 @@ class TestDirectEstimator:
             grid, params, McConfig(n_paths=40_000, seed=12), want_terminal=True
         )
         direct = strike_pricer(
-            direct_funcs, params, 0.0, 1.0,
-            estimator="direct_euler", control_variate="bs_terminal",
+            direct_funcs, params, 0.0, 1.0, estimator="direct_euler"
         )
         for k in (-0.1, 0.0, 0.1):
             a = call_price_conditional(cond_funcs, params, 0.0, k, 1.0)
@@ -177,13 +189,10 @@ class TestDirectEstimator:
     def test_conditional_beats_direct_variance_at_zero_rho(self):
         grid = TimeGrid(1.0, 100)
         params = ModelParams(SIGMA0, NU, 0.0, 0.5)
-        config = McConfig(n_paths=50_000, seed=13, control_variate="none")
+        config = McConfig(n_paths=50_000, seed=13)
         funcs = simulate_functionals(grid, params, config, want_terminal=True)
         cond = call_price_conditional(funcs, params, 0.0, 0.0, 1.0)
-        direct = strike_pricer(
-            funcs, params, 0.0, 1.0,
-            estimator="direct_euler", control_variate="none",
-        )(0.0)
+        direct = plain_direct_price(funcs, 0.0, 0.0)
         assert cond.std_error < direct.std_error
 
 

@@ -226,7 +226,6 @@ class TestSwapReport:
         assert rep_h05.rho == 0.0
         assert rep_h05.hurst == 0.5
         assert rep_h05.maturity == 1.0
-        assert rep_h05.comparator is None
 
     def test_validation_rejects_bad_fields(self, rep_h05):
         good = dataclasses.asdict(rep_h05)
@@ -303,9 +302,7 @@ class TestRateFit:
         maturities = [0.5, 1.0, 2.0, 4.0]
         reports = [synthetic_report(t, 0.01 * t**0.6, 1e-9) for t in maturities]
         params = ModelParams(sigma0=SIGMA0, nu=NU, rho=-0.8, hurst=0.3)
-        fits = convergence_study(
-            params, X0, maturities, McConfig(n_paths=1, seed=0), reports=reports
-        )
+        fits = convergence_study(params, reports)
         for fit in fits.values():
             assert fit.slope == pytest.approx(0.6, abs=1e-9)
             assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
@@ -321,9 +318,7 @@ class TestRateFit:
         maturities = [0.25, 0.5, 1.0, 2.0, 4.0]
         reports = [synthetic_report(t, scale * t**slope, 0.0) for t in maturities]
         params = ModelParams(sigma0=SIGMA0, nu=NU, rho=-0.8, hurst=0.3)
-        fits = convergence_study(
-            params, X0, maturities, McConfig(n_paths=1, seed=0), reports=reports
-        )
+        fits = convergence_study(params, reports)
         assert fits["err_zero_vanna"].slope == pytest.approx(slope, abs=1e-7)
 
     def test_noise_floor_filters_points(self):
@@ -334,19 +329,15 @@ class TestRateFit:
             synthetic_report(t, e, s) for t, e, s in zip(maturities, errs, ses)
         ]
         params = ModelParams(sigma0=SIGMA0, nu=NU, rho=-0.8, hurst=0.3)
-        fits = convergence_study(
-            params, X0, maturities, McConfig(n_paths=1, seed=0), reports=reports
-        )
+        fits = convergence_study(params, reports)
         assert fits["err_zero_vanna"].maturities == (1.0, 2.0, 4.0)
         assert not fits["err_zero_vanna"].inconclusive
 
     def test_all_below_floor_is_inconclusive_not_error(self):
         maturities = [0.5, 1.0, 2.0]
         reports = [synthetic_report(t, 1e-5, 1e-4) for t in maturities]
-        params = ModelParams(sigma0=SIGMA0, nu=NU, rho=0.0, hurst=0.3)
-        fits = convergence_study(
-            params, X0, maturities, McConfig(n_paths=1, seed=0), reports=reports
-        )
+        params = ModelParams(sigma0=SIGMA0, nu=NU, rho=-0.8, hurst=0.3)
+        fits = convergence_study(params, reports)
         for fit in fits.values():
             assert fit.inconclusive
             assert math.isnan(fit.slope)
@@ -354,7 +345,8 @@ class TestRateFit:
     def test_zero_vol_of_vol_is_inconclusive(self):
         params = ModelParams(sigma0=SIGMA0, nu=0.0, rho=0.0, hurst=0.5)
         config = McConfig(n_paths=2_000, seed=412)
-        fits = convergence_study(params, X0, [0.5, 1.0, 2.0], config, n_steps=32)
+        reports = [simulate_report(params, X0, t, 32, config) for t in (0.5, 1.0, 2.0)]
+        fits = convergence_study(params, reports)
         for fit in fits.values():
             assert fit.inconclusive
 
@@ -364,24 +356,27 @@ class TestRateFit:
         # scale is 0.75, inside the 2H +/- 0.3 band.
         params = ModelParams(sigma0=SIGMA0, nu=NU, rho=-0.8, hurst=0.3)
         config = McConfig(n_paths=200_000, seed=404)
-        fits = convergence_study(params, X0, [0.5, 1.0, 2.0, 3.0], config, n_steps=250)
-        fit = fits["err_zero_vanna"]
+        reports = [
+            simulate_report(params, X0, t, 250, config) for t in (0.5, 1.0, 2.0, 3.0)
+        ]
+        fit = convergence_study(params, reports)["err_zero_vanna"]
         assert not fit.inconclusive
         assert len(fit.maturities) >= 3
         assert 0.3 <= fit.slope <= 0.9
         assert fit.r_squared > 0.9
 
     def test_validation_errors(self):
-        params = ModelParams(sigma0=SIGMA0, nu=NU, rho=0.0, hurst=0.5)
-        config = McConfig(n_paths=1_000, seed=0)
+        params = ModelParams(sigma0=SIGMA0, nu=NU, rho=-0.8, hurst=0.3)
+
+        def reports(*maturities):
+            return [synthetic_report(t, 0.01, 0.0) for t in maturities]
+
         with pytest.raises(ValueError, match="at least 3"):
-            convergence_study(params, X0, [1.0, 2.0], config)
+            convergence_study(params, reports(1.0, 2.0))
         with pytest.raises(ValueError, match="distinct"):
-            convergence_study(params, X0, [1.0, 1.0, 2.0], config)
+            convergence_study(params, reports(1.0, 1.0, 2.0))
         with pytest.raises(ValueError, match="factor of 2"):
-            convergence_study(params, X0, [1.0, 1.2, 1.5], config)
-        reports = [synthetic_report(t, 0.01, 0.0) for t in (1.0, 2.0, 3.0)]
-        with pytest.raises(ValueError, match="do not match"):
-            convergence_study(
-                params, X0, [1.0, 2.0, 4.0], config, reports=reports
-            )
+            convergence_study(params, reports(1.0, 1.2, 1.5))
+        other = ModelParams(sigma0=SIGMA0, nu=NU, rho=0.0, hurst=0.5)
+        with pytest.raises(ValueError, match="does not match"):
+            convergence_study(other, reports(1.0, 2.0, 4.0))
