@@ -104,18 +104,6 @@ class ExperimentConfig:
                 raise ConfigError(f"key '{name}': list must not be empty")
             if len(set(values)) != len(values):
                 raise ConfigError(f"key '{name}': values must be distinct")
-        # ModelParams owns the model's ranges; its messages lead with the
-        # offending field's name
-        for rho in self.rho:
-            for hurst in self.hurst:
-                values = dict(sigma0=self.sigma0, nu=self.nu, rho=rho, hurst=hurst)
-                try:
-                    ModelParams(**values)
-                except ValueError as exc:
-                    key = str(exc).split()[0]
-                    raise ConfigError(
-                        f"key '{key}': {exc}, got {values[key]}"
-                    ) from None
         for t in self.maturities:
             if t <= 0.0:
                 raise ConfigError(f"key 'maturities': {t} must be positive")
@@ -124,15 +112,21 @@ class ExperimentConfig:
                 raise ConfigError(f"key '{name}': must be at least {bound}")
         if self.seed < 0:
             raise ConfigError(f"key 'seed': must be nonnegative, got {self.seed}")
-        if self.estimator not in VALID_ESTIMATORS:
-            raise ConfigError(
-                f"key 'estimator': must be one of {VALID_ESTIMATORS}, "
-                f"got '{self.estimator}'"
-            )
-        if self.scheme not in VALID_SCHEMES:
-            raise ConfigError(
-                f"key 'scheme': must be one of {VALID_SCHEMES}, got '{self.scheme}'"
-            )
+        # ModelParams and McConfig own their ranges and choices; their
+        # messages lead with the offending field's name
+        mc_fields = ("n_paths", "seed", "scheme", "estimator")
+        checks = [(McConfig, {name: getattr(self, name) for name in mc_fields})]
+        checks += [
+            (ModelParams, dict(sigma0=self.sigma0, nu=self.nu, rho=rho, hurst=hurst))
+            for rho in self.rho
+            for hurst in self.hurst
+        ]
+        for owner, values in checks:
+            try:
+                owner(**values)
+            except ValueError as exc:
+                key = str(exc).split()[0]
+                raise ConfigError(f"key '{key}': {exc}, got {values[key]!r}") from None
         if self.mode not in VALID_MODES:
             raise ConfigError(
                 f"key 'mode': must be one of {VALID_MODES}, got '{self.mode}'"
@@ -238,8 +232,9 @@ def build_config(
 
 
 def _cell_seed(config: ExperimentConfig, h_index: int, t_index: int) -> int:
-    # Seeds depend on grid position, not worker scheduling, and are
-    # shared across rho so both tables reuse one simulation per (H, T).
+    # Seeds depend on grid position, not worker scheduling. They carry no
+    # rho: the path functionals are rho-free, so every rho of a (H, T)
+    # cell prices on one simulation, whichever the estimator.
     return config.seed * 10_000 + h_index * 100 + t_index
 
 
@@ -261,19 +256,14 @@ def _cell_rows(
     )
     grid = TimeGrid(maturity, config.n_steps)
     results: list[tuple[float, SwapReport | None, str | None]] = []
-    shared_funcs = None
+    funcs = None
     for rho in config.rho:
         params = ModelParams(
             sigma0=config.sigma0, nu=config.nu, rho=rho, hurst=hurst
         )
         try:
-            if config.estimator == "conditional_mixing":
-                # path functionals are rho-free: one simulation per (H, T)
-                if shared_funcs is None:
-                    shared_funcs = simulate_functionals(grid, params, mc)
-                funcs = shared_funcs
-            else:
-                funcs = simulate_functionals(grid, params, mc, want_terminal=True)
+            if funcs is None:
+                funcs = simulate_functionals(grid, params, mc)
             pricer = strike_pricer(
                 funcs, params, X0, maturity, estimator=config.estimator
             )
@@ -436,11 +426,11 @@ def _rate_label(rho: float, hurst: float) -> str:
 
 
 def _write_rates_csv(path: Path, fits: dict[tuple[float, float], object]) -> None:
-    """One row per (rho, H, series), in the manifest's key order."""
+    """One row per (rho, H, series), in numeric (rho, H) order."""
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(RATES_COLUMNS)
-        for rho, hurst in sorted(fits, key=lambda pair: _rate_label(*pair)):
+        for rho, hurst in sorted(fits):
             entry = fits[(rho, hurst)]
             if not isinstance(entry, dict):
                 continue
@@ -471,14 +461,18 @@ def _rate_fits(config, reports, stream) -> dict[tuple[float, float], object]:
                 for t in config.maturities
                 if (rho, hurst, t) in reports
             ]
-            if len(series) < 3:
-                fits[(rho, hurst)] = "insufficient cells"
-                continue
             params = ModelParams(
                 sigma0=config.sigma0, nu=config.nu, rho=rho, hurst=hurst
             )
+            try:
+                study = convergence_study(params, series)
+            except ValueError:
+                # failed cells left too few maturities, or too narrow a
+                # span, to fit; the failures already make the exit code 1
+                fits[(rho, hurst)] = "insufficient cells"
+                continue
             entry = {}
-            for name, fit in convergence_study(params, series).items():
+            for name, fit in study.items():
                 entry[name] = {
                     "slope": fit.slope,
                     "intercept": fit.intercept,

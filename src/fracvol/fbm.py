@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import toeplitz
-from scipy.signal import fftconvolve
 
 __all__ = [
     "TimeGrid",
@@ -29,7 +28,6 @@ __all__ = [
     "B_STREAM",
     "ORACLE_STREAM",
     "DEFAULT_BLOCK_SIZE",
-    "FFT_THRESHOLD",
 ]
 
 # RNG stream ids: every Generator in the package is Philox keyed by
@@ -40,8 +38,6 @@ B_STREAM = 1
 ORACLE_STREAM = 2
 
 DEFAULT_BLOCK_SIZE = 65_536
-# Below this step count the dense Toeplitz product beats FFT on constants.
-FFT_THRESHOLD = 128
 
 
 @dataclass(frozen=True)
@@ -149,25 +145,16 @@ def kernel_weights(
     return KernelWeights(hurst=hurst, dt=dt, weights=b, evaluation=evaluation)
 
 
-def _convolve_naive(dw: np.ndarray, b: np.ndarray) -> np.ndarray:
-    lower = toeplitz(b, np.zeros_like(b))
-    return dw @ lower.T
-
-
-def _convolve_fft(dw: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return fftconvolve(dw, b[np.newaxis, :], mode="full", axes=1)[:, : b.shape[0]]
-
-
 def _wh_from_increments(dw: np.ndarray, weights: KernelWeights) -> np.ndarray:
     """W^H levels at t_1..t_n from increments: wh[:, i] = sum_{j<=i} b_{i-j} dW_j."""
     # H = 1/2 makes every weight exactly one; cumsum keeps the output
     # bit-identical to a plain Brownian path built from the same draws.
     if weights.hurst == 0.5:
         return np.cumsum(dw, axis=1)
+    # one dense lower-triangular Toeplitz product (BLAS); it beats FFT
+    # convolution at every step count the grids use
     b = weights.weights
-    if weights.n_steps >= FFT_THRESHOLD:
-        return _convolve_fft(dw, b)
-    return _convolve_naive(dw, b)
+    return dw @ toeplitz(b, np.zeros_like(b)).T
 
 
 def block_rng(seed: int, stream: int, block: int) -> np.random.Generator:

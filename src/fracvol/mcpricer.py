@@ -1,13 +1,14 @@
 """Monte Carlo estimators for calls and volatility/variance swap strikes.
 
-Two call estimators share one set of path functionals. The conditional
-(mixing) estimator integrates the independent Brownian factor out exactly:
-given the vol path, the log-price is Gaussian, so each path contributes a
-shifted-spot, reduced-vol Black-Scholes value and no B draws are needed.
-The direct estimator simulates the log-price by left-point Euler and
-averages the payoff against a terminal-spot control variate (e^{X_T} is an
-exact martingale of the discrete scheme, so the control has known mean
-zero).
+Two call estimators share one set of rho-free path functionals, so one
+simulation serves every correlation. The conditional (mixing) estimator
+integrates the independent Brownian factor out exactly: given the vol path,
+the log-price is Gaussian, so each path contributes a shifted-spot,
+reduced-vol Black-Scholes value and no B draws are needed. The direct
+estimator also keeps int sigma dB against the orthogonal driver B, builds
+the left-point Euler log-price from it per rho, and averages the payoff
+against a terminal-spot control variate (e^{X_T} is an exact martingale of
+the discrete scheme, so the control has known mean zero).
 
 Everything is deterministic given (seed, n_paths, block_size, grid, params):
 per-path arrays are assembled positionally by block index and reduced once,
@@ -95,24 +96,19 @@ def _mean_se(values: np.ndarray) -> PriceEstimate:
 
 
 def simulate_functionals(
-    grid: TimeGrid,
-    params: ModelParams,
-    config: McConfig,
-    want_terminal: bool = False,
+    grid: TimeGrid, params: ModelParams, config: McConfig
 ) -> PathFunctionals:
     """Stream path blocks through the vol model and keep only per-path
     functionals (memory O(n_paths), independent of n_steps).
 
-    With want_terminal the direct Euler log-price is also accumulated,
-    stored as the terminal log return (X_T with x0 = 0); pricing shifts it
-    by the actual log-spot. B increments come from their own RNG stream,
-    block-aligned with the W draws.
+    The functionals are rho-free: params.rho is never read. For the
+    direct Euler estimator int sigma dB is also accumulated; the B
+    increments come from their own RNG stream, block-aligned with the W
+    draws.
     """
     y = np.empty(config.n_paths)
     ito = np.empty(config.n_paths)
-    ret = np.empty(config.n_paths) if want_terminal else None
-    rho = params.rho
-    orth = math.sqrt(max(1.0 - rho * rho, 0.0))
+    ito_b = np.empty(config.n_paths) if config.estimator == "direct_euler" else None
     sqrt_dt = math.sqrt(grid.dt)
 
     if config.scheme == "cholesky_oracle":
@@ -132,16 +128,11 @@ def simulate_functionals(
         funcs = path_functionals(vols, blk, grid)
         y[row : row + blk.n_paths] = funcs.integrated_variance
         ito[row : row + blk.n_paths] = funcs.int_sigma_dw
-        if want_terminal:
+        if ito_b is not None:
             rng = block_rng(config.seed, B_STREAM, idx)
             db = rng.standard_normal(blk.dw.shape) * sqrt_dt
-            ito_b = np.einsum("ij,ij->i", vols, db)
-            ret[row : row + blk.n_paths] = (
-                -0.5 * funcs.integrated_variance
-                + rho * funcs.int_sigma_dw
-                + orth * ito_b
-            )
-    return PathFunctionals(integrated_variance=y, int_sigma_dw=ito, terminal_log_spot=ret)
+            ito_b[row : row + blk.n_paths] = np.einsum("ij,ij->i", vols, db)
+    return PathFunctionals(integrated_variance=y, int_sigma_dw=ito, int_sigma_db=ito_b)
 
 
 def _conditional_values(
@@ -173,6 +164,17 @@ def call_price_conditional(
     if maturity <= 0.0:
         raise ValueError("maturity must be positive")
     return _mean_se(_conditional_values(funcs, params, x0, k, maturity))
+
+
+def _terminal_log_return(funcs: PathFunctionals, rho: float) -> np.ndarray:
+    """Left-point Euler X_T - x0 = -Y/2 + rho int sigma dW
+    + sqrt(1 - rho^2) int sigma dB, per path."""
+    orth = math.sqrt(max(1.0 - rho * rho, 0.0))
+    return (
+        -0.5 * funcs.integrated_variance
+        + rho * funcs.int_sigma_dw
+        + orth * funcs.int_sigma_db
+    )
 
 
 def _direct_values(terminal_log_return: np.ndarray, x0: float, k: float) -> np.ndarray:
@@ -212,17 +214,18 @@ def strike_pricer(
 
     All strikes reuse the same paths (common random numbers), which makes
     differences of implied vols across strikes far less noisy than
-    independent runs would be.
+    independent runs would be. The direct estimator mixes the rho-free
+    functionals into the Euler log-return for params.rho once, here.
     """
     if estimator not in VALID_ESTIMATORS:
         raise ValueError(f"estimator must be one of {VALID_ESTIMATORS}")
     if estimator == "direct_euler":
-        if funcs.terminal_log_spot is None:
+        if funcs.int_sigma_db is None:
             raise ValueError(
                 "direct_euler pricing needs functionals simulated with "
-                "want_terminal=True"
+                "estimator='direct_euler'"
             )
-        ret = funcs.terminal_log_spot
+        ret = _terminal_log_return(funcs, params.rho)
 
         def price_direct(k: float) -> PriceEstimate:
             return _mean_se(_direct_values(ret, x0, k))

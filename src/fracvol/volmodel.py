@@ -50,12 +50,16 @@ class PathFunctionals:
 
     integrated_variance: Y = int_0^T sigma^2 ds (left-point Riemann sum).
     int_sigma_dw: int_0^T sigma dW (left-point Ito sum, adapted).
-    terminal_log_spot: X_T per path, filled only by the direct Euler scheme.
+    int_sigma_db: int_0^T sigma dB against the orthogonal Brownian driver,
+    drawn only for the direct Euler estimator.
+
+    None of them depends on rho, so one simulation serves every
+    correlation; the pricers mix them per rho.
     """
 
     integrated_variance: np.ndarray
     int_sigma_dw: np.ndarray
-    terminal_log_spot: Optional[np.ndarray] = None
+    int_sigma_db: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.integrated_variance.shape != self.int_sigma_dw.shape:

@@ -276,7 +276,7 @@ def test_both_estimators_agree_at_scale():
         config = McConfig(
             n_paths=n_paths, seed=ACCEPT_SEED + 23, estimator="direct_euler"
         )
-        funcs = simulate_functionals(grid, params, config, want_terminal=True)
+        funcs = simulate_functionals(grid, params, config)
         direct = strike_pricer(
             funcs, params, 0.0, maturity, estimator="direct_euler"
         )

@@ -14,6 +14,7 @@ from fracvol.blackscholes import ConvergenceError
 from fracvol.cli import (
     CSV_COLUMNS,
     FAILED_TOKEN,
+    RATES_COLUMNS,
     ConfigError,
     ExperimentConfig,
     build_config,
@@ -136,7 +137,7 @@ class TestBuildConfig:
         ],
     )
     def test_validation_names_field(self, values, needle):
-        with pytest.raises(ConfigError, match=needle):
+        with pytest.raises(ConfigError, match=f"^key '{needle}'"):
             build_config(values)
 
     def test_single_mode_needs_singletons(self):
@@ -302,6 +303,83 @@ class TestRun:
             assert 0.0 <= float(rec["r_squared"]) <= 1.0
             assert rec["maturities_used"].count(";") >= 2
 
+    def test_rate_fit_on_too_narrow_surviving_span(self, tmp_path, monkeypatch):
+        # Failing T = 1 leaves three maturities spanning less than a factor
+        # of 2: the (rho, H) is recorded, not fitted, and every output is
+        # still written.
+        import fracvol.cli as cli_module
+
+        real = cli_module.zero_vanna_report
+
+        def flaky(pricer, funcs, params, x0, maturity, config):
+            if maturity == 1.0:
+                raise ConvergenceError("boom", best=0.0, residual=1.0)
+            return real(pricer, funcs, params, x0, maturity, config)
+
+        monkeypatch.setattr(cli_module, "zero_vanna_report", flaky)
+        out = tmp_path / "narrow.csv"
+        config = ExperimentConfig(
+            out=str(out),
+            mode="convergence",
+            n_paths=1_000,
+            n_steps=8,
+            seed=5,
+            hurst=(0.5,),
+            maturities=(0.5, 0.6, 0.7, 1.0),
+            rho=(0.0,),
+        )
+        assert run(config, stream=open("/dev/null", "w")) == 1
+        manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+        assert manifest["rate_fits"] == {"rho=0,H=0.5": "insufficient cells"}
+        assert list(manifest["failed_cells"]) == ["rho=0,H=0.5,T=1"]
+        assert read_csv(out.with_suffix(".rates.csv")) == [list(RATES_COLUMNS)]
+
+    def test_rates_csv_in_numeric_rho_order(self, tmp_path):
+        out = tmp_path / "order.csv"
+        config = ExperimentConfig(
+            out=str(out),
+            mode="convergence",
+            n_paths=1_000,
+            n_steps=8,
+            seed=5,
+            hurst=(0.5,),
+            maturities=(0.5, 1.0, 2.0),
+            rho=(-0.8, -0.2),
+        )
+        assert run(config, stream=open("/dev/null", "w")) == 0
+        rates = read_csv(out.with_suffix(".rates.csv"))
+        assert [row[0] for row in rates[1:]] == ["-0.8", "-0.8", "-0.2", "-0.2"]
+
+    def test_direct_euler_shares_one_simulation_across_rho(
+        self, tmp_path, monkeypatch
+    ):
+        import fracvol.cli as cli_module
+
+        calls = []
+        real = cli_module.simulate_functionals
+
+        def counted(grid, params, config):
+            calls.append((grid.maturity, params.hurst))
+            return real(grid, params, config)
+
+        monkeypatch.setattr(cli_module, "simulate_functionals", counted)
+        direct = dict(FAST, estimator="direct_euler", hurst=(0.3,))
+        out = tmp_path / "both.csv"
+        config = ExperimentConfig(out=str(out), **direct)
+        assert run(config, stream=open("/dev/null", "w")) == 0
+        assert sorted(calls) == [(0.5, 0.3), (1.0, 0.3)]
+        lines = out.read_text().splitlines()
+        for rho in direct["rho"]:
+            single_out = tmp_path / f"rho{rho}.csv"
+            single = ExperimentConfig(
+                out=str(single_out), **dict(direct, rho=(rho,))
+            )
+            assert run(single, stream=open("/dev/null", "w")) == 0
+            single_rows = single_out.read_text().splitlines()[1:]
+            assert single_rows == [
+                line for line in lines[1:] if line.split(",")[2] == repr(rho)
+            ]
+
     def test_zero_vol_of_vol_single_cell(self, tmp_path):
         out = tmp_path / "nu0.csv"
         config = ExperimentConfig(
@@ -392,6 +470,22 @@ config = cli.ExperimentConfig(
 rc = cli.run(config, stream=io.StringIO())
 print(json.dumps({"rc": rc, "spans": sorted({s[0] for s in tracer.spans})}))
 """
+
+
+class TestImportCost:
+    def test_cli_import_leaves_scipy_signal_out(self):
+        # scipy.signal was the larger half of the package's import time
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        code = "import sys, fracvol.cli; print('scipy.signal' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestBenchmarkHooks:

@@ -9,11 +9,8 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
 from fracvol.fbm import (
-    FFT_THRESHOLD,
     GaussianPathBatch,
     TimeGrid,
-    _convolve_fft,
-    _convolve_naive,
     _joint_covariance,
     cholesky_oracle,
     iter_path_blocks,
@@ -101,24 +98,17 @@ class TestKernelWeights:
 
 
 class TestConvolution:
-    def test_fft_matches_naive(self):
-        rng = np.random.default_rng(42)
-        dw = rng.standard_normal((16, 200))
-        b = rng.uniform(0.1, 2.0, size=200)
-        np.testing.assert_allclose(
-            _convolve_fft(dw, b), _convolve_naive(dw, b), atol=1e-10
-        )
-
-    def test_end_to_end_across_threshold(self):
-        # Same seed, step counts straddling the FFT threshold; both code
-        # paths must produce paths with the right marginal variance and
-        # agree with a direct dense reconstruction.
-        for n_steps in (FFT_THRESHOLD // 2, FFT_THRESHOLD + 9):
+    def test_matches_per_row_convolve(self):
+        # The Toeplitz product must equal an independent causal
+        # convolution of each path's increments with the kernel weights.
+        for n_steps in (64, 250):
             grid = TimeGrid(1.0, n_steps)
             w = kernel_weights(grid, 0.3)
             batch = sample_paths(grid, w, 64, seed=7)
-            expected = _convolve_naive(batch.dw, w.weights)
-            np.testing.assert_allclose(batch.wh, expected, atol=1e-10)
+            expected = np.array(
+                [np.convolve(row, w.weights)[:n_steps] for row in batch.dw]
+            )
+            np.testing.assert_allclose(batch.wh, expected, rtol=0, atol=1e-12)
 
 
 class TestSamplePaths:

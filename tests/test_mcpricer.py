@@ -9,6 +9,7 @@ from fracvol.fbm import B_STREAM, TimeGrid, block_rng, kernel_weights, sample_pa
 from fracvol.mcpricer import (
     McConfig,
     PriceEstimate,
+    _terminal_log_return,
     call_price_conditional,
     simulate_functionals,
     strike_pricer,
@@ -30,9 +31,10 @@ def combined_se(a: PriceEstimate, b: PriceEstimate) -> float:
     return math.hypot(a.std_error, b.std_error)
 
 
-def plain_direct_price(funcs, x0: float, k: float) -> PriceEstimate:
+def plain_direct_price(funcs, params, x0: float, k: float) -> PriceEstimate:
     """Direct Euler payoff mean without the terminal-spot control."""
-    payoff = np.maximum(np.exp(x0 + funcs.terminal_log_spot) - math.exp(k), 0.0)
+    ret = _terminal_log_return(funcs, params.rho)
+    payoff = np.maximum(np.exp(x0 + ret) - math.exp(k), 0.0)
     se = payoff.std(ddof=1) / math.sqrt(payoff.shape[0])
     return PriceEstimate(float(payoff.mean()), float(se), payoff.shape[0])
 
@@ -114,17 +116,17 @@ class TestDirectEstimator:
     def test_zero_nu_matches_bs(self):
         grid = TimeGrid(1.0, 50)
         params = ModelParams(SIGMA0, 0.0, 0.0, 0.3)
-        config = McConfig(n_paths=50_000, seed=4)
-        funcs = simulate_functionals(grid, params, config, want_terminal=True)
-        est = plain_direct_price(funcs, 0.0, 0.0)
+        config = McConfig(n_paths=50_000, seed=4, estimator="direct_euler")
+        funcs = simulate_functionals(grid, params, config)
+        est = plain_direct_price(funcs, params, 0.0, 0.0)
         assert abs(est.value - bs_price(0.0, 0.0, SIGMA0, 1.0)) < 3.0 * est.std_error
 
     def test_terminal_control_reduces_se_and_keeps_mean(self):
         grid = TimeGrid(1.0, 100)
         params = ModelParams(SIGMA0, NU, 0.0, 0.5)
-        config = McConfig(n_paths=100_000, seed=5)
-        funcs = simulate_functionals(grid, params, config, want_terminal=True)
-        est_plain = plain_direct_price(funcs, 0.0, 0.0)
+        config = McConfig(n_paths=100_000, seed=5, estimator="direct_euler")
+        funcs = simulate_functionals(grid, params, config)
+        est_plain = plain_direct_price(funcs, params, 0.0, 0.0)
         est_cv = strike_pricer(
             funcs, params, 0.0, 1.0, estimator="direct_euler"
         )(0.0)
@@ -136,36 +138,40 @@ class TestDirectEstimator:
     def test_martingale_terminal_spot(self):
         grid = TimeGrid(1.0, 100)
         params = ModelParams(SIGMA0, NU, -0.8, 0.3)
-        config = McConfig(n_paths=100_000, seed=6)
-        funcs = simulate_functionals(grid, params, config, want_terminal=True)
-        spot = np.exp(funcs.terminal_log_spot)
+        config = McConfig(n_paths=100_000, seed=6, estimator="direct_euler")
+        funcs = simulate_functionals(grid, params, config)
+        spot = np.exp(_terminal_log_return(funcs, params.rho))
         se = spot.std(ddof=1) / math.sqrt(spot.shape[0])
         assert abs(spot.mean() - 1.0) < 3.0 * se
 
     def test_streaming_matches_materialized(self):
-        # Rebuild the Euler log-return from one materialized batch with the
-        # B stream drawn per block: the streaming driver must match it
-        # bit for bit, so its B draws are block-aligned with the W draws.
+        # Rebuild int sigma dB from one materialized batch with the B
+        # stream drawn per block: the streaming driver must match it bit
+        # for bit, so its B draws are block-aligned with the W draws, and
+        # so must the Euler log-return the pricer builds from it.
         grid = TimeGrid(1.0, 64)
         params = ModelParams(SIGMA0, NU, -0.5, 0.3)
-        config = McConfig(n_paths=3000, seed=7, block_size=1000)
-        funcs = simulate_functionals(grid, params, config, want_terminal=True)
+        config = McConfig(
+            n_paths=3000, seed=7, block_size=1000, estimator="direct_euler"
+        )
+        funcs = simulate_functionals(grid, params, config)
         w = kernel_weights(grid, 0.3)
         batch = sample_paths(grid, w, 3000, seed=7, block_size=1000)
         vols = vol_paths(batch, params, grid)
         whole = path_functionals(vols, batch, grid)
-        orth = math.sqrt(1.0 - params.rho**2)
-        expected = np.empty(3000)
+        ito_b = np.empty(3000)
         for b, row in enumerate(range(0, 3000, 1000)):
             rows = slice(row, row + 1000)
             db = block_rng(7, B_STREAM, b).standard_normal((1000, 64))
-            ito_b = np.einsum("ij,ij->i", vols[rows], db * math.sqrt(grid.dt))
-            expected[rows] = (
-                -0.5 * whole.integrated_variance[rows]
-                + params.rho * whole.int_sigma_dw[rows]
-                + orth * ito_b
-            )
-        assert np.array_equal(funcs.terminal_log_spot, expected)
+            ito_b[rows] = np.einsum("ij,ij->i", vols[rows], db * math.sqrt(grid.dt))
+        assert np.array_equal(funcs.int_sigma_db, ito_b)
+        orth = math.sqrt(1.0 - params.rho**2)
+        expected = (
+            -0.5 * whole.integrated_variance
+            + params.rho * whole.int_sigma_dw
+            + orth * ito_b
+        )
+        assert np.array_equal(_terminal_log_return(funcs, params.rho), expected)
 
     @pytest.mark.parametrize("hurst", [0.1, 0.3, 0.5, 0.7, 0.9])
     @pytest.mark.parametrize("rho", [0.0, -0.8])
@@ -176,7 +182,9 @@ class TestDirectEstimator:
             grid, params, McConfig(n_paths=40_000, seed=11)
         )
         direct_funcs = simulate_functionals(
-            grid, params, McConfig(n_paths=40_000, seed=12), want_terminal=True
+            grid,
+            params,
+            McConfig(n_paths=40_000, seed=12, estimator="direct_euler"),
         )
         direct = strike_pricer(
             direct_funcs, params, 0.0, 1.0, estimator="direct_euler"
@@ -189,10 +197,10 @@ class TestDirectEstimator:
     def test_conditional_beats_direct_variance_at_zero_rho(self):
         grid = TimeGrid(1.0, 100)
         params = ModelParams(SIGMA0, NU, 0.0, 0.5)
-        config = McConfig(n_paths=50_000, seed=13)
-        funcs = simulate_functionals(grid, params, config, want_terminal=True)
+        config = McConfig(n_paths=50_000, seed=13, estimator="direct_euler")
+        funcs = simulate_functionals(grid, params, config)
         cond = call_price_conditional(funcs, params, 0.0, 0.0, 1.0)
-        direct = plain_direct_price(funcs, 0.0, 0.0)
+        direct = plain_direct_price(funcs, params, 0.0, 0.0)
         assert cond.std_error < direct.std_error
 
 
@@ -273,12 +281,12 @@ class TestDeterminism:
     def test_identical_config_identical_estimates(self):
         grid = TimeGrid(1.0, 64)
         params = ModelParams(SIGMA0, NU, -0.8, 0.3)
-        config = McConfig(n_paths=5000, seed=15)
-        a = simulate_functionals(grid, params, config, want_terminal=True)
-        b = simulate_functionals(grid, params, config, want_terminal=True)
+        config = McConfig(n_paths=5000, seed=15, estimator="direct_euler")
+        a = simulate_functionals(grid, params, config)
+        b = simulate_functionals(grid, params, config)
         assert np.array_equal(a.integrated_variance, b.integrated_variance)
         assert np.array_equal(a.int_sigma_dw, b.int_sigma_dw)
-        assert np.array_equal(a.terminal_log_spot, b.terminal_log_spot)
+        assert np.array_equal(a.int_sigma_db, b.int_sigma_db)
 
     def test_se_scales_with_paths(self):
         grid = TimeGrid(1.0, 50)
