@@ -11,6 +11,7 @@ import math
 from typing import Callable
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import ndtr
 
 __all__ = [
@@ -29,6 +30,8 @@ __all__ = [
 DEFAULT_IV_BRACKET = (1e-6, 5.0)
 DEFAULT_IV_TOL = 1e-10
 DEFAULT_IV_MAX_ITER = 200
+# Width of the log-strike bracket at which the zero-vanna search stops.
+ZERO_VANNA_XTOL = 1e-12
 
 
 class NoSolutionError(ValueError):
@@ -204,74 +207,55 @@ def implied_vol(
     )
 
 
-def zero_vanna_strike(
-    iv_curve: Callable[[float], float],
-    x: float,
-    tau: float,
-    tol: float = 1e-10,
-    max_iter: int = 100,
-) -> float:
-    """Log-strike where the smile's d2 vanishes: ``d2(k, I(k)) = 0``.
+def zero_vanna_strike(iv_curve: Callable[[float], float], x: float, tau: float) -> float:
+    """Log-strike where the smile's d2 vanishes: ``d2(x, k, I(k), tau) = 0``.
 
-    Solves the fixed point ``k = x - I(k)^2 tau / 2`` by direct iteration
-    seeded at ``k0 = x - I(x)^2 tau / 2``; the map contracts whenever the
-    smile slope times ``I tau`` is below one, which holds for any reasonable
-    curve. If the iteration stalls, falls back to bisection on the residual
-    ``d2(k, I(k))`` over ``[x - 2 I(x)^2 tau, x]`` before giving up.
+    Brent's method finds the root of ``r(k) = d2(x, k, I(k), tau)`` on the
+    bracket ``[x - 2 I(x)^2 tau, x]``. At the right end
+    ``r(x) = -I(x) sqrt(tau) / 2`` is always negative; at the left end r is
+    positive for any smile close to its ATM level (for a flat smile it is
+    ``3 I sqrt(tau) / 2``). The search stops once the k bracket is narrower
+    than ZERO_VANNA_XTOL, never on the residual: an implied-vol curve
+    inverted by bisection is a step function of k, so a residual rule can
+    sit below its resolution and never be met. The returned strike is one
+    the curve was evaluated at.
 
-    ``tol`` bounds the absolute d2 residual at the returned strike. For a
-    constant curve the first iterate is already exact. Iterates that
-    diverge (a smile with no zero-vanna strike can drive k to -inf) raise
-    NoSolutionError.
+    Raises NoSolutionError when r has no sign change on the bracket (the
+    smile has no zero-vanna strike near the money), ConvergenceError if
+    Brent's method runs out of iterations, and ValueError if the curve
+    returns a non-positive or non-finite vol.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    k = x - 0.5 * iv_curve(x) ** 2 * tau
-    resid = math.nan
-    for _ in range(max_iter):
-        sig = iv_curve(k) if math.isfinite(k) else math.inf
-        if not math.isfinite(sig):
-            raise NoSolutionError(
-                f"zero-vanna strike: fixed-point iteration diverged at k={k}; "
-                "the smile has no zero-vanna strike"
-            )
-        if sig <= 0.0:
-            raise ValueError(f"iv_curve returned non-positive vol {sig} at k={k}")
-        resid = d2(x, k, sig, tau)
-        if abs(resid) < tol:
-            return k
-        k = x - 0.5 * sig * sig * tau
-    return _zero_vanna_bisect(iv_curve, x, tau, tol, last_residual=resid)
-
-
-def _zero_vanna_bisect(iv_curve, x, tau, tol, last_residual, n_iter=200):
-    # Residual is positive at the far-left edge and negative at k = x for any
-    # curve close to its ATM level, so the bracket below usually straddles.
-    def resid(k):
-        return d2(x, k, iv_curve(k), tau)
-
-    lo = x - 2.0 * iv_curve(x) ** 2 * tau
-    hi = x
-    r_lo, r_hi = resid(lo), resid(hi)
-    if r_lo * r_hi > 0.0:
-        raise ConvergenceError(
-            "zero-vanna strike: fixed point stalled and residual does not "
-            "change sign over the fallback bracket",
-            best=hi,
-            residual=last_residual,
+    sig_x = iv_curve(x)
+    if not (math.isfinite(sig_x) and sig_x > 0.0):
+        raise ValueError(f"iv_curve returned vol {sig_x} at k={x}")
+    lo = x - 2.0 * sig_x * sig_x * tau
+    if _curve_d2(lo, iv_curve, x, tau) < 0.0:
+        raise NoSolutionError(
+            f"zero-vanna strike: d2 does not change sign on [{lo}, {x}]; "
+            "the smile has no zero-vanna strike"
         )
-    for _ in range(n_iter):
-        mid = 0.5 * (lo + hi)
-        r_mid = resid(mid)
-        if abs(r_mid) < tol:
-            return mid
-        if r_lo * r_mid <= 0.0:
-            hi = mid
-        else:
-            lo, r_lo = mid, r_mid
-    mid = 0.5 * (lo + hi)
-    raise ConvergenceError(
-        "zero-vanna strike: bisection fallback did not converge",
-        best=mid,
-        residual=resid(mid),
+    # the curve goes in through args, not a closure: brentq wraps its
+    # function in a self-referencing closure that outlives the call until
+    # the cyclic GC runs, and would keep the pricer's path arrays alive
+    k, info = brentq(
+        _curve_d2,
+        lo,
+        x,
+        args=(iv_curve, x, tau),
+        xtol=ZERO_VANNA_XTOL,
+        full_output=True,
+        disp=False,
     )
+    if not info.converged:
+        raise ConvergenceError(
+            f"zero-vanna strike: {info.flag}",
+            best=k,
+            residual=_curve_d2(k, iv_curve, x, tau),
+        )
+    return k
+
+
+def _curve_d2(k: float, iv_curve: Callable[[float], float], x: float, tau: float) -> float:
+    return d2(x, k, iv_curve(k), tau)

@@ -70,6 +70,8 @@ CSV_COLUMNS = (
 )
 
 FAILED_TOKEN = "FAILED"
+# Failures that mark a cell FAILED; anything else is a bug and propagates.
+NUMERICAL_ERRORS = (ValueError, ConvergenceError, np.linalg.LinAlgError)
 
 # Spot is normalized: all cells price at log-spot x0 = 0.
 X0 = 0.0
@@ -241,10 +243,11 @@ def _cell_seed(config: ExperimentConfig, h_index: int, t_index: int) -> int:
 def _cell_rows(
     config: ExperimentConfig, h_index: int, t_index: int
 ) -> list[tuple[float, SwapReport | None, str | None]]:
-    """Price every rho for one (H, T) cell.
+    """Price every rho for one (H, T) cell on one shared simulation.
 
     Numerical failures (including NoSolutionError, a ValueError) become
-    the cell's error message; anything else is a bug and propagates.
+    the cell's error message; a failed simulation fails every rho with
+    the same cause. Anything else is a bug and propagates.
     """
     hurst = config.hurst[h_index]
     maturity = config.maturities[t_index]
@@ -255,23 +258,29 @@ def _cell_rows(
         estimator=config.estimator,
     )
     grid = TimeGrid(maturity, config.n_steps)
+    cell_params = [
+        ModelParams(sigma0=config.sigma0, nu=config.nu, rho=rho, hurst=hurst)
+        for rho in config.rho
+    ]
+    try:
+        funcs = simulate_functionals(grid, cell_params[0], mc)
+    except NUMERICAL_ERRORS as exc:
+        return [(params.rho, None, _cause(exc)) for params in cell_params]
     results: list[tuple[float, SwapReport | None, str | None]] = []
-    funcs = None
-    for rho in config.rho:
-        params = ModelParams(
-            sigma0=config.sigma0, nu=config.nu, rho=rho, hurst=hurst
-        )
+    for params in cell_params:
         try:
-            if funcs is None:
-                funcs = simulate_functionals(grid, params, mc)
             pricer = strike_pricer(
                 funcs, params, X0, maturity, estimator=config.estimator
             )
             report = zero_vanna_report(pricer, funcs, params, X0, maturity, mc)
-            results.append((rho, report, None))
-        except (ValueError, ConvergenceError, np.linalg.LinAlgError) as exc:
-            results.append((rho, None, f"{type(exc).__name__}: {exc}"))
+            results.append((params.rho, report, None))
+        except NUMERICAL_ERRORS as exc:
+            results.append((params.rho, None, _cause(exc)))
     return results
+
+
+def _cause(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _run_cell(args: tuple[ExperimentConfig, int, int]):
@@ -538,13 +547,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         file_values = (
-            parse_config(args.config.read_text()) if args.config else None
+            parse_config(args.config.read_text(encoding="utf-8"))
+            if args.config
+            else None
         )
         config = build_config(file_values, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
         return 2
     return run(config)

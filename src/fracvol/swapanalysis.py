@@ -1,4 +1,4 @@
-"""Implied-vol curve analysis around the zero-vanna strike.
+"""Implied-vol analysis around the zero-vanna strike.
 
 Builds per-(H, T) reports comparing three volatility summaries of the same
 simulated model: the Monte Carlo volatility-swap strike, the implied vol at
@@ -18,14 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .blackscholes import (
-    ConvergenceError,
-    NoSolutionError,
-    d2,
-    implied_vol,
-    vega,
-    zero_vanna_strike,
-)
+from .blackscholes import d2, implied_vol, vega, zero_vanna_strike
 from .fbm import TimeGrid
 from .mcpricer import (
     McConfig,
@@ -46,21 +39,6 @@ SOLVER_FLOOR = 1e-9
 SKEW_BUMP_FRACTION = 0.05
 
 Pricer = Callable[[float], PriceEstimate]
-
-
-@dataclass(frozen=True)
-class IvPoint:
-    """One strike on an implied-vol curve.
-
-    ``error`` is None for a clean inversion; otherwise it carries the
-    failure message and ``vol``/``std_error`` are NaN so a single bad
-    strike never aborts the rest of the curve.
-    """
-
-    log_strike: float
-    vol: float
-    std_error: float
-    error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -125,60 +103,33 @@ class RateFit:
             raise ValueError(f"r_squared out of range: {self.r_squared}")
 
 
-def iv_curve(
-    pricer: Pricer,
-    x0: float,
-    maturity: float,
-    strikes: Sequence[float],
-) -> list[IvPoint]:
-    """Invert a call pricer to implied vols at each log-strike.
-
-    The SE of each vol is the price SE divided by the Black-Scholes vega
-    at the fitted vol.  Inversion failures (price outside arbitrage
-    bounds, bisection not converging) are captured per strike.
-    """
-    if maturity <= 0.0:
-        raise ValueError(f"maturity must be positive, got {maturity}")
-    points: list[IvPoint] = []
-    for k in strikes:
-        estimate = pricer(float(k))
-        try:
-            vol = implied_vol(estimate.value, x0, float(k), maturity)
-        except (NoSolutionError, ConvergenceError) as exc:
-            points.append(IvPoint(float(k), math.nan, math.nan, str(exc)))
-            continue
-        sensitivity = vega(x0, float(k), vol, maturity)
-        se = estimate.std_error / sensitivity if sensitivity > 0.0 else math.inf
-        points.append(IvPoint(float(k), float(vol), float(se)))
-    return points
-
-
 def _iv_at(pricer: Pricer, x0: float, k: float, maturity: float) -> tuple[float, float]:
-    """Implied vol and its SE at a single log-strike."""
-    (point,) = iv_curve(pricer, x0, maturity, [k])
-    if point.error is not None:
-        raise NoSolutionError(f"implied vol failed at k={k}: {point.error}")
-    return point.vol, point.std_error
+    """Implied vol at one log-strike and its SE, the price SE over vega.
+
+    An uninvertible price raises (NoSolutionError or ConvergenceError).
+    """
+    estimate = pricer(k)
+    vol = implied_vol(estimate.value, x0, k, maturity)
+    sensitivity = vega(x0, k, vol, maturity)
+    se = estimate.std_error / sensitivity if sensitivity > 0.0 else math.inf
+    return vol, se
 
 
 def atm_skew(
     pricer: Pricer,
     x0: float,
     maturity: float,
+    sigma0: float,
     bump: float | None = None,
-    sigma0: float | None = None,
 ) -> tuple[float, float]:
     """Central-difference ATM skew dI/dk and a conservative SE.
 
-    The default bump is SKEW_BUMP_FRACTION * sigma0 * sqrt(T) (sigma0 is
-    estimated from the ATM vol when not given).  If the estimate drowns
-    in noise (|skew| < 3 SE), the bump is widened to 2h and 4h and the
-    two wide-bump estimates are Richardson-combined to cancel the
-    leading quadratic bias while keeping the larger denominator.
+    The default bump is SKEW_BUMP_FRACTION * sigma0 * sqrt(T).  If the
+    estimate drowns in noise (|skew| < 3 SE), the bump is widened to 2h
+    and 4h and the two wide-bump estimates are Richardson-combined to
+    cancel the leading quadratic bias while keeping the larger denominator.
     """
     if bump is None:
-        if sigma0 is None:
-            sigma0, _ = _iv_at(pricer, x0, x0, maturity)
         bump = SKEW_BUMP_FRACTION * sigma0 * math.sqrt(maturity)
     if bump <= 0.0:
         raise ValueError(f"bump must be positive, got {bump}")
@@ -217,18 +168,22 @@ def zero_vanna_report(
     ``pricer`` and ``funcs`` must come from the same simulation so the
     swap strike and the implied vols share paths.  The zero-vanna strike
     is located on the curve implied by ``pricer`` and its residual
-    |d2(k_hat, I(k_hat))| is recorded (and must be below 1e-8).
+    |d2(k_hat, I(k_hat))| is recorded (and must be below 1e-8).  Each
+    strike is priced at most once: the search evaluates both the ATM
+    strike and k_hat, and the report reuses those vols.
     """
     swap = vol_swap_strike(funcs, maturity)
+    ivs: dict[float, tuple[float, float]] = {}
 
-    def curve(k: float) -> float:
-        vol, _ = _iv_at(pricer, x0, k, maturity)
-        return vol
+    def iv(k: float) -> tuple[float, float]:
+        if k not in ivs:
+            ivs[k] = _iv_at(pricer, x0, k, maturity)
+        return ivs[k]
 
-    k_hat = zero_vanna_strike(curve, x0, maturity)
-    iv_zv, iv_zv_se = _iv_at(pricer, x0, k_hat, maturity)
+    k_hat = zero_vanna_strike(lambda k: iv(k)[0], x0, maturity)
+    iv_zv, iv_zv_se = iv(k_hat)
     residual = abs(d2(x0, k_hat, iv_zv, maturity))
-    atm_vol, atm_se = _iv_at(pricer, x0, x0, maturity)
+    atm_vol, atm_se = iv(x0)
     skew, skew_se = atm_skew(pricer, x0, maturity, sigma0=params.sigma0)
 
     return SwapReport(
@@ -355,10 +310,8 @@ def report_as_row(report: SwapReport) -> dict[str, float | int]:
 
 
 __all__ = [
-    "IvPoint",
     "SwapReport",
     "RateFit",
-    "iv_curve",
     "atm_skew",
     "zero_vanna_report",
     "simulate_report",

@@ -1,5 +1,7 @@
 """Tests for the log-coordinate Black-Scholes analytics."""
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -225,7 +227,7 @@ class TestZeroVannaStrike:
     def test_residual_below_tolerance(self):
         curve = lambda k: 0.25 + 0.3 * (k - 0.01) ** 2
         x, tau = 0.01, 2.0
-        k_hat = zero_vanna_strike(curve, x, tau, tol=1e-10)
+        k_hat = zero_vanna_strike(curve, x, tau)
         assert abs(d2(x, k_hat, curve(k_hat), tau)) < 1e-10
 
     @given(smile=smiles_with_a_root())
@@ -233,16 +235,53 @@ class TestZeroVannaStrike:
     def test_smooth_smiles_leave_tiny_residual(self, smile):
         x, sig0, slope, tau = smile
         curve = lambda k: max(sig0 + slope * (k - x), 0.01)
-        k_hat = zero_vanna_strike(curve, x, tau, tol=1e-9)
+        k_hat = zero_vanna_strike(curve, x, tau)
         assert abs(d2(x, k_hat, curve(k_hat), tau)) < 1e-9
 
     def test_smile_without_root_raises_no_solution(self):
         # 1 + 2 tau sig0 slope = -0.125 < 0: k = x - I(k)^2 tau / 2 has no
-        # real root, and the fixed-point iterates run off to k = -inf.
+        # real root, and d2 is negative across the whole bracket.
         x, sig0, slope, tau = 0.0, 0.5, -0.375, 3.0
         curve = lambda k: max(sig0 + slope * (k - x), 0.01)
-        with pytest.raises(NoSolutionError, match="diverged"):
+        with pytest.raises(NoSolutionError, match="no zero-vanna strike"):
             zero_vanna_strike(curve, x, tau)
+
+    def test_step_smile_below_residual_resolution_converges(self):
+        # Two vol levels one implied-vol bisection quantum apart (5 / 2^35),
+        # with the jump midway between their two zero-d2 strikes: a fixed
+        # point on k alternates between the levels with |d2| ~ 2e-10
+        # forever. The bracket still closes on the jump.
+        x, tau = 0.0, 2.0
+        sig_lo, step = 0.20077559900602, 1.455e-10
+        sig_hi = sig_lo + step
+        k_jump = x - 0.25 * (sig_lo**2 + sig_hi**2) * tau
+        evals = []
+
+        def curve(k):
+            evals.append(k)
+            return sig_lo if k < k_jump else sig_hi
+
+        k_hat = zero_vanna_strike(curve, x, tau)
+        assert len(evals) <= 60
+        assert abs(d2(x, k_hat, curve(k_hat), tau)) < 1e-8
+        assert abs(k_hat - k_jump) < 1e-11
+
+    def test_releases_the_curve_on_return(self):
+        # a curve closes over a pricer and its path arrays; nothing may
+        # hold it once the search is over, not even a reference cycle
+        class Curve:
+            def __call__(self, k):
+                return 0.2 - 0.5 * k
+
+        curve = Curve()
+        ref = weakref.ref(curve)
+        gc.disable()
+        try:
+            zero_vanna_strike(curve, 0.0, 1.0)
+            del curve
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):

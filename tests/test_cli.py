@@ -245,6 +245,34 @@ class TestRun:
             "ConvergenceError: boom"
         )
 
+    def test_failed_simulation_runs_once_and_fails_every_rho(
+        self, tmp_path, monkeypatch
+    ):
+        import numpy as np
+
+        import fracvol.cli as cli_module
+
+        calls = []
+
+        def singular(*args):
+            calls.append(args)
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(cli_module, "simulate_functionals", singular)
+        out = tmp_path / "singular.csv"
+        fast = dict(FAST, maturities=(1.0,))
+        config = ExperimentConfig(out=str(out), **fast)
+        assert config.rho == (-0.8, 0.0)
+        assert run(config, stream=open("/dev/null", "w")) == 1
+        assert len(calls) == 1
+        rows = read_csv(out)[1:]
+        assert len(rows) == 2
+        assert all(row[3:] == [FAILED_TOKEN] * (len(CSV_COLUMNS) - 3) for row in rows)
+        manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+        assert set(manifest["failed_cells"].values()) == {
+            "LinAlgError: not positive definite"
+        }
+
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
         import fracvol.cli as cli_module
 
@@ -448,6 +476,13 @@ class TestMain:
         assert main(["--config", str(tmp_path / "nope.cfg")]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_non_utf8_config_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("out = r\xe9sultats.csv\n".encode("latin-1"))
+        assert main(["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+
     def test_invalid_inline_values_exit_two(self, capsys):
         for hurst in ("1.5", "1.0"):
             assert main(["--hurst", hurst]) == 2
@@ -506,5 +541,17 @@ class TestBenchmarkHooks:
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.strip().splitlines()[-1])
         assert result["rc"] == 0
-        for name in ("swapanalysis.rate_fit", "mcpricer.simulate", "fbm.block"):
+        for name in (
+            "fbm.block",
+            "fbm.kernel_weights",
+            "volmodel.vol_paths",
+            "volmodel.path_functionals",
+            "mcpricer.simulate",
+            "mcpricer.pricer",
+            "blackscholes.implied_vol",
+            "blackscholes.zero_vanna",
+            "swapanalysis.skew",
+            "swapanalysis.report",
+            "swapanalysis.rate_fit",
+        ):
             assert name in result["spans"], name

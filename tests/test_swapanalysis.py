@@ -1,4 +1,4 @@
-"""Tests for implied-vol curve reports and rate fits.
+"""Tests for implied-vol reports and rate fits.
 
 Reference values marked with their origin:
   - analytic/synthetic oracles are computed in-line,
@@ -14,16 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracvol.blackscholes import bs_price, vega
+from fracvol.blackscholes import NoSolutionError, bs_price, vega
 from fracvol.mcpricer import McConfig, PriceEstimate
 from fracvol.swapanalysis import (
     RateFit,
     SwapReport,
+    _iv_at,
     atm_skew,
     convergence_study,
-    iv_curve,
     report_as_row,
     simulate_report,
+    zero_vanna_report,
 )
 from fracvol.volmodel import ModelParams
 
@@ -77,13 +78,10 @@ class TestIvCurve:
 
     def test_flat_curve_from_analytic_pricer(self):
         pricer = analytic_pricer(lambda k: SIGMA0, X0, 2.0)
-        strikes = np.linspace(-0.3, 0.3, 7)
-        points = iv_curve(pricer, X0, 2.0, strikes)
-        assert len(points) == 7
-        for pt in points:
-            assert pt.error is None
-            assert pt.vol == pytest.approx(SIGMA0, abs=1e-9)
-            assert pt.std_error == 0.0
+        for k in np.linspace(-0.3, 0.3, 7):
+            vol, se = _iv_at(pricer, X0, float(k), 2.0)
+            assert vol == pytest.approx(SIGMA0, abs=1e-9)
+            assert se == 0.0
 
     def test_se_is_price_se_over_vega(self):
         se_price = 3e-4
@@ -92,26 +90,23 @@ class TestIvCurve:
         def pricer(k: float) -> PriceEstimate:
             return PriceEstimate(float(bs_price(X0, k, vol, 1.0)), se_price, 100)
 
-        (pt,) = iv_curve(pricer, X0, 1.0, [0.05])
-        expected = se_price / vega(X0, 0.05, pt.vol, 1.0)
-        assert pt.std_error == pytest.approx(expected, rel=1e-9)
+        vol, se = _iv_at(pricer, X0, 0.05, 1.0)
+        expected = se_price / vega(X0, 0.05, vol, 1.0)
+        assert se == pytest.approx(expected, rel=1e-9)
 
-    def test_bad_strike_does_not_abort_curve(self):
+    def test_uninvertible_price_raises(self):
         def pricer(k: float) -> PriceEstimate:
-            if k > 0.09:
-                # above the e^x upper arbitrage bound: uninvertible
-                return PriceEstimate(2.0, 0.0, 10)
-            return PriceEstimate(float(bs_price(X0, k, SIGMA0, 1.0)), 0.0, 10)
+            # above the e^x upper arbitrage bound
+            return PriceEstimate(2.0, 0.0, 10)
 
-        points = iv_curve(pricer, X0, 1.0, [-0.1, 0.0, 0.1])
-        assert points[0].error is None and points[1].error is None
-        assert points[2].error is not None
-        assert math.isnan(points[2].vol) and math.isnan(points[2].std_error)
+        with pytest.raises(NoSolutionError, match="arbitrage bounds"):
+            _iv_at(pricer, X0, 0.1, 1.0)
 
     def test_rejects_nonpositive_maturity(self):
         pricer = analytic_pricer(lambda k: SIGMA0, X0, 1.0)
-        with pytest.raises(ValueError, match="maturity"):
-            iv_curve(pricer, X0, 0.0, [0.0])
+        for maturity in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                _iv_at(pricer, X0, 0.0, maturity)
 
     def test_uncorrelated_curve_more_symmetric_than_skewed(self):
         from fracvol.fbm import TimeGrid
@@ -126,8 +121,9 @@ class TestIvCurve:
         for rho in (0.0, -0.8):
             params = ModelParams(sigma0=SIGMA0, nu=NU, rho=rho, hurst=0.5)
             pricer = strike_pricer(funcs, params, X0, 1.0)
-            lo, hi = iv_curve(pricer, X0, 1.0, [X0 - delta, X0 + delta])
-            asymmetry[rho] = abs(hi.vol - lo.vol)
+            lo, _ = _iv_at(pricer, X0, X0 - delta, 1.0)
+            hi, _ = _iv_at(pricer, X0, X0 + delta, 1.0)
+            asymmetry[rho] = abs(hi - lo)
         # mixing over a symmetric vol law cancels the asymmetry exactly
         assert asymmetry[0.0] < 1e-12
         assert asymmetry[-0.8] > 1e-3
@@ -164,10 +160,29 @@ class TestAtmSkew:
     def test_rejects_nonpositive_bump(self):
         pricer = analytic_pricer(lambda k: SIGMA0, X0, 1.0)
         with pytest.raises(ValueError, match="bump"):
-            atm_skew(pricer, X0, 1.0, bump=0.0)
+            atm_skew(pricer, X0, 1.0, sigma0=SIGMA0, bump=0.0)
 
 
 class TestSwapReport:
+    def test_prices_each_strike_once(self):
+        from fracvol.fbm import TimeGrid
+        from fracvol.mcpricer import simulate_functionals
+
+        params = ModelParams(sigma0=SIGMA0, nu=NU, rho=-0.5, hurst=0.5)
+        config = McConfig(n_paths=256, seed=430)
+        funcs = simulate_functionals(TimeGrid(1.0, 8), params, config)
+        smile = analytic_pricer(lambda k: SIGMA0 - 0.1 * (k - X0), X0, 1.0)
+        strikes = []
+
+        def pricer(k: float) -> PriceEstimate:
+            strikes.append(k)
+            return smile(k)
+
+        rep = zero_vanna_report(pricer, funcs, params, X0, 1.0, config)
+        # the search evaluates the ATM strike and k_hat; the report reuses them
+        assert X0 in strikes and rep.k_hat in strikes
+        assert len(strikes) == len(set(strikes))
+
     def test_h05_matches_reference(self, rep_h05):
         assert rep_h05.vol_swap == pytest.approx(H05_REFERENCE_VOL, abs=1e-3)
         assert rep_h05.iv_zero_vanna == pytest.approx(H05_REFERENCE_VOL, abs=1e-3)
