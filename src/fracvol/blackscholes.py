@@ -21,8 +21,6 @@ __all__ = [
     "d1",
     "d2",
     "vega",
-    "g_operator",
-    "h_operator",
     "implied_vol",
     "zero_vanna_strike",
 ]
@@ -124,29 +122,6 @@ def vega(x, k, sigma, tau):
     tau = np.broadcast_to(np.asarray(tau, dtype=float), x.shape)
     d_1 = (x - k) / srt + 0.5 * srt
     return _as_scalar_or_array(np.exp(x) * _norm_pdf(d_1) * np.sqrt(tau), scalar)
-
-
-def g_operator(x, k, sigma, tau):
-    """Second-minus-first log-spot derivative of the call price.
-
-    Equals ``exp(x) N'(d1) / (sigma sqrt(tau))``; also ``vega / (sigma tau)``.
-    Exposed as a diagnostic.
-    """
-    x, k, srt, scalar = _moneyness_terms(x, k, sigma, tau)
-    d_1 = (x - k) / srt + 0.5 * srt
-    return _as_scalar_or_array(np.exp(x) * _norm_pdf(d_1) / srt, scalar)
-
-
-def h_operator(x, k, sigma, tau):
-    """Third-minus-second log-spot derivative of the call price.
-
-    Equals ``g_operator * (1 - d1 / (sigma sqrt(tau)))`` and vanishes exactly
-    where ``k = x - sigma^2 tau / 2``. Exposed as a diagnostic.
-    """
-    x, k, srt, scalar = _moneyness_terms(x, k, sigma, tau)
-    d_1 = (x - k) / srt + 0.5 * srt
-    g = np.exp(x) * _norm_pdf(d_1) / srt
-    return _as_scalar_or_array(g * (1.0 - d_1 / srt), scalar)
 
 
 def implied_vol(

@@ -25,6 +25,7 @@ import csv
 import dataclasses
 import json
 import math
+import platform
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .blackscholes import ConvergenceError
@@ -42,6 +44,7 @@ from .mcpricer import (
     VALID_SCHEMES,
     McConfig,
     simulate_functionals,
+    simulation_record,
     strike_pricer,
 )
 from .swapanalysis import (
@@ -240,6 +243,15 @@ def _cell_seed(config: ExperimentConfig, h_index: int, t_index: int) -> int:
     return config.seed * 10_000 + h_index * 100 + t_index
 
 
+def _mc_config(config: ExperimentConfig, seed: int) -> McConfig:
+    return McConfig(
+        n_paths=config.n_paths,
+        seed=seed,
+        scheme=config.scheme,
+        estimator=config.estimator,
+    )
+
+
 def _cell_rows(
     config: ExperimentConfig, h_index: int, t_index: int
 ) -> list[tuple[float, SwapReport | None, str | None]]:
@@ -251,12 +263,7 @@ def _cell_rows(
     """
     hurst = config.hurst[h_index]
     maturity = config.maturities[t_index]
-    mc = McConfig(
-        n_paths=config.n_paths,
-        seed=_cell_seed(config, h_index, t_index),
-        scheme=config.scheme,
-        estimator=config.estimator,
-    )
+    mc = _mc_config(config, _cell_seed(config, h_index, t_index))
     grid = TimeGrid(maturity, config.n_steps)
     cell_params = [
         ModelParams(sigma0=config.sigma0, nu=config.nu, rho=rho, hurst=hurst)
@@ -319,8 +326,16 @@ def _write_manifest(
     manifest_path = csv_path.with_suffix(".manifest.json")
     payload: dict[str, object] = {
         "version": __version__,
+        "versions": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
         "created_at": datetime.now(timezone.utc).isoformat(),
         "config": dataclasses.asdict(config),
+        "simulation": simulation_record(
+            _mc_config(config, config.seed), config.hurst
+        ),
     }
     payload.update(extra)
     manifest_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

@@ -24,15 +24,18 @@ __all__ = [
     "iter_path_blocks",
     "cholesky_oracle",
     "block_rng",
+    "convolution_method",
+    "BIT_GENERATOR",
     "W_STREAM",
     "B_STREAM",
     "ORACLE_STREAM",
     "DEFAULT_BLOCK_SIZE",
 ]
 
-# RNG stream ids: every Generator in the package is Philox keyed by
-# SeedSequence(entropy=seed, spawn_key=(stream, block)). Counter-based, so
-# block b's draws never depend on which worker produced blocks 0..b-1.
+# RNG stream ids: every Generator in the package is a BIT_GENERATOR keyed
+# by SeedSequence(entropy=seed, spawn_key=(stream, block)). Counter-based,
+# so block b's draws never depend on which worker produced blocks 0..b-1.
+BIT_GENERATOR = np.random.Philox
 W_STREAM = 0
 B_STREAM = 1
 ORACLE_STREAM = 2
@@ -145,23 +148,62 @@ def kernel_weights(
     return KernelWeights(hurst=hurst, dt=dt, weights=b, evaluation=evaluation)
 
 
-def _wh_from_increments(dw: np.ndarray, weights: KernelWeights) -> np.ndarray:
-    """W^H levels at t_1..t_n from increments: wh[:, i] = sum_{j<=i} b_{i-j} dW_j."""
+def convolution_method(hurst: float) -> str:
+    """How the Volterra convolution runs at this H: "cumsum" at H = 1/2,
+    else "toeplitz_matmul"."""
     # H = 1/2 makes every weight exactly one; cumsum keeps the output
     # bit-identical to a plain Brownian path built from the same draws.
-    if weights.hurst == 0.5:
-        return np.cumsum(dw, axis=1)
+    return "cumsum" if hurst == 0.5 else "toeplitz_matmul"
+
+
+def _convolution_matrix(weights: KernelWeights) -> np.ndarray | None:
+    """Matrix M with wh = dw @ M, i.e. wh[:, i] = sum_{j<=i} b_{i-j} dW_j;
+    None where the convolution is a cumulative sum."""
+    if convolution_method(weights.hurst) == "cumsum":
+        return None
     # one dense lower-triangular Toeplitz product (BLAS); it beats FFT
     # convolution at every step count the grids use
     b = weights.weights
-    return dw @ toeplitz(b, np.zeros_like(b)).T
+    return toeplitz(b, np.zeros_like(b)).T
+
+
+def _fill_block(
+    seed: int,
+    block: int,
+    sqrt_dt: float,
+    matrix: np.ndarray | None,
+    dw: np.ndarray,
+    wh: np.ndarray,
+) -> None:
+    """Draw block `block`'s increments into dw and its W^H levels into wh.
+
+    dw and wh are C-contiguous (rows, n_steps) arrays; every operation
+    writes in place, so the block allocates no path-sized array.
+    """
+    block_rng(seed, W_STREAM, block).standard_normal(out=dw)
+    dw *= sqrt_dt
+    if matrix is None:
+        np.cumsum(dw, axis=1, out=wh)
+    else:
+        np.matmul(dw, matrix, out=wh)
+
+
+def _check_blocking(
+    grid: TimeGrid, weights: KernelWeights, n_paths: int, block_size: int
+) -> None:
+    if n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
+    if block_size < 1:
+        raise ValueError("block_size must be at least 1")
+    if weights.n_steps != grid.n_steps:
+        raise ValueError("weights were built for a different grid")
 
 
 def block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
-    """Philox generator keyed by (seed, stream, block). Counter-based, so
-    any block can be generated in isolation, in any order, on any worker."""
+    """Generator keyed by (seed, stream, block). Counter-based, so any
+    block can be generated in isolation, in any order, on any worker."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream, block))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(BIT_GENERATOR(ss))
 
 
 def iter_path_blocks(
@@ -170,6 +212,7 @@ def iter_path_blocks(
     n_paths: int,
     seed: int,
     block_size: int = DEFAULT_BLOCK_SIZE,
+    out: GaussianPathBatch | None = None,
 ):
     """Yield (block_index, GaussianPathBatch) covering n_paths in order.
 
@@ -177,20 +220,29 @@ def iter_path_blocks(
     The draws for block b depend only on (seed, b, block_size, grid shape),
     never on other blocks, so generation parallelizes with deterministic
     output. block_size is therefore part of the reproducibility key.
+
+    Without out, every block is a fresh batch that the caller may keep.
+    With out, a batch of C-contiguous (min(block_size, n_paths), n_steps)
+    arrays, every block is written into out's leading rows and the yielded
+    batch is a view of them: it is overwritten by the next block, so a
+    caller that keeps a block must copy it first. Block values do not
+    depend on which form is used.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
-    if block_size < 1:
-        raise ValueError("block_size must be at least 1")
-    if weights.n_steps != grid.n_steps:
-        raise ValueError("weights were built for a different grid")
+    _check_blocking(grid, weights, n_paths, block_size)
+    shape = (min(block_size, n_paths), grid.n_steps)
+    if out is not None and out.dw.shape != shape:
+        raise ValueError(f"out must hold arrays of shape {shape}, got {out.dw.shape}")
     sqrt_dt = np.sqrt(grid.dt)
+    matrix = _convolution_matrix(weights)
     n_blocks = -(-n_paths // block_size)
     for b in range(n_blocks):
         rows = min(block_size, n_paths - b * block_size)
-        rng = block_rng(seed, W_STREAM, b)
-        dw = rng.standard_normal((rows, grid.n_steps)) * sqrt_dt
-        yield b, GaussianPathBatch(dw=dw, wh=_wh_from_increments(dw, weights))
+        if out is None:
+            dw, wh = np.empty((rows, grid.n_steps)), np.empty((rows, grid.n_steps))
+        else:
+            dw, wh = out.dw[:rows], out.wh[:rows]
+        _fill_block(seed, b, sqrt_dt, matrix, dw, wh)
+        yield b, GaussianPathBatch(dw=dw, wh=wh)
 
 
 def sample_paths(
@@ -200,15 +252,17 @@ def sample_paths(
     seed: int,
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> GaussianPathBatch:
-    """Materialize all paths as one batch. See iter_path_blocks for the
-    streaming variant used by the pricing engine."""
+    """Materialize all paths as one batch, block by block, each block drawn
+    straight into its rows. See iter_path_blocks for the streaming variant
+    used by the pricing engine."""
+    _check_blocking(grid, weights, n_paths, block_size)
     dw = np.empty((n_paths, grid.n_steps))
     wh = np.empty((n_paths, grid.n_steps))
-    row = 0
-    for _, batch in iter_path_blocks(grid, weights, n_paths, seed, block_size):
-        dw[row : row + batch.n_paths] = batch.dw
-        wh[row : row + batch.n_paths] = batch.wh
-        row += batch.n_paths
+    sqrt_dt = np.sqrt(grid.dt)
+    matrix = _convolution_matrix(weights)
+    for b, row in enumerate(range(0, n_paths, block_size)):
+        rows = slice(row, row + block_size)
+        _fill_block(seed, b, sqrt_dt, matrix, dw[rows], wh[rows])
     return GaussianPathBatch(dw=dw, wh=wh)
 
 

@@ -18,17 +18,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .blackscholes import bs_price
 from .fbm import (
     B_STREAM,
+    BIT_GENERATOR,
     DEFAULT_BLOCK_SIZE,
+    GaussianPathBatch,
     TimeGrid,
     block_rng,
     cholesky_oracle,
+    convolution_method,
     iter_path_blocks,
     kernel_weights,
 )
@@ -38,7 +41,7 @@ __all__ = [
     "McConfig",
     "PriceEstimate",
     "simulate_functionals",
-    "call_price_conditional",
+    "simulation_record",
     "vol_swap_strike",
     "variance_swap_strike",
     "strike_pricer",
@@ -48,6 +51,12 @@ __all__ = [
 
 VALID_SCHEMES = ("convolution", "midpoint_convolution", "cholesky_oracle")
 VALID_ESTIMATORS = ("conditional_mixing", "direct_euler")
+# the kernel_weights evaluation behind each convolution scheme; the
+# Cholesky oracle samples the exact law and evaluates no kernel
+KERNEL_EVALUATION = {
+    "convolution": "variance_exact",
+    "midpoint_convolution": "midpoint",
+}
 
 
 @dataclass(frozen=True)
@@ -99,7 +108,14 @@ def simulate_functionals(
     grid: TimeGrid, params: ModelParams, config: McConfig
 ) -> PathFunctionals:
     """Stream path blocks through the vol model and keep only per-path
-    functionals (memory O(n_paths), independent of n_steps).
+    functionals.
+
+    Memory is three block buffers, dw, wh and vol, each of shape
+    (min(block_size, n_paths), n_steps), allocated once and reused by
+    every block, plus O(n_paths) for the functionals. W^H is dead once
+    the vols are built, so wh then holds the squared vols and, for the
+    direct Euler estimator, the B increments. The Cholesky oracle draws
+    all paths as one block, so its buffers span n_paths rows.
 
     The functionals are rho-free: params.rho is never read. For the
     direct Euler estimator int sigma dB is also accumulated; the B
@@ -113,26 +129,46 @@ def simulate_functionals(
 
     if config.scheme == "cholesky_oracle":
         blocks = [(0, cholesky_oracle(grid, params.hurst, config.n_paths, config.seed))]
+        buffer_rows = config.n_paths
     else:
-        evaluation = (
-            "midpoint" if config.scheme == "midpoint_convolution" else "variance_exact"
-        )
-        weights = kernel_weights(grid, params.hurst, evaluation)
+        weights = kernel_weights(grid, params.hurst, KERNEL_EVALUATION[config.scheme])
+        buffer_rows = min(config.block_size, config.n_paths)
+        shape = (buffer_rows, grid.n_steps)
+        buffers = GaussianPathBatch(dw=np.empty(shape), wh=np.empty(shape))
         blocks = iter_path_blocks(
-            grid, weights, config.n_paths, config.seed, config.block_size
+            grid, weights, config.n_paths, config.seed, config.block_size, out=buffers
         )
+    vol = np.empty((buffer_rows, grid.n_steps))
 
     for idx, blk in blocks:
         row = idx * config.block_size
-        vols = vol_paths(blk, params, grid)
-        funcs = path_functionals(vols, blk, grid)
-        y[row : row + blk.n_paths] = funcs.integrated_variance
-        ito[row : row + blk.n_paths] = funcs.int_sigma_dw
+        rows = slice(row, row + blk.n_paths)
+        vols = vol_paths(blk, params, grid, out=vol[: blk.n_paths])
+        funcs = path_functionals(vols, blk, grid, scratch=blk.wh)
+        y[rows] = funcs.integrated_variance
+        ito[rows] = funcs.int_sigma_dw
         if ito_b is not None:
-            rng = block_rng(config.seed, B_STREAM, idx)
-            db = rng.standard_normal(blk.dw.shape) * sqrt_dt
-            ito_b[row : row + blk.n_paths] = np.einsum("ij,ij->i", vols, db)
+            db = blk.wh
+            block_rng(config.seed, B_STREAM, idx).standard_normal(out=db)
+            db *= sqrt_dt
+            ito_b[rows] = np.einsum("ij,ij->i", vols, db)
     return PathFunctionals(integrated_variance=y, int_sigma_dw=ito, int_sigma_db=ito_b)
+
+
+def simulation_record(config: McConfig, hurst: Sequence[float]) -> dict[str, object]:
+    """How simulate_functionals draws its paths under config at each H,
+    in enough detail to reproduce them: bit generator, block size, kernel
+    evaluation and convolution method ("cholesky" for the oracle)."""
+    evaluation = KERNEL_EVALUATION.get(config.scheme)
+    return {
+        "bit_generator": BIT_GENERATOR.__name__,
+        "block_size": config.block_size,
+        "kernel_evaluation": evaluation,
+        "convolution": {
+            f"H={h:g}": "cholesky" if evaluation is None else convolution_method(h)
+            for h in hurst
+        },
+    }
 
 
 def _conditional_values(
@@ -151,19 +187,6 @@ def _conditional_values(
     x_hat = x0 + rho * funcs.int_sigma_dw - 0.5 * rho * rho * y
     cond_vol = np.sqrt(max(1.0 - rho * rho, 0.0) * y / maturity)
     return bs_price(x_hat, k, cond_vol, maturity)
-
-
-def call_price_conditional(
-    funcs: PathFunctionals,
-    params: ModelParams,
-    x0: float,
-    k: float,
-    maturity: float,
-) -> PriceEstimate:
-    """Conditional (mixing) call estimator. Exact in the independent factor."""
-    if maturity <= 0.0:
-        raise ValueError("maturity must be positive")
-    return _mean_se(_conditional_values(funcs, params, x0, k, maturity))
 
 
 def _terminal_log_return(funcs: PathFunctionals, rho: float) -> np.ndarray:
@@ -217,6 +240,8 @@ def strike_pricer(
     independent runs would be. The direct estimator mixes the rho-free
     functionals into the Euler log-return for params.rho once, here.
     """
+    if maturity <= 0.0:
+        raise ValueError("maturity must be positive")
     if estimator not in VALID_ESTIMATORS:
         raise ValueError(f"estimator must be one of {VALID_ESTIMATORS}")
     if estimator == "direct_euler":

@@ -73,36 +73,52 @@ class PathFunctionals:
 
 
 def vol_paths(
-    batch: GaussianPathBatch, params: ModelParams, grid: TimeGrid
+    batch: GaussianPathBatch,
+    params: ModelParams,
+    grid: TimeGrid,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Volatility at the left grid points t_0..t_{n-1}, shape (paths, steps).
 
     Column 0 is sigma0 exactly (W^H_0 = 0); column i uses the batch's W^H
-    level at t_i. Strictly positive everywhere.
+    level at t_i. Strictly positive everywhere. With out, an array of that
+    shape, the vols are computed in place there and out is returned.
     """
     if batch.n_steps != grid.n_steps:
         raise ValueError("batch and grid disagree on the number of steps")
+    shape = (batch.n_paths, grid.n_steps)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ValueError(f"out has shape {out.shape}, expected {shape}")
     t_left = grid.times[:-1]
     drift = params.nu**2 * t_left ** (2.0 * params.hurst) / (4.0 * params.hurst)
-    log_vol = np.empty((batch.n_paths, grid.n_steps))
-    log_vol[:, 0] = 0.0
-    log_vol[:, 1:] = params.nu * batch.wh[:, :-1]
-    log_vol -= drift
-    np.exp(log_vol, out=log_vol)
-    return params.sigma0 * log_vol
+    out[:, 0] = 0.0
+    np.multiply(batch.wh[:, :-1], params.nu, out=out[:, 1:])
+    out -= drift
+    np.exp(out, out=out)
+    out *= params.sigma0
+    return out
 
 
 def path_functionals(
-    vols: np.ndarray, batch: GaussianPathBatch, grid: TimeGrid
+    vols: np.ndarray,
+    batch: GaussianPathBatch,
+    grid: TimeGrid,
+    scratch: Optional[np.ndarray] = None,
 ) -> PathFunctionals:
     """Integrate each path: Y by left-point Riemann, int sigma dW by the
     adapted left-point Ito sum (vol at t_j times the increment over
-    [t_j, t_{j+1}])."""
+    [t_j, t_{j+1}]).
+
+    scratch, an array of vols' shape, receives the squared vols, which
+    overwrites it; without it they go to a new array.
+    """
     if vols.shape != batch.dw.shape:
         raise ValueError("vols and batch disagree on shape")
     if vols.shape[1] != grid.n_steps:
         raise ValueError("vols and grid disagree on the number of steps")
-    y = np.sum(np.square(vols), axis=1) * grid.dt
+    y = np.sum(np.square(vols, out=scratch), axis=1) * grid.dt
     ito = np.einsum("ij,ij->i", vols, batch.dw)
     return PathFunctionals(integrated_variance=y, int_sigma_dw=ito)
 

@@ -14,8 +14,6 @@ from fracvol.blackscholes import (
     bs_price,
     d1,
     d2,
-    g_operator,
-    h_operator,
     implied_vol,
     vega,
     zero_vanna_strike,
@@ -24,7 +22,6 @@ from fracvol.blackscholes import (
 # Reference values computed with mpmath at 50 digits, rounded to float64.
 ATM_PRICE_02_1Y = 0.07965567455405796  # x=0, k=0, sigma=0.2, tau=1
 ATM_VEGA_02_1Y = 0.3969525474770118
-ATM_G_02_1Y = 1.9847627373850588
 # Root of 0.125 k^2 + 0.9 k + 0.02 = 0 (affine smile I(k) = 0.2 - 0.5 k).
 AFFINE_ZERO_VANNA_K = -0.022291236000336486
 
@@ -94,9 +91,6 @@ class TestGreeks:
     def test_vega_reference_value(self):
         assert vega(0.0, 0.0, 0.2, 1.0) == pytest.approx(ATM_VEGA_02_1Y, abs=1e-15)
 
-    def test_g_reference_value(self):
-        assert g_operator(0.0, 0.0, 0.2, 1.0) == pytest.approx(ATM_G_02_1Y, abs=1e-14)
-
     @given(x=FINITE_X, k=FINITE_K, sigma=VOLS, tau=TAUS)
     @settings(max_examples=100)
     def test_vega_matches_finite_difference(self, x, k, sigma, tau):
@@ -104,40 +98,9 @@ class TestGreeks:
         fd = (bs_price(x, k, sigma + h, tau) - bs_price(x, k, sigma - h, tau)) / (2 * h)
         assert vega(x, k, sigma, tau) == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
-    @given(x=FINITE_X, k=FINITE_K, sigma=VOLS, tau=TAUS)
-    @settings(max_examples=100)
-    def test_vega_is_sigma_tau_times_g(self, x, k, sigma, tau):
-        assert vega(x, k, sigma, tau) == pytest.approx(
-            sigma * tau * g_operator(x, k, sigma, tau), rel=1e-12
-        )
-
-    def test_g_matches_log_spot_derivatives(self):
-        # G = (d/dx)^2 C - (d/dx) C, computed by central differences.
-        x, k, sig, tau = 0.05, -0.02, 0.3, 1.7
-        h = 1e-4
-
-        def c(xx):
-            return bs_price(xx, k, sig, tau)
-
-        cxx = (c(x + h) - 2 * c(x) + c(x - h)) / h**2
-        cx = (c(x + h) - c(x - h)) / (2 * h)
-        assert g_operator(x, k, sig, tau) == pytest.approx(cxx - cx, rel=1e-6)
-
-    def test_h_matches_log_spot_derivatives(self):
-        # H = (d/dx) G, via central differences of G in x.
-        x, k, sig, tau = 0.05, -0.02, 0.3, 1.7
-        h = 1e-5
-
-        def g(xx):
-            return g_operator(xx, k, sig, tau)
-
-        gx = (g(x + h) - g(x - h)) / (2 * h)
-        assert h_operator(x, k, sig, tau) == pytest.approx(gx, rel=1e-7)
-
-    def test_h_vanishes_at_zero_d2_strike(self):
+    def test_d2_vanishes_at_zero_vanna_strike(self):
         x, sig, tau = 0.1, 0.25, 2.0
         k_hat = x - 0.5 * sig * sig * tau
-        assert abs(h_operator(x, k_hat, sig, tau)) < 1e-14
         assert abs(d2(x, k_hat, sig, tau)) < 1e-14
 
     def test_d1_d2_relation(self):
@@ -147,7 +110,7 @@ class TestGreeks:
         )
 
     def test_greeks_reject_zero_vol(self):
-        for fn in (d1, d2, vega, g_operator, h_operator):
+        for fn in (d1, d2, vega):
             with pytest.raises(ValueError):
                 fn(0.0, 0.0, 0.0, 1.0)
 

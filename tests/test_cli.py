@@ -4,11 +4,14 @@ import csv
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 from fracvol.blackscholes import ConvergenceError
 from fracvol.cli import (
@@ -200,6 +203,37 @@ class TestRun:
         assert manifest["config"]["n_paths"] == FAST["n_paths"]
         assert manifest["config"]["hurst"] == [0.5]
         assert "version" in manifest and "created_at" in manifest
+
+    def test_manifest_records_reproducibility_fields(self, grid_run, tmp_path):
+        _, out = grid_run
+        manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+        assert manifest["versions"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        }
+        assert manifest["simulation"] == {
+            "bit_generator": "Philox",
+            "block_size": 65_536,
+            "kernel_evaluation": "variance_exact",
+            "convolution": {"H=0.5": "cumsum"},
+        }
+        for scheme, evaluation, method in (
+            ("midpoint_convolution", "midpoint", "toeplitz_matmul"),
+            ("cholesky_oracle", None, "cholesky"),
+        ):
+            other = tmp_path / f"{scheme}.csv"
+            config = ExperimentConfig(
+                out=str(other),
+                **{**FAST, "hurst": (0.3,), "maturities": (1.0,), "rho": (0.0,)},
+                scheme=scheme,
+            )
+            run(config, stream=open("/dev/null", "w"))
+            simulation = json.loads(other.with_suffix(".manifest.json").read_text())[
+                "simulation"
+            ]
+            assert simulation["kernel_evaluation"] == evaluation
+            assert simulation["convolution"] == {"H=0.3": method}
 
     def test_rerun_is_byte_identical(self, tmp_path, grid_run):
         _, first_out = grid_run

@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import toeplitz
 from scipy.stats import ks_2samp
 
 from fracvol.fbm import (
+    W_STREAM,
     GaussianPathBatch,
     TimeGrid,
     _joint_covariance,
+    block_rng,
     cholesky_oracle,
     iter_path_blocks,
     kernel_weights,
@@ -164,6 +167,34 @@ class TestSamplePaths:
             assert np.array_equal(full.wh[row : row + blk.n_paths], blk.wh)
             row += blk.n_paths
         assert row == 1000
+
+    @pytest.mark.parametrize("hurst", [0.2, 0.5])
+    def test_reused_buffers_match_fresh_blocks(self, hurst):
+        # Every block, partial last one included, written in place into
+        # out equals a fresh allocating draw: normals times sqrt(dt), then
+        # the Toeplitz product (or cumsum at H = 1/2), bit for bit.
+        grid = TimeGrid(1.0, 48)
+        w = kernel_weights(grid, hurst)
+        out = GaussianPathBatch(dw=np.empty((256, 48)), wh=np.empty((256, 48)))
+        n_blocks = 0
+        for idx, blk in iter_path_blocks(grid, w, 1000, seed=9, block_size=256, out=out):
+            assert np.shares_memory(blk.dw, out.dw) and np.shares_memory(blk.wh, out.wh)
+            rows = min(256, 1000 - idx * 256)
+            dw = block_rng(9, W_STREAM, idx).standard_normal((rows, 48)) * math.sqrt(grid.dt)
+            if hurst == 0.5:
+                wh = np.cumsum(dw, axis=1)
+            else:
+                wh = dw @ toeplitz(w.weights, np.zeros(48)).T
+            assert np.array_equal(blk.dw, dw) and np.array_equal(blk.wh, wh)
+            n_blocks += 1
+        assert n_blocks == 4
+
+    def test_rejects_out_of_wrong_shape(self):
+        grid = TimeGrid(1.0, 16)
+        w = kernel_weights(grid, 0.3)
+        out = GaussianPathBatch(dw=np.empty((100, 16)), wh=np.empty((100, 16)))
+        with pytest.raises(ValueError, match="out"):
+            next(iter_path_blocks(grid, w, 1000, seed=0, block_size=128, out=out))
 
     def test_blocks_are_order_independent(self):
         # Drawing block 2 alone gives the same rows as drawing all blocks.

@@ -1,16 +1,23 @@
 """Tests for the Monte Carlo pricing engine."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fracvol.blackscholes import bs_price, implied_vol
-from fracvol.fbm import B_STREAM, TimeGrid, block_rng, kernel_weights, sample_paths
+from fracvol.fbm import (
+    B_STREAM,
+    TimeGrid,
+    block_rng,
+    cholesky_oracle,
+    kernel_weights,
+    sample_paths,
+)
 from fracvol.mcpricer import (
     McConfig,
     PriceEstimate,
     _terminal_log_return,
-    call_price_conditional,
     simulate_functionals,
     strike_pricer,
     variance_swap_strike,
@@ -78,7 +85,7 @@ class TestConditionalEstimator:
         grid = TimeGrid(1.0, 50)
         params = ModelParams(SIGMA0, 0.0, 0.0, 0.3)
         funcs = simulate_functionals(grid, params, McConfig(n_paths=200, seed=1))
-        est = call_price_conditional(funcs, params, 0.0, 0.0, 1.0)
+        est = strike_pricer(funcs, params, 0.0, 1.0)(0.0)
         assert est.value == pytest.approx(bs_price(0.0, 0.0, SIGMA0, 1.0), abs=1e-12)
         assert est.std_error < 1e-12
 
@@ -88,7 +95,7 @@ class TestConditionalEstimator:
         grid = TimeGrid(1.0, 50)
         params = ModelParams(SIGMA0, 0.0, -0.8, 0.3)
         funcs = simulate_functionals(grid, params, McConfig(n_paths=100_000, seed=2))
-        est = call_price_conditional(funcs, params, 0.0, 0.0, 1.0)
+        est = strike_pricer(funcs, params, 0.0, 1.0)(0.0)
         assert abs(est.value - bs_price(0.0, 0.0, SIGMA0, 1.0)) < 3.0 * est.std_error
 
     def test_degenerate_rho_one(self):
@@ -97,19 +104,19 @@ class TestConditionalEstimator:
         grid = TimeGrid(1.0, 50)
         params = ModelParams(SIGMA0, 0.0, 1.0, 0.3)
         funcs = simulate_functionals(grid, params, McConfig(n_paths=100_000, seed=3))
-        est = call_price_conditional(funcs, params, 0.0, 0.0, 1.0)
+        est = strike_pricer(funcs, params, 0.0, 1.0)(0.0)
         assert abs(est.value - bs_price(0.0, 0.0, SIGMA0, 1.0)) < 3.0 * est.std_error
 
     def test_atm_iv_matches_reference_table(self, funcs_h05):
         grid, params, funcs = funcs_h05
-        est = call_price_conditional(funcs, params, 0.0, 0.0, 1.0)
+        est = strike_pricer(funcs, params, 0.0, 1.0)(0.0)
         iv = implied_vol(est.value, 0.0, 0.0, 1.0)
         assert abs(iv - 0.2026) < 0.0015
 
     def test_rejects_bad_maturity(self, funcs_h05):
         grid, params, funcs = funcs_h05
-        with pytest.raises(ValueError):
-            call_price_conditional(funcs, params, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="maturity"):
+            strike_pricer(funcs, params, 0.0, 0.0)(0.0)
 
 
 class TestDirectEstimator:
@@ -189,8 +196,9 @@ class TestDirectEstimator:
         direct = strike_pricer(
             direct_funcs, params, 0.0, 1.0, estimator="direct_euler"
         )
+        cond = strike_pricer(cond_funcs, params, 0.0, 1.0)
         for k in (-0.1, 0.0, 0.1):
-            a = call_price_conditional(cond_funcs, params, 0.0, k, 1.0)
+            a = cond(k)
             b = direct(k)
             assert abs(a.value - b.value) < 3.0 * combined_se(a, b), (hurst, rho, k)
 
@@ -199,7 +207,7 @@ class TestDirectEstimator:
         params = ModelParams(SIGMA0, NU, 0.0, 0.5)
         config = McConfig(n_paths=50_000, seed=13, estimator="direct_euler")
         funcs = simulate_functionals(grid, params, config)
-        cond = call_price_conditional(funcs, params, 0.0, 0.0, 1.0)
+        cond = strike_pricer(funcs, params, 0.0, 1.0)(0.0)
         direct = plain_direct_price(funcs, params, 0.0, 0.0)
         assert cond.std_error < direct.std_error
 
@@ -277,6 +285,82 @@ class TestSwapStrikes:
             assert vs.value <= math.sqrt(var.value)
 
 
+class TestBlockBuffers:
+    """simulate_functionals streams every block through three reused
+    buffers; the per-path functionals must not notice."""
+
+    BLOCK = 256
+
+    @pytest.mark.parametrize(
+        "hurst, scheme",
+        [
+            (0.3, "convolution"),
+            (0.5, "convolution"),
+            (0.1, "midpoint_convolution"),
+            (0.3, "cholesky_oracle"),
+        ],
+    )
+    @pytest.mark.parametrize("estimator", ["conditional_mixing", "direct_euler"])
+    def test_matches_unfused_composition(self, hurst, scheme, estimator):
+        # Two full blocks and a partial one, against vol_paths and
+        # path_functionals on the materialized paths, each array fresh.
+        grid = TimeGrid(1.0, 24)
+        params = ModelParams(SIGMA0, NU, -0.5, hurst)
+        n_paths = 2 * self.BLOCK + 37
+        config = McConfig(
+            n_paths=n_paths,
+            seed=19,
+            scheme=scheme,
+            estimator=estimator,
+            block_size=self.BLOCK,
+        )
+        funcs = simulate_functionals(grid, params, config)
+
+        if scheme == "cholesky_oracle":
+            # the oracle draws every path as block 0
+            block = n_paths
+            batch = cholesky_oracle(grid, hurst, n_paths, seed=19)
+        else:
+            block = self.BLOCK
+            midpoint = scheme == "midpoint_convolution"
+            w = kernel_weights(grid, hurst, "midpoint" if midpoint else "variance_exact")
+            batch = sample_paths(grid, w, n_paths, seed=19, block_size=block)
+        vols = vol_paths(batch, params, grid)
+        whole = path_functionals(vols, batch, grid)
+        assert np.array_equal(funcs.integrated_variance, whole.integrated_variance)
+        assert np.array_equal(funcs.int_sigma_dw, whole.int_sigma_dw)
+        if estimator == "conditional_mixing":
+            assert funcs.int_sigma_db is None
+            return
+        ito_b = np.empty(n_paths)
+        for b, row in enumerate(range(0, n_paths, block)):
+            rows = slice(row, row + block)
+            shape = vols[rows].shape
+            db = block_rng(19, B_STREAM, b).standard_normal(shape) * math.sqrt(grid.dt)
+            ito_b[rows] = np.einsum("ij,ij->i", vols[rows], db)
+        assert np.array_equal(funcs.int_sigma_db, ito_b)
+
+    @pytest.mark.parametrize("estimator", ["conditional_mixing", "direct_euler"])
+    def test_peak_memory_is_three_block_buffers(self, estimator):
+        block_size, n_steps = 4096, 64
+        block_bytes = block_size * n_steps * 8
+        grid = TimeGrid(1.0, n_steps)
+        params = ModelParams(SIGMA0, NU, -0.5, 0.3)
+        config = McConfig(
+            n_paths=4 * block_size + 1000,
+            seed=23,
+            estimator=estimator,
+            block_size=block_size,
+        )
+        tracemalloc.start()
+        try:
+            simulate_functionals(grid, params, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * block_bytes, peak / block_bytes
+
+
 class TestDeterminism:
     def test_identical_config_identical_estimates(self):
         grid = TimeGrid(1.0, 64)
@@ -313,10 +397,21 @@ class TestDeterminism:
 
 class TestStrikePricer:
     def test_conditional_closure_matches_direct_call(self, funcs_h05):
-        grid, params, funcs = funcs_h05
-        pricer = strike_pricer(funcs, params, 0.0, grid.maturity)
+        # The mixing formula written out: shifted spot, reduced vol, at a
+        # correlation the rho-free functionals were not simulated with.
+        grid, _, funcs = funcs_h05
+        params = ModelParams(SIGMA0, NU, -0.5, 0.5)
+        rho, y, t = params.rho, funcs.integrated_variance, grid.maturity
+        x_hat = rho * funcs.int_sigma_dw - 0.5 * rho * rho * y
+        cond_vol = np.sqrt((1.0 - rho * rho) * y / t)
+        pricer = strike_pricer(funcs, params, 0.0, t)
         for k in (-0.05, 0.0, 0.05):
-            direct = call_price_conditional(funcs, params, 0.0, k, grid.maturity)
+            values = bs_price(x_hat, k, cond_vol, t)
+            direct = PriceEstimate(
+                float(values.mean()),
+                float(values.std(ddof=1) / math.sqrt(values.shape[0])),
+                values.shape[0],
+            )
             assert pricer(k) == direct
 
     def test_direct_requires_terminal(self, funcs_h05):
