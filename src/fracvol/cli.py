@@ -23,6 +23,8 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
+import itertools
 import json
 import math
 import platform
@@ -48,14 +50,20 @@ from .mcpricer import (
     strike_pricer,
 )
 from .swapanalysis import (
+    RateFit,
     SwapReport,
+    check_fit_maturities,
     convergence_study,
     report_as_row,
     zero_vanna_report,
 )
 from .volmodel import ModelParams
 
-VALID_MODES = ("tables", "convergence", "single")
+VALID_MODES = ("tables", "convergence")
+# Cell seeds pack (h_index, t_index) into base-100 digits below the base
+# seed, so a longer hurst or maturities list would reuse another cell's
+# normals.
+MAX_AXIS_VALUES = 100
 
 CSV_COLUMNS = (
     "H",
@@ -109,6 +117,11 @@ class ExperimentConfig:
                 raise ConfigError(f"key '{name}': list must not be empty")
             if len(set(values)) != len(values):
                 raise ConfigError(f"key '{name}': values must be distinct")
+            if name != "rho" and len(values) > MAX_AXIS_VALUES:
+                raise ConfigError(
+                    f"key '{name}': at most {MAX_AXIS_VALUES} values, "
+                    "or cells would share seeds"
+                )
         for t in self.maturities:
             if t <= 0.0:
                 raise ConfigError(f"key 'maturities': {t} must be positive")
@@ -136,29 +149,15 @@ class ExperimentConfig:
             raise ConfigError(
                 f"key 'mode': must be one of {VALID_MODES}, got '{self.mode}'"
             )
-        if self.mode == "single":
-            for name in ("rho", "hurst", "maturities"):
-                if len(getattr(self, name)) != 1:
-                    raise ConfigError(
-                        f"key '{name}': single mode needs exactly one value"
-                    )
         if self.mode == "convergence":
-            if len(self.maturities) < 3:
-                raise ConfigError(
-                    "key 'maturities': convergence mode needs at least 3 values"
-                )
-            if max(self.maturities) / min(self.maturities) < 2.0:
-                raise ConfigError(
-                    "key 'maturities': convergence mode needs a span of at "
-                    "least a factor of 2"
-                )
+            try:
+                check_fit_maturities(self.maturities)
+            except ValueError as exc:
+                raise ConfigError(f"key 'maturities': convergence mode: {exc}") from None
 
 
-_FLOAT_KEYS = ("sigma0", "nu")
-_FLOAT_LIST_KEYS = ("rho", "hurst", "maturities")
-_INT_KEYS = ("n_steps", "n_paths", "seed", "workers")
-_STR_KEYS = ("estimator", "scheme", "out", "mode")
-KNOWN_KEYS = _FLOAT_KEYS + _FLOAT_LIST_KEYS + _INT_KEYS + _STR_KEYS
+# A key's type is its default's: tuple (a float list), float, int or str.
+_DEFAULTS = {field.name: field.default for field in dataclasses.fields(ExperimentConfig)}
 
 
 def _parse_float(key: str, token: str) -> float:
@@ -197,14 +196,15 @@ def parse_config(text: str) -> dict[str, object]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in KNOWN_KEYS:
+        if key not in _DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
         if key in parsed:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
         if not value:
             raise ConfigError(f"key '{key}': missing value")
         is_list = value.startswith("[") and value.endswith("]")
-        if key in _FLOAT_LIST_KEYS:
+        default = _DEFAULTS[key]
+        if isinstance(default, tuple):
             if not is_list:
                 raise ConfigError(f"key '{key}': expected a [list], got '{value}'")
             tokens = [t.strip() for t in value[1:-1].split(",") if t.strip()]
@@ -213,9 +213,9 @@ def parse_config(text: str) -> dict[str, object]:
             parsed[key] = tuple(_parse_float(key, t) for t in tokens)
         elif is_list:
             raise ConfigError(f"key '{key}': expected a scalar, got a list")
-        elif key in _FLOAT_KEYS:
+        elif isinstance(default, float):
             parsed[key] = _parse_float(key, value)
-        elif key in _INT_KEYS:
+        elif isinstance(default, int):
             parsed[key] = _parse_int(key, value)
         else:
             parsed[key] = value
@@ -230,9 +230,9 @@ def build_config(
     merged: dict[str, object] = {}
     merged.update(file_values or {})
     merged.update({k: v for k, v in (overrides or {}).items() if v is not None})
-    for key in ("rho", "hurst", "maturities"):
-        if key in merged:
-            merged[key] = tuple(sorted(merged[key]))  # type: ignore[arg-type]
+    for key, value in merged.items():
+        if isinstance(_DEFAULTS.get(key), tuple):
+            merged[key] = tuple(sorted(value))  # type: ignore[arg-type]
     return ExperimentConfig(**merged)
 
 
@@ -240,7 +240,7 @@ def _cell_seed(config: ExperimentConfig, h_index: int, t_index: int) -> int:
     # Seeds depend on grid position, not worker scheduling. They carry no
     # rho: the path functionals are rho-free, so every rho of a (H, T)
     # cell prices on one simulation, whichever the estimator.
-    return config.seed * 10_000 + h_index * 100 + t_index
+    return (config.seed * MAX_AXIS_VALUES + h_index) * MAX_AXIS_VALUES + t_index
 
 
 def _mc_config(config: ExperimentConfig, seed: int) -> McConfig:
@@ -252,14 +252,18 @@ def _mc_config(config: ExperimentConfig, seed: int) -> McConfig:
     )
 
 
+Cell = tuple[float, float, float]  # (rho, H, T), the CSV's sort order
+
+
 def _cell_rows(
     config: ExperimentConfig, h_index: int, t_index: int
-) -> list[tuple[float, SwapReport | None, str | None]]:
+) -> list[tuple[Cell, SwapReport | str]]:
     """Price every rho for one (H, T) cell on one shared simulation.
 
-    Numerical failures (including NoSolutionError, a ValueError) become
-    the cell's error message; a failed simulation fails every rho with
-    the same cause. Anything else is a bug and propagates.
+    Each (rho, H, T) gets its report or, on a numerical failure
+    (including NoSolutionError, a ValueError), the failure's cause; a
+    failed simulation fails every rho with the same cause. Anything else
+    is a bug and propagates.
     """
     hurst = config.hurst[h_index]
     maturity = config.maturities[t_index]
@@ -272,27 +276,22 @@ def _cell_rows(
     try:
         funcs = simulate_functionals(grid, cell_params[0], mc)
     except NUMERICAL_ERRORS as exc:
-        return [(params.rho, None, _cause(exc)) for params in cell_params]
-    results: list[tuple[float, SwapReport | None, str | None]] = []
+        return [((p.rho, hurst, maturity), _cause(exc)) for p in cell_params]
+    outcomes: list[tuple[Cell, SwapReport | str]] = []
     for params in cell_params:
         try:
             pricer = strike_pricer(
                 funcs, params, X0, maturity, estimator=config.estimator
             )
-            report = zero_vanna_report(pricer, funcs, params, X0, maturity, mc)
-            results.append((params.rho, report, None))
+            outcome = zero_vanna_report(pricer, funcs, params, X0, maturity, mc)
         except NUMERICAL_ERRORS as exc:
-            results.append((params.rho, None, _cause(exc)))
-    return results
+            outcome = _cause(exc)
+        outcomes.append(((params.rho, hurst, maturity), outcome))
+    return outcomes
 
 
 def _cause(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
-
-
-def _run_cell(args: tuple[ExperimentConfig, int, int]):
-    config, h_index, t_index = args
-    return h_index, t_index, _cell_rows(config, h_index, t_index)
 
 
 def _format_csv_value(value: object) -> str:
@@ -301,23 +300,17 @@ def _format_csv_value(value: object) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, rows: list[dict[str, object] | None], cells) -> None:
+def _write_csv(path: Path, outcomes: dict[Cell, SwapReport | str]) -> None:
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
-        for row, cell in zip(rows, cells):
-            if row is None:
-                rho, hurst, maturity = cell
-                writer.writerow(
-                    [
-                        _format_csv_value(hurst),
-                        _format_csv_value(maturity),
-                        _format_csv_value(rho),
-                    ]
-                    + [FAILED_TOKEN] * (len(CSV_COLUMNS) - 3)
-                )
+        for (rho, hurst, maturity), outcome in outcomes.items():
+            if isinstance(outcome, SwapReport):
+                row = report_as_row(outcome)
             else:
-                writer.writerow(_format_csv_value(row[c]) for c in CSV_COLUMNS)
+                row = dict.fromkeys(CSV_COLUMNS, FAILED_TOKEN)
+                row.update(H=hurst, T=maturity, rho=rho)
+            writer.writerow(_format_csv_value(row[c]) for c in CSV_COLUMNS)
 
 
 def _write_manifest(
@@ -338,93 +331,65 @@ def _write_manifest(
         ),
     }
     payload.update(extra)
-    manifest_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # the rate fits are RateFit dataclasses
+    text = json.dumps(payload, indent=2, sort_keys=True, default=dataclasses.asdict)
+    manifest_path.write_text(text + "\n")
     return manifest_path
 
 
-def _human_summary(reports: dict, cells, failures, stream) -> None:
-    for cell in cells:
-        rho, hurst, maturity = cell
-        rep = reports.get(cell)
-        if rep is None:
-            print(
-                f"H={hurst:g} T={maturity:g} rho={rho:g}: FAILED "
-                f"({failures[cell]})",
-                file=stream,
+def _human_summary(outcomes: dict[Cell, SwapReport | str], stream) -> None:
+    for (rho, hurst, maturity), rep in outcomes.items():
+        if isinstance(rep, SwapReport):
+            summary = (
+                f"vol_swap={100 * rep.vol_swap:.2f}% "
+                f"iv_zero_vanna={100 * rep.iv_zero_vanna:.2f}% "
+                f"atmi={100 * rep.atmi:.2f}% "
+                f"skew={rep.atm_skew:+.3f}"
             )
-            continue
-        print(
-            f"H={hurst:g} T={maturity:g} rho={rho:g}: "
-            f"vol_swap={100 * rep.vol_swap:.2f}% "
-            f"iv_zero_vanna={100 * rep.iv_zero_vanna:.2f}% "
-            f"atmi={100 * rep.atmi:.2f}% "
-            f"skew={rep.atm_skew:+.3f}",
-            file=stream,
-        )
+        else:
+            summary = f"FAILED ({rep})"
+        print(f"H={hurst:g} T={maturity:g} rho={rho:g}: {summary}", file=stream)
 
 
 def run(config: ExperimentConfig, stream=None) -> int:
     """Execute the experiment; returns the process exit code."""
     stream = sys.stdout if stream is None else stream
-    tasks = [
-        (config, h_index, t_index)
-        for h_index in range(len(config.hurst))
-        for t_index in range(len(config.maturities))
-    ]
-    cell_results: dict[tuple[int, int], list] = {}
+    h_indices, t_indices = zip(
+        *itertools.product(range(len(config.hurst)), range(len(config.maturities)))
+    )
+    price_cell = functools.partial(_cell_rows, config)
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for h_index, t_index, rows in pool.map(_run_cell, tasks):
-                cell_results[(h_index, t_index)] = rows
+            per_cell = list(pool.map(price_cell, h_indices, t_indices))
     else:
-        for task in tasks:
-            h_index, t_index, rows = _run_cell(task)
-            cell_results[(h_index, t_index)] = rows
-
-    reports: dict[tuple[float, float, float], SwapReport] = {}
-    failures: dict[tuple[float, float, float], str] = {}
-    for (h_index, t_index), rows in cell_results.items():
-        hurst = config.hurst[h_index]
-        maturity = config.maturities[t_index]
-        for rho, report, error in rows:
-            cell = (rho, hurst, maturity)
-            if report is None:
-                failures[cell] = error
-            else:
-                reports[cell] = report
-
+        per_cell = list(map(price_cell, h_indices, t_indices))
     # emission order is sorted (rho, H, T) regardless of completion order
-    cells = sorted(
-        (rho, hurst, maturity)
-        for rho in config.rho
-        for hurst in config.hurst
-        for maturity in config.maturities
-    )
-    csv_rows = [
-        report_as_row(reports[cell]) if cell in reports else None for cell in cells
-    ]
+    outcomes = dict(sorted(itertools.chain.from_iterable(per_cell)))
+    failures = {
+        cell: cause for cell, cause in outcomes.items() if isinstance(cause, str)
+    }
 
     csv_path = Path(config.out)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
-    _write_csv(csv_path, csv_rows, cells)
+    _write_csv(csv_path, outcomes)
 
     extra: dict[str, object] = {}
     if failures:
         extra["failed_cells"] = {
-            f"rho={rho:g},H={hurst:g},T={maturity:g}": msg
-            for (rho, hurst, maturity), msg in sorted(failures.items())
+            f"rho={rho:g},H={hurst:g},T={maturity:g}": cause
+            for (rho, hurst, maturity), cause in failures.items()
         }
     if config.mode == "convergence":
-        fits = _rate_fits(config, reports, stream)
+        fits = _rate_fits(config, outcomes, stream)
         extra["rate_fits"] = {_rate_label(*pair): fit for pair, fit in fits.items()}
         rates_path = csv_path.with_suffix(".rates.csv")
         _write_rates_csv(rates_path, fits)
         print(f"wrote rate fits to {rates_path}", file=stream)
 
     manifest_path = _write_manifest(csv_path, config, extra)
-    _human_summary(reports, cells, failures, stream)
+    _human_summary(outcomes, stream)
     print(
-        f"wrote {len(cells)} rows to {csv_path} (manifest: {manifest_path})",
+        f"wrote {len(outcomes)} rows to {csv_path} (manifest: {manifest_path})",
         file=stream,
     )
     if failures:
@@ -444,73 +409,65 @@ RATES_COLUMNS = (
     "inconclusive",
 )
 
+# per (rho, H): both series' fits, or why the pair could not be fitted
+RateFits = dict[tuple[float, float], dict[str, RateFit] | str]
+
 
 def _rate_label(rho: float, hurst: float) -> str:
     return f"rho={rho:g},H={hurst:g}"
 
 
-def _write_rates_csv(path: Path, fits: dict[tuple[float, float], object]) -> None:
+def _write_rates_csv(path: Path, fits: RateFits) -> None:
     """One row per (rho, H, series), in numeric (rho, H) order."""
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(RATES_COLUMNS)
-        for rho, hurst in sorted(fits):
-            entry = fits[(rho, hurst)]
-            if not isinstance(entry, dict):
+        for (rho, hurst), study in sorted(fits.items()):
+            if isinstance(study, str):
                 continue
-            for series in ("err_zero_vanna", "err_atmi"):
-                fit = entry[series]
+            for series, fit in study.items():
                 writer.writerow(
                     [
                         f"{rho:g}",
                         f"{hurst:g}",
                         series,
-                        _format_csv_value(fit["slope"]),
-                        _format_csv_value(fit["intercept"]),
-                        _format_csv_value(fit["r_squared"]),
-                        ";".join(repr(t) for t in fit["maturities"]),
-                        str(fit["inconclusive"]),
+                        _format_csv_value(fit.slope),
+                        _format_csv_value(fit.intercept),
+                        _format_csv_value(fit.r_squared),
+                        ";".join(repr(t) for t in fit.maturities),
+                        str(fit.inconclusive),
                     ]
                 )
 
 
-def _rate_fits(config, reports, stream) -> dict[tuple[float, float], object]:
+def _rate_fits(
+    config: ExperimentConfig, outcomes: dict[Cell, SwapReport | str], stream
+) -> RateFits:
     """Fit gap-decay rates per (rho, H) from the already-priced grid."""
-    fits: dict[tuple[float, float], object] = {}
+    fits: RateFits = {}
     for rho in config.rho:
         for hurst in config.hurst:
-            label = _rate_label(rho, hurst)
-            series = [
-                reports[(rho, hurst, t)]
-                for t in config.maturities
-                if (rho, hurst, t) in reports
-            ]
+            series = [outcomes[(rho, hurst, t)] for t in config.maturities]
             params = ModelParams(
                 sigma0=config.sigma0, nu=config.nu, rho=rho, hurst=hurst
             )
             try:
-                study = convergence_study(params, series)
+                study = convergence_study(
+                    params, [r for r in series if isinstance(r, SwapReport)]
+                )
             except ValueError:
                 # failed cells left too few maturities, or too narrow a
                 # span, to fit; the failures already make the exit code 1
                 fits[(rho, hurst)] = "insufficient cells"
                 continue
-            entry = {}
             for name, fit in study.items():
-                entry[name] = {
-                    "slope": fit.slope,
-                    "intercept": fit.intercept,
-                    "r_squared": fit.r_squared,
-                    "maturities": list(fit.maturities),
-                    "inconclusive": fit.inconclusive,
-                }
                 verdict = (
                     "inconclusive"
                     if fit.inconclusive
                     else f"slope={fit.slope:.3f} r2={fit.r_squared:.3f}"
                 )
-                print(f"rate {label} {name}: {verdict}", file=stream)
-            fits[(rho, hurst)] = entry
+                print(f"rate {_rate_label(rho, hurst)} {name}: {verdict}", file=stream)
+            fits[(rho, hurst)] = study
     return fits
 
 
@@ -546,24 +503,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    overrides = {
-        "hurst": tuple(args.hurst) if args.hurst else None,
-        "maturities": tuple(args.maturities) if args.maturities else None,
-        "rho": tuple(args.rho) if args.rho else None,
-        "n_paths": args.n_paths,
-        "n_steps": args.n_steps,
-        "seed": args.seed,
-        "estimator": args.estimator,
-        "scheme": args.scheme,
-        "out": args.out,
-        "mode": args.mode,
-        "workers": args.workers,
-    }
+    overrides = vars(_build_parser().parse_args(argv))
+    config_path = overrides.pop("config")
     try:
         file_values = (
-            parse_config(args.config.read_text(encoding="utf-8"))
-            if args.config
+            parse_config(config_path.read_text(encoding="utf-8"))
+            if config_path
             else None
         )
         config = build_config(file_values, overrides)
@@ -571,7 +516,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"config error: cannot read {args.config}: {exc}", file=sys.stderr)
+        print(f"config error: cannot read {config_path}: {exc}", file=sys.stderr)
         return 2
     return run(config)
 

@@ -212,37 +212,33 @@ def iter_path_blocks(
     n_paths: int,
     seed: int,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    out: GaussianPathBatch | None = None,
 ):
-    """Yield (block_index, GaussianPathBatch) covering n_paths in order.
+    """Iterator of (block_index, GaussianPathBatch) covering n_paths in order.
 
     Block b holds paths [b * block_size, min((b+1) * block_size, n_paths)).
     The draws for block b depend only on (seed, b, block_size, grid shape),
     never on other blocks, so generation parallelizes with deterministic
     output. block_size is therefore part of the reproducibility key.
 
-    Without out, every block is a fresh batch that the caller may keep.
-    With out, a batch of C-contiguous (min(block_size, n_paths), n_steps)
-    arrays, every block is written into out's leading rows and the yielded
-    batch is a view of them: it is overwritten by the next block, so a
-    caller that keeps a block must copy it first. Block values do not
-    depend on which form is used.
+    The arguments are checked at the call, not at the first block. Every
+    block is written in place into the leading rows of two C-contiguous
+    (min(block_size, n_paths), n_steps) buffers owned by the iterator, so
+    a yielded batch is overwritten by the next block: a caller that keeps
+    a block must copy it, and may use its arrays as scratch meanwhile.
     """
     _check_blocking(grid, weights, n_paths, block_size)
     shape = (min(block_size, n_paths), grid.n_steps)
-    if out is not None and out.dw.shape != shape:
-        raise ValueError(f"out must hold arrays of shape {shape}, got {out.dw.shape}")
+    dw, wh = np.empty(shape), np.empty(shape)
     sqrt_dt = np.sqrt(grid.dt)
     matrix = _convolution_matrix(weights)
-    n_blocks = -(-n_paths // block_size)
-    for b in range(n_blocks):
-        rows = min(block_size, n_paths - b * block_size)
-        if out is None:
-            dw, wh = np.empty((rows, grid.n_steps)), np.empty((rows, grid.n_steps))
-        else:
-            dw, wh = out.dw[:rows], out.wh[:rows]
-        _fill_block(seed, b, sqrt_dt, matrix, dw, wh)
-        yield b, GaussianPathBatch(dw=dw, wh=wh)
+
+    def blocks():
+        for b, row in enumerate(range(0, n_paths, block_size)):
+            rows = min(block_size, n_paths - row)
+            _fill_block(seed, b, sqrt_dt, matrix, dw[:rows], wh[:rows])
+            yield b, GaussianPathBatch(dw=dw[:rows], wh=wh[:rows])
+
+    return blocks()
 
 
 def sample_paths(

@@ -27,7 +27,6 @@ from .fbm import (
     B_STREAM,
     BIT_GENERATOR,
     DEFAULT_BLOCK_SIZE,
-    GaussianPathBatch,
     TimeGrid,
     block_rng,
     cholesky_oracle,
@@ -110,12 +109,13 @@ def simulate_functionals(
     """Stream path blocks through the vol model and keep only per-path
     functionals.
 
-    Memory is three block buffers, dw, wh and vol, each of shape
-    (min(block_size, n_paths), n_steps), allocated once and reused by
-    every block, plus O(n_paths) for the functionals. W^H is dead once
-    the vols are built, so wh then holds the squared vols and, for the
-    direct Euler estimator, the B increments. The Cholesky oracle draws
-    all paths as one block, so its buffers span n_paths rows.
+    Memory is three block buffers, each of shape (min(block_size,
+    n_paths), n_steps), allocated once and reused by every block: the dw
+    and wh that iter_path_blocks owns and a vol array, plus O(n_paths)
+    for the functionals. W^H is dead once the vols are built, so wh then
+    holds the squared vols and, for the direct Euler estimator, the B
+    increments. The Cholesky oracle draws all paths as one block, so its
+    buffers span n_paths rows.
 
     The functionals are rho-free: params.rho is never read. For the
     direct Euler estimator int sigma dB is also accumulated; the B
@@ -133,10 +133,8 @@ def simulate_functionals(
     else:
         weights = kernel_weights(grid, params.hurst, KERNEL_EVALUATION[config.scheme])
         buffer_rows = min(config.block_size, config.n_paths)
-        shape = (buffer_rows, grid.n_steps)
-        buffers = GaussianPathBatch(dw=np.empty(shape), wh=np.empty(shape))
         blocks = iter_path_blocks(
-            grid, weights, config.n_paths, config.seed, config.block_size, out=buffers
+            grid, weights, config.n_paths, config.seed, config.block_size
         )
     vol = np.empty((buffer_rows, grid.n_steps))
 

@@ -5,9 +5,10 @@ simulated model: the Monte Carlo volatility-swap strike, the implied vol at
 the zero-vanna strike, and the at-the-money implied vol.  Also fits the
 power-law decay rate of the strike-vs-swap gaps across maturities.
 
-Standard errors are propagated conservatively: the SE of an implied vol is
-se_price / vega, and SEs of differences are combined in quadrature even when
-the terms share random numbers (which can only overstate the combined SE).
+The SE of an implied vol is se_price / vega. The SE of a difference is the
+quadrature sum of its terms' SEs, which ignores the covariance of terms
+priced on shared paths: it can understate (by 1.1-1.25x for the gaps at
+rho = -0.8) as well as overstate.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ class SwapReport:
     """Volatility summaries for one (hurst, maturity, rho) cell.
 
     ``err_zero_vanna`` and ``err_atmi`` are signed gaps against the
-    volatility-swap strike; their SEs combine the two legs in quadrature.
+    volatility-swap strike; their SEs are quadrature SEs of the two legs,
+    which ignore the legs' shared-path covariance.
     """
 
     hurst: float
@@ -257,14 +259,25 @@ def _fit_rate(
     )
 
 
+def check_fit_maturities(maturities: Sequence[float]) -> None:
+    """Raise ValueError unless the maturities can carry a rate fit: at
+    least three, positive, distinct, spanning a factor of 2."""
+    if len(maturities) < 3:
+        raise ValueError("need at least 3 maturities to fit a rate")
+    if min(maturities) <= 0.0 or len(set(maturities)) != len(maturities):
+        raise ValueError("maturities must be positive and distinct")
+    if max(maturities) / min(maturities) < 2.0:
+        raise ValueError("maturities must span at least a factor of 2")
+
+
 def convergence_study(
     params: ModelParams, reports: Sequence[SwapReport]
 ) -> dict[str, RateFit]:
     """Fit the maturity decay rate of both strike-vs-swap gaps.
 
     ``reports`` are already-priced cells of one (hurst, rho) pair, which
-    must match ``params``; their maturities (at least three, distinct,
-    spanning a factor of 2) are the fit's abscissae.  A maturity enters a
+    must match ``params``; their maturities, which must pass
+    check_fit_maturities, are the fit's abscissae.  A maturity enters a
     fit only if its |gap| clears max(3 SE, solver tolerance); fewer than
     three surviving points flags the fit inconclusive.
     """
@@ -276,12 +289,7 @@ def convergence_study(
             )
     reports = sorted(reports, key=lambda r: r.maturity)
     mats = np.asarray([r.maturity for r in reports], dtype=np.float64)
-    if mats.size < 3:
-        raise ValueError("need at least 3 maturities to fit a rate")
-    if np.any(mats <= 0.0) or np.unique(mats).size != mats.size:
-        raise ValueError("maturities must be positive and distinct")
-    if mats[-1] / mats[0] < 2.0:
-        raise ValueError("maturities must span at least a factor of 2")
+    check_fit_maturities(mats)
 
     fits: dict[str, RateFit] = {}
     for field in ("err_zero_vanna", "err_atmi"):
@@ -315,6 +323,7 @@ __all__ = [
     "atm_skew",
     "zero_vanna_report",
     "simulate_report",
+    "check_fit_maturities",
     "convergence_study",
     "report_as_row",
     "NOISE_FLOOR_MULTIPLE",

@@ -25,7 +25,7 @@ from fracvol.mcpricer import (
     strike_pricer,
     variance_swap_strike,
 )
-from fracvol.swapanalysis import convergence_study
+from fracvol.swapanalysis import SwapReport, convergence_study
 from fracvol.volmodel import ModelParams, variance_swap_oracle
 
 ACCEPT_PATHS = 1_000_000
@@ -89,9 +89,9 @@ def table_reports():
     reports = {}
     for h_index, hurst in enumerate(HURSTS):
         for t_index, maturity in enumerate(MATURITIES):
-            for rho, report, error in _cell_rows(config, h_index, t_index):
-                assert error is None, f"cell (rho={rho}, H={hurst}, T={maturity}) failed: {error}"
-                reports[(rho, hurst, maturity)] = report
+            for cell, outcome in _cell_rows(config, h_index, t_index):
+                assert isinstance(outcome, SwapReport), f"cell {cell} failed: {outcome}"
+                reports[cell] = outcome
     return reports
 
 

@@ -1,6 +1,7 @@
 """Tests for config parsing and the experiment runner CLI."""
 
 import csv
+import importlib.util
 import json
 import math
 import os
@@ -137,25 +138,45 @@ class TestBuildConfig:
             ({"mode": "study"}, "mode"),
             ({"workers": 0}, "workers"),
             ({"seed": -1}, "seed"),
+            ({"mode": "single"}, "mode"),
         ],
     )
     def test_validation_names_field(self, values, needle):
         with pytest.raises(ConfigError, match=f"^key '{needle}'"):
             build_config(values)
 
-    def test_single_mode_needs_singletons(self):
-        with pytest.raises(ConfigError, match="single mode"):
-            build_config({"mode": "single"})
-        config = build_config(
-            {"mode": "single", "hurst": (0.5,), "maturities": (1.0,), "rho": (0.0,)}
-        )
-        assert config.mode == "single"
-
     def test_convergence_mode_needs_span(self):
         with pytest.raises(ConfigError, match="at least 3"):
             build_config({"mode": "convergence", "maturities": (1.0, 2.0)})
         with pytest.raises(ConfigError, match="factor of 2"):
             build_config({"mode": "convergence", "maturities": (1.0, 1.2, 1.4)})
+
+    @pytest.mark.parametrize("key", ["hurst", "maturities"])
+    def test_axis_longer_than_cell_seed_digits_rejected(self, key):
+        # cell seeds give each axis index two decimal digits: with 101
+        # maturities, cell (H_0, T_100) would reuse the seed of (H_1, T_0)
+        values = tuple(0.005 * (i + 1) for i in range(101))
+        with pytest.raises(ConfigError, match=f"^key '{key}': at most 100"):
+            build_config({key: values})
+        assert len(getattr(build_config({key: values[:100]}), key)) == 100
+
+    def test_benchmark_workloads_build_as_declared(self, monkeypatch):
+        # perfbench/child.py builds its config from a JSON round trip of a
+        # run.py workload; a change to the override path must fail here,
+        # not in the benchmark.
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_run", ROOT / "perfbench" / "run.py"
+        )
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        assert set(bench.WORKLOADS) == {"sim_fft", "smile_dense", "euler_pool"}
+        for name, workload in bench.WORKLOADS.items():
+            declared = dict(workload, seed=7, out=f"{name}.csv")
+            config = build_config(overrides=json.loads(json.dumps(declared)))
+            for key, value in declared.items():
+                expected = tuple(sorted(value)) if isinstance(value, list) else value
+                assert getattr(config, key) == expected, (name, key)
 
 
 @pytest.fixture(scope="module")
@@ -446,7 +467,7 @@ class TestRun:
         out = tmp_path / "nu0.csv"
         config = ExperimentConfig(
             out=str(out),
-            mode="single",
+            mode="tables",
             nu=0.0,
             n_paths=2_000,
             n_steps=16,
@@ -478,7 +499,7 @@ class TestMain:
                 "--paths", "2000",
                 "--steps", "8",
                 "--seed", "3",
-                "--mode", "single",
+                "--mode", "tables",
                 "--out", str(out),
             ]
         )
@@ -491,7 +512,7 @@ class TestMain:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
             "hurst = [0.5]\nmaturities = [0.5]\nrho = [0.0]\n"
-            "n_paths = 2000\nn_steps = 8\nseed = 4\nmode = single\n"
+            "n_paths = 2000\nn_steps = 8\nseed = 4\nmode = tables\n"
             f"out = {tmp_path / 'file.csv'}\n"
         )
         out = tmp_path / "flag.csv"

@@ -170,15 +170,20 @@ class TestSamplePaths:
 
     @pytest.mark.parametrize("hurst", [0.2, 0.5])
     def test_reused_buffers_match_fresh_blocks(self, hurst):
-        # Every block, partial last one included, written in place into
-        # out equals a fresh allocating draw: normals times sqrt(dt), then
-        # the Toeplitz product (or cumsum at H = 1/2), bit for bit.
+        # Every block, partial last one included, is written in place into
+        # the same two buffers and equals a fresh allocating draw: normals
+        # times sqrt(dt), then the Toeplitz product (or cumsum at H = 1/2),
+        # bit for bit.
         grid = TimeGrid(1.0, 48)
         w = kernel_weights(grid, hurst)
-        out = GaussianPathBatch(dw=np.empty((256, 48)), wh=np.empty((256, 48)))
+        blocks = iter_path_blocks(grid, w, 1000, seed=9, block_size=256)
+        first = None
         n_blocks = 0
-        for idx, blk in iter_path_blocks(grid, w, 1000, seed=9, block_size=256, out=out):
-            assert np.shares_memory(blk.dw, out.dw) and np.shares_memory(blk.wh, out.wh)
+        for idx, blk in blocks:
+            if first is None:
+                first = blk
+            assert np.shares_memory(blk.dw, first.dw)
+            assert np.shares_memory(blk.wh, first.wh)
             rows = min(256, 1000 - idx * 256)
             dw = block_rng(9, W_STREAM, idx).standard_normal((rows, 48)) * math.sqrt(grid.dt)
             if hurst == 0.5:
@@ -189,23 +194,32 @@ class TestSamplePaths:
             n_blocks += 1
         assert n_blocks == 4
 
-    def test_rejects_out_of_wrong_shape(self):
-        grid = TimeGrid(1.0, 16)
-        w = kernel_weights(grid, 0.3)
-        out = GaussianPathBatch(dw=np.empty((100, 16)), wh=np.empty((100, 16)))
-        with pytest.raises(ValueError, match="out"):
-            next(iter_path_blocks(grid, w, 1000, seed=0, block_size=128, out=out))
+    @pytest.mark.parametrize(
+        "n_paths,block_size,steps", [(0, 128, 16), (10, 0, 16), (10, 128, 32)]
+    )
+    def test_checks_arguments_at_the_call(self, n_paths, block_size, steps):
+        w = kernel_weights(TimeGrid(1.0, 16), 0.3)
+        with pytest.raises(ValueError):
+            iter_path_blocks(
+                TimeGrid(1.0, steps), w, n_paths, seed=0, block_size=block_size
+            )
 
     def test_blocks_are_order_independent(self):
-        # Drawing block 2 alone gives the same rows as drawing all blocks.
+        # Drawing block 2 alone gives the same rows as drawing all blocks;
+        # yielded blocks share buffers, so the kept ones are copies.
         grid = TimeGrid(1.0, 32)
         w = kernel_weights(grid, 0.4)
-        blocks = dict(iter_path_blocks(grid, w, 900, seed=21, block_size=300))
+        blocks = {
+            i: blk.dw.copy()
+            for i, blk in iter_path_blocks(grid, w, 900, seed=21, block_size=300)
+        }
         only_last = [
-            blk for i, blk in iter_path_blocks(grid, w, 900, seed=21, block_size=300)
+            blk.dw.copy()
+            for i, blk in iter_path_blocks(grid, w, 900, seed=21, block_size=300)
             if i == 2
         ]
-        assert np.array_equal(blocks[2].dw, only_last[0].dw)
+        assert np.array_equal(blocks[2], only_last[0])
+        assert not np.array_equal(blocks[0], blocks[2])
 
     def test_rejects_mismatched_weights(self):
         w = kernel_weights(TimeGrid(1.0, 16), 0.3)
