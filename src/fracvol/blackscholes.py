@@ -1,9 +1,10 @@
 """Black-Scholes analytics in log coordinates.
 
 All functions work on the log-spot ``x`` and log-strike ``k`` (strike is
-``exp(k)``, spot is ``exp(x)``), with zero interest rate. Inputs broadcast
-like numpy arrays; scalar inputs give scalar outputs. Every function is a
-pure function of its arguments and is safe to call concurrently.
+``exp(k)``, spot is ``exp(x)``), with zero interest rate. ``bs_price``
+broadcasts like numpy arrays (scalar inputs give a scalar output); ``d2``,
+``vega`` and the two solvers take scalars. Every function is a pure
+function of its arguments and is safe to call concurrently.
 """
 from __future__ import annotations
 
@@ -18,18 +19,20 @@ __all__ = [
     "NoSolutionError",
     "ConvergenceError",
     "bs_price",
-    "d1",
     "d2",
     "vega",
     "implied_vol",
     "zero_vanna_strike",
 ]
 
-DEFAULT_IV_BRACKET = (1e-6, 5.0)
-DEFAULT_IV_TOL = 1e-10
-DEFAULT_IV_MAX_ITER = 200
+# Volatility bracket of the implied-vol inversion, and the bracket width
+# at which it stops.
+IV_BRACKET = (1e-6, 5.0)
+IV_TOL = 1e-10
 # Width of the log-strike bracket at which the zero-vanna search stops.
 ZERO_VANNA_XTOL = 1e-12
+# Iteration budget of every root find.
+ROOT_MAX_ITER = 100
 
 
 class NoSolutionError(ValueError):
@@ -53,18 +56,10 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def _norm_pdf(z):
-    return np.exp(-0.5 * np.square(z)) / math.sqrt(2.0 * math.pi)
-
-
 def _check_finite(**vals) -> None:
     for name, v in vals.items():
         if not np.all(np.isfinite(v)):
             raise ValueError(f"{name} must be finite")
-
-
-def _as_scalar_or_array(out, scalar: bool):
-    return float(out) if scalar else out
 
 
 def bs_price(x, k, sigma, tau):
@@ -89,97 +84,74 @@ def bs_price(x, k, sigma, tau):
     d_2 = d_1 - srt_safe
     ex, ek = np.exp(x), np.exp(k)
     price = np.where(live, ex * ndtr(d_1) - ek * ndtr(d_2), np.maximum(ex - ek, 0.0))
-    return _as_scalar_or_array(price, scalar)
+    return float(price) if scalar else price
 
 
-def _moneyness_terms(x, k, sigma, tau):
-    scalar = all(np.isscalar(v) for v in (x, k, sigma, tau))
-    x, k, sigma, tau = np.broadcast_arrays(
-        *(np.asarray(v, dtype=float) for v in (x, k, sigma, tau))
-    )
+def _total_vol(x: float, k: float, sigma: float, tau: float) -> float:
     _check_finite(x=x, k=k, sigma=sigma, tau=tau)
-    srt = sigma * np.sqrt(tau)
-    if np.any(srt <= 0.0):
+    srt = sigma * math.sqrt(max(tau, 0.0))
+    if not srt > 0.0:
         raise ValueError("sigma * sqrt(tau) must be positive")
-    return x, k, srt, scalar
+    return srt
 
 
-def d1(x, k, sigma, tau):
-    """``(x - k) / (sigma sqrt(tau)) + sigma sqrt(tau) / 2``. Needs sigma, tau > 0."""
-    x, k, srt, scalar = _moneyness_terms(x, k, sigma, tau)
-    return _as_scalar_or_array((x - k) / srt + 0.5 * srt, scalar)
-
-
-def d2(x, k, sigma, tau):
+def d2(x: float, k: float, sigma: float, tau: float) -> float:
     """``d1 - sigma sqrt(tau)``. Vanishes exactly at ``k = x - sigma^2 tau / 2``."""
-    x, k, srt, scalar = _moneyness_terms(x, k, sigma, tau)
-    return _as_scalar_or_array((x - k) / srt - 0.5 * srt, scalar)
+    srt = _total_vol(x, k, sigma, tau)
+    return (x - k) / srt - 0.5 * srt
 
 
-def vega(x, k, sigma, tau):
+def vega(x: float, k: float, sigma: float, tau: float) -> float:
     """Price sensitivity to volatility: ``exp(x) N'(d1) sqrt(tau)``. Strictly positive."""
-    x, k, srt, scalar = _moneyness_terms(x, k, sigma, tau)
-    tau = np.broadcast_to(np.asarray(tau, dtype=float), x.shape)
+    srt = _total_vol(x, k, sigma, tau)
     d_1 = (x - k) / srt + 0.5 * srt
-    return _as_scalar_or_array(np.exp(x) * _norm_pdf(d_1) * np.sqrt(tau), scalar)
+    pdf = math.exp(-0.5 * d_1 * d_1) / math.sqrt(2.0 * math.pi)
+    return math.exp(x) * pdf * math.sqrt(tau)
 
 
-def implied_vol(
-    target_price: float,
-    x: float,
-    k: float,
-    tau: float,
-    bracket: tuple[float, float] = DEFAULT_IV_BRACKET,
-    tol: float = DEFAULT_IV_TOL,
-    max_iter: int = DEFAULT_IV_MAX_ITER,
+def _root(
+    f: Callable[..., float], lo: float, hi: float, args: tuple, xtol: float, what: str
 ) -> float:
-    """Invert the call price for volatility by bisection.
+    """Brent root of ``f(., *args)`` on ``[lo, hi]``, to a bracket narrower than xtol.
 
-    Parameters
-    ----------
-    target_price : float
-        Call price to invert. Must lie strictly inside the arbitrage bounds
-        ``((e^x - e^k)+, e^x)``.
-    bracket : (float, float)
-        Volatility bracket; the root must produce a sign change over it.
-    tol : float
-        Absolute tolerance on the returned volatility.
-    max_iter : int
-        Bisection budget; exceeding it raises ConvergenceError carrying the
-        best iterate.
+    f takes its data through args, not a closure: brentq wraps its function
+    in a self-referencing closure that outlives the call until the cyclic
+    GC runs, and would keep a pricer's path arrays alive.
+    """
+    root, info = brentq(
+        f, lo, hi, args, xtol, maxiter=ROOT_MAX_ITER, full_output=True, disp=False
+    )
+    if not info.converged:
+        raise ConvergenceError(
+            f"{what}: {info.flag}", best=root, residual=f(root, *args)
+        )
+    return root
 
-    Deterministic: same inputs always give the same output.
+
+def implied_vol(target_price: float, x: float, k: float, tau: float) -> float:
+    """Invert the call price for volatility by a Brent root find to IV_TOL.
+
+    Raises NoSolutionError if ``target_price`` lies outside the arbitrage
+    bounds ``((e^x - e^k)+, e^x)`` or no vol in IV_BRACKET matches it.
     """
     _check_finite(target_price=target_price, x=x, k=k, tau=tau)
-    lo, hi = bracket
-    if not lo < hi:
-        raise ValueError("bracket_lo must be below bracket_hi")
     lower = max(math.exp(x) - math.exp(k), 0.0)
     upper = math.exp(x)
     if not lower < target_price < upper:
         raise NoSolutionError(
             f"target price {target_price} outside arbitrage bounds ({lower}, {upper})"
         )
-    f_lo = bs_price(x, k, lo, tau) - target_price
-    f_hi = bs_price(x, k, hi, tau) - target_price
-    if f_lo > 0.0 or f_hi < 0.0:
+    lo, hi = IV_BRACKET
+    args = (target_price, x, k, tau)
+    if _price_gap(lo, *args) > 0.0 or _price_gap(hi, *args) < 0.0:
         raise NoSolutionError(
             f"no volatility in bracket [{lo}, {hi}] matches price {target_price}"
         )
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if 0.5 * (hi - lo) < tol:
-            return mid
-        if bs_price(x, k, mid, tau) - target_price <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    mid = 0.5 * (lo + hi)
-    raise ConvergenceError(
-        f"bisection did not reach tol={tol} in {max_iter} iterations",
-        best=mid,
-        residual=bs_price(x, k, mid, tau) - target_price,
-    )
+    return _root(_price_gap, lo, hi, args, IV_TOL, "implied vol")
+
+
+def _price_gap(sigma: float, target: float, x: float, k: float, tau: float) -> float:
+    return bs_price(x, k, sigma, tau) - target
 
 
 def zero_vanna_strike(iv_curve: Callable[[float], float], x: float, tau: float) -> float:
@@ -191,7 +163,7 @@ def zero_vanna_strike(iv_curve: Callable[[float], float], x: float, tau: float) 
     positive for any smile close to its ATM level (for a flat smile it is
     ``3 I sqrt(tau) / 2``). The search stops once the k bracket is narrower
     than ZERO_VANNA_XTOL, never on the residual: an implied-vol curve
-    inverted by bisection is a step function of k, so a residual rule can
+    inverted to IV_TOL is rough at that scale in k, so a residual rule can
     sit below its resolution and never be met. The returned strike is one
     the curve was evaluated at.
 
@@ -211,25 +183,9 @@ def zero_vanna_strike(iv_curve: Callable[[float], float], x: float, tau: float) 
             f"zero-vanna strike: d2 does not change sign on [{lo}, {x}]; "
             "the smile has no zero-vanna strike"
         )
-    # the curve goes in through args, not a closure: brentq wraps its
-    # function in a self-referencing closure that outlives the call until
-    # the cyclic GC runs, and would keep the pricer's path arrays alive
-    k, info = brentq(
-        _curve_d2,
-        lo,
-        x,
-        args=(iv_curve, x, tau),
-        xtol=ZERO_VANNA_XTOL,
-        full_output=True,
-        disp=False,
+    return _root(
+        _curve_d2, lo, x, (iv_curve, x, tau), ZERO_VANNA_XTOL, "zero-vanna strike"
     )
-    if not info.converged:
-        raise ConvergenceError(
-            f"zero-vanna strike: {info.flag}",
-            best=k,
-            residual=_curve_d2(k, iv_curve, x, tau),
-        )
-    return k
 
 
 def _curve_d2(k: float, iv_curve: Callable[[float], float], x: float, tau: float) -> float:

@@ -122,18 +122,16 @@ class ExperimentConfig:
                     f"key '{name}': at most {MAX_AXIS_VALUES} values, "
                     "or cells would share seeds"
                 )
-        for t in self.maturities:
-            if t <= 0.0:
-                raise ConfigError(f"key 'maturities': {t} must be positive")
-        for name, bound in (("n_steps", 1), ("n_paths", 2), ("workers", 1)):
+        for name, bound in (("n_paths", 2), ("workers", 1)):
             if getattr(self, name) < bound:
                 raise ConfigError(f"key '{name}': must be at least {bound}")
-        if self.seed < 0:
-            raise ConfigError(f"key 'seed': must be nonnegative, got {self.seed}")
-        # ModelParams and McConfig own their ranges and choices; their
-        # messages lead with the offending field's name
+        # McConfig, TimeGrid and ModelParams own their ranges and choices;
+        # their messages lead with the offending field's name
         mc_fields = ("n_paths", "seed", "scheme", "estimator")
         checks = [(McConfig, {name: getattr(self, name) for name in mc_fields})]
+        checks += [
+            (TimeGrid, dict(maturity=t, n_steps=self.n_steps)) for t in self.maturities
+        ]
         checks += [
             (ModelParams, dict(sigma0=self.sigma0, nu=self.nu, rho=rho, hurst=hurst))
             for rho in self.rho
@@ -143,8 +141,9 @@ class ExperimentConfig:
             try:
                 owner(**values)
             except ValueError as exc:
-                key = str(exc).split()[0]
-                raise ConfigError(f"key '{key}': {exc}, got {values[key]!r}") from None
+                field = str(exc).split()[0]
+                key = {"maturity": "maturities"}.get(field, field)
+                raise ConfigError(f"key '{key}': {exc}, got {values[field]!r}") from None
         if self.mode not in VALID_MODES:
             raise ConfigError(
                 f"key 'mode': must be one of {VALID_MODES}, got '{self.mode}'"
@@ -231,7 +230,9 @@ def build_config(
     merged.update(file_values or {})
     merged.update({k: v for k, v in (overrides or {}).items() if v is not None})
     for key, value in merged.items():
-        if isinstance(_DEFAULTS.get(key), tuple):
+        if key not in _DEFAULTS:
+            raise ConfigError(f"unknown key '{key}'")
+        if isinstance(_DEFAULTS[key], tuple):
             merged[key] = tuple(sorted(value))  # type: ignore[arg-type]
     return ExperimentConfig(**merged)
 

@@ -51,8 +51,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not self.maturity > 0.0:
-            raise ValueError("maturity must be positive")
+        if not 0.0 < self.maturity < np.inf:
+            raise ValueError("maturity must be positive and finite")
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
 

@@ -76,6 +76,8 @@ class McConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValueError("n_paths must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.block_size < 1:
             raise ValueError("block_size must be at least 1")
         if self.scheme not in VALID_SCHEMES:

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracvol import blackscholes
 from fracvol.blackscholes import (
     ConvergenceError,
     NoSolutionError,
     bs_price,
-    d1,
     d2,
     implied_vol,
     vega,
@@ -29,6 +29,12 @@ FINITE_X = st.floats(-0.5, 0.5)
 FINITE_K = st.floats(-0.6, 0.6)
 VOLS = st.floats(0.05, 1.5)
 TAUS = st.floats(0.05, 5.0)
+# (x, k, sigma, tau) with zero vol, zero tau or a non-finite input
+ZERO_OR_NAN_TOTAL_VOL = [
+    (0.0, 0.0, 0.0, 1.0),
+    (0.0, 0.0, 0.2, 0.0),
+    (0.0, math.nan, 0.2, 1.0),
+]
 
 
 class TestBsPrice:
@@ -103,16 +109,11 @@ class TestGreeks:
         k_hat = x - 0.5 * sig * sig * tau
         assert abs(d2(x, k_hat, sig, tau)) < 1e-14
 
-    def test_d1_d2_relation(self):
-        x, k, sig, tau = 0.03, -0.05, 0.4, 0.8
-        assert d1(x, k, sig, tau) - d2(x, k, sig, tau) == pytest.approx(
-            sig * math.sqrt(tau), rel=1e-14
-        )
-
     def test_greeks_reject_zero_vol(self):
-        for fn in (d1, d2, vega):
-            with pytest.raises(ValueError):
-                fn(0.0, 0.0, 0.0, 1.0)
+        for fn in (d2, vega):
+            for args in ZERO_OR_NAN_TOTAL_VOL:
+                with pytest.raises(ValueError):
+                    fn(*args)
 
 
 class TestImpliedVol:
@@ -126,7 +127,8 @@ class TestImpliedVol:
         # Far in the wings the price carries almost no vol information in
         # float64 (vega underflows relative to price rounding), so restrict
         # to quotes with |d1|, |d2| <= 5.
-        if abs(d1(x, k, sigma, tau)) > 5.0 or abs(d2(x, k, sigma, tau)) > 5.0:
+        d_1 = (x - k) / (sigma * math.sqrt(tau)) + 0.5 * sigma * math.sqrt(tau)
+        if abs(d_1) > 5.0 or abs(d2(x, k, sigma, tau)) > 5.0:
             return
         price = bs_price(x, k, sigma, tau)
         assert implied_vol(price, x, k, tau) == pytest.approx(sigma, abs=1e-9)
@@ -140,16 +142,31 @@ class TestImpliedVol:
             implied_vol(1.5, 0.0, 0.0, 1.0)
 
     def test_rejects_price_outside_bracket(self):
-        price = bs_price(0.0, 0.0, 0.5, 1.0)
-        with pytest.raises(NoSolutionError):
-            implied_vol(price, 0.0, 0.0, 1.0, bracket=(1e-6, 0.1))
+        price = bs_price(0.0, 0.0, 6.0, 1.0)  # above the top of IV_BRACKET
+        with pytest.raises(NoSolutionError, match="no volatility in bracket"):
+            implied_vol(price, 0.0, 0.0, 1.0)
 
-    def test_convergence_error_carries_best_iterate(self):
+    def test_convergence_error_carries_best_iterate(self, monkeypatch):
+        monkeypatch.setattr(blackscholes, "ROOT_MAX_ITER", 2)
         price = bs_price(0.0, 0.0, 0.2, 1.0)
         with pytest.raises(ConvergenceError) as err:
-            implied_vol(price, 0.0, 0.0, 1.0, max_iter=5)
+            implied_vol(price, 0.0, 0.0, 1.0)
         assert err.value.best == pytest.approx(0.2, abs=0.5)
         assert math.isfinite(err.value.residual)
+
+    def test_near_atm_inversion_prices_at_most_16_times(self, monkeypatch):
+        # a bisection of IV_BRACKET down to IV_TOL takes 37 prices
+        calls = []
+        real = blackscholes.bs_price
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(blackscholes, "bs_price", counted)
+        price = real(0.01, -0.03, 0.27, 1.3)
+        assert implied_vol(price, 0.01, -0.03, 1.3) == pytest.approx(0.27, abs=1e-10)
+        assert len(calls) <= 16
 
     def test_deterministic(self):
         price = bs_price(0.01, -0.03, 0.27, 1.3)
@@ -210,10 +227,10 @@ class TestZeroVannaStrike:
             zero_vanna_strike(curve, x, tau)
 
     def test_step_smile_below_residual_resolution_converges(self):
-        # Two vol levels one implied-vol bisection quantum apart (5 / 2^35),
-        # with the jump midway between their two zero-d2 strikes: a fixed
-        # point on k alternates between the levels with |d2| ~ 2e-10
-        # forever. The bracket still closes on the jump.
+        # Two vol levels 5 / 2^35 apart, about IV_TOL, with the jump midway
+        # between their two zero-d2 strikes: a fixed point on k alternates
+        # between the levels with |d2| ~ 2e-10 forever. The bracket still
+        # closes on the jump.
         x, tau = 0.0, 2.0
         sig_lo, step = 0.20077559900602, 1.455e-10
         sig_hi = sig_lo + step
@@ -228,6 +245,13 @@ class TestZeroVannaStrike:
         assert len(evals) <= 60
         assert abs(d2(x, k_hat, curve(k_hat), tau)) < 1e-8
         assert abs(k_hat - k_jump) < 1e-11
+
+    def test_convergence_error_carries_best_iterate(self, monkeypatch):
+        monkeypatch.setattr(blackscholes, "ROOT_MAX_ITER", 2)
+        with pytest.raises(ConvergenceError) as err:
+            zero_vanna_strike(lambda k: 0.2 - 0.5 * k, 0.0, 1.0)
+        assert err.value.best == pytest.approx(AFFINE_ZERO_VANNA_K, abs=0.1)
+        assert math.isfinite(err.value.residual)
 
     def test_releases_the_curve_on_return(self):
         # a curve closes over a pricer and its path arrays; nothing may

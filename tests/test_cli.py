@@ -145,6 +145,10 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match=f"^key '{needle}'"):
             build_config(values)
 
+    def test_unknown_override_key_rejected(self):
+        with pytest.raises(ConfigError, match="unknown key 'foo'"):
+            build_config(overrides={"foo": 1})
+
     def test_convergence_mode_needs_span(self):
         with pytest.raises(ConfigError, match="at least 3"):
             build_config({"mode": "convergence", "maturities": (1.0, 2.0)})
@@ -485,7 +489,9 @@ class TestRun:
         assert abs(float(rec["err_atmi"])) < 1e-8
         # identical paths: SE collapses to mean-rounding residue
         assert float(rec["vol_swap_se"]) < 1e-15
-        assert float(rec["atm_skew"]) == 0.0
+        # mirrored strikes invert to vols equal to within the inversion
+        # tolerance, not bitwise
+        assert abs(float(rec["atm_skew"])) < 1e-12
 
 
 class TestMain:
@@ -542,6 +548,12 @@ class TestMain:
         for hurst in ("1.5", "1.0"):
             assert main(["--hurst", hurst]) == 2
             assert "hurst" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("maturity", ["nan", "inf"])
+    def test_nonfinite_maturity_exits_two(self, maturity, capsys):
+        assert main(["--maturities", maturity]) == 2
+        err = capsys.readouterr().err
+        assert "key 'maturities'" in err and "Traceback" not in err
 
 
 ROOT = Path(__file__).resolve().parents[1]

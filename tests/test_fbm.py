@@ -46,6 +46,17 @@ def cell_second_moment_oracle(grid: TimeGrid, hurst: float) -> np.ndarray:
     return out
 
 
+class TestTimeGrid:
+    @pytest.mark.parametrize("maturity", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_maturity_not_positive_and_finite(self, maturity):
+        with pytest.raises(ValueError, match="^maturity"):
+            TimeGrid(maturity, 10)
+
+    def test_rejects_zero_steps(self):
+        with pytest.raises(ValueError, match="^n_steps"):
+            TimeGrid(1.0, 0)
+
+
 class TestKernelWeights:
     def test_h_half_weights_are_exactly_one(self):
         w = kernel_weights(TimeGrid(2.0, 100), 0.5)

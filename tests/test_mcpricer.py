@@ -67,6 +67,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             McConfig(n_paths=0, seed=1)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed"):
+            McConfig(n_paths=10, seed=-1)
+
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ValueError):
             McConfig(n_paths=10, seed=1, scheme="euler")
