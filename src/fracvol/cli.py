@@ -40,7 +40,7 @@ import scipy
 
 from . import __version__
 from .blackscholes import ConvergenceError
-from .fbm import TimeGrid
+from .fbm import ORACLE_MAX_STEPS, TimeGrid
 from .mcpricer import (
     VALID_ESTIMATORS,
     VALID_SCHEMES,
@@ -54,7 +54,6 @@ from .swapanalysis import (
     SwapReport,
     check_fit_maturities,
     convergence_study,
-    report_as_row,
     zero_vanna_report,
 )
 from .volmodel import ModelParams
@@ -65,20 +64,21 @@ VALID_MODES = ("tables", "convergence")
 # normals.
 MAX_AXIS_VALUES = 100
 
-CSV_COLUMNS = (
-    "H",
-    "T",
-    "rho",
-    "vol_swap",
-    "vol_swap_se",
-    "iv_zero_vanna",
-    "atmi",
-    "atm_skew",
-    "err_zero_vanna",
-    "err_atmi",
-    "n_paths",
-    "seed",
-)
+# CSV column -> the SwapReport field it carries, in column order
+CSV_COLUMNS = {
+    "H": "hurst",
+    "T": "maturity",
+    "rho": "rho",
+    "vol_swap": "vol_swap",
+    "vol_swap_se": "vol_swap_se",
+    "iv_zero_vanna": "iv_zero_vanna",
+    "atmi": "atmi",
+    "atm_skew": "atm_skew",
+    "err_zero_vanna": "err_zero_vanna",
+    "err_atmi": "err_atmi",
+    "n_paths": "n_paths",
+    "seed": "seed",
+}
 
 FAILED_TOKEN = "FAILED"
 # Failures that mark a cell FAILED; anything else is a bug and propagates.
@@ -144,6 +144,11 @@ class ExperimentConfig:
                 field = str(exc).split()[0]
                 key = {"maturity": "maturities"}.get(field, field)
                 raise ConfigError(f"key '{key}': {exc}, got {values[field]!r}") from None
+        if self.scheme == "cholesky_oracle" and self.n_steps > ORACLE_MAX_STEPS:
+            raise ConfigError(
+                f"key 'n_steps': cholesky_oracle supports at most "
+                f"{ORACLE_MAX_STEPS} steps, got {self.n_steps}"
+            )
         if self.mode not in VALID_MODES:
             raise ConfigError(
                 f"key 'mode': must be one of {VALID_MODES}, got '{self.mode}'"
@@ -307,11 +312,11 @@ def _write_csv(path: Path, outcomes: dict[Cell, SwapReport | str]) -> None:
         writer.writerow(CSV_COLUMNS)
         for (rho, hurst, maturity), outcome in outcomes.items():
             if isinstance(outcome, SwapReport):
-                row = report_as_row(outcome)
+                row = [getattr(outcome, field) for field in CSV_COLUMNS.values()]
             else:
-                row = dict.fromkeys(CSV_COLUMNS, FAILED_TOKEN)
-                row.update(H=hurst, T=maturity, rho=rho)
-            writer.writerow(_format_csv_value(row[c]) for c in CSV_COLUMNS)
+                cell = {"hurst": hurst, "maturity": maturity, "rho": rho}
+                row = [cell.get(field, FAILED_TOKEN) for field in CSV_COLUMNS.values()]
+            writer.writerow(_format_csv_value(value) for value in row)
 
 
 def _write_manifest(

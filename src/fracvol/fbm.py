@@ -30,6 +30,7 @@ __all__ = [
     "B_STREAM",
     "ORACLE_STREAM",
     "DEFAULT_BLOCK_SIZE",
+    "ORACLE_MAX_STEPS",
 ]
 
 # RNG stream ids: every Generator in the package is a BIT_GENERATOR keyed
@@ -41,6 +42,8 @@ B_STREAM = 1
 ORACLE_STREAM = 2
 
 DEFAULT_BLOCK_SIZE = 65_536
+# the oracle factors a dense (2 n_steps)^2 covariance
+ORACLE_MAX_STEPS = 2048
 
 
 @dataclass(frozen=True)
@@ -68,16 +71,10 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class KernelWeights:
-    """Convolution weights b_j, lag j = 0..n_steps-1, for one (grid, H).
-
-    evaluation records how the singular kernel was discretized:
-    "variance_exact" (the default scheme) or "midpoint" (diagnostic).
-    """
+    """Convolution weights b_j, lag j = 0..n_steps-1, for one (grid, H)."""
 
     hurst: float
-    dt: float
     weights: np.ndarray
-    evaluation: str = "variance_exact"
 
     @property
     def n_steps(self) -> int:
@@ -145,7 +142,7 @@ def kernel_weights(
         raise ValueError(
             f"evaluation must be 'variance_exact' or 'midpoint', got {evaluation!r}"
         )
-    return KernelWeights(hurst=hurst, dt=dt, weights=b, evaluation=evaluation)
+    return KernelWeights(hurst=hurst, weights=b)
 
 
 def convolution_method(hurst: float) -> str:
@@ -331,8 +328,8 @@ def cholesky_oracle(
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
-    if grid.n_steps > 2048:
-        raise ValueError("cholesky_oracle supports at most 2048 steps")
+    if grid.n_steps > ORACLE_MAX_STEPS:
+        raise ValueError(f"cholesky_oracle supports at most {ORACLE_MAX_STEPS} steps")
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
     chol = _cholesky_with_jitter(_joint_covariance(grid, hurst))

@@ -171,24 +171,6 @@ def simulation_record(config: McConfig, hurst: Sequence[float]) -> dict[str, obj
     }
 
 
-def _conditional_values(
-    funcs: PathFunctionals, params: ModelParams, x0: float, k: float, maturity: float
-) -> np.ndarray:
-    """Per-path conditional Black-Scholes values.
-
-    Given the vol path, X_T ~ Normal(x0 - Y/2 + rho * int sigma dW + rho^2
-    adjustment, (1 - rho^2) Y); folding the mean into a shifted spot gives
-    bs_price(x_hat, k, sqrt((1-rho^2) Y / T), T). At |rho| = 1 the
-    conditional law is a point mass and bs_price's degenerate branch
-    returns the intrinsic value.
-    """
-    rho = params.rho
-    y = funcs.integrated_variance
-    x_hat = x0 + rho * funcs.int_sigma_dw - 0.5 * rho * rho * y
-    cond_vol = np.sqrt(max(1.0 - rho * rho, 0.0) * y / maturity)
-    return bs_price(x_hat, k, cond_vol, maturity)
-
-
 def _terminal_log_return(funcs: PathFunctionals, rho: float) -> np.ndarray:
     """Left-point Euler X_T - x0 = -Y/2 + rho int sigma dW
     + sqrt(1 - rho^2) int sigma dB, per path."""
@@ -198,18 +180,6 @@ def _terminal_log_return(funcs: PathFunctionals, rho: float) -> np.ndarray:
         + rho * funcs.int_sigma_dw
         + orth * funcs.int_sigma_db
     )
-
-
-def _direct_values(terminal_log_return: np.ndarray, x0: float, k: float) -> np.ndarray:
-    """Per-path Euler payoffs less beta times the terminal-spot control."""
-    spot = np.exp(x0 + terminal_log_return)
-    payoff = np.maximum(spot - math.exp(k), 0.0)
-    control = spot - math.exp(x0)  # exactly mean-zero: e^X is a martingale
-    var = control.var(ddof=1) if control.shape[0] > 1 else 0.0
-    if var == 0.0:
-        return payoff
-    beta = np.cov(payoff, control, ddof=1)[0, 1] / var
-    return payoff - beta * control
 
 
 def vol_swap_strike(funcs: PathFunctionals, maturity: float) -> PriceEstimate:
@@ -237,8 +207,18 @@ def strike_pricer(
 
     All strikes reuse the same paths (common random numbers), which makes
     differences of implied vols across strikes far less noisy than
-    independent runs would be. The direct estimator mixes the rho-free
-    functionals into the Euler log-return for params.rho once, here.
+    independent runs would be. Each estimator mixes the rho-free
+    functionals for params.rho once, here, into the per-path arrays
+    every strike reads.
+
+    Conditional mixing: given the vol path, X_T ~ Normal(x0 - Y/2 + rho *
+    int sigma dW + rho^2 adjustment, (1 - rho^2) Y); folding the mean into
+    a shifted spot gives bs_price(x_hat, k, sqrt((1-rho^2) Y / T), T) per
+    path. At |rho| = 1 the conditional law is a point mass and bs_price's
+    degenerate branch returns the intrinsic value.
+
+    Direct Euler: per-path payoffs on the Euler terminal spot, less beta
+    times the terminal-spot control.
     """
     if maturity <= 0.0:
         raise ValueError("maturity must be positive")
@@ -250,14 +230,25 @@ def strike_pricer(
                 "direct_euler pricing needs functionals simulated with "
                 "estimator='direct_euler'"
             )
-        ret = _terminal_log_return(funcs, params.rho)
+        spot = np.exp(x0 + _terminal_log_return(funcs, params.rho))
+        control = spot - math.exp(x0)  # exactly mean-zero: e^X is a martingale
+        var = control.var(ddof=1) if control.shape[0] > 1 else 0.0
 
         def price_direct(k: float) -> PriceEstimate:
-            return _mean_se(_direct_values(ret, x0, k))
+            payoff = np.maximum(spot - math.exp(k), 0.0)
+            if var == 0.0:
+                return _mean_se(payoff)
+            beta = np.cov(payoff, control, ddof=1)[0, 1] / var
+            return _mean_se(payoff - beta * control)
 
         return price_direct
 
+    rho = params.rho
+    y = funcs.integrated_variance
+    x_hat = x0 + rho * funcs.int_sigma_dw - 0.5 * rho * rho * y
+    cond_vol = np.sqrt(max(1.0 - rho * rho, 0.0) * y / maturity)
+
     def price_conditional(k: float) -> PriceEstimate:
-        return _mean_se(_conditional_values(funcs, params, x0, k, maturity))
+        return _mean_se(bs_price(x_hat, k, cond_vol, maturity))
 
     return price_conditional

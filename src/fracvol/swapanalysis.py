@@ -13,6 +13,7 @@ rho = -0.8) as well as overstate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -34,12 +35,13 @@ from .volmodel import ModelParams, PathFunctionals
 NOISE_FLOOR_MULTIPLE = 3.0
 # Gaps at or below the IV-solver tolerance carry no rate information.
 SOLVER_FLOOR = 1e-9
-# Default ATM bump as a fraction of sigma0 * sqrt(T) (a twentieth of an
+# ATM bump as a fraction of sigma0 * sqrt(T) (a twentieth of an
 # at-the-money standard deviation keeps the bump inside the smile's
 # quadratic regime; the Richardson fallback widens it when noise wins).
 SKEW_BUMP_FRACTION = 0.05
 
 Pricer = Callable[[float], PriceEstimate]
+Smile = Callable[[float], tuple[float, float]]
 
 
 @dataclass(frozen=True)
@@ -105,40 +107,40 @@ class RateFit:
             raise ValueError(f"r_squared out of range: {self.r_squared}")
 
 
-def _iv_at(pricer: Pricer, x0: float, k: float, maturity: float) -> tuple[float, float]:
-    """Implied vol at one log-strike and its SE, the price SE over vega.
+def implied_smile(pricer: Pricer, x0: float, maturity: float) -> Smile:
+    """Memoized log-strike -> (implied vol, SE) on one pricer's paths.
 
-    An uninvertible price raises (NoSolutionError or ConvergenceError).
+    The SE is the price SE over vega. Each strike is priced and inverted
+    at most once; an uninvertible price raises (NoSolutionError or
+    ConvergenceError) and is not cached.
     """
-    estimate = pricer(k)
-    vol = implied_vol(estimate.value, x0, k, maturity)
-    sensitivity = vega(x0, k, vol, maturity)
-    se = estimate.std_error / sensitivity if sensitivity > 0.0 else math.inf
-    return vol, se
+
+    @functools.cache
+    def smile(k: float) -> tuple[float, float]:
+        estimate = pricer(k)
+        vol = implied_vol(estimate.value, x0, k, maturity)
+        sensitivity = vega(x0, k, vol, maturity)
+        se = estimate.std_error / sensitivity if sensitivity > 0.0 else math.inf
+        return vol, se
+
+    return smile
 
 
 def atm_skew(
-    pricer: Pricer,
-    x0: float,
-    maturity: float,
-    sigma0: float,
-    bump: float | None = None,
+    smile: Smile, x0: float, maturity: float, sigma0: float
 ) -> tuple[float, float]:
-    """Central-difference ATM skew dI/dk and a conservative SE.
+    """Central-difference ATM skew dI/dk of a smile and a conservative SE.
 
-    The default bump is SKEW_BUMP_FRACTION * sigma0 * sqrt(T).  If the
-    estimate drowns in noise (|skew| < 3 SE), the bump is widened to 2h
-    and 4h and the two wide-bump estimates are Richardson-combined to
-    cancel the leading quadratic bias while keeping the larger denominator.
+    The bump is SKEW_BUMP_FRACTION * sigma0 * sqrt(T).  If the estimate
+    drowns in noise (|skew| < 3 SE), the bump is widened to 2h and 4h and
+    the two wide-bump estimates are Richardson-combined to cancel the
+    leading quadratic bias while keeping the larger denominator.
     """
-    if bump is None:
-        bump = SKEW_BUMP_FRACTION * sigma0 * math.sqrt(maturity)
-    if bump <= 0.0:
-        raise ValueError(f"bump must be positive, got {bump}")
+    bump = SKEW_BUMP_FRACTION * sigma0 * math.sqrt(maturity)
 
     def central(h: float) -> tuple[float, float]:
-        up_vol, up_se = _iv_at(pricer, x0, x0 + h, maturity)
-        dn_vol, dn_se = _iv_at(pricer, x0, x0 - h, maturity)
+        up_vol, up_se = smile(x0 + h)
+        dn_vol, dn_se = smile(x0 - h)
         slope = (up_vol - dn_vol) / (2.0 * h)
         se = math.hypot(up_se, dn_se) / (2.0 * h)
         return slope, se
@@ -170,23 +172,18 @@ def zero_vanna_report(
     ``pricer`` and ``funcs`` must come from the same simulation so the
     swap strike and the implied vols share paths.  The zero-vanna strike
     is located on the curve implied by ``pricer`` and its residual
-    |d2(k_hat, I(k_hat))| is recorded (and must be below 1e-8).  Each
-    strike is priced at most once: the search evaluates both the ATM
-    strike and k_hat, and the report reuses those vols.
+    |d2(k_hat, I(k_hat))| is recorded (and must be below 1e-8).  Every
+    vol comes from one implied_smile, so each strike is priced at most
+    once: the search evaluates both the ATM strike and k_hat, and the
+    report and the skew stencil reuse those vols.
     """
     swap = vol_swap_strike(funcs, maturity)
-    ivs: dict[float, tuple[float, float]] = {}
-
-    def iv(k: float) -> tuple[float, float]:
-        if k not in ivs:
-            ivs[k] = _iv_at(pricer, x0, k, maturity)
-        return ivs[k]
-
-    k_hat = zero_vanna_strike(lambda k: iv(k)[0], x0, maturity)
-    iv_zv, iv_zv_se = iv(k_hat)
+    smile = implied_smile(pricer, x0, maturity)
+    k_hat = zero_vanna_strike(lambda k: smile(k)[0], x0, maturity)
+    iv_zv, iv_zv_se = smile(k_hat)
     residual = abs(d2(x0, k_hat, iv_zv, maturity))
-    atm_vol, atm_se = iv(x0)
-    skew, skew_se = atm_skew(pricer, x0, maturity, sigma0=params.sigma0)
+    atm_vol, atm_se = smile(x0)
+    skew, skew_se = atm_skew(smile, x0, maturity, sigma0=params.sigma0)
 
     return SwapReport(
         hurst=params.hurst,
@@ -299,33 +296,15 @@ def convergence_study(
     return fits
 
 
-def report_as_row(report: SwapReport) -> dict[str, float | int]:
-    """Flatten a report to the flat column schema used for CSV output."""
-    return {
-        "H": report.hurst,
-        "T": report.maturity,
-        "rho": report.rho,
-        "vol_swap": report.vol_swap,
-        "vol_swap_se": report.vol_swap_se,
-        "iv_zero_vanna": report.iv_zero_vanna,
-        "atmi": report.atmi,
-        "atm_skew": report.atm_skew,
-        "err_zero_vanna": report.err_zero_vanna,
-        "err_atmi": report.err_atmi,
-        "n_paths": report.n_paths,
-        "seed": report.seed,
-    }
-
-
 __all__ = [
     "SwapReport",
     "RateFit",
+    "implied_smile",
     "atm_skew",
     "zero_vanna_report",
     "simulate_report",
     "check_fit_maturities",
     "convergence_study",
-    "report_as_row",
     "NOISE_FLOOR_MULTIPLE",
     "SOLVER_FLOOR",
     "SKEW_BUMP_FRACTION",

@@ -34,10 +34,10 @@ class ModelParams:
     hurst: float
 
     def __post_init__(self):
-        if not self.sigma0 > 0.0:
-            raise ValueError("sigma0 must be positive")
-        if self.nu < 0.0:
-            raise ValueError("nu must be nonnegative")
+        if not 0.0 < self.sigma0 < np.inf:
+            raise ValueError("sigma0 must be finite and positive")
+        if not 0.0 <= self.nu < np.inf:
+            raise ValueError("nu must be finite and nonnegative")
         if not -1.0 <= self.rho <= 1.0:
             raise ValueError("rho must lie in [-1, 1]")
         if not 0.0 < self.hurst < 1.0:

@@ -21,11 +21,15 @@ from fracvol.cli import (
     RATES_COLUMNS,
     ConfigError,
     ExperimentConfig,
+    _write_csv,
     build_config,
     main,
     parse_config,
     run,
 )
+from fracvol.mcpricer import McConfig
+from fracvol.swapanalysis import simulate_report
+from fracvol.volmodel import ModelParams
 
 FAST = {
     "n_paths": 3_000,
@@ -139,6 +143,7 @@ class TestBuildConfig:
             ({"workers": 0}, "workers"),
             ({"seed": -1}, "seed"),
             ({"mode": "single"}, "mode"),
+            ({"nu": math.inf}, "nu"),
         ],
     )
     def test_validation_names_field(self, values, needle):
@@ -205,6 +210,30 @@ class TestRun:
         assert len(rows) == 1 + 2 * 2  # two rho, one H, two T
         keys = [(float(r[2]), float(r[0]), float(r[1])) for r in rows[1:]]
         assert keys == sorted(keys)
+
+    def test_row_schema(self, tmp_path):
+        assert list(CSV_COLUMNS) == [
+            "H",
+            "T",
+            "rho",
+            "vol_swap",
+            "vol_swap_se",
+            "iv_zero_vanna",
+            "atmi",
+            "atm_skew",
+            "err_zero_vanna",
+            "err_atmi",
+            "n_paths",
+            "seed",
+        ]
+        params = ModelParams(sigma0=0.2, nu=0.4, rho=0.0, hurst=0.5)
+        report = simulate_report(params, 0.0, 1.0, 16, McConfig(n_paths=3_000, seed=7))
+        out = tmp_path / "row.csv"
+        _write_csv(out, {(report.rho, report.hurst, report.maturity): report})
+        row = dict(zip(*read_csv(out)))
+        assert float(row["H"]) == report.hurst == 0.5
+        assert float(row["T"]) == report.maturity == 1.0
+        assert float(row["vol_swap"]) == report.vol_swap
 
     def test_full_precision_and_shared_simulation(self, grid_run):
         _, out = grid_run
@@ -554,6 +583,11 @@ class TestMain:
         assert main(["--maturities", maturity]) == 2
         err = capsys.readouterr().err
         assert "key 'maturities'" in err and "Traceback" not in err
+
+    def test_oracle_past_its_step_cap_exits_two(self, capsys):
+        assert main(["--scheme", "cholesky_oracle", "--steps", "3000"]) == 2
+        err = capsys.readouterr().err
+        assert "key 'n_steps'" in err and "Traceback" not in err
 
 
 ROOT = Path(__file__).resolve().parents[1]

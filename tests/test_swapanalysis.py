@@ -7,7 +7,9 @@ Reference values marked with their origin:
 """
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -19,10 +21,9 @@ from fracvol.mcpricer import McConfig, PriceEstimate
 from fracvol.swapanalysis import (
     RateFit,
     SwapReport,
-    _iv_at,
     atm_skew,
     convergence_study,
-    report_as_row,
+    implied_smile,
     simulate_report,
     zero_vanna_report,
 )
@@ -79,7 +80,7 @@ class TestIvCurve:
     def test_flat_curve_from_analytic_pricer(self):
         pricer = analytic_pricer(lambda k: SIGMA0, X0, 2.0)
         for k in np.linspace(-0.3, 0.3, 7):
-            vol, se = _iv_at(pricer, X0, float(k), 2.0)
+            vol, se = implied_smile(pricer, X0, 2.0)(float(k))
             assert vol == pytest.approx(SIGMA0, abs=1e-9)
             assert se == 0.0
 
@@ -90,7 +91,7 @@ class TestIvCurve:
         def pricer(k: float) -> PriceEstimate:
             return PriceEstimate(float(bs_price(X0, k, vol, 1.0)), se_price, 100)
 
-        vol, se = _iv_at(pricer, X0, 0.05, 1.0)
+        vol, se = implied_smile(pricer, X0, 1.0)(0.05)
         expected = se_price / vega(X0, 0.05, vol, 1.0)
         assert se == pytest.approx(expected, rel=1e-9)
 
@@ -100,13 +101,25 @@ class TestIvCurve:
             return PriceEstimate(2.0, 0.0, 10)
 
         with pytest.raises(NoSolutionError, match="arbitrage bounds"):
-            _iv_at(pricer, X0, 0.1, 1.0)
+            implied_smile(pricer, X0, 1.0)(0.1)
+
+    def test_each_strike_priced_once(self):
+        strikes = []
+        flat = analytic_pricer(lambda k: SIGMA0, X0, 1.0)
+
+        def pricer(k: float) -> PriceEstimate:
+            strikes.append(k)
+            return flat(k)
+
+        smile = implied_smile(pricer, X0, 1.0)
+        assert smile(0.05) == smile(0.05)
+        assert strikes == [0.05]
 
     def test_rejects_nonpositive_maturity(self):
         pricer = analytic_pricer(lambda k: SIGMA0, X0, 1.0)
         for maturity in (0.0, -1.0):
             with pytest.raises(ValueError):
-                _iv_at(pricer, X0, 0.0, maturity)
+                implied_smile(pricer, X0, maturity)(0.0)
 
     def test_uncorrelated_curve_more_symmetric_than_skewed(self):
         from fracvol.fbm import TimeGrid
@@ -120,9 +133,9 @@ class TestIvCurve:
         funcs = simulate_functionals(grid, params0, config)
         for rho in (0.0, -0.8):
             params = ModelParams(sigma0=SIGMA0, nu=NU, rho=rho, hurst=0.5)
-            pricer = strike_pricer(funcs, params, X0, 1.0)
-            lo, _ = _iv_at(pricer, X0, X0 - delta, 1.0)
-            hi, _ = _iv_at(pricer, X0, X0 + delta, 1.0)
+            smile = implied_smile(strike_pricer(funcs, params, X0, 1.0), X0, 1.0)
+            lo, _ = smile(X0 - delta)
+            hi, _ = smile(X0 + delta)
             asymmetry[rho] = abs(hi - lo)
         # mixing over a symmetric vol law cancels the asymmetry exactly
         assert asymmetry[0.0] < 1e-12
@@ -133,13 +146,21 @@ class TestAtmSkew:
     def test_linear_smile_recovers_slope(self):
         slope = 0.1
         pricer = analytic_pricer(lambda k: SIGMA0 + slope * (k - X0), X0, 1.0)
-        skew, se = atm_skew(pricer, X0, 1.0, sigma0=SIGMA0)
+        skew, se = atm_skew(implied_smile(pricer, X0, 1.0), X0, 1.0, sigma0=SIGMA0)
         assert skew == pytest.approx(slope, abs=1e-6)
+        assert se == 0.0
+
+    def test_reads_any_smile_function(self):
+        def smile(k: float) -> tuple[float, float]:
+            return SIGMA0 + 0.1 * (k - X0), 0.0
+
+        skew, se = atm_skew(smile, X0, 1.0, sigma0=SIGMA0)
+        assert skew == pytest.approx(0.1, abs=1e-12)
         assert se == 0.0
 
     def test_constant_vol_skew_is_zero(self):
         pricer = analytic_pricer(lambda k: SIGMA0, X0, 1.0)
-        skew, _ = atm_skew(pricer, X0, 1.0, sigma0=SIGMA0)
+        skew, _ = atm_skew(implied_smile(pricer, X0, 1.0), X0, 1.0, sigma0=SIGMA0)
         assert abs(skew) < 1e-8
 
     def test_zero_rho_skew_within_noise(self, rep_h05):
@@ -156,11 +177,6 @@ class TestAtmSkew:
             )
             skews[maturity] = rep.atm_skew
         assert abs(skews[0.25]) > abs(skews[1.0]) > abs(skews[3.0])
-
-    def test_rejects_nonpositive_bump(self):
-        pricer = analytic_pricer(lambda k: SIGMA0, X0, 1.0)
-        with pytest.raises(ValueError, match="bump"):
-            atm_skew(pricer, X0, 1.0, sigma0=SIGMA0, bump=0.0)
 
 
 class TestSwapReport:
@@ -182,6 +198,25 @@ class TestSwapReport:
         # the search evaluates the ATM strike and k_hat; the report reuses them
         assert X0 in strikes and rep.k_hat in strikes
         assert len(strikes) == len(set(strikes))
+
+    def test_report_does_not_keep_its_pricer_alive(self):
+        # the report's memoized smile and the root finder's closures must
+        # not outlive the call: a pricer holds the simulation's path arrays
+        from fracvol.fbm import TimeGrid
+        from fracvol.mcpricer import simulate_functionals, strike_pricer
+
+        params = ModelParams(sigma0=SIGMA0, nu=NU, rho=-0.5, hurst=0.5)
+        config = McConfig(n_paths=256, seed=431)
+        funcs = simulate_functionals(TimeGrid(1.0, 8), params, config)
+        pricer = strike_pricer(funcs, params, X0, 1.0)
+        alive = weakref.ref(pricer)
+        gc.disable()
+        try:
+            zero_vanna_report(pricer, funcs, params, X0, 1.0, config)
+            del pricer
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_h05_matches_reference(self, rep_h05):
         assert rep_h05.vol_swap == pytest.approx(H05_REFERENCE_VOL, abs=1e-3)
@@ -250,25 +285,6 @@ class TestSwapReport:
         bad = dict(good, err_atmi=math.nan)
         with pytest.raises(ValueError, match="err_atmi"):
             SwapReport(**bad)
-
-    def test_row_schema(self, rep_h05):
-        row = report_as_row(rep_h05)
-        assert list(row) == [
-            "H",
-            "T",
-            "rho",
-            "vol_swap",
-            "vol_swap_se",
-            "iv_zero_vanna",
-            "atmi",
-            "atm_skew",
-            "err_zero_vanna",
-            "err_atmi",
-            "n_paths",
-            "seed",
-        ]
-        assert row["H"] == 0.5 and row["T"] == 1.0
-        assert row["vol_swap"] == rep_h05.vol_swap
 
 
 def synthetic_report(maturity, err, err_se):

@@ -38,6 +38,9 @@ class TestModelParams:
             dict(sigma0=0.2, nu=-0.1, rho=0.0, hurst=0.3),
             dict(sigma0=0.2, nu=0.4, rho=-1.5, hurst=0.3),
             dict(sigma0=0.2, nu=0.4, rho=0.0, hurst=1.0),
+            dict(sigma0=math.inf, nu=0.4, rho=0.0, hurst=0.5),
+            dict(sigma0=0.2, nu=math.nan, rho=0.0, hurst=0.5),
+            dict(sigma0=0.2, nu=math.inf, rho=0.0, hurst=0.5),
         ],
     )
     def test_rejects_bad_params(self, kwargs):
