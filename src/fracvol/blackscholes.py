@@ -76,15 +76,41 @@ def bs_price(x, k, sigma, tau):
     _check_finite(x=x, k=k, sigma=sigma, tau=tau)
     if np.any(sigma < 0.0) or np.any(tau < 0.0):
         raise ValueError("sigma and tau must be nonnegative")
-
     srt = sigma * np.sqrt(tau)
-    live = srt > 0.0
-    srt_safe = np.where(live, srt, 1.0)
-    d_1 = (x - k) / srt_safe + 0.5 * srt_safe
-    d_2 = d_1 - srt_safe
-    ex, ek = np.exp(x), np.exp(k)
-    price = np.where(live, ex * ndtr(d_1) - ek * ndtr(d_2), np.maximum(ex - ek, 0.0))
+    price = _call(x, np.exp(x), k, srt, *_reciprocal(srt))
     return float(price) if scalar else price
+
+
+def _reciprocal(srt: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The ``inv_srt`` and ``live`` arguments of _call for total vols srt >= 0.
+
+    A total vol whose reciprocal overflows (0 or subnormal) prices at the
+    intrinsic value, its limit: (x - k) / srt would be 0 * inf at x = k.
+    """
+    with np.errstate(divide="ignore", over="ignore"):
+        inv_srt = 1.0 / srt
+    live = np.isfinite(inv_srt)
+    if live.all():
+        return inv_srt, None
+    return np.where(live, inv_srt, 1.0), live
+
+
+def _call(x, ex, k, srt, inv_srt, live):
+    """Call price on checked inputs, the one copy of the formula.
+
+    ex is ``exp(x)``, srt the total vol ``sigma sqrt(tau) >= 0`` and inv_srt
+    its reciprocal. live is None when every reciprocal is finite; otherwise
+    it marks the finite ones, inv_srt must be finite elsewhere too, and
+    there the price is the intrinsic value. Everything that does not depend on k
+    comes in precomputed, so a caller pricing many strikes on the same
+    arrays checks and prepares them once.
+    """
+    ek = np.exp(k)
+    d_1 = (x - k) * inv_srt + 0.5 * srt
+    price = ex * ndtr(d_1) - ek * ndtr(d_1 - srt)
+    if live is None:
+        return price
+    return np.where(live, price, np.maximum(ex - ek, 0.0))
 
 
 def _total_vol(x: float, k: float, sigma: float, tau: float) -> float:
@@ -110,17 +136,34 @@ def vega(x: float, k: float, sigma: float, tau: float) -> float:
 
 
 def _root(
-    f: Callable[..., float], lo: float, hi: float, args: tuple, xtol: float, what: str
+    f: Callable[..., float],
+    lo: float,
+    hi: float,
+    args: tuple,
+    xtol: float,
+    what: str,
+    no_root: str,
 ) -> float:
     """Brent root of ``f(., *args)`` on ``[lo, hi]``, to a bracket narrower than xtol.
+
+    This is the one sign-change check of both solvers. brentq evaluates
+    both ends first and raises ValueError when they share a sign; only on
+    that failure path are the ends evaluated again, to tell a missing root
+    (raised as NoSolutionError with the message no_root) from any other
+    ValueError.
 
     f takes its data through args, not a closure: brentq wraps its function
     in a self-referencing closure that outlives the call until the cyclic
     GC runs, and would keep a pricer's path arrays alive.
     """
-    root, info = brentq(
-        f, lo, hi, args, xtol, maxiter=ROOT_MAX_ITER, full_output=True, disp=False
-    )
+    try:
+        root, info = brentq(
+            f, lo, hi, args, xtol, maxiter=ROOT_MAX_ITER, full_output=True, disp=False
+        )
+    except ValueError:
+        if np.sign(f(lo, *args)) == np.sign(f(hi, *args)):
+            raise NoSolutionError(no_root) from None
+        raise
     if not info.converged:
         raise ConvergenceError(
             f"{what}: {info.flag}", best=root, residual=f(root, *args)
@@ -142,12 +185,9 @@ def implied_vol(target_price: float, x: float, k: float, tau: float) -> float:
             f"target price {target_price} outside arbitrage bounds ({lower}, {upper})"
         )
     lo, hi = IV_BRACKET
+    no_root = f"no volatility in bracket [{lo}, {hi}] matches price {target_price}"
     args = (target_price, x, k, tau)
-    if _price_gap(lo, *args) > 0.0 or _price_gap(hi, *args) < 0.0:
-        raise NoSolutionError(
-            f"no volatility in bracket [{lo}, {hi}] matches price {target_price}"
-        )
-    return _root(_price_gap, lo, hi, args, IV_TOL, "implied vol")
+    return _root(_price_gap, lo, hi, args, IV_TOL, "implied vol", no_root)
 
 
 def _price_gap(sigma: float, target: float, x: float, k: float, tau: float) -> float:
@@ -178,14 +218,12 @@ def zero_vanna_strike(iv_curve: Callable[[float], float], x: float, tau: float) 
     if not (math.isfinite(sig_x) and sig_x > 0.0):
         raise ValueError(f"iv_curve returned vol {sig_x} at k={x}")
     lo = x - 2.0 * sig_x * sig_x * tau
-    if _curve_d2(lo, iv_curve, x, tau) < 0.0:
-        raise NoSolutionError(
-            f"zero-vanna strike: d2 does not change sign on [{lo}, {x}]; "
-            "the smile has no zero-vanna strike"
-        )
-    return _root(
-        _curve_d2, lo, x, (iv_curve, x, tau), ZERO_VANNA_XTOL, "zero-vanna strike"
+    no_root = (
+        f"zero-vanna strike: d2 does not change sign on [{lo}, {x}]; "
+        "the smile has no zero-vanna strike"
     )
+    args = (iv_curve, x, tau)
+    return _root(_curve_d2, lo, x, args, ZERO_VANNA_XTOL, "zero-vanna strike", no_root)
 
 
 def _curve_d2(k: float, iv_curve: Callable[[float], float], x: float, tau: float) -> float:

@@ -6,9 +6,15 @@ integrates the independent Brownian factor out exactly: given the vol path,
 the log-price is Gaussian, so each path contributes a shifted-spot,
 reduced-vol Black-Scholes value and no B draws are needed. The direct
 estimator also keeps int sigma dB against the orthogonal driver B, builds
-the left-point Euler log-price from it per rho, and averages the payoff
-against a terminal-spot control variate (e^{X_T} is an exact martingale of
-the discrete scheme, so the control has known mean zero).
+the left-point Euler log-price from it per rho, and averages the payoff.
+
+Both estimators always regress their per-path values on the same two
+control variates, CONTROLS, whose means are exact in the discrete scheme:
+the spot martingale (the path's terminal spot, or under mixing its
+conditional mean e^{x_hat}, less e^{x0}; mean zero because sigma is
+adapted and the Ito sum is left-point) and the integrated variance Y less
+its exact discrete mean, which simulate_functionals records. The betas
+come from the same paths.
 
 Everything is deterministic given (seed, n_paths, block_size, grid, params):
 per-path arrays are assembled positionally by block index and reduced once,
@@ -22,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .blackscholes import bs_price
+from .blackscholes import _call, _reciprocal
 from .fbm import (
     B_STREAM,
     BIT_GENERATOR,
@@ -34,7 +40,13 @@ from .fbm import (
     iter_path_blocks,
     kernel_weights,
 )
-from .volmodel import ModelParams, PathFunctionals, path_functionals, vol_paths
+from .volmodel import (
+    ModelParams,
+    PathFunctionals,
+    integrated_variance_mean,
+    path_functionals,
+    vol_paths,
+)
 
 __all__ = [
     "McConfig",
@@ -46,10 +58,13 @@ __all__ = [
     "strike_pricer",
     "VALID_SCHEMES",
     "VALID_ESTIMATORS",
+    "CONTROLS",
 ]
 
 VALID_SCHEMES = ("convolution", "midpoint_convolution", "cholesky_oracle")
 VALID_ESTIMATORS = ("conditional_mixing", "direct_euler")
+# the control variates every call estimator regresses on, in this order
+CONTROLS = ("spot_martingale", "integrated_variance")
 # the kernel_weights evaluation behind each convolution scheme; the
 # Cholesky oracle samples the exact law and evaluates no kernel
 KERNEL_EVALUATION = {
@@ -122,7 +137,8 @@ def simulate_functionals(
     The functionals are rho-free: params.rho is never read. For the
     direct Euler estimator int sigma dB is also accumulated; the B
     increments come from their own RNG stream, block-aligned with the W
-    draws.
+    draws. The exact E[Y] of the scheme, which the pricers' Y control
+    needs, is recorded from the scheme's own W^H variances.
     """
     y = np.empty(config.n_paths)
     ito = np.empty(config.n_paths)
@@ -132,12 +148,17 @@ def simulate_functionals(
     if config.scheme == "cholesky_oracle":
         blocks = [(0, cholesky_oracle(grid, params.hurst, config.n_paths, config.seed))]
         buffer_rows = config.n_paths
+        level_variance = grid.times[:-1] ** (2.0 * params.hurst) / (2.0 * params.hurst)
     else:
         weights = kernel_weights(grid, params.hurst, KERNEL_EVALUATION[config.scheme])
         buffer_rows = min(config.block_size, config.n_paths)
         blocks = iter_path_blocks(
             grid, weights, config.n_paths, config.seed, config.block_size
         )
+        # W^H_{t_j} sums b_{j-1-l} dW_l over l < j, so its variance is dt
+        # times the running sum of the squared weights, 0 at t_0
+        b_sq = weights.weights[:-1] ** 2
+        level_variance = grid.dt * np.concatenate(([0.0], np.cumsum(b_sq)))
     vol = np.empty((buffer_rows, grid.n_steps))
 
     for idx, blk in blocks:
@@ -152,17 +173,24 @@ def simulate_functionals(
             block_rng(config.seed, B_STREAM, idx).standard_normal(out=db)
             db *= sqrt_dt
             ito_b[rows] = np.einsum("ij,ij->i", vols, db)
-    return PathFunctionals(integrated_variance=y, int_sigma_dw=ito, int_sigma_db=ito_b)
+    return PathFunctionals(
+        integrated_variance=y,
+        int_sigma_dw=ito,
+        int_sigma_db=ito_b,
+        integrated_variance_mean=integrated_variance_mean(params, grid, level_variance),
+    )
 
 
 def simulation_record(config: McConfig, hurst: Sequence[float]) -> dict[str, object]:
     """How simulate_functionals draws its paths under config at each H,
     in enough detail to reproduce them: bit generator, block size, kernel
-    evaluation and convolution method ("cholesky" for the oracle)."""
+    evaluation, convolution method ("cholesky" for the oracle) and the
+    control variates of the call estimators."""
     evaluation = KERNEL_EVALUATION.get(config.scheme)
     return {
         "bit_generator": BIT_GENERATOR.__name__,
         "block_size": config.block_size,
+        "controls": list(CONTROLS),
         "kernel_evaluation": evaluation,
         "convolution": {
             f"H={h:g}": "cholesky" if evaluation is None else convolution_method(h)
@@ -196,6 +224,50 @@ def variance_swap_strike(funcs: PathFunctionals, maturity: float) -> PriceEstima
     return _mean_se(funcs.integrated_variance / maturity)
 
 
+def _bind_controls(
+    spot: np.ndarray, x0: float, funcs: PathFunctionals
+) -> tuple[np.ndarray, np.ndarray]:
+    """The live CONTROLS on these paths and the pseudo-inverse of their
+    centred Gram matrix, for _controlled_mean.
+
+    spot is each path's terminal spot, or its conditional mean. Both
+    controls have mean exactly zero. A constant control (the spot control
+    at rho = 0 under mixing, Y at nu = 0) has zero sample variance and is
+    dropped; pinv tolerates what is left being collinear or having fewer
+    paths than controls.
+    """
+    if funcs.integrated_variance_mean is None:
+        raise ValueError(
+            "pricing needs functionals from simulate_functionals, which "
+            "record the exact mean of the integrated variance"
+        )
+    mean_zero = {
+        "spot_martingale": spot - math.exp(x0),
+        "integrated_variance": funcs.integrated_variance
+        - funcs.integrated_variance_mean,
+    }
+    candidates = [mean_zero[name] for name in CONTROLS]
+    if not all(np.isfinite(c).all() for c in candidates):
+        raise ValueError("control variates must be finite on every path")
+    live = [c for c in candidates if c.min() < c.max()]
+    controls = np.stack(live) if live else np.empty((0, spot.shape[0]))
+    centred = controls - controls.mean(axis=1, keepdims=True)
+    return controls, np.linalg.pinv(centred @ centred.T)
+
+
+def _controlled_mean(
+    values: np.ndarray, controls: np.ndarray, gram_pinv: np.ndarray
+) -> PriceEstimate:
+    """Mean and SE of values less beta times the mean-zero controls, beta
+    regressed on the same paths; exactly _mean_se(values) with no control."""
+    if not controls.shape[0]:
+        return _mean_se(values)
+    # the controls' cross-products with centred values are their sample
+    # covariances with values, up to the n - 1 the Gram matrix also omits
+    beta = gram_pinv @ (controls @ (values - values.mean()))
+    return _mean_se(values - beta @ controls)
+
+
 def strike_pricer(
     funcs: PathFunctionals,
     params: ModelParams,
@@ -208,17 +280,22 @@ def strike_pricer(
     All strikes reuse the same paths (common random numbers), which makes
     differences of implied vols across strikes far less noisy than
     independent runs would be. Each estimator mixes the rho-free
-    functionals for params.rho once, here, into the per-path arrays
-    every strike reads.
+    functionals for params.rho once, here, into the per-path arrays and
+    controls every strike reads, and checks them once.
 
     Conditional mixing: given the vol path, X_T ~ Normal(x0 - Y/2 + rho *
     int sigma dW + rho^2 adjustment, (1 - rho^2) Y); folding the mean into
     a shifted spot gives bs_price(x_hat, k, sqrt((1-rho^2) Y / T), T) per
-    path. At |rho| = 1 the conditional law is a point mass and bs_price's
-    degenerate branch returns the intrinsic value.
+    path. At |rho| = 1 the conditional law is a point mass and the price's
+    degenerate branch returns the intrinsic value. Its spot control is
+    e^{x_hat} - e^{x0}.
 
-    Direct Euler: per-path payoffs on the Euler terminal spot, less beta
-    times the terminal-spot control.
+    Direct Euler: per-path payoffs on the Euler terminal spot, whose spot
+    control is that spot less e^{x0}.
+
+    Both estimators subtract beta times CONTROLS, beta regressed per
+    strike on the same paths, so an implied vol's SE (price SE over vega)
+    is that of the controlled price.
     """
     if maturity <= 0.0:
         raise ValueError("maturity must be positive")
@@ -231,24 +308,24 @@ def strike_pricer(
                 "estimator='direct_euler'"
             )
         spot = np.exp(x0 + _terminal_log_return(funcs, params.rho))
-        control = spot - math.exp(x0)  # exactly mean-zero: e^X is a martingale
-        var = control.var(ddof=1) if control.shape[0] > 1 else 0.0
+        controls, gram_pinv = _bind_controls(spot, x0, funcs)
 
         def price_direct(k: float) -> PriceEstimate:
             payoff = np.maximum(spot - math.exp(k), 0.0)
-            if var == 0.0:
-                return _mean_se(payoff)
-            beta = np.cov(payoff, control, ddof=1)[0, 1] / var
-            return _mean_se(payoff - beta * control)
+            return _controlled_mean(payoff, controls, gram_pinv)
 
         return price_direct
 
     rho = params.rho
     y = funcs.integrated_variance
     x_hat = x0 + rho * funcs.int_sigma_dw - 0.5 * rho * rho * y
-    cond_vol = np.sqrt(max(1.0 - rho * rho, 0.0) * y / maturity)
+    ex = np.exp(x_hat)
+    srt = np.sqrt(max(1.0 - rho * rho, 0.0) * y)  # conditional vol * sqrt(T)
+    inv_srt, live = _reciprocal(srt)
+    controls, gram_pinv = _bind_controls(ex, x0, funcs)
 
     def price_conditional(k: float) -> PriceEstimate:
-        return _mean_se(bs_price(x_hat, k, cond_vol, maturity))
+        values = _call(x_hat, ex, k, srt, inv_srt, live)
+        return _controlled_mean(values, controls, gram_pinv)
 
     return price_conditional

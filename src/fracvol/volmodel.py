@@ -2,7 +2,9 @@
 
 The spot volatility is sigma_s = sigma0 * exp(nu * W^H_s - nu^2 s^{2H} / (4H)).
 The drift is exactly half the variance of nu * W^H_s, so E[sigma_s] = sigma0
-at every time (the path is mean-matched, not just asymptotically). The
+at every time (the path is mean-matched, not just asymptotically). A scheme
+whose W^H levels have another variance keeps the drift, so its exact mean
+of Y depends on that variance: see integrated_variance_mean. The
 correlation rho never enters here; it is applied by the pricing layer.
 """
 from __future__ import annotations
@@ -20,6 +22,7 @@ __all__ = [
     "PathFunctionals",
     "vol_paths",
     "path_functionals",
+    "integrated_variance_mean",
     "variance_swap_oracle",
 ]
 
@@ -52,6 +55,9 @@ class PathFunctionals:
     int_sigma_dw: int_0^T sigma dW (left-point Ito sum, adapted).
     int_sigma_db: int_0^T sigma dB against the orthogonal Brownian driver,
     drawn only for the direct Euler estimator.
+    integrated_variance_mean: the exact E[Y] of the scheme that drew the
+    paths (see integrated_variance_mean), which the pricers' Y control needs;
+    None for functionals of a bare batch, whose scheme is unknown.
 
     None of them depends on rho, so one simulation serves every
     correlation; the pricers mix them per rho.
@@ -60,6 +66,7 @@ class PathFunctionals:
     integrated_variance: np.ndarray
     int_sigma_dw: np.ndarray
     int_sigma_db: Optional[np.ndarray] = None
+    integrated_variance_mean: Optional[float] = None
 
     def __post_init__(self):
         if self.integrated_variance.shape != self.int_sigma_dw.shape:
@@ -91,14 +98,40 @@ def vol_paths(
         out = np.empty(shape)
     elif out.shape != shape:
         raise ValueError(f"out has shape {out.shape}, expected {shape}")
-    t_left = grid.times[:-1]
-    drift = params.nu**2 * t_left ** (2.0 * params.hurst) / (4.0 * params.hurst)
+    drift = _log_vol_drift(params, grid.times[:-1])
     out[:, 0] = 0.0
     np.multiply(batch.wh[:, :-1], params.nu, out=out[:, 1:])
     out -= drift
     np.exp(out, out=out)
     out *= params.sigma0
     return out
+
+
+def _log_vol_drift(params: ModelParams, t: np.ndarray) -> np.ndarray:
+    """nu^2 t^{2H} / (4H), subtracted from nu W^H_t in log sigma_t."""
+    return params.nu**2 * t ** (2.0 * params.hurst) / (4.0 * params.hurst)
+
+
+def integrated_variance_mean(
+    params: ModelParams, grid: TimeGrid, level_variance: np.ndarray
+) -> float:
+    """Exact mean of the left-point Y of a scheme with these W^H variances.
+
+    level_variance[j] is the scheme's own Var W^H at the left point t_j,
+    j = 0..n_steps-1. With the drift of vol_paths, E[sigma_j^2] =
+    sigma0^2 exp(2 nu^2 V_j - nu^2 t_j^{2H} / (2H)), so
+
+        E[Y] = dt sum_j sigma0^2 exp(2 nu^2 V_j - nu^2 t_j^{2H} / (2H)).
+
+    Only where V_j = t_j^{2H} / (2H), as for the exact law, does this
+    reduce to dt sum_j sigma0^2 exp(nu^2 V_j); a scheme that loses
+    variance, like the midpoint kernel, has a smaller mean.
+    """
+    if level_variance.shape != (grid.n_steps,):
+        raise ValueError("level_variance needs one entry per left grid point")
+    drift = _log_vol_drift(params, grid.times[:-1])
+    log_second_moment = 2.0 * (params.nu**2 * level_variance - drift)
+    return float(grid.dt * params.sigma0**2 * np.exp(log_second_moment).sum())
 
 
 def path_functionals(

@@ -57,6 +57,12 @@ class TestBsPrice:
         assert bs_price(0.0, 0.1, 0.0, 1.0) == 0.0
         assert bs_price(0.0, -0.1, 0.2, 0.0) == pytest.approx(1.0 - math.exp(-0.1))
 
+    def test_subnormal_total_vol_returns_intrinsic(self):
+        # 1 / (sigma sqrt(tau)) overflows: ATM must not come out as 0 * inf
+        for k in (-0.1, 0.0, 0.1):
+            expected = max(1.0 - math.exp(k), 0.0)
+            assert bs_price(0.0, k, 1e-160, 1e-300) == pytest.approx(expected, abs=1e-15)
+
     def test_broadcasting(self):
         ks = np.array([-0.2, 0.0, 0.2])
         out = bs_price(0.0, ks, 0.2, 1.0)
@@ -167,6 +173,22 @@ class TestImpliedVol:
         price = real(0.01, -0.03, 0.27, 1.3)
         assert implied_vol(price, 0.01, -0.03, 1.3) == pytest.approx(0.27, abs=1e-10)
         assert len(calls) <= 16
+
+    def test_near_atm_inversion_prices_each_bracket_end_once(self, monkeypatch):
+        # brentq prices both ends of IV_BRACKET itself; a sign pre-check
+        # would price them a second time
+        calls = []
+        real = blackscholes.bs_price
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(blackscholes, "bs_price", counted)
+        price = real(0.01, -0.03, 0.27, 1.3)
+        implied_vol(price, 0.01, -0.03, 1.3)
+        assert len(calls) == 8
+        assert len(set(calls)) == len(calls)
 
     def test_deterministic(self):
         price = bs_price(0.01, -0.03, 0.27, 1.3)

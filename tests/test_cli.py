@@ -269,6 +269,7 @@ class TestRun:
         assert manifest["simulation"] == {
             "bit_generator": "Philox",
             "block_size": 65_536,
+            "controls": ["spot_martingale", "integrated_variance"],
             "kernel_evaluation": "variance_exact",
             "convolution": {"H=0.5": "cumsum"},
         }

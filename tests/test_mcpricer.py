@@ -17,6 +17,7 @@ from fracvol.fbm import (
 from fracvol.mcpricer import (
     McConfig,
     PriceEstimate,
+    _mean_se,
     _terminal_log_return,
     simulate_functionals,
     strike_pricer,
@@ -25,6 +26,8 @@ from fracvol.mcpricer import (
 )
 from fracvol.volmodel import (
     ModelParams,
+    PathFunctionals,
+    integrated_variance_mean,
     path_functionals,
     variance_swap_oracle,
     vol_paths,
@@ -44,6 +47,25 @@ def plain_direct_price(funcs, params, x0: float, k: float) -> PriceEstimate:
     payoff = np.maximum(np.exp(x0 + ret) - math.exp(k), 0.0)
     se = payoff.std(ddof=1) / math.sqrt(payoff.shape[0])
     return PriceEstimate(float(payoff.mean()), float(se), payoff.shape[0])
+
+
+def mixing_values(funcs, rho: float, x0: float, k: float, maturity: float):
+    """Per-path conditional call values and the shifted spot x_hat."""
+    y = funcs.integrated_variance
+    x_hat = x0 + rho * funcs.int_sigma_dw - 0.5 * rho * rho * y
+    cond_vol = np.sqrt((1.0 - rho * rho) * y / maturity)
+    return bs_price(x_hat, k, cond_vol, maturity), x_hat
+
+
+def regression_estimate(values, spot, x0: float, funcs) -> PriceEstimate:
+    """values less the least-squares fit on the centred spot and Y
+    controls, each taken against its exact mean."""
+    controls = np.column_stack(
+        [spot - math.exp(x0), funcs.integrated_variance - funcs.integrated_variance_mean]
+    )
+    centred = controls - controls.mean(axis=0)
+    beta = np.linalg.lstsq(centred, values - values.mean(), rcond=None)[0]
+    return _mean_se(values - controls @ beta)
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +113,8 @@ class TestConditionalEstimator:
         funcs = simulate_functionals(grid, params, McConfig(n_paths=200, seed=1))
         est = strike_pricer(funcs, params, 0.0, 1.0)(0.0)
         assert est.value == pytest.approx(bs_price(0.0, 0.0, SIGMA0, 1.0), abs=1e-12)
-        assert est.std_error < 1e-12
+        # Y is constant and the shifted spot is x0: both controls drop
+        assert est.std_error == 0.0
 
     def test_zero_nu_correlated_recombines_to_bs(self):
         # With constant vol the conditional values still vary path to path
@@ -214,6 +237,95 @@ class TestDirectEstimator:
         cond = strike_pricer(funcs, params, 0.0, 1.0)(0.0)
         direct = plain_direct_price(funcs, params, 0.0, 0.0)
         assert cond.std_error < direct.std_error
+
+
+class TestControlVariates:
+    @pytest.mark.parametrize(
+        "scheme", ["convolution", "midpoint_convolution", "cholesky_oracle"]
+    )
+    def test_recorded_mean_of_y_is_exact(self, scheme):
+        # H = 0.1 on 10 steps: the midpoint kernel loses so much variance
+        # that taking its W^H variance as t^{2H} / (2H) misses by over
+        # 200 SE, so the check can tell the two formulas apart.
+        grid = TimeGrid(1.0, 10)
+        params = ModelParams(SIGMA0, NU, 0.0, 0.1)
+        config = McConfig(n_paths=100_000, seed=5, scheme=scheme)
+        funcs = simulate_functionals(grid, params, config)
+        y = funcs.integrated_variance
+        se = y.std(ddof=1) / math.sqrt(y.shape[0])
+        assert abs(y.mean() - funcs.integrated_variance_mean) < 4.0 * se
+        exact_law = integrated_variance_mean(
+            params, grid, grid.times[:-1] ** 0.2 / 0.2
+        )
+        if scheme == "midpoint_convolution":
+            assert abs(y.mean() - exact_law) > 4.0 * se
+        else:
+            assert funcs.integrated_variance_mean == pytest.approx(exact_law, rel=1e-12)
+
+    def test_mean_of_y_matches_the_variance_swap_oracle(self):
+        grid = TimeGrid(1.0, 250)
+        params = ModelParams(SIGMA0, NU, 0.0, 0.3)
+        funcs = simulate_functionals(grid, params, McConfig(n_paths=16, seed=1))
+        # the left-point sum of a smooth integrand is O(dt) below it
+        oracle = variance_swap_oracle(params, 1.0)
+        assert funcs.integrated_variance_mean == pytest.approx(oracle, rel=1e-3)
+
+    @pytest.mark.parametrize("rho", [-0.8, 0.0])
+    @pytest.mark.parametrize("estimator", ["conditional_mixing", "direct_euler"])
+    def test_controls_cut_the_se_and_keep_the_mean(self, rho, estimator):
+        grid = TimeGrid(1.0, 100)
+        params = ModelParams(SIGMA0, NU, rho, 0.1)
+        config = McConfig(n_paths=50_000, seed=29, estimator=estimator)
+        funcs = simulate_functionals(grid, params, config)
+        if estimator == "direct_euler":
+            plain = plain_direct_price(funcs, params, 0.0, 0.0)
+        else:
+            plain = _mean_se(mixing_values(funcs, rho, 0.0, 0.0, 1.0)[0])
+        est = strike_pricer(funcs, params, 0.0, 1.0, estimator=estimator)(0.0)
+        assert est.std_error * 1.5 <= plain.std_error
+        assert abs(est.value - plain.value) < 3.0 * plain.std_error
+
+    @pytest.mark.parametrize("rho", [-1.0, 1.0])
+    def test_unit_correlation_prices_intrinsic_values(self, rho):
+        grid = TimeGrid(1.0, 50)
+        params = ModelParams(SIGMA0, NU, rho, 0.3)
+        funcs = simulate_functionals(grid, params, McConfig(n_paths=20_000, seed=3))
+        x_hat = rho * funcs.int_sigma_dw - 0.5 * funcs.integrated_variance
+        pricer = strike_pricer(funcs, params, 0.0, 1.0)
+        for k in (-0.05, 0.0, 0.05):
+            intrinsic = np.maximum(np.exp(x_hat) - math.exp(k), 0.0)
+            expected = regression_estimate(intrinsic, np.exp(x_hat), 0.0, funcs)
+            assert pricer(k).value == pytest.approx(expected.value, rel=1e-12)
+
+    @pytest.mark.parametrize("n_paths", [1, 2])
+    @pytest.mark.parametrize("estimator", ["conditional_mixing", "direct_euler"])
+    def test_tiny_batches_price(self, n_paths, estimator):
+        # two paths leave the two controls' Gram matrix singular
+        grid = TimeGrid(1.0, 16)
+        params = ModelParams(SIGMA0, NU, -0.8, 0.1)
+        config = McConfig(n_paths=n_paths, seed=1, estimator=estimator)
+        funcs = simulate_functionals(grid, params, config)
+        est = strike_pricer(funcs, params, 0.0, 1.0, estimator=estimator)(0.0)
+        assert math.isfinite(est.value) and math.isfinite(est.std_error)
+        assert est.n_paths == n_paths
+
+    @pytest.mark.parametrize("field", ["integrated_variance", "int_sigma_dw"])
+    def test_non_finite_paths_are_rejected(self, field):
+        # a NaN control must not pass for a constant one and be dropped
+        arrays = {"integrated_variance": np.full(4, 0.04), "int_sigma_dw": np.zeros(4)}
+        arrays[field][1] = np.nan
+        funcs = PathFunctionals(**arrays, integrated_variance_mean=0.04)
+        params = ModelParams(SIGMA0, NU, 0.0, 0.3)
+        with pytest.raises(ValueError, match="finite"):
+            strike_pricer(funcs, params, 0.0, 1.0)
+
+    def test_functionals_without_the_mean_of_y_are_rejected(self):
+        grid = TimeGrid(1.0, 8)
+        params = ModelParams(SIGMA0, NU, -0.5, 0.3)
+        batch = sample_paths(grid, kernel_weights(grid, 0.3), 64, seed=1)
+        funcs = path_functionals(vol_paths(batch, params, grid), batch, grid)
+        with pytest.raises(ValueError, match="mean of the integrated variance"):
+            strike_pricer(funcs, params, 0.0, 1.0)
 
 
 class TestSwapStrikes:
@@ -401,22 +513,33 @@ class TestDeterminism:
 
 class TestStrikePricer:
     def test_conditional_closure_matches_direct_call(self, funcs_h05):
-        # The mixing formula written out: shifted spot, reduced vol, at a
-        # correlation the rho-free functionals were not simulated with.
+        # The mixing formula and the two-control regression written out:
+        # shifted spot, reduced vol, at a correlation the rho-free
+        # functionals were not simulated with.
         grid, _, funcs = funcs_h05
         params = ModelParams(SIGMA0, NU, -0.5, 0.5)
-        rho, y, t = params.rho, funcs.integrated_variance, grid.maturity
-        x_hat = rho * funcs.int_sigma_dw - 0.5 * rho * rho * y
-        cond_vol = np.sqrt((1.0 - rho * rho) * y / t)
-        pricer = strike_pricer(funcs, params, 0.0, t)
+        pricer = strike_pricer(funcs, params, 0.0, grid.maturity)
         for k in (-0.05, 0.0, 0.05):
-            values = bs_price(x_hat, k, cond_vol, t)
-            direct = PriceEstimate(
-                float(values.mean()),
-                float(values.std(ddof=1) / math.sqrt(values.shape[0])),
-                values.shape[0],
-            )
-            assert pricer(k) == direct
+            values, x_hat = mixing_values(funcs, params.rho, 0.0, k, grid.maturity)
+            expected = regression_estimate(values, np.exp(x_hat), 0.0, funcs)
+            est = pricer(k)
+            assert est.value == pytest.approx(expected.value, rel=1e-12, abs=0.0)
+            assert est.std_error == pytest.approx(expected.std_error, rel=1e-9)
+            assert est.n_paths == expected.n_paths
+
+    def test_direct_closure_matches_regression(self):
+        grid = TimeGrid(1.0, 32)
+        params = ModelParams(SIGMA0, NU, -0.5, 0.3)
+        config = McConfig(n_paths=20_000, seed=37, estimator="direct_euler")
+        funcs = simulate_functionals(grid, params, config)
+        pricer = strike_pricer(funcs, params, 0.0, 1.0, estimator="direct_euler")
+        spot = np.exp(_terminal_log_return(funcs, params.rho))
+        for k in (-0.05, 0.0, 0.05):
+            payoff = np.maximum(spot - math.exp(k), 0.0)
+            expected = regression_estimate(payoff, spot, 0.0, funcs)
+            est = pricer(k)
+            assert est.value == pytest.approx(expected.value, rel=1e-12, abs=0.0)
+            assert est.std_error == pytest.approx(expected.std_error, rel=1e-9)
 
     def test_direct_requires_terminal(self, funcs_h05):
         grid, params, funcs = funcs_h05
