@@ -77,39 +77,23 @@ def bs_price(x, k, sigma, tau):
     if np.any(sigma < 0.0) or np.any(tau < 0.0):
         raise ValueError("sigma and tau must be nonnegative")
     srt = sigma * np.sqrt(tau)
-    price = _call(x, np.exp(x), k, srt, *_reciprocal(srt))
+    live = srt > 0.0
+    price = _call(x, np.exp(x), k, np.where(live, srt, 1.0), live)
     return float(price) if scalar else price
 
 
-def _reciprocal(srt: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """The ``inv_srt`` and ``live`` arguments of _call for total vols srt >= 0.
-
-    A total vol whose reciprocal overflows (0 or subnormal) prices at the
-    intrinsic value, its limit: (x - k) / srt would be 0 * inf at x = k.
-    """
-    with np.errstate(divide="ignore", over="ignore"):
-        inv_srt = 1.0 / srt
-    live = np.isfinite(inv_srt)
-    if live.all():
-        return inv_srt, None
-    return np.where(live, inv_srt, 1.0), live
-
-
-def _call(x, ex, k, srt, inv_srt, live):
+def _call(x, ex, k, srt_safe, live):
     """Call price on checked inputs, the one copy of the formula.
 
-    ex is ``exp(x)``, srt the total vol ``sigma sqrt(tau) >= 0`` and inv_srt
-    its reciprocal. live is None when every reciprocal is finite; otherwise
-    it marks the finite ones, inv_srt must be finite elsewhere too, and
-    there the price is the intrinsic value. Everything that does not depend on k
+    ex is ``exp(x)``; live marks the total vols ``sigma sqrt(tau)`` that are
+    positive, and srt_safe holds them there and 1 elsewhere, where the
+    price is the intrinsic value. Everything that does not depend on k
     comes in precomputed, so a caller pricing many strikes on the same
     arrays checks and prepares them once.
     """
     ek = np.exp(k)
-    d_1 = (x - k) * inv_srt + 0.5 * srt
-    price = ex * ndtr(d_1) - ek * ndtr(d_1 - srt)
-    if live is None:
-        return price
+    d_1 = (x - k) / srt_safe + 0.5 * srt_safe
+    price = ex * ndtr(d_1) - ek * ndtr(d_1 - srt_safe)
     return np.where(live, price, np.maximum(ex - ek, 0.0))
 
 

@@ -23,6 +23,8 @@ __all__ = [
     "sample_paths",
     "iter_path_blocks",
     "cholesky_oracle",
+    "level_variance",
+    "exact_level_variance",
     "block_rng",
     "convolution_method",
     "BIT_GENERATOR",
@@ -162,6 +164,20 @@ def _convolution_matrix(weights: KernelWeights) -> np.ndarray | None:
     # convolution at every step count the grids use
     b = weights.weights
     return toeplitz(b, np.zeros_like(b)).T
+
+
+def level_variance(grid: TimeGrid, weights: KernelWeights) -> np.ndarray:
+    """Var W^H at the left grid points t_0..t_{n-1} under the convolution
+    with these weights.
+
+    W^H_{t_j} sums b_{j-1-l} dW_l over l < j, so its variance is dt times
+    the running sum of the first j squared weights, 0 at t_0. For the
+    variance-exact weights this telescopes to exact_level_variance.
+    """
+    if weights.n_steps != grid.n_steps:
+        raise ValueError("weights were built for a different grid")
+    b_sq = weights.weights[:-1] ** 2
+    return grid.dt * np.concatenate(([0.0], np.cumsum(b_sq)))
 
 
 def _fill_block(
@@ -316,6 +332,12 @@ def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
     raise np.linalg.LinAlgError(
         "joint covariance is not positive definite even after jitter"
     )
+
+
+def exact_level_variance(grid: TimeGrid, hurst: float) -> np.ndarray:
+    """Var W^H = t^{2H} / (2H) of the exact law, which cholesky_oracle
+    samples, at the left grid points t_0..t_{n-1}."""
+    return grid.times[:-1] ** (2.0 * hurst) / (2.0 * hurst)
 
 
 def cholesky_oracle(

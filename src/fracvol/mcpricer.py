@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .blackscholes import _call, _reciprocal
+from .blackscholes import _call
 from .fbm import (
     B_STREAM,
     BIT_GENERATOR,
@@ -37,8 +37,10 @@ from .fbm import (
     block_rng,
     cholesky_oracle,
     convolution_method,
+    exact_level_variance,
     iter_path_blocks,
     kernel_weights,
+    level_variance,
 )
 from .volmodel import (
     ModelParams,
@@ -114,9 +116,11 @@ class PriceEstimate:
             raise ValueError("std_error must be nonnegative")
 
 
-def _mean_se(values: np.ndarray) -> PriceEstimate:
+def _mean_se(values: np.ndarray, ddof: int = 1) -> PriceEstimate:
+    """Sample mean with its SE; ddof counts the fitted parameters the
+    values already carry (1 for the mean alone). SE 0 when n <= ddof."""
     n = values.shape[0]
-    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    se = float(values.std(ddof=ddof) / math.sqrt(n)) if n > ddof else 0.0
     return PriceEstimate(value=float(values.mean()), std_error=se, n_paths=n)
 
 
@@ -148,17 +152,14 @@ def simulate_functionals(
     if config.scheme == "cholesky_oracle":
         blocks = [(0, cholesky_oracle(grid, params.hurst, config.n_paths, config.seed))]
         buffer_rows = config.n_paths
-        level_variance = grid.times[:-1] ** (2.0 * params.hurst) / (2.0 * params.hurst)
+        variance = exact_level_variance(grid, params.hurst)
     else:
         weights = kernel_weights(grid, params.hurst, KERNEL_EVALUATION[config.scheme])
         buffer_rows = min(config.block_size, config.n_paths)
         blocks = iter_path_blocks(
             grid, weights, config.n_paths, config.seed, config.block_size
         )
-        # W^H_{t_j} sums b_{j-1-l} dW_l over l < j, so its variance is dt
-        # times the running sum of the squared weights, 0 at t_0
-        b_sq = weights.weights[:-1] ** 2
-        level_variance = grid.dt * np.concatenate(([0.0], np.cumsum(b_sq)))
+        variance = level_variance(grid, weights)
     vol = np.empty((buffer_rows, grid.n_steps))
 
     for idx, blk in blocks:
@@ -177,7 +178,7 @@ def simulate_functionals(
         integrated_variance=y,
         int_sigma_dw=ito,
         int_sigma_db=ito_b,
-        integrated_variance_mean=integrated_variance_mean(params, grid, level_variance),
+        integrated_variance_mean=integrated_variance_mean(params, grid, variance),
     )
 
 
@@ -259,13 +260,20 @@ def _controlled_mean(
     values: np.ndarray, controls: np.ndarray, gram_pinv: np.ndarray
 ) -> PriceEstimate:
     """Mean and SE of values less beta times the mean-zero controls, beta
-    regressed on the same paths; exactly _mean_se(values) with no control."""
-    if not controls.shape[0]:
+    regressed on the same paths.
+
+    The residuals' variance divides by n less one for the mean and one per
+    beta. Exactly _mean_se(values) with no live control, and also with too
+    few paths to leave the regression a degree of freedom, where the
+    residuals would all be zero.
+    """
+    ddof = 1 + controls.shape[0]
+    if values.shape[0] <= ddof:
         return _mean_se(values)
     # the controls' cross-products with centred values are their sample
     # covariances with values, up to the n - 1 the Gram matrix also omits
     beta = gram_pinv @ (controls @ (values - values.mean()))
-    return _mean_se(values - beta @ controls)
+    return _mean_se(values - beta @ controls, ddof)
 
 
 def strike_pricer(
@@ -321,11 +329,12 @@ def strike_pricer(
     x_hat = x0 + rho * funcs.int_sigma_dw - 0.5 * rho * rho * y
     ex = np.exp(x_hat)
     srt = np.sqrt(max(1.0 - rho * rho, 0.0) * y)  # conditional vol * sqrt(T)
-    inv_srt, live = _reciprocal(srt)
+    live = srt > 0.0
+    srt_safe = np.where(live, srt, 1.0)
     controls, gram_pinv = _bind_controls(ex, x0, funcs)
 
     def price_conditional(k: float) -> PriceEstimate:
-        values = _call(x_hat, ex, k, srt, inv_srt, live)
+        values = _call(x_hat, ex, k, srt_safe, live)
         return _controlled_mean(values, controls, gram_pinv)
 
     return price_conditional

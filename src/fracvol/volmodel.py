@@ -118,7 +118,8 @@ def integrated_variance_mean(
     """Exact mean of the left-point Y of a scheme with these W^H variances.
 
     level_variance[j] is the scheme's own Var W^H at the left point t_j,
-    j = 0..n_steps-1. With the drift of vol_paths, E[sigma_j^2] =
+    j = 0..n_steps-1, as fbm.level_variance and fbm.exact_level_variance
+    give it. With the drift of vol_paths, E[sigma_j^2] =
     sigma0^2 exp(2 nu^2 V_j - nu^2 t_j^{2H} / (2H)), so
 
         E[Y] = dt sum_j sigma0^2 exp(2 nu^2 V_j - nu^2 t_j^{2H} / (2H)).

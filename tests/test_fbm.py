@@ -16,8 +16,10 @@ from fracvol.fbm import (
     _joint_covariance,
     block_rng,
     cholesky_oracle,
+    exact_level_variance,
     iter_path_blocks,
     kernel_weights,
+    level_variance,
     sample_paths,
 )
 
@@ -123,6 +125,25 @@ class TestConvolution:
                 [np.convolve(row, w.weights)[:n_steps] for row in batch.dw]
             )
             np.testing.assert_allclose(batch.wh, expected, rtol=0, atol=1e-12)
+
+
+    @pytest.mark.parametrize("evaluation", ["variance_exact", "midpoint"])
+    def test_level_variance_matches_sampled_levels(self, evaluation):
+        # H = 0.1 on 10 steps: the midpoint levels fall well short of
+        # t^{2H} / (2H), so the per-point variances must follow the weights
+        grid = TimeGrid(1.0, 10)
+        w = kernel_weights(grid, 0.1, evaluation)
+        variance = level_variance(grid, w)
+        assert variance[0] == 0.0
+        batch = sample_paths(grid, w, 100_000, seed=11)
+        sample = batch.wh[:, :-1].var(axis=0, ddof=1)
+        se = variance[1:] * math.sqrt(2.0 / batch.n_paths)
+        assert np.all(np.abs(sample - variance[1:]) < 4.0 * se)
+        exact = exact_level_variance(grid, 0.1)
+        if evaluation == "variance_exact":
+            np.testing.assert_allclose(variance, exact, rtol=1e-12, atol=0.0)
+        else:
+            assert np.all(variance[1:] < exact[1:] - 4.0 * se)
 
 
 class TestSamplePaths:

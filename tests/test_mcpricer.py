@@ -44,9 +44,7 @@ def combined_se(a: PriceEstimate, b: PriceEstimate) -> float:
 def plain_direct_price(funcs, params, x0: float, k: float) -> PriceEstimate:
     """Direct Euler payoff mean without the terminal-spot control."""
     ret = _terminal_log_return(funcs, params.rho)
-    payoff = np.maximum(np.exp(x0 + ret) - math.exp(k), 0.0)
-    se = payoff.std(ddof=1) / math.sqrt(payoff.shape[0])
-    return PriceEstimate(float(payoff.mean()), float(se), payoff.shape[0])
+    return _mean_se(np.maximum(np.exp(x0 + ret) - math.exp(k), 0.0))
 
 
 def mixing_values(funcs, rho: float, x0: float, k: float, maturity: float):
@@ -59,13 +57,14 @@ def mixing_values(funcs, rho: float, x0: float, k: float, maturity: float):
 
 def regression_estimate(values, spot, x0: float, funcs) -> PriceEstimate:
     """values less the least-squares fit on the centred spot and Y
-    controls, each taken against its exact mean."""
+    controls, each taken against its exact mean; the residuals' SE counts
+    the mean and both betas as fitted."""
     controls = np.column_stack(
         [spot - math.exp(x0), funcs.integrated_variance - funcs.integrated_variance_mean]
     )
     centred = controls - controls.mean(axis=0)
     beta = np.linalg.lstsq(centred, values - values.mean(), rcond=None)[0]
-    return _mean_se(values - controls @ beta)
+    return _mean_se(values - controls @ beta, ddof=3)
 
 
 @pytest.fixture(scope="module")
@@ -300,14 +299,34 @@ class TestControlVariates:
     @pytest.mark.parametrize("n_paths", [1, 2])
     @pytest.mark.parametrize("estimator", ["conditional_mixing", "direct_euler"])
     def test_tiny_batches_price(self, n_paths, estimator):
-        # two paths leave the two controls' Gram matrix singular
+        # two paths leave the two controls' Gram matrix singular and the
+        # regression no degree of freedom: the fit would pass through both
+        # paths and report an SE of rounding, so the plain estimate stands
         grid = TimeGrid(1.0, 16)
         params = ModelParams(SIGMA0, NU, -0.8, 0.1)
         config = McConfig(n_paths=n_paths, seed=1, estimator=estimator)
         funcs = simulate_functionals(grid, params, config)
         est = strike_pricer(funcs, params, 0.0, 1.0, estimator=estimator)(0.0)
-        assert math.isfinite(est.value) and math.isfinite(est.std_error)
+        if estimator == "direct_euler":
+            plain = plain_direct_price(funcs, params, 0.0, 0.0)
+        else:
+            plain = _mean_se(mixing_values(funcs, params.rho, 0.0, 0.0, 1.0)[0])
+        assert est.value == pytest.approx(plain.value, rel=1e-12)
+        assert est.std_error == pytest.approx(plain.std_error, rel=1e-12, abs=0.0)
+        if n_paths == 2:
+            assert est.std_error > 1e-6
         assert est.n_paths == n_paths
+
+    def test_residual_se_counts_the_fitted_betas(self):
+        # four paths, two live controls: one degree of freedom is left
+        grid = TimeGrid(1.0, 16)
+        params = ModelParams(SIGMA0, NU, -0.8, 0.1)
+        funcs = simulate_functionals(grid, params, McConfig(n_paths=4, seed=1))
+        values, x_hat = mixing_values(funcs, params.rho, 0.0, 0.0, 1.0)
+        expected = regression_estimate(values, np.exp(x_hat), 0.0, funcs)
+        est = strike_pricer(funcs, params, 0.0, 1.0)(0.0)
+        assert est.std_error == pytest.approx(expected.std_error, rel=1e-9)
+        assert est.std_error > 1e-6
 
     @pytest.mark.parametrize("field", ["integrated_variance", "int_sigma_dw"])
     def test_non_finite_paths_are_rejected(self, field):
