@@ -126,7 +126,6 @@ class TestConvolution:
             )
             np.testing.assert_allclose(batch.wh, expected, rtol=0, atol=1e-12)
 
-
     @pytest.mark.parametrize("evaluation", ["variance_exact", "midpoint"])
     def test_level_variance_matches_sampled_levels(self, evaluation):
         # H = 0.1 on 10 steps: the midpoint levels fall well short of

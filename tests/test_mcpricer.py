@@ -317,17 +317,6 @@ class TestControlVariates:
             assert est.std_error > 1e-6
         assert est.n_paths == n_paths
 
-    def test_residual_se_counts_the_fitted_betas(self):
-        # four paths, two live controls: one degree of freedom is left
-        grid = TimeGrid(1.0, 16)
-        params = ModelParams(SIGMA0, NU, -0.8, 0.1)
-        funcs = simulate_functionals(grid, params, McConfig(n_paths=4, seed=1))
-        values, x_hat = mixing_values(funcs, params.rho, 0.0, 0.0, 1.0)
-        expected = regression_estimate(values, np.exp(x_hat), 0.0, funcs)
-        est = strike_pricer(funcs, params, 0.0, 1.0)(0.0)
-        assert est.std_error == pytest.approx(expected.std_error, rel=1e-9)
-        assert est.std_error > 1e-6
-
     @pytest.mark.parametrize("field", ["integrated_variance", "int_sigma_dw"])
     def test_non_finite_paths_are_rejected(self, field):
         # a NaN control must not pass for a constant one and be dropped
