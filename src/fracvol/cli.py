@@ -1,11 +1,13 @@
 """Command-line experiment runner.
 
 Sweeps a (hurst, maturity, rho) grid, writes one CSV row per cell plus a
-JSON manifest, and prints a human-readable summary in percent units.  The
-CSV carries raw full-precision decimals and is byte-identical across
-reruns and worker counts: cell seeds derive from grid position, results
-are emitted in sorted (rho, H, T) order, and the manifest (which carries
-a timestamp) lives in a separate file.
+JSON manifest, and prints a human-readable summary in percent units.  One
+task simulates each H once for every maturity and prices all its (rho, T)
+cells; the worker pool maps over H.  The CSV carries raw full-precision
+decimals and is byte-identical across reruns and worker counts: seeds
+derive from the H's grid position, results are emitted in sorted (rho, H,
+T) order, and the manifest (which carries a timestamp) lives in a
+separate file.
 
 Config file format, overridable by flags::
 
@@ -59,9 +61,8 @@ from .swapanalysis import (
 from .volmodel import ModelParams
 
 VALID_MODES = ("tables", "convergence")
-# Cell seeds pack (h_index, t_index) into base-100 digits below the base
-# seed, so a longer hurst or maturities list would reuse another cell's
-# normals.
+# Seeds put h_index in the two decimal digits below the base seed, so a
+# longer hurst list would reuse the normals of the next base seed's H.
 MAX_AXIS_VALUES = 100
 
 # CSV column -> the SwapReport field it carries, in column order
@@ -117,11 +118,11 @@ class ExperimentConfig:
                 raise ConfigError(f"key '{name}': list must not be empty")
             if len(set(values)) != len(values):
                 raise ConfigError(f"key '{name}': values must be distinct")
-            if name != "rho" and len(values) > MAX_AXIS_VALUES:
-                raise ConfigError(
-                    f"key '{name}': at most {MAX_AXIS_VALUES} values, "
-                    "or cells would share seeds"
-                )
+        if len(self.hurst) > MAX_AXIS_VALUES:
+            raise ConfigError(
+                f"key 'hurst': at most {MAX_AXIS_VALUES} values, "
+                "or simulations would share seeds"
+            )
         for name, bound in (("n_paths", 2), ("workers", 1)):
             if getattr(self, name) < bound:
                 raise ConfigError(f"key '{name}': must be at least {bound}")
@@ -242,11 +243,12 @@ def build_config(
     return ExperimentConfig(**merged)
 
 
-def _cell_seed(config: ExperimentConfig, h_index: int, t_index: int) -> int:
+def _h_seed(config: ExperimentConfig, h_index: int) -> int:
     # Seeds depend on grid position, not worker scheduling. They carry no
-    # rho: the path functionals are rho-free, so every rho of a (H, T)
-    # cell prices on one simulation, whichever the estimator.
-    return (config.seed * MAX_AXIS_VALUES + h_index) * MAX_AXIS_VALUES + t_index
+    # T or rho: one simulation serves every maturity of an H, and its
+    # functionals are rho-free, so every (rho, T) cell of an H prices on
+    # it, whichever the estimator.
+    return config.seed * MAX_AXIS_VALUES + h_index
 
 
 def _mc_config(config: ExperimentConfig, seed: int) -> McConfig:
@@ -262,37 +264,42 @@ Cell = tuple[float, float, float]  # (rho, H, T), the CSV's sort order
 
 
 def _cell_rows(
-    config: ExperimentConfig, h_index: int, t_index: int
+    config: ExperimentConfig, h_index: int
 ) -> list[tuple[Cell, SwapReport | str]]:
-    """Price every rho for one (H, T) cell on one shared simulation.
+    """Price every (rho, T) cell of one H on one shared simulation.
 
     Each (rho, H, T) gets its report or, on a numerical failure
     (including NoSolutionError, a ValueError), the failure's cause; a
-    failed simulation fails every rho with the same cause. Anything else
-    is a bug and propagates.
+    failed simulation fails every (rho, T) of its H with the same cause.
+    Anything else is a bug and propagates.
     """
     hurst = config.hurst[h_index]
-    maturity = config.maturities[t_index]
-    mc = _mc_config(config, _cell_seed(config, h_index, t_index))
-    grid = TimeGrid(maturity, config.n_steps)
+    mc = _mc_config(config, _h_seed(config, h_index))
     cell_params = [
         ModelParams(sigma0=config.sigma0, nu=config.nu, rho=rho, hurst=hurst)
         for rho in config.rho
     ]
     try:
-        funcs = simulate_functionals(grid, cell_params[0], mc)
+        per_maturity = simulate_functionals(
+            TimeGrid(1.0, config.n_steps), cell_params[0], mc, config.maturities
+        )
     except NUMERICAL_ERRORS as exc:
-        return [((p.rho, hurst, maturity), _cause(exc)) for p in cell_params]
+        return [
+            ((p.rho, hurst, maturity), _cause(exc))
+            for maturity in config.maturities
+            for p in cell_params
+        ]
     outcomes: list[tuple[Cell, SwapReport | str]] = []
-    for params in cell_params:
-        try:
-            pricer = strike_pricer(
-                funcs, params, X0, maturity, estimator=config.estimator
-            )
-            outcome = zero_vanna_report(pricer, funcs, params, X0, maturity, mc)
-        except NUMERICAL_ERRORS as exc:
-            outcome = _cause(exc)
-        outcomes.append(((params.rho, hurst, maturity), outcome))
+    for maturity, funcs in zip(config.maturities, per_maturity):
+        for params in cell_params:
+            try:
+                pricer = strike_pricer(
+                    funcs, params, X0, maturity, estimator=config.estimator
+                )
+                outcome = zero_vanna_report(pricer, funcs, params, X0, maturity, mc)
+            except NUMERICAL_ERRORS as exc:
+                outcome = _cause(exc)
+            outcomes.append(((params.rho, hurst, maturity), outcome))
     return outcomes
 
 
@@ -319,22 +326,32 @@ def _write_csv(path: Path, outcomes: dict[Cell, SwapReport | str]) -> None:
             writer.writerow(_format_csv_value(value) for value in row)
 
 
+def _blas_build() -> str:
+    """Name and version of the BLAS numpy was built against."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas.get('name')} {blas.get('version')}"
+
+
 def _write_manifest(
     csv_path: Path, config: ExperimentConfig, extra: dict[str, object]
 ) -> Path:
     manifest_path = csv_path.with_suffix(".manifest.json")
+    simulation = simulation_record(_mc_config(config, config.seed), config.hurst)
+    simulation["seeds"] = {
+        f"H={hurst:g}": _h_seed(config, h_index)
+        for h_index, hurst in enumerate(config.hurst)
+    }
     payload: dict[str, object] = {
         "version": __version__,
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
+            "blas": _blas_build(),
         },
         "created_at": datetime.now(timezone.utc).isoformat(),
         "config": dataclasses.asdict(config),
-        "simulation": simulation_record(
-            _mc_config(config, config.seed), config.hurst
-        ),
+        "simulation": simulation,
     }
     payload.update(extra)
     # the rate fits are RateFit dataclasses
@@ -360,17 +377,17 @@ def _human_summary(outcomes: dict[Cell, SwapReport | str], stream) -> None:
 def run(config: ExperimentConfig, stream=None) -> int:
     """Execute the experiment; returns the process exit code."""
     stream = sys.stdout if stream is None else stream
-    h_indices, t_indices = zip(
-        *itertools.product(range(len(config.hurst)), range(len(config.maturities)))
-    )
-    price_cell = functools.partial(_cell_rows, config)
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            per_cell = list(pool.map(price_cell, h_indices, t_indices))
+    h_indices = range(len(config.hurst))
+    price_h = functools.partial(_cell_rows, config)
+    # one task per H: a larger pool would fork idle workers
+    workers = min(config.workers, len(config.hurst))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_h = list(pool.map(price_h, h_indices))
     else:
-        per_cell = list(map(price_cell, h_indices, t_indices))
+        per_h = list(map(price_h, h_indices))
     # emission order is sorted (rho, H, T) regardless of completion order
-    outcomes = dict(sorted(itertools.chain.from_iterable(per_cell)))
+    outcomes = dict(sorted(itertools.chain.from_iterable(per_h)))
     failures = {
         cell: cause for cell, cause in outcomes.items() if isinstance(cause, str)
     }
@@ -504,7 +521,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scheme", choices=VALID_SCHEMES)
     parser.add_argument("--out", help="output CSV path")
     parser.add_argument("--mode", choices=VALID_MODES)
-    parser.add_argument("--workers", type=int, help="parallel worker processes")
+    parser.add_argument(
+        "--workers", type=int, help="parallel worker processes, at most one per H"
+    )
     return parser
 
 

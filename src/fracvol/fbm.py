@@ -32,7 +32,9 @@ __all__ = [
     "B_STREAM",
     "ORACLE_STREAM",
     "DEFAULT_BLOCK_SIZE",
+    "TILE_BYTES",
     "ORACLE_MAX_STEPS",
+    "tile_rows",
 ]
 
 # RNG stream ids: every Generator in the package is a BIT_GENERATOR keyed
@@ -44,6 +46,9 @@ B_STREAM = 1
 ORACLE_STREAM = 2
 
 DEFAULT_BLOCK_SIZE = 65_536
+# bytes of one tile buffer: a block is drawn, convolved and consumed in
+# row tiles of this size, so the working set stays in cache
+TILE_BYTES = 2 * 1024 * 1024
 # the oracle factors a dense (2 n_steps)^2 covariance
 ORACLE_MAX_STEPS = 2048
 
@@ -90,17 +95,23 @@ class GaussianPathBatch:
     dW has shape (n_paths, n_steps); column j is the increment over
     [t_j, t_{j+1}], i.i.d. Normal(0, dt). wh has the same shape; column i
     holds W^H at t_{i+1} (W^H_0 = 0 is implicit). Both arrays come from the
-    same underlying Gaussian draws, so their joint law is preserved.
+    same underlying Gaussian draws, so their joint law is preserved. db,
+    when drawn, holds the increments of a Brownian driver B independent of
+    W, in the same layout.
     """
 
     dw: np.ndarray
     wh: np.ndarray
+    db: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.dw.shape != self.wh.shape:
-            raise ValueError(
-                f"dw shape {self.dw.shape} does not match wh shape {self.wh.shape}"
-            )
+        for name in ("wh", "db"):
+            other = getattr(self, name)
+            if other is not None and other.shape != self.dw.shape:
+                raise ValueError(
+                    f"dw shape {self.dw.shape} does not match {name} shape "
+                    f"{other.shape}"
+                )
 
     @property
     def n_paths(self) -> int:
@@ -180,25 +191,34 @@ def level_variance(grid: TimeGrid, weights: KernelWeights) -> np.ndarray:
     return grid.dt * np.concatenate(([0.0], np.cumsum(b_sq)))
 
 
-def _fill_block(
-    seed: int,
-    block: int,
+def tile_rows(n_steps: int) -> int:
+    """Rows of one TILE_BYTES tile of float64 paths with n_steps columns."""
+    return max(1, TILE_BYTES // (8 * n_steps))
+
+
+def _fill_tile(
+    w_rng: np.random.Generator,
+    b_rng: np.random.Generator | None,
     sqrt_dt: float,
     matrix: np.ndarray | None,
-    dw: np.ndarray,
-    wh: np.ndarray,
+    tile: GaussianPathBatch,
 ) -> None:
-    """Draw block `block`'s increments into dw and its W^H levels into wh.
+    """Draw a tile's next rows of W (and B) increments from its block's
+    generators, then its W^H levels.
 
-    dw and wh are C-contiguous (rows, n_steps) arrays; every operation
-    writes in place, so the block allocates no path-sized array.
+    The generators advance by the tile's rows, so the tiles of one block,
+    drawn in order, are bit-identical to one whole-block draw. Every
+    operation writes in place into the tile's C-contiguous arrays.
     """
-    block_rng(seed, W_STREAM, block).standard_normal(out=dw)
-    dw *= sqrt_dt
+    w_rng.standard_normal(out=tile.dw)
+    tile.dw *= sqrt_dt
+    if tile.db is not None:
+        b_rng.standard_normal(out=tile.db)
+        tile.db *= sqrt_dt
     if matrix is None:
-        np.cumsum(dw, axis=1, out=wh)
+        np.cumsum(tile.dw, axis=1, out=tile.wh)
     else:
-        np.matmul(dw, matrix, out=wh)
+        np.matmul(tile.dw, matrix, out=tile.wh)
 
 
 def _check_blocking(
@@ -225,33 +245,49 @@ def iter_path_blocks(
     n_paths: int,
     seed: int,
     block_size: int = DEFAULT_BLOCK_SIZE,
+    orthogonal: bool = False,
 ):
-    """Iterator of (block_index, GaussianPathBatch) covering n_paths in order.
+    """Iterator of (block_index, GaussianPathBatch) tiles covering n_paths
+    in order.
 
-    Block b holds paths [b * block_size, min((b+1) * block_size, n_paths)).
-    The draws for block b depend only on (seed, b, block_size, grid shape),
-    never on other blocks, so generation parallelizes with deterministic
-    output. block_size is therefore part of the reproducibility key.
+    Block b holds paths [b * block_size, min((b+1) * block_size, n_paths))
+    and draws from its own generators, so its draws depend only on (seed,
+    b, block_size, grid shape), never on other blocks: generation
+    parallelizes with deterministic output, and block_size is part of the
+    reproducibility key. Each block is yielded as consecutive row tiles of
+    at most tile_rows(n_steps) rows, drawn in order from the block's
+    generators, which gives the same numbers as a whole-block draw. With
+    orthogonal, every tile also carries db, the B increments of the same
+    rows from the block's B_STREAM generator.
 
-    The arguments are checked at the call, not at the first block. Every
-    block is written in place into the leading rows of two C-contiguous
-    (min(block_size, n_paths), n_steps) buffers owned by the iterator, so
-    a yielded batch is overwritten by the next block: a caller that keeps
-    a block must copy it, and may use its arrays as scratch meanwhile.
+    The arguments are checked at the call, not at the first tile. Every
+    tile is written in place into the leading rows of C-contiguous buffers
+    of one tile's size owned by the iterator, so a yielded tile is
+    overwritten by the next: a caller that keeps one must copy it, and may
+    use its arrays as scratch meanwhile.
     """
     _check_blocking(grid, weights, n_paths, block_size)
-    shape = (min(block_size, n_paths), grid.n_steps)
+    step = min(tile_rows(grid.n_steps), block_size, n_paths)
+    shape = (step, grid.n_steps)
     dw, wh = np.empty(shape), np.empty(shape)
+    db = np.empty(shape) if orthogonal else None
     sqrt_dt = np.sqrt(grid.dt)
     matrix = _convolution_matrix(weights)
 
-    def blocks():
-        for b, row in enumerate(range(0, n_paths, block_size)):
-            rows = min(block_size, n_paths - row)
-            _fill_block(seed, b, sqrt_dt, matrix, dw[:rows], wh[:rows])
-            yield b, GaussianPathBatch(dw=dw[:rows], wh=wh[:rows])
+    def tiles():
+        for b, start in enumerate(range(0, n_paths, block_size)):
+            w_rng = block_rng(seed, W_STREAM, b)
+            b_rng = block_rng(seed, B_STREAM, b) if orthogonal else None
+            block_rows = min(block_size, n_paths - start)
+            for offset in range(0, block_rows, step):
+                rows = min(step, block_rows - offset)
+                tile = GaussianPathBatch(
+                    dw=dw[:rows], wh=wh[:rows], db=None if db is None else db[:rows]
+                )
+                _fill_tile(w_rng, b_rng, sqrt_dt, matrix, tile)
+                yield b, tile
 
-    return blocks()
+    return tiles()
 
 
 def sample_paths(
@@ -261,17 +297,16 @@ def sample_paths(
     seed: int,
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> GaussianPathBatch:
-    """Materialize all paths as one batch, block by block, each block drawn
-    straight into its rows. See iter_path_blocks for the streaming variant
-    used by the pricing engine."""
-    _check_blocking(grid, weights, n_paths, block_size)
+    """Materialize all paths as one batch: the tiles of iter_path_blocks,
+    the streaming variant the pricing engine uses, copied into place."""
+    tiles = iter_path_blocks(grid, weights, n_paths, seed, block_size)
     dw = np.empty((n_paths, grid.n_steps))
     wh = np.empty((n_paths, grid.n_steps))
-    sqrt_dt = np.sqrt(grid.dt)
-    matrix = _convolution_matrix(weights)
-    for b, row in enumerate(range(0, n_paths, block_size)):
-        rows = slice(row, row + block_size)
-        _fill_block(seed, b, sqrt_dt, matrix, dw[rows], wh[rows])
+    row = 0
+    for _, tile in tiles:
+        rows = slice(row, row + tile.n_paths)
+        dw[rows], wh[rows] = tile.dw, tile.wh
+        row += tile.n_paths
     return GaussianPathBatch(dw=dw, wh=wh)
 
 
@@ -341,12 +376,13 @@ def exact_level_variance(grid: TimeGrid, hurst: float) -> np.ndarray:
 
 
 def cholesky_oracle(
-    grid: TimeGrid, hurst: float, n_paths: int, seed: int
+    grid: TimeGrid, hurst: float, n_paths: int, seed: int, orthogonal: bool = False
 ) -> GaussianPathBatch:
     """Sample the exact joint Gaussian law of (W, W^H) at the grid points.
 
     Dense factorization of the analytically-computed covariance; intended
-    for tests only, hence the step budget.
+    for tests only, hence the step budget. All paths are one block: with
+    orthogonal, db is drawn from block 0 of B_STREAM.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
@@ -361,5 +397,8 @@ def cholesky_oracle(
     w_levels = joint[:, : grid.n_steps]
     wh = joint[:, grid.n_steps :]
     dw = np.diff(w_levels, axis=1, prepend=0.0)
-    return GaussianPathBatch(dw=dw, wh=np.ascontiguousarray(wh))
-
+    db = None
+    if orthogonal:
+        db = block_rng(seed, B_STREAM, 0).standard_normal(dw.shape)
+        db *= np.sqrt(grid.dt)
+    return GaussianPathBatch(dw=dw, wh=np.ascontiguousarray(wh), db=db)

@@ -23,24 +23,25 @@ so results do not depend on generation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .blackscholes import _call
 from .fbm import (
-    B_STREAM,
     BIT_GENERATOR,
     DEFAULT_BLOCK_SIZE,
+    TILE_BYTES,
+    GaussianPathBatch,
     TimeGrid,
-    block_rng,
     cholesky_oracle,
     convolution_method,
     exact_level_variance,
     iter_path_blocks,
     kernel_weights,
     level_variance,
+    tile_rows,
 )
 from .volmodel import (
     ModelParams,
@@ -61,12 +62,18 @@ __all__ = [
     "VALID_SCHEMES",
     "VALID_ESTIMATORS",
     "CONTROLS",
+    "MATURITY_LAYOUT",
 ]
 
 VALID_SCHEMES = ("convolution", "midpoint_convolution", "cholesky_oracle")
 VALID_ESTIMATORS = ("conditional_mixing", "direct_euler")
 # the control variates every call estimator regresses on, in this order
 CONTROLS = ("spot_martingale", "integrated_variance")
+# how every maturity of one simulation is read off its single draw
+MATURITY_LAYOUT = (
+    "one unit-maturity draw per simulation; maturity T reads it with nu * T^H, "
+    "then scales Y and E[Y] by T and the Ito sums by sqrt(T)"
+)
 # the kernel_weights evaluation behind each convolution scheme; the
 # Cholesky oracle samples the exact law and evaluates no kernel
 KERNEL_EVALUATION = {
@@ -125,18 +132,29 @@ def _mean_se(values: np.ndarray, ddof: int = 1) -> PriceEstimate:
 
 
 def simulate_functionals(
-    grid: TimeGrid, params: ModelParams, config: McConfig
-) -> PathFunctionals:
-    """Stream path blocks through the vol model and keep only per-path
-    functionals.
+    grid: TimeGrid,
+    params: ModelParams,
+    config: McConfig,
+    maturities: Sequence[float] | None = None,
+) -> list[PathFunctionals]:
+    """Draw one batch of paths and keep only the per-path functionals, one
+    PathFunctionals per maturity, each on grid.n_steps steps.
 
-    Memory is three block buffers, each of shape (min(block_size,
-    n_paths), n_steps), allocated once and reused by every block: the dw
-    and wh that iter_path_blocks owns and a vol array, plus O(n_paths)
-    for the functionals. W^H is dead once the vols are built, so wh then
-    holds the squared vols and, for the direct Euler estimator, the B
-    increments. The Cholesky oracle draws all paths as one block, so its
-    buffers span n_paths rows.
+    maturities defaults to (grid.maturity,); grid only sets the step
+    count otherwise. One unit-maturity draw serves every maturity. From
+    the same normals, TimeGrid(T, n) has sqrt(T) times the increments and,
+    by Riemann-Liouville self-similarity, T^H times the W^H levels of
+    TimeGrid(1, n), so its vol path is the unit-grid one with vol-of-vol
+    nu * T^H. So Y and its exact mean E[Y] at T are T times the unit-grid
+    ones at nu * T^H, and int sigma dW and int sigma dB are sqrt(T) times.
+
+    Every RNG block streams through tiles of fbm.TILE_BYTES per buffer:
+    each tile is drawn and convolved once, then every maturity's vols and
+    functionals are taken from it while it is in cache. Memory is a few
+    tile buffers (dw, wh, vols, squared vols, and the B increments for
+    the direct Euler estimator) plus O(n_paths x maturities) for the
+    functionals. The Cholesky oracle draws all paths as one block at unit
+    maturity and streams that through the same tiles.
 
     The functionals are rho-free: params.rho is never read. For the
     direct Euler estimator int sigma dB is also accumulated; the B
@@ -144,53 +162,88 @@ def simulate_functionals(
     draws. The exact E[Y] of the scheme, which the pricers' Y control
     needs, is recorded from the scheme's own W^H variances.
     """
-    y = np.empty(config.n_paths)
-    ito = np.empty(config.n_paths)
-    ito_b = np.empty(config.n_paths) if config.estimator == "direct_euler" else None
-    sqrt_dt = math.sqrt(grid.dt)
+    maturities = (grid.maturity,) if maturities is None else tuple(maturities)
+    if not maturities or not all(0.0 < t < math.inf for t in maturities):
+        raise ValueError("maturities must be a nonempty list of positive finite values")
+    unit = TimeGrid(1.0, grid.n_steps)
+    direct = config.estimator == "direct_euler"
+    scaled = [replace(params, nu=params.nu * t**params.hurst) for t in maturities]
+    shape = (len(maturities), config.n_paths)
+    y, ito = np.empty(shape), np.empty(shape)
+    ito_b = np.empty(shape) if direct else None
 
     if config.scheme == "cholesky_oracle":
-        blocks = [(0, cholesky_oracle(grid, params.hurst, config.n_paths, config.seed))]
-        buffer_rows = config.n_paths
-        variance = exact_level_variance(grid, params.hurst)
-    else:
-        weights = kernel_weights(grid, params.hurst, KERNEL_EVALUATION[config.scheme])
-        buffer_rows = min(config.block_size, config.n_paths)
-        blocks = iter_path_blocks(
-            grid, weights, config.n_paths, config.seed, config.block_size
+        batch = cholesky_oracle(
+            unit, params.hurst, config.n_paths, config.seed, orthogonal=direct
         )
-        variance = level_variance(grid, weights)
-    vol = np.empty((buffer_rows, grid.n_steps))
+        tiles = _tiles(batch)
+        variance = exact_level_variance(unit, params.hurst)
+    else:
+        weights = kernel_weights(unit, params.hurst, KERNEL_EVALUATION[config.scheme])
+        tiles = iter_path_blocks(
+            unit,
+            weights,
+            config.n_paths,
+            config.seed,
+            config.block_size,
+            orthogonal=direct,
+        )
+        variance = level_variance(unit, weights)
+    buffer = (min(tile_rows(unit.n_steps), config.n_paths), unit.n_steps)
+    vol, square = np.empty(buffer), np.empty(buffer)
 
-    for idx, blk in blocks:
-        row = idx * config.block_size
-        rows = slice(row, row + blk.n_paths)
-        vols = vol_paths(blk, params, grid, out=vol[: blk.n_paths])
-        funcs = path_functionals(vols, blk, grid, scratch=blk.wh)
-        y[rows] = funcs.integrated_variance
-        ito[rows] = funcs.int_sigma_dw
-        if ito_b is not None:
-            db = blk.wh
-            block_rng(config.seed, B_STREAM, idx).standard_normal(out=db)
-            db *= sqrt_dt
-            ito_b[rows] = np.einsum("ij,ij->i", vols, db)
-    return PathFunctionals(
-        integrated_variance=y,
-        int_sigma_dw=ito,
-        int_sigma_db=ito_b,
-        integrated_variance_mean=integrated_variance_mean(params, grid, variance),
-    )
+    row = 0
+    for _, tile in tiles:
+        rows = slice(row, row + tile.n_paths)
+        row += tile.n_paths
+        for m, unit_params in enumerate(scaled):
+            vols = vol_paths(tile, unit_params, unit, out=vol[: tile.n_paths])
+            funcs = path_functionals(vols, tile, unit, scratch=square[: tile.n_paths])
+            y[m, rows] = funcs.integrated_variance
+            ito[m, rows] = funcs.int_sigma_dw
+            if direct:
+                ito_b[m, rows] = np.einsum("ij,ij->i", vols, tile.db)
+
+    out = []
+    for m, (t, unit_params) in enumerate(zip(maturities, scaled)):
+        y[m] *= t
+        ito[m] *= math.sqrt(t)
+        if direct:
+            ito_b[m] *= math.sqrt(t)
+        mean = t * integrated_variance_mean(unit_params, unit, variance)
+        out.append(
+            PathFunctionals(
+                integrated_variance=y[m],
+                int_sigma_dw=ito[m],
+                int_sigma_db=ito_b[m] if direct else None,
+                integrated_variance_mean=mean,
+            )
+        )
+    return out
+
+
+def _tiles(batch: GaussianPathBatch) -> Iterator[tuple[int, GaussianPathBatch]]:
+    """A materialized batch as consecutive row tiles of fbm.tile_rows rows,
+    in iter_path_blocks' form; the whole batch is block 0."""
+    step = tile_rows(batch.n_steps)
+    for row in range(0, batch.n_paths, step):
+        rows = slice(row, row + step)
+        db = None if batch.db is None else batch.db[rows]
+        yield 0, GaussianPathBatch(dw=batch.dw[rows], wh=batch.wh[rows], db=db)
 
 
 def simulation_record(config: McConfig, hurst: Sequence[float]) -> dict[str, object]:
     """How simulate_functionals draws its paths under config at each H,
-    in enough detail to reproduce them: bit generator, block size, kernel
+    in enough detail to reproduce them: bit generator, block size, tile
+    size in bytes per buffer, how the maturities share one draw, kernel
     evaluation, convolution method ("cholesky" for the oracle) and the
     control variates of the call estimators."""
     evaluation = KERNEL_EVALUATION.get(config.scheme)
     return {
         "bit_generator": BIT_GENERATOR.__name__,
         "block_size": config.block_size,
+        "tile_bytes": TILE_BYTES,
+        "maturity_layout": MATURITY_LAYOUT,
         "controls": list(CONTROLS),
         "kernel_evaluation": evaluation,
         "convolution": {

@@ -221,7 +221,7 @@ def simulate_report(
     inverts on the shared functionals.
     """
     grid = TimeGrid(maturity, n_steps)
-    funcs = simulate_functionals(grid, params, config)
+    (funcs,) = simulate_functionals(grid, params, config)
     pricer = strike_pricer(funcs, params, x0, maturity, estimator=config.estimator)
     return zero_vanna_report(pricer, funcs, params, x0, maturity, config)
 

@@ -27,7 +27,8 @@ from fracvol.cli import (
     parse_config,
     run,
 )
-from fracvol.mcpricer import McConfig
+from fracvol.fbm import TILE_BYTES
+from fracvol.mcpricer import MATURITY_LAYOUT, McConfig
 from fracvol.swapanalysis import simulate_report
 from fracvol.volmodel import ModelParams
 
@@ -162,9 +163,13 @@ class TestBuildConfig:
 
     @pytest.mark.parametrize("key", ["hurst", "maturities"])
     def test_axis_longer_than_cell_seed_digits_rejected(self, key):
-        # cell seeds give each axis index two decimal digits: with 101
-        # maturities, cell (H_0, T_100) would reuse the seed of (H_1, T_0)
+        # seeds give h_index two decimal digits: with 101 H values, H_100
+        # would reuse the normals of the next base seed's H_0. Maturities
+        # share their H's seed, so their count is not capped.
         values = tuple(0.005 * (i + 1) for i in range(101))
+        if key == "maturities":
+            assert len(build_config({key: values}).maturities) == 101
+            return
         with pytest.raises(ConfigError, match=f"^key '{key}': at most 100"):
             build_config({key: values})
         assert len(getattr(build_config({key: values[:100]}), key)) == 100
@@ -261,14 +266,19 @@ class TestRun:
     def test_manifest_records_reproducibility_fields(self, grid_run, tmp_path):
         _, out = grid_run
         manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         assert manifest["versions"] == {
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
+            "blas": f"{blas['name']} {blas['version']}",
         }
         assert manifest["simulation"] == {
             "bit_generator": "Philox",
             "block_size": 65_536,
+            "tile_bytes": TILE_BYTES,
+            "maturity_layout": MATURITY_LAYOUT,
+            "seeds": {"H=0.5": 99 * 100},
             "controls": ["spot_martingale", "integrated_variance"],
             "kernel_evaluation": "variance_exact",
             "convolution": {"H=0.5": "cumsum"},
@@ -303,6 +313,51 @@ class TestRun:
         config = ExperimentConfig(out=str(out), workers=2, **FAST)
         assert run(config, stream=open("/dev/null", "w")) == 0
         assert out.read_bytes() == first_out.read_bytes()
+        # FAST has one H, so the pool above runs serially; two H values
+        # give the pool two tasks, in both modes
+        for mode in ("tables", "convergence"):
+            two_h = dict(FAST, hurst=(0.3, 0.5), maturities=(0.5, 1.0, 2.0), mode=mode)
+            outputs = []
+            for workers in (1, 2):
+                out = tmp_path / f"{mode}{workers}.csv"
+                config = ExperimentConfig(out=str(out), workers=workers, **two_h)
+                assert run(config, stream=open("/dev/null", "w")) == 0
+                rates = out.with_suffix(".rates.csv")
+                outputs.append(
+                    (out.read_bytes(), rates.read_bytes() if rates.exists() else None)
+                )
+            assert outputs[0] == outputs[1], mode
+            assert (outputs[0][1] is None) == (mode == "tables")
+
+    def test_pool_is_capped_at_the_task_count(self, tmp_path, monkeypatch):
+        # one task per H: workers beyond that would be forked idle. The
+        # stand-in executor maps in this process, so no process starts.
+        import fracvol.cli as cli_module
+
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli_module, "ProcessPoolExecutor", InProcessPool)
+        for hurst, expected in (((0.3, 0.5), [2]), ((0.5,), [])):
+            sizes.clear()
+            out = tmp_path / f"pool{len(hurst)}.csv"
+            config = build_config(
+                overrides=dict(FAST, hurst=hurst, workers=5000, out=str(out))
+            )
+            assert run(config, stream=open("/dev/null", "w")) == 0
+            assert sizes == expected
 
     def test_failed_cell_marks_row_and_exits_one(self, tmp_path, monkeypatch):
         import fracvol.cli as cli_module
@@ -349,13 +404,12 @@ class TestRun:
 
         monkeypatch.setattr(cli_module, "simulate_functionals", singular)
         out = tmp_path / "singular.csv"
-        fast = dict(FAST, maturities=(1.0,))
-        config = ExperimentConfig(out=str(out), **fast)
-        assert config.rho == (-0.8, 0.0)
+        config = ExperimentConfig(out=str(out), **FAST)
+        assert config.rho == (-0.8, 0.0) and config.maturities == (0.5, 1.0)
         assert run(config, stream=open("/dev/null", "w")) == 1
         assert len(calls) == 1
         rows = read_csv(out)[1:]
-        assert len(rows) == 2
+        assert len(rows) == 4  # every (rho, T) of the one H
         assert all(row[3:] == [FAILED_TOKEN] * (len(CSV_COLUMNS) - 3) for row in rows)
         manifest = json.loads(out.with_suffix(".manifest.json").read_text())
         assert set(manifest["failed_cells"].values()) == {
@@ -470,22 +524,24 @@ class TestRun:
     def test_direct_euler_shares_one_simulation_across_rho(
         self, tmp_path, monkeypatch
     ):
+        # one simulation per H serves every (rho, T) of that H
         import fracvol.cli as cli_module
 
         calls = []
         real = cli_module.simulate_functionals
 
-        def counted(grid, params, config):
-            calls.append((grid.maturity, params.hurst))
-            return real(grid, params, config)
+        def counted(grid, params, config, maturities):
+            calls.append((grid.maturity, params.hurst, tuple(maturities)))
+            return real(grid, params, config, maturities)
 
         monkeypatch.setattr(cli_module, "simulate_functionals", counted)
-        direct = dict(FAST, estimator="direct_euler", hurst=(0.3,))
+        direct = dict(FAST, estimator="direct_euler", hurst=(0.3, 0.5))
         out = tmp_path / "both.csv"
         config = ExperimentConfig(out=str(out), **direct)
         assert run(config, stream=open("/dev/null", "w")) == 0
-        assert sorted(calls) == [(0.5, 0.3), (1.0, 0.3)]
+        assert sorted(calls) == [(1.0, 0.3, (0.5, 1.0)), (1.0, 0.5, (0.5, 1.0))]
         lines = out.read_text().splitlines()
+        assert len(lines) == 1 + 2 * 2 * 2
         for rho in direct["rho"]:
             single_out = tmp_path / f"rho{rho}.csv"
             single = ExperimentConfig(

@@ -10,6 +10,7 @@ from scipy.linalg import toeplitz
 from scipy.stats import ks_2samp
 
 from fracvol.fbm import (
+    B_STREAM,
     W_STREAM,
     GaussianPathBatch,
     TimeGrid,
@@ -21,6 +22,7 @@ from fracvol.fbm import (
     kernel_weights,
     level_variance,
     sample_paths,
+    tile_rows,
 )
 
 HURSTS = st.floats(0.05, 0.95)
@@ -198,6 +200,37 @@ class TestSamplePaths:
             assert np.array_equal(full.wh[row : row + blk.n_paths], blk.wh)
             row += blk.n_paths
         assert row == 1000
+
+    def test_tiles_match_whole_block_draws(self):
+        # 4,096-row blocks at 250 steps stream as several tiles each: the
+        # W and B increments, drawn tile by tile from each block's
+        # generators, equal one whole-block draw bit for bit, and
+        # sample_paths copies the same tiles.
+        grid = TimeGrid(1.0, 250)
+        w = kernel_weights(grid, 0.1)
+        block, n_paths = 4096, 2 * 4096 + 1500
+        assert tile_rows(grid.n_steps) < block
+        dw = np.empty((n_paths, grid.n_steps))
+        wh, db = np.empty_like(dw), np.empty_like(dw)
+        tiles_per_block = [0, 0, 0]
+        row = 0
+        for b, tile in iter_path_blocks(
+            grid, w, n_paths, seed=5, block_size=block, orthogonal=True
+        ):
+            rows = slice(row, row + tile.n_paths)
+            dw[rows], wh[rows], db[rows] = tile.dw, tile.wh, tile.db
+            tiles_per_block[b] += 1
+            row += tile.n_paths
+        assert row == n_paths
+        assert min(tiles_per_block) > 1
+        for b, start in enumerate(range(0, n_paths, block)):
+            rows = slice(start, min(start + block, n_paths))
+            shape = dw[rows].shape
+            for stream, drawn in ((W_STREAM, dw), (B_STREAM, db)):
+                whole = block_rng(5, stream, b).standard_normal(shape)
+                assert np.array_equal(drawn[rows], whole * math.sqrt(grid.dt))
+        full = sample_paths(grid, w, n_paths, seed=5, block_size=block)
+        assert np.array_equal(full.dw, dw) and np.array_equal(full.wh, wh)
 
     @pytest.mark.parametrize("hurst", [0.2, 0.5])
     def test_reused_buffers_match_fresh_blocks(self, hurst):

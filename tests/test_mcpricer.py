@@ -8,10 +8,13 @@ import pytest
 from fracvol.blackscholes import bs_price, implied_vol
 from fracvol.fbm import (
     B_STREAM,
+    TILE_BYTES,
     TimeGrid,
     block_rng,
     cholesky_oracle,
+    exact_level_variance,
     kernel_weights,
+    level_variance,
     sample_paths,
 )
 from fracvol.mcpricer import (
@@ -72,7 +75,8 @@ def funcs_h05():
     grid = TimeGrid(1.0, 250)
     params = ModelParams(SIGMA0, NU, 0.0, 0.5)
     config = McConfig(n_paths=100_000, seed=101)
-    return grid, params, simulate_functionals(grid, params, config)
+    (funcs,) = simulate_functionals(grid, params, config)
+    return grid, params, funcs
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +84,8 @@ def funcs_h01_t3():
     grid = TimeGrid(3.0, 250)
     params = ModelParams(SIGMA0, NU, 0.0, 0.1)
     config = McConfig(n_paths=100_000, seed=103)
-    return grid, params, simulate_functionals(grid, params, config)
+    (funcs,) = simulate_functionals(grid, params, config)
+    return grid, params, funcs
 
 
 class TestConfigValidation:
@@ -109,7 +114,7 @@ class TestConditionalEstimator:
     def test_zero_nu_zero_rho_is_exact(self):
         grid = TimeGrid(1.0, 50)
         params = ModelParams(SIGMA0, 0.0, 0.0, 0.3)
-        funcs = simulate_functionals(grid, params, McConfig(n_paths=200, seed=1))
+        (funcs,) = simulate_functionals(grid, params, McConfig(n_paths=200, seed=1))
         est = strike_pricer(funcs, params, 0.0, 1.0)(0.0)
         assert est.value == pytest.approx(bs_price(0.0, 0.0, SIGMA0, 1.0), abs=1e-12)
         # Y is constant and the shifted spot is x0: both controls drop
@@ -120,7 +125,7 @@ class TestConditionalEstimator:
         # through rho * sigma0 * W_T, but their mean is the plain BS price.
         grid = TimeGrid(1.0, 50)
         params = ModelParams(SIGMA0, 0.0, -0.8, 0.3)
-        funcs = simulate_functionals(grid, params, McConfig(n_paths=100_000, seed=2))
+        (funcs,) = simulate_functionals(grid, params, McConfig(n_paths=100_000, seed=2))
         est = strike_pricer(funcs, params, 0.0, 1.0)(0.0)
         assert abs(est.value - bs_price(0.0, 0.0, SIGMA0, 1.0)) < 3.0 * est.std_error
 
@@ -129,7 +134,7 @@ class TestConditionalEstimator:
         # averages intrinsic values and still targets the BS price.
         grid = TimeGrid(1.0, 50)
         params = ModelParams(SIGMA0, 0.0, 1.0, 0.3)
-        funcs = simulate_functionals(grid, params, McConfig(n_paths=100_000, seed=3))
+        (funcs,) = simulate_functionals(grid, params, McConfig(n_paths=100_000, seed=3))
         est = strike_pricer(funcs, params, 0.0, 1.0)(0.0)
         assert abs(est.value - bs_price(0.0, 0.0, SIGMA0, 1.0)) < 3.0 * est.std_error
 
@@ -150,7 +155,7 @@ class TestDirectEstimator:
         grid = TimeGrid(1.0, 50)
         params = ModelParams(SIGMA0, 0.0, 0.0, 0.3)
         config = McConfig(n_paths=50_000, seed=4, estimator="direct_euler")
-        funcs = simulate_functionals(grid, params, config)
+        (funcs,) = simulate_functionals(grid, params, config)
         est = plain_direct_price(funcs, params, 0.0, 0.0)
         assert abs(est.value - bs_price(0.0, 0.0, SIGMA0, 1.0)) < 3.0 * est.std_error
 
@@ -158,7 +163,7 @@ class TestDirectEstimator:
         grid = TimeGrid(1.0, 100)
         params = ModelParams(SIGMA0, NU, 0.0, 0.5)
         config = McConfig(n_paths=100_000, seed=5, estimator="direct_euler")
-        funcs = simulate_functionals(grid, params, config)
+        (funcs,) = simulate_functionals(grid, params, config)
         est_plain = plain_direct_price(funcs, params, 0.0, 0.0)
         est_cv = strike_pricer(
             funcs, params, 0.0, 1.0, estimator="direct_euler"
@@ -172,7 +177,7 @@ class TestDirectEstimator:
         grid = TimeGrid(1.0, 100)
         params = ModelParams(SIGMA0, NU, -0.8, 0.3)
         config = McConfig(n_paths=100_000, seed=6, estimator="direct_euler")
-        funcs = simulate_functionals(grid, params, config)
+        (funcs,) = simulate_functionals(grid, params, config)
         spot = np.exp(_terminal_log_return(funcs, params.rho))
         se = spot.std(ddof=1) / math.sqrt(spot.shape[0])
         assert abs(spot.mean() - 1.0) < 3.0 * se
@@ -187,7 +192,7 @@ class TestDirectEstimator:
         config = McConfig(
             n_paths=3000, seed=7, block_size=1000, estimator="direct_euler"
         )
-        funcs = simulate_functionals(grid, params, config)
+        (funcs,) = simulate_functionals(grid, params, config)
         w = kernel_weights(grid, 0.3)
         batch = sample_paths(grid, w, 3000, seed=7, block_size=1000)
         vols = vol_paths(batch, params, grid)
@@ -211,10 +216,10 @@ class TestDirectEstimator:
     def test_estimator_equivalence_grid(self, hurst, rho):
         grid = TimeGrid(1.0, 100)
         params = ModelParams(SIGMA0, NU, rho, hurst)
-        cond_funcs = simulate_functionals(
+        (cond_funcs,) = simulate_functionals(
             grid, params, McConfig(n_paths=40_000, seed=11)
         )
-        direct_funcs = simulate_functionals(
+        (direct_funcs,) = simulate_functionals(
             grid,
             params,
             McConfig(n_paths=40_000, seed=12, estimator="direct_euler"),
@@ -232,7 +237,7 @@ class TestDirectEstimator:
         grid = TimeGrid(1.0, 100)
         params = ModelParams(SIGMA0, NU, 0.0, 0.5)
         config = McConfig(n_paths=50_000, seed=13, estimator="direct_euler")
-        funcs = simulate_functionals(grid, params, config)
+        (funcs,) = simulate_functionals(grid, params, config)
         cond = strike_pricer(funcs, params, 0.0, 1.0)(0.0)
         direct = plain_direct_price(funcs, params, 0.0, 0.0)
         assert cond.std_error < direct.std_error
@@ -249,7 +254,7 @@ class TestControlVariates:
         grid = TimeGrid(1.0, 10)
         params = ModelParams(SIGMA0, NU, 0.0, 0.1)
         config = McConfig(n_paths=100_000, seed=5, scheme=scheme)
-        funcs = simulate_functionals(grid, params, config)
+        (funcs,) = simulate_functionals(grid, params, config)
         y = funcs.integrated_variance
         se = y.std(ddof=1) / math.sqrt(y.shape[0])
         assert abs(y.mean() - funcs.integrated_variance_mean) < 4.0 * se
@@ -264,7 +269,7 @@ class TestControlVariates:
     def test_mean_of_y_matches_the_variance_swap_oracle(self):
         grid = TimeGrid(1.0, 250)
         params = ModelParams(SIGMA0, NU, 0.0, 0.3)
-        funcs = simulate_functionals(grid, params, McConfig(n_paths=16, seed=1))
+        (funcs,) = simulate_functionals(grid, params, McConfig(n_paths=16, seed=1))
         # the left-point sum of a smooth integrand is O(dt) below it
         oracle = variance_swap_oracle(params, 1.0)
         assert funcs.integrated_variance_mean == pytest.approx(oracle, rel=1e-3)
@@ -275,7 +280,7 @@ class TestControlVariates:
         grid = TimeGrid(1.0, 100)
         params = ModelParams(SIGMA0, NU, rho, 0.1)
         config = McConfig(n_paths=50_000, seed=29, estimator=estimator)
-        funcs = simulate_functionals(grid, params, config)
+        (funcs,) = simulate_functionals(grid, params, config)
         if estimator == "direct_euler":
             plain = plain_direct_price(funcs, params, 0.0, 0.0)
         else:
@@ -288,7 +293,7 @@ class TestControlVariates:
     def test_unit_correlation_prices_intrinsic_values(self, rho):
         grid = TimeGrid(1.0, 50)
         params = ModelParams(SIGMA0, NU, rho, 0.3)
-        funcs = simulate_functionals(grid, params, McConfig(n_paths=20_000, seed=3))
+        (funcs,) = simulate_functionals(grid, params, McConfig(n_paths=20_000, seed=3))
         x_hat = rho * funcs.int_sigma_dw - 0.5 * funcs.integrated_variance
         pricer = strike_pricer(funcs, params, 0.0, 1.0)
         for k in (-0.05, 0.0, 0.05):
@@ -305,7 +310,7 @@ class TestControlVariates:
         grid = TimeGrid(1.0, 16)
         params = ModelParams(SIGMA0, NU, -0.8, 0.1)
         config = McConfig(n_paths=n_paths, seed=1, estimator=estimator)
-        funcs = simulate_functionals(grid, params, config)
+        (funcs,) = simulate_functionals(grid, params, config)
         est = strike_pricer(funcs, params, 0.0, 1.0, estimator=estimator)(0.0)
         if estimator == "direct_euler":
             plain = plain_direct_price(funcs, params, 0.0, 0.0)
@@ -340,7 +345,7 @@ class TestSwapStrikes:
     def test_zero_nu_vol_swap_exact(self):
         grid = TimeGrid(1.0, 50)
         params = ModelParams(SIGMA0, 0.0, 0.0, 0.3)
-        funcs = simulate_functionals(grid, params, McConfig(n_paths=100, seed=14))
+        (funcs,) = simulate_functionals(grid, params, McConfig(n_paths=100, seed=14))
         est = vol_swap_strike(funcs, 1.0)
         assert est.value == pytest.approx(SIGMA0, abs=1e-12)
         assert est.std_error < 1e-12
@@ -364,10 +369,10 @@ class TestSwapStrikes:
         # Cross-scheme consistency at rough H on a common coarse grid: the
         # convolution scheme must agree with the exact-law sampler.
         coarse = TimeGrid(3.0, 64)
-        conv = simulate_functionals(
+        (conv,) = simulate_functionals(
             coarse, params, McConfig(n_paths=30_000, seed=41)
         )
-        oracle = simulate_functionals(
+        (oracle,) = simulate_functionals(
             coarse, params,
             McConfig(n_paths=30_000, seed=43, scheme="cholesky_oracle"),
         )
@@ -386,7 +391,7 @@ class TestSwapStrikes:
             config = McConfig(
                 n_paths=100_000, seed=47, scheme="midpoint_convolution"
             )
-            funcs = simulate_functionals(grid, params, config)
+            (funcs,) = simulate_functionals(grid, params, config)
             est = vol_swap_strike(funcs, maturity)
             assert abs(est.value - target) < 0.001, maturity
 
@@ -410,7 +415,7 @@ class TestSwapStrikes:
 
 
 class TestBlockBuffers:
-    """simulate_functionals streams every block through three reused
+    """simulate_functionals streams every block through reused tile
     buffers; the per-path functionals must not notice."""
 
     BLOCK = 256
@@ -438,7 +443,7 @@ class TestBlockBuffers:
             estimator=estimator,
             block_size=self.BLOCK,
         )
-        funcs = simulate_functionals(grid, params, config)
+        (funcs,) = simulate_functionals(grid, params, config)
 
         if scheme == "cholesky_oracle":
             # the oracle draws every path as block 0
@@ -465,24 +470,132 @@ class TestBlockBuffers:
         assert np.array_equal(funcs.int_sigma_db, ito_b)
 
     @pytest.mark.parametrize("estimator", ["conditional_mixing", "direct_euler"])
-    def test_peak_memory_is_three_block_buffers(self, estimator):
-        block_size, n_steps = 4096, 64
-        block_bytes = block_size * n_steps * 8
+    def test_peak_memory_is_a_few_tile_buffers(self, estimator):
+        # One full 65,536-path block at 250 steps: dw, wh, the vols, the
+        # squared vols and (direct Euler) db are tile-sized, so the peak
+        # is a few tiles plus the O(n_paths) functionals, not the 393 MB
+        # of three block-sized buffers.
+        n_paths, n_steps = 65_536, 250
         grid = TimeGrid(1.0, n_steps)
         params = ModelParams(SIGMA0, NU, -0.5, 0.3)
-        config = McConfig(
-            n_paths=4 * block_size + 1000,
-            seed=23,
-            estimator=estimator,
-            block_size=block_size,
-        )
+        config = McConfig(n_paths=n_paths, seed=23, estimator=estimator)
         tracemalloc.start()
         try:
             simulate_functionals(grid, params, config)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * block_bytes, peak / block_bytes
+        functionals = 3 * n_paths * 8
+        assert peak < 6 * TILE_BYTES + functionals, peak / TILE_BYTES
+
+
+class TestMaturityRescaling:
+    """One unit-maturity draw read at several maturities equals a separate
+    simulation on each TimeGrid(T, n) from the same normals."""
+
+    MATURITIES = (0.05, 0.5, 2.0)
+    N_STEPS = 40
+    BLOCK = 256
+    N_PATHS = 2 * 256 + 37
+
+    def reference(self, maturity, params, scheme, estimator):
+        """Per-maturity functionals and E[Y] built from sample_paths (or
+        the oracle) on TimeGrid(maturity, n), the way the per-maturity
+        simulation draws them."""
+        grid = TimeGrid(maturity, self.N_STEPS)
+        if scheme == "cholesky_oracle":
+            block = self.N_PATHS
+            batch = cholesky_oracle(grid, params.hurst, self.N_PATHS, seed=31)
+            variance = exact_level_variance(grid, params.hurst)
+        else:
+            block = self.BLOCK
+            midpoint = scheme == "midpoint_convolution"
+            w = kernel_weights(
+                grid, params.hurst, "midpoint" if midpoint else "variance_exact"
+            )
+            batch = sample_paths(grid, w, self.N_PATHS, seed=31, block_size=block)
+            variance = level_variance(grid, w)
+        vols = vol_paths(batch, params, grid)
+        funcs = path_functionals(vols, batch, grid)
+        arrays = {"y": funcs.integrated_variance, "ito": funcs.int_sigma_dw}
+        if estimator == "direct_euler":
+            ito_b = np.empty(self.N_PATHS)
+            for b, row in enumerate(range(0, self.N_PATHS, block)):
+                rows = slice(row, row + block)
+                z = block_rng(31, B_STREAM, b).standard_normal(vols[rows].shape)
+                ito_b[rows] = np.einsum("ij,ij->i", vols[rows], z * math.sqrt(grid.dt))
+            arrays["ito_b"] = ito_b
+        return arrays, integrated_variance_mean(params, grid, variance)
+
+    def simulate(self, params, scheme, estimator):
+        config = McConfig(
+            n_paths=self.N_PATHS,
+            seed=31,
+            scheme=scheme,
+            estimator=estimator,
+            block_size=self.BLOCK,
+        )
+        grid = TimeGrid(1.0, self.N_STEPS)
+        return simulate_functionals(grid, params, config, self.MATURITIES)
+
+    @staticmethod
+    def arrays(funcs):
+        out = {"y": funcs.integrated_variance, "ito": funcs.int_sigma_dw}
+        if funcs.int_sigma_db is not None:
+            out["ito_b"] = funcs.int_sigma_db
+        return out
+
+    @pytest.mark.parametrize(
+        "hurst, scheme, tol",
+        [
+            (0.1, "convolution", 1e-13),
+            (0.5, "convolution", 1e-13),
+            (0.3, "midpoint_convolution", 1e-13),
+            (0.3, "cholesky_oracle", 1e-12),
+        ],
+    )
+    @pytest.mark.parametrize("estimator", ["conditional_mixing", "direct_euler"])
+    def test_matches_per_maturity_simulation(self, hurst, scheme, tol, estimator):
+        params = ModelParams(SIGMA0, NU, -0.5, hurst)
+        per_maturity = self.simulate(params, scheme, estimator)
+        assert len(per_maturity) == len(self.MATURITIES)
+        for maturity, funcs in zip(self.MATURITIES, per_maturity):
+            expected, mean = self.reference(maturity, params, scheme, estimator)
+            got = self.arrays(funcs)
+            assert got.keys() == expected.keys()
+            for name, want in expected.items():
+                rms = math.sqrt(np.mean(want**2))
+                err = np.max(np.abs(got[name] - want))
+                assert err <= tol * rms, (maturity, name, err / rms)
+            assert funcs.integrated_variance_mean == pytest.approx(mean, rel=tol)
+
+    @pytest.mark.parametrize("estimator", ["conditional_mixing", "direct_euler"])
+    def test_oracle_at_half_agrees_in_law(self, estimator):
+        # At H = 1/2 the joint covariance is singular and its jittered
+        # factor differs in the last digits between maturities, so the
+        # rescaled draw is checked in law: Y against its exact mean and
+        # the Ito sums against zero.
+        params = ModelParams(SIGMA0, NU, -0.5, 0.5)
+        for maturity, funcs in zip(
+            self.MATURITIES, self.simulate(params, "cholesky_oracle", estimator)
+        ):
+            exact = integrated_variance_mean(
+                params,
+                TimeGrid(maturity, self.N_STEPS),
+                exact_level_variance(TimeGrid(maturity, self.N_STEPS), 0.5),
+            )
+            assert funcs.integrated_variance_mean == pytest.approx(exact, rel=1e-13)
+            for name, values in self.arrays(funcs).items():
+                target = exact if name == "y" else 0.0
+                se = values.std(ddof=1) / math.sqrt(values.shape[0])
+                assert abs(values.mean() - target) < 4.0 * se, (maturity, name)
+
+    def test_rejects_bad_maturities(self):
+        params = ModelParams(SIGMA0, NU, -0.5, 0.3)
+        config = McConfig(n_paths=10, seed=1)
+        for maturities in ((), (0.5, 0.0), (math.nan,), (math.inf,)):
+            with pytest.raises(ValueError, match="maturities"):
+                simulate_functionals(TimeGrid(1.0, 8), params, config, maturities)
 
 
 class TestDeterminism:
@@ -490,8 +603,8 @@ class TestDeterminism:
         grid = TimeGrid(1.0, 64)
         params = ModelParams(SIGMA0, NU, -0.8, 0.3)
         config = McConfig(n_paths=5000, seed=15, estimator="direct_euler")
-        a = simulate_functionals(grid, params, config)
-        b = simulate_functionals(grid, params, config)
+        (a,) = simulate_functionals(grid, params, config)
+        (b,) = simulate_functionals(grid, params, config)
         assert np.array_equal(a.integrated_variance, b.integrated_variance)
         assert np.array_equal(a.int_sigma_dw, b.int_sigma_dw)
         assert np.array_equal(a.int_sigma_db, b.int_sigma_db)
@@ -499,8 +612,8 @@ class TestDeterminism:
     def test_se_scales_with_paths(self):
         grid = TimeGrid(1.0, 50)
         params = ModelParams(SIGMA0, NU, 0.0, 0.5)
-        small = simulate_functionals(grid, params, McConfig(n_paths=10_000, seed=16))
-        large = simulate_functionals(grid, params, McConfig(n_paths=40_000, seed=16))
+        (small,) = simulate_functionals(grid, params, McConfig(n_paths=10_000, seed=16))
+        (large,) = simulate_functionals(grid, params, McConfig(n_paths=40_000, seed=16))
         se_small = vol_swap_strike(small, 1.0).std_error
         se_large = vol_swap_strike(large, 1.0).std_error
         # Quadrupling the paths should halve the SE, within sampling slack.
@@ -510,9 +623,9 @@ class TestDeterminism:
         grid = TimeGrid(1.0, 32)
         params = ModelParams(SIGMA0, NU, 0.0, 0.3)
         config = McConfig(n_paths=20_000, seed=17, scheme="cholesky_oracle")
-        funcs = simulate_functionals(grid, params, config)
+        (funcs,) = simulate_functionals(grid, params, config)
         est = vol_swap_strike(funcs, 1.0)
-        conv = simulate_functionals(
+        (conv,) = simulate_functionals(
             grid, params, McConfig(n_paths=20_000, seed=18)
         )
         conv_est = vol_swap_strike(conv, 1.0)
@@ -539,7 +652,7 @@ class TestStrikePricer:
         grid = TimeGrid(1.0, 32)
         params = ModelParams(SIGMA0, NU, -0.5, 0.3)
         config = McConfig(n_paths=20_000, seed=37, estimator="direct_euler")
-        funcs = simulate_functionals(grid, params, config)
+        (funcs,) = simulate_functionals(grid, params, config)
         pricer = strike_pricer(funcs, params, 0.0, 1.0, estimator="direct_euler")
         spot = np.exp(_terminal_log_return(funcs, params.rho))
         for k in (-0.05, 0.0, 0.05):

@@ -130,7 +130,7 @@ class TestIvCurve:
         delta = 0.05
         asymmetry = {}
         params0 = ModelParams(sigma0=SIGMA0, nu=NU, rho=0.0, hurst=0.5)
-        funcs = simulate_functionals(grid, params0, config)
+        (funcs,) = simulate_functionals(grid, params0, config)
         for rho in (0.0, -0.8):
             params = ModelParams(sigma0=SIGMA0, nu=NU, rho=rho, hurst=0.5)
             smile = implied_smile(strike_pricer(funcs, params, X0, 1.0), X0, 1.0)
@@ -186,7 +186,7 @@ class TestSwapReport:
 
         params = ModelParams(sigma0=SIGMA0, nu=NU, rho=-0.5, hurst=0.5)
         config = McConfig(n_paths=256, seed=430)
-        funcs = simulate_functionals(TimeGrid(1.0, 8), params, config)
+        (funcs,) = simulate_functionals(TimeGrid(1.0, 8), params, config)
         smile = analytic_pricer(lambda k: SIGMA0 - 0.1 * (k - X0), X0, 1.0)
         strikes = []
 
@@ -207,7 +207,7 @@ class TestSwapReport:
 
         params = ModelParams(sigma0=SIGMA0, nu=NU, rho=-0.5, hurst=0.5)
         config = McConfig(n_paths=256, seed=431)
-        funcs = simulate_functionals(TimeGrid(1.0, 8), params, config)
+        (funcs,) = simulate_functionals(TimeGrid(1.0, 8), params, config)
         pricer = strike_pricer(funcs, params, X0, 1.0)
         alive = weakref.ref(pricer)
         gc.disable()
