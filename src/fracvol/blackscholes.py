@@ -162,6 +162,8 @@ def implied_vol(target_price: float, x: float, k: float, tau: float) -> float:
     bounds ``((e^x - e^k)+, e^x)`` or no vol in IV_BRACKET matches it.
     """
     _check_finite(target_price=target_price, x=x, k=k, tau=tau)
+    if tau < 0.0:
+        raise ValueError("tau must be nonnegative")
     lower = max(math.exp(x) - math.exp(k), 0.0)
     upper = math.exp(x)
     if not lower < target_price < upper:
@@ -170,12 +172,18 @@ def implied_vol(target_price: float, x: float, k: float, tau: float) -> float:
         )
     lo, hi = IV_BRACKET
     no_root = f"no volatility in bracket [{lo}, {hi}] matches price {target_price}"
-    args = (target_price, x, k, tau)
+    args = (target_price, x, np.exp(x), k, np.sqrt(tau))
     return _root(_price_gap, lo, hi, args, IV_TOL, "implied vol", no_root)
 
 
-def _price_gap(sigma: float, target: float, x: float, k: float, tau: float) -> float:
-    return bs_price(x, k, sigma, tau) - target
+def _price_gap(
+    sigma: float, target: float, x: float, ex: float, k: float, sqrt_tau: float
+) -> float:
+    """Price at sigma less the target, straight through _call: implied_vol
+    has checked the inputs, and exp(x) and sqrt(tau) come precomputed."""
+    srt = sigma * sqrt_tau
+    live = srt > 0.0
+    return float(_call(x, ex, k, srt if live else 1.0, live)) - target
 
 
 def zero_vanna_strike(iv_curve: Callable[[float], float], x: float, tau: float) -> float:

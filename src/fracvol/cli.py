@@ -326,9 +326,9 @@ def _write_csv(path: Path, outcomes: dict[Cell, SwapReport | str]) -> None:
             writer.writerow(_format_csv_value(value) for value in row)
 
 
-def _blas_build() -> str:
-    """Name and version of the BLAS numpy was built against."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+def _blas_build(module) -> str:
+    """Name and version of the BLAS numpy or scipy was built against."""
+    blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return f"{blas.get('name')} {blas.get('version')}"
 
 
@@ -347,7 +347,9 @@ def _write_manifest(
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
-            "blas": _blas_build(),
+            # the Volterra product runs on scipy's BLAS, the rest on numpy's
+            "numpy_blas": _blas_build(np),
+            "scipy_blas": _blas_build(scipy),
         },
         "created_at": datetime.now(timezone.utc).isoformat(),
         "config": dataclasses.asdict(config),

@@ -151,10 +151,10 @@ def simulate_functionals(
     Every RNG block streams through tiles of fbm.TILE_BYTES per buffer:
     each tile is drawn and convolved once, then every maturity's vols and
     functionals are taken from it while it is in cache. Memory is a few
-    tile buffers (dw, wh, vols, squared vols, and the B increments for
-    the direct Euler estimator) plus O(n_paths x maturities) for the
-    functionals. The Cholesky oracle draws all paths as one block at unit
-    maturity and streams that through the same tiles.
+    tile buffers (dw, wh, vols, and the B increments for the direct Euler
+    estimator) plus O(n_paths x maturities) for the functionals. The
+    Cholesky oracle draws all paths as one block at unit maturity and
+    streams that through the same tiles.
 
     The functionals are rho-free: params.rho is never read. For the
     direct Euler estimator int sigma dB is also accumulated; the B
@@ -190,7 +190,7 @@ def simulate_functionals(
         )
         variance = level_variance(unit, weights)
     buffer = (min(tile_rows(unit.n_steps), config.n_paths), unit.n_steps)
-    vol, square = np.empty(buffer), np.empty(buffer)
+    vol = np.empty(buffer)
 
     row = 0
     for _, tile in tiles:
@@ -198,7 +198,7 @@ def simulate_functionals(
         row += tile.n_paths
         for m, unit_params in enumerate(scaled):
             vols = vol_paths(tile, unit_params, unit, out=vol[: tile.n_paths])
-            funcs = path_functionals(vols, tile, unit, scratch=square[: tile.n_paths])
+            funcs = path_functionals(vols, tile, unit)
             y[m, rows] = funcs.integrated_variance
             ito[m, rows] = funcs.int_sigma_dw
             if direct:

@@ -136,23 +136,17 @@ def integrated_variance_mean(
 
 
 def path_functionals(
-    vols: np.ndarray,
-    batch: GaussianPathBatch,
-    grid: TimeGrid,
-    scratch: Optional[np.ndarray] = None,
+    vols: np.ndarray, batch: GaussianPathBatch, grid: TimeGrid
 ) -> PathFunctionals:
     """Integrate each path: Y by left-point Riemann, int sigma dW by the
     adapted left-point Ito sum (vol at t_j times the increment over
-    [t_j, t_{j+1}]).
-
-    scratch, an array of vols' shape, receives the squared vols, which
-    overwrites it; without it they go to a new array.
+    [t_j, t_{j+1}]). Both are row-wise dot products, with no temporary.
     """
     if vols.shape != batch.dw.shape:
         raise ValueError("vols and batch disagree on shape")
     if vols.shape[1] != grid.n_steps:
         raise ValueError("vols and grid disagree on the number of steps")
-    y = np.sum(np.square(vols, out=scratch), axis=1) * grid.dt
+    y = np.einsum("ij,ij->i", vols, vols) * grid.dt
     ito = np.einsum("ij,ij->i", vols, batch.dw)
     return PathFunctionals(integrated_variance=y, int_sigma_dw=ito)
 

@@ -164,14 +164,14 @@ class TestImpliedVol:
     def test_near_atm_inversion_prices_at_most_16_times(self, monkeypatch):
         # a bisection of IV_BRACKET down to IV_TOL takes 37 prices
         calls = []
-        real = blackscholes.bs_price
+        real = blackscholes._call
+        price = bs_price(0.01, -0.03, 0.27, 1.3)
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(blackscholes, "bs_price", counted)
-        price = real(0.01, -0.03, 0.27, 1.3)
+        monkeypatch.setattr(blackscholes, "_call", counted)
         assert implied_vol(price, 0.01, -0.03, 1.3) == pytest.approx(0.27, abs=1e-10)
         assert len(calls) <= 16
 
@@ -179,14 +179,14 @@ class TestImpliedVol:
         # brentq prices both ends of IV_BRACKET itself; a sign pre-check
         # would price them a second time
         calls = []
-        real = blackscholes.bs_price
+        real = blackscholes._call
+        price = bs_price(0.01, -0.03, 0.27, 1.3)
 
         def counted(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(blackscholes, "bs_price", counted)
-        price = real(0.01, -0.03, 0.27, 1.3)
+        monkeypatch.setattr(blackscholes, "_call", counted)
         implied_vol(price, 0.01, -0.03, 1.3)
         assert len(calls) == 8
         assert len(set(calls)) == len(calls)

@@ -2,6 +2,7 @@
 
 import csv
 import importlib.util
+import io
 import json
 import math
 import os
@@ -266,15 +267,19 @@ class TestRun:
     def test_manifest_records_reproducibility_fields(self, grid_run, tmp_path):
         _, out = grid_run
         manifest = json.loads(out.with_suffix(".manifest.json").read_text())
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        numpy_blas, scipy_blas = (
+            module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            for module in (np, scipy)
+        )
         assert manifest["versions"] == {
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
-            "blas": f"{blas['name']} {blas['version']}",
+            "numpy_blas": f"{numpy_blas['name']} {numpy_blas['version']}",
+            "scipy_blas": f"{scipy_blas['name']} {scipy_blas['version']}",
         }
         assert manifest["simulation"] == {
-            "bit_generator": "Philox",
+            "bit_generator": "SFC64",
             "block_size": 65_536,
             "tile_bytes": TILE_BYTES,
             "maturity_layout": MATURITY_LAYOUT,
@@ -284,7 +289,7 @@ class TestRun:
             "convolution": {"H=0.5": "cumsum"},
         }
         for scheme, evaluation, method in (
-            ("midpoint_convolution", "midpoint", "toeplitz_matmul"),
+            ("midpoint_convolution", "midpoint", "toeplitz_trmm"),
             ("cholesky_oracle", None, "cholesky"),
         ):
             other = tmp_path / f"{scheme}.csv"
@@ -682,6 +687,53 @@ class TestImportCost:
 
 
 class TestBenchmarkHooks:
+    def test_every_span_wrapper_is_called(self, tmp_path, monkeypatch):
+        # cli.run must still call every name perfbench/spans.py replaces
+        # through that module global, or the name's span stays empty and
+        # its layer metrics read zero without failing anything. The names
+        # are read off a real install, which is then undone, and each is
+        # wrapped with a counter for one tiny in-process run.
+        from fracvol import cli, mcpricer, swapanalysis
+
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_spans", ROOT / "perfbench" / "spans.py"
+        )
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        modules = (cli, mcpricer, swapanalysis)
+        before = [dict(vars(module)) for module in modules]
+        patched = []
+        try:
+            spans.install(spans.Tracer(), [])
+        finally:
+            for module, attrs in zip(modules, before):
+                for name, original in attrs.items():
+                    if getattr(module, name) is not original:
+                        patched.append((module, name, original))
+                        setattr(module, name, original)
+        assert {module for module, _, _ in patched} == set(modules)
+        calls = {}
+        for module, name, original in patched:
+            key = f"{module.__name__}.{name}"
+            calls[key] = 0
+
+            def counted(*args, _key=key, _original=original, **kwargs):
+                calls[_key] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        config = ExperimentConfig(
+            mode="convergence",
+            n_paths=256,
+            n_steps=8,
+            hurst=(0.3,),
+            maturities=(0.25, 0.5, 1.0),
+            rho=(-0.8,),
+            out=str(tmp_path / "guard.csv"),
+        )
+        assert run(config, stream=io.StringIO()) == 0
+        assert all(calls.values()), calls
+
     def test_span_wrappers_still_fit_the_cli(self, tmp_path):
         # perfbench/spans.py wraps names that cli, mcpricer and
         # swapanalysis import; a rename must fail here, not in the bench.

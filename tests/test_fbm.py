@@ -14,7 +14,9 @@ from fracvol.fbm import (
     W_STREAM,
     GaussianPathBatch,
     TimeGrid,
+    _convolution_matrix,
     _joint_covariance,
+    _triangular_product,
     block_rng,
     cholesky_oracle,
     exact_level_variance,
@@ -127,6 +129,28 @@ class TestConvolution:
                 [np.convolve(row, w.weights)[:n_steps] for row in batch.dw]
             )
             np.testing.assert_allclose(batch.wh, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 50, 250])
+    def test_triangular_product_matches_dense_toeplitz(self, n_steps):
+        # The in-place BLAS triangular product equals the dense Toeplitz
+        # product up to summation order, on every tile of 128-row blocks
+        # (the last one partial), and writes into the tile's own buffer:
+        # a copy made by the BLAS wrapper would leave wh holding dw.
+        grid = TimeGrid(1.0, n_steps)
+        w = kernel_weights(grid, 0.1)
+        dense = toeplitz(w.weights, np.zeros(n_steps)).T
+        n_tiles = 0
+        for _, tile in iter_path_blocks(grid, w, 300, seed=4, block_size=128):
+            expected = tile.dw @ dense
+            rms = math.sqrt(np.mean(expected**2))
+            np.testing.assert_allclose(tile.wh, expected, rtol=0, atol=1e-13 * rms)
+            n_tiles += 1
+        assert n_tiles == 3 and tile.n_paths == 44
+        buffer = np.empty((128, n_steps))
+        wh = buffer[:44]
+        written = _triangular_product(_convolution_matrix(w), tile.dw, wh)
+        assert np.shares_memory(written, buffer)
+        np.testing.assert_allclose(wh, expected, rtol=0, atol=1e-13 * rms)
 
     @pytest.mark.parametrize("evaluation", ["variance_exact", "midpoint"])
     def test_level_variance_matches_sampled_levels(self, evaluation):

@@ -311,11 +311,15 @@ class TestControlVariates:
         params = ModelParams(SIGMA0, NU, -0.8, 0.1)
         config = McConfig(n_paths=n_paths, seed=1, estimator=estimator)
         (funcs,) = simulate_functionals(grid, params, config)
-        est = strike_pricer(funcs, params, 0.0, 1.0, estimator=estimator)(0.0)
         if estimator == "direct_euler":
-            plain = plain_direct_price(funcs, params, 0.0, 0.0)
+            # below every terminal spot, so no payoff is zero and the plain
+            # SE at two paths is positive whatever the draw
+            k = float(_terminal_log_return(funcs, params.rho).min()) - 0.1
+            plain = plain_direct_price(funcs, params, 0.0, k)
         else:
-            plain = _mean_se(mixing_values(funcs, params.rho, 0.0, 0.0, 1.0)[0])
+            k = 0.0
+            plain = _mean_se(mixing_values(funcs, params.rho, 0.0, k, 1.0)[0])
+        est = strike_pricer(funcs, params, 0.0, 1.0, estimator=estimator)(k)
         assert est.value == pytest.approx(plain.value, rel=1e-12)
         assert est.std_error == pytest.approx(plain.std_error, rel=1e-12, abs=0.0)
         if n_paths == 2:
@@ -471,10 +475,10 @@ class TestBlockBuffers:
 
     @pytest.mark.parametrize("estimator", ["conditional_mixing", "direct_euler"])
     def test_peak_memory_is_a_few_tile_buffers(self, estimator):
-        # One full 65,536-path block at 250 steps: dw, wh, the vols, the
-        # squared vols and (direct Euler) db are tile-sized, so the peak
-        # is a few tiles plus the O(n_paths) functionals, not the 393 MB
-        # of three block-sized buffers.
+        # One full 65,536-path block at 250 steps: dw, wh, the vols and
+        # (direct Euler) db are tile-sized, so the peak is a few tiles plus
+        # the O(n_paths) functionals, not the 393 MB of three block-sized
+        # buffers.
         n_paths, n_steps = 65_536, 250
         grid = TimeGrid(1.0, n_steps)
         params = ModelParams(SIGMA0, NU, -0.5, 0.3)
