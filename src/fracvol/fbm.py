@@ -5,7 +5,8 @@ its driving Brownian increments. The scheme is a left-point Volterra
 convolution whose kernel weights carry the exact cell variance, so the
 marginal Var[W^H_{t_i}] = t_i^{2H} / (2H) holds at every grid point by
 construction. A dense Cholesky sampler of the exact joint law is provided
-as a test oracle.
+as a test oracle. Only W is drawn as a path: the independent driver B
+enters the pricing layer as one normal per path from block 0 of B_STREAM.
 """
 from __future__ import annotations
 
@@ -97,23 +98,17 @@ class GaussianPathBatch:
     dW has shape (n_paths, n_steps); column j is the increment over
     [t_j, t_{j+1}], i.i.d. Normal(0, dt). wh has the same shape; column i
     holds W^H at t_{i+1} (W^H_0 = 0 is implicit). Both arrays come from the
-    same underlying Gaussian draws, so their joint law is preserved. db,
-    when drawn, holds the increments of a Brownian driver B independent of
-    W, in the same layout.
+    same underlying Gaussian draws, so their joint law is preserved.
     """
 
     dw: np.ndarray
     wh: np.ndarray
-    db: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("wh", "db"):
-            other = getattr(self, name)
-            if other is not None and other.shape != self.dw.shape:
-                raise ValueError(
-                    f"dw shape {self.dw.shape} does not match {name} shape "
-                    f"{other.shape}"
-                )
+        if self.wh.shape != self.dw.shape:
+            raise ValueError(
+                f"dw shape {self.dw.shape} does not match wh shape {self.wh.shape}"
+            )
 
     @property
     def n_paths(self) -> int:
@@ -213,23 +208,19 @@ def tile_rows(n_steps: int) -> int:
 
 def _fill_tile(
     w_rng: np.random.Generator,
-    b_rng: np.random.Generator | None,
     sqrt_dt: float,
     matrix: np.ndarray | None,
     tile: GaussianPathBatch,
 ) -> None:
-    """Draw a tile's next rows of W (and B) increments from its block's
-    generators, then its W^H levels.
+    """Draw a tile's next rows of W increments from its block's generator,
+    then its W^H levels.
 
-    The generators advance by the tile's rows, so the tiles of one block,
+    The generator advances by the tile's rows, so the tiles of one block,
     drawn in order, are bit-identical to one whole-block draw. Every
     operation writes in place into the tile's C-contiguous arrays.
     """
     w_rng.standard_normal(out=tile.dw)
     tile.dw *= sqrt_dt
-    if tile.db is not None:
-        b_rng.standard_normal(out=tile.db)
-        tile.db *= sqrt_dt
     if matrix is None:
         np.cumsum(tile.dw, axis=1, out=tile.wh)
     else:
@@ -261,20 +252,17 @@ def iter_path_blocks(
     n_paths: int,
     seed: int,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    orthogonal: bool = False,
 ):
     """Iterator of (block_index, GaussianPathBatch) tiles covering n_paths
     in order.
 
     Block b holds paths [b * block_size, min((b+1) * block_size, n_paths))
-    and draws from its own generators, so its draws depend only on (seed,
+    and draws from its own generator, so its draws depend only on (seed,
     b, block_size, grid shape), never on other blocks: generation
     parallelizes with deterministic output, and block_size is part of the
     reproducibility key. Each block is yielded as consecutive row tiles of
     at most tile_rows(n_steps) rows, drawn in order from the block's
-    generators, which gives the same numbers as a whole-block draw. With
-    orthogonal, every tile also carries db, the B increments of the same
-    rows from the block's B_STREAM generator.
+    generator, which gives the same numbers as a whole-block draw.
 
     The arguments are checked at the call, not at the first tile. Every
     tile is written in place into the leading rows of C-contiguous buffers
@@ -286,21 +274,17 @@ def iter_path_blocks(
     step = min(tile_rows(grid.n_steps), block_size, n_paths)
     shape = (step, grid.n_steps)
     dw, wh = np.empty(shape), np.empty(shape)
-    db = np.empty(shape) if orthogonal else None
     sqrt_dt = np.sqrt(grid.dt)
     matrix = _convolution_matrix(weights)
 
     def tiles():
         for b, start in enumerate(range(0, n_paths, block_size)):
             w_rng = block_rng(seed, W_STREAM, b)
-            b_rng = block_rng(seed, B_STREAM, b) if orthogonal else None
             block_rows = min(block_size, n_paths - start)
             for offset in range(0, block_rows, step):
                 rows = min(step, block_rows - offset)
-                tile = GaussianPathBatch(
-                    dw=dw[:rows], wh=wh[:rows], db=None if db is None else db[:rows]
-                )
-                _fill_tile(w_rng, b_rng, sqrt_dt, matrix, tile)
+                tile = GaussianPathBatch(dw=dw[:rows], wh=wh[:rows])
+                _fill_tile(w_rng, sqrt_dt, matrix, tile)
                 yield b, tile
 
     return tiles()
@@ -392,13 +376,12 @@ def exact_level_variance(grid: TimeGrid, hurst: float) -> np.ndarray:
 
 
 def cholesky_oracle(
-    grid: TimeGrid, hurst: float, n_paths: int, seed: int, orthogonal: bool = False
+    grid: TimeGrid, hurst: float, n_paths: int, seed: int
 ) -> GaussianPathBatch:
     """Sample the exact joint Gaussian law of (W, W^H) at the grid points.
 
     Dense factorization of the analytically-computed covariance; intended
-    for tests only, hence the step budget. All paths are one block: with
-    orthogonal, db is drawn from block 0 of B_STREAM.
+    for tests only, hence the step budget.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
@@ -413,8 +396,4 @@ def cholesky_oracle(
     w_levels = joint[:, : grid.n_steps]
     wh = joint[:, grid.n_steps :]
     dw = np.diff(w_levels, axis=1, prepend=0.0)
-    db = None
-    if orthogonal:
-        db = block_rng(seed, B_STREAM, 0).standard_normal(dw.shape)
-        db *= np.sqrt(grid.dt)
-    return GaussianPathBatch(dw=dw, wh=np.ascontiguousarray(wh), db=db)
+    return GaussianPathBatch(dw=dw, wh=np.ascontiguousarray(wh))

@@ -5,8 +5,10 @@ simulation serves every correlation. The conditional (mixing) estimator
 integrates the independent Brownian factor out exactly: given the vol path,
 the log-price is Gaussian, so each path contributes a shifted-spot,
 reduced-vol Black-Scholes value and no B draws are needed. The direct
-estimator also keeps int sigma dB against the orthogonal driver B, builds
-the left-point Euler log-price from it per rho, and averages the payoff.
+estimator draws that factor's leg instead: given the vol path, int sigma dB
+is exactly Normal(0, Y), so it is sqrt(Y) times one standard normal per
+path (INDEPENDENT_LEG). It builds the left-point Euler log-price from it
+per rho and averages the payoff.
 
 Both estimators always regress their per-path values on the same two
 control variates, CONTROLS, whose means are exact in the discrete scheme:
@@ -30,11 +32,13 @@ import numpy as np
 
 from .blackscholes import _call
 from .fbm import (
+    B_STREAM,
     BIT_GENERATOR,
     DEFAULT_BLOCK_SIZE,
     TILE_BYTES,
     GaussianPathBatch,
     TimeGrid,
+    block_rng,
     cholesky_oracle,
     convolution_method,
     exact_level_variance,
@@ -63,6 +67,7 @@ __all__ = [
     "VALID_ESTIMATORS",
     "CONTROLS",
     "MATURITY_LAYOUT",
+    "INDEPENDENT_LEG",
 ]
 
 VALID_SCHEMES = ("convolution", "midpoint_convolution", "cholesky_oracle")
@@ -72,7 +77,13 @@ CONTROLS = ("spot_martingale", "integrated_variance")
 # how every maturity of one simulation is read off its single draw
 MATURITY_LAYOUT = (
     "one unit-maturity draw per simulation; maturity T reads it with nu * T^H, "
-    "then scales Y and E[Y] by T and the Ito sums by sqrt(T)"
+    "then scales Y and E[Y] by T and int sigma dW by sqrt(T)"
+)
+# how the direct Euler estimator draws int sigma dB, the leg of the
+# Brownian driver independent of the vol path
+INDEPENDENT_LEG = (
+    "sqrt(Y) * z: one standard normal z per path from block 0 of B_STREAM, "
+    "shared by every maturity"
 )
 # the kernel_weights evaluation behind each convolution scheme; the
 # Cholesky oracle samples the exact law and evaluates no kernel
@@ -146,47 +157,41 @@ def simulate_functionals(
     by Riemann-Liouville self-similarity, T^H times the W^H levels of
     TimeGrid(1, n), so its vol path is the unit-grid one with vol-of-vol
     nu * T^H. So Y and its exact mean E[Y] at T are T times the unit-grid
-    ones at nu * T^H, and int sigma dW and int sigma dB are sqrt(T) times.
+    ones at nu * T^H, and int sigma dW is sqrt(T) times.
 
     Every RNG block streams through tiles of fbm.TILE_BYTES per buffer:
     each tile is drawn and convolved once, then every maturity's vols and
     functionals are taken from it while it is in cache. Memory is a few
-    tile buffers (dw, wh, vols, and the B increments for the direct Euler
-    estimator) plus O(n_paths x maturities) for the functionals. The
-    Cholesky oracle draws all paths as one block at unit maturity and
-    streams that through the same tiles.
+    tile buffers (dw, wh, vols) plus O(n_paths x maturities) for the
+    functionals. The Cholesky oracle draws all paths as one block at unit
+    maturity and streams that through the same tiles.
 
     The functionals are rho-free: params.rho is never read. For the
-    direct Euler estimator int sigma dB is also accumulated; the B
-    increments come from their own RNG stream, block-aligned with the W
-    draws. The exact E[Y] of the scheme, which the pricers' Y control
-    needs, is recorded from the scheme's own W^H variances.
+    direct Euler estimator int sigma dB is sqrt(Y) * z (INDEPENDENT_LEG):
+    given the vols it is exactly Normal(0, Y), so z is one standard normal
+    per path, from block 0 of B_STREAM and independent of W. Every
+    maturity reads the same z, so the legs of two maturities are perfectly
+    correlated; each maturity's marginal law is exact, and nothing reads
+    the joint law across maturities. The exact E[Y] of the scheme, which
+    the pricers' Y control needs, is recorded from the scheme's own W^H
+    variances.
     """
     maturities = (grid.maturity,) if maturities is None else tuple(maturities)
     if not maturities or not all(0.0 < t < math.inf for t in maturities):
         raise ValueError("maturities must be a nonempty list of positive finite values")
     unit = TimeGrid(1.0, grid.n_steps)
-    direct = config.estimator == "direct_euler"
     scaled = [replace(params, nu=params.nu * t**params.hurst) for t in maturities]
     shape = (len(maturities), config.n_paths)
     y, ito = np.empty(shape), np.empty(shape)
-    ito_b = np.empty(shape) if direct else None
 
     if config.scheme == "cholesky_oracle":
-        batch = cholesky_oracle(
-            unit, params.hurst, config.n_paths, config.seed, orthogonal=direct
-        )
+        batch = cholesky_oracle(unit, params.hurst, config.n_paths, config.seed)
         tiles = _tiles(batch)
         variance = exact_level_variance(unit, params.hurst)
     else:
         weights = kernel_weights(unit, params.hurst, KERNEL_EVALUATION[config.scheme])
         tiles = iter_path_blocks(
-            unit,
-            weights,
-            config.n_paths,
-            config.seed,
-            config.block_size,
-            orthogonal=direct,
+            unit, weights, config.n_paths, config.seed, config.block_size
         )
         variance = level_variance(unit, weights)
     buffer = (min(tile_rows(unit.n_steps), config.n_paths), unit.n_steps)
@@ -201,21 +206,20 @@ def simulate_functionals(
             funcs = path_functionals(vols, tile, unit)
             y[m, rows] = funcs.integrated_variance
             ito[m, rows] = funcs.int_sigma_dw
-            if direct:
-                ito_b[m, rows] = np.einsum("ij,ij->i", vols, tile.db)
 
+    z = None
+    if config.estimator == "direct_euler":
+        z = block_rng(config.seed, B_STREAM, 0).standard_normal(config.n_paths)
     out = []
     for m, (t, unit_params) in enumerate(zip(maturities, scaled)):
         y[m] *= t
         ito[m] *= math.sqrt(t)
-        if direct:
-            ito_b[m] *= math.sqrt(t)
         mean = t * integrated_variance_mean(unit_params, unit, variance)
         out.append(
             PathFunctionals(
                 integrated_variance=y[m],
                 int_sigma_dw=ito[m],
-                int_sigma_db=ito_b[m] if direct else None,
+                int_sigma_db=None if z is None else np.sqrt(y[m]) * z,
                 integrated_variance_mean=mean,
             )
         )
@@ -228,22 +232,24 @@ def _tiles(batch: GaussianPathBatch) -> Iterator[tuple[int, GaussianPathBatch]]:
     step = tile_rows(batch.n_steps)
     for row in range(0, batch.n_paths, step):
         rows = slice(row, row + step)
-        db = None if batch.db is None else batch.db[rows]
-        yield 0, GaussianPathBatch(dw=batch.dw[rows], wh=batch.wh[rows], db=db)
+        yield 0, GaussianPathBatch(dw=batch.dw[rows], wh=batch.wh[rows])
 
 
 def simulation_record(config: McConfig, hurst: Sequence[float]) -> dict[str, object]:
     """How simulate_functionals draws its paths under config at each H,
     in enough detail to reproduce them: bit generator, block size, tile
-    size in bytes per buffer, how the maturities share one draw, kernel
-    evaluation, convolution method ("cholesky" for the oracle) and the
-    control variates of the call estimators."""
+    size in bytes per buffer, how the maturities share one draw, how
+    direct Euler draws int sigma dB (None for mixing, which draws none),
+    kernel evaluation, convolution method ("cholesky" for the oracle) and
+    the control variates of the call estimators."""
     evaluation = KERNEL_EVALUATION.get(config.scheme)
+    direct = config.estimator == "direct_euler"
     return {
         "bit_generator": BIT_GENERATOR.__name__,
         "block_size": config.block_size,
         "tile_bytes": TILE_BYTES,
         "maturity_layout": MATURITY_LAYOUT,
+        "independent_leg": INDEPENDENT_LEG if direct else None,
         "controls": list(CONTROLS),
         "kernel_evaluation": evaluation,
         "convolution": {

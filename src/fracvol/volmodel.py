@@ -53,8 +53,9 @@ class PathFunctionals:
 
     integrated_variance: Y = int_0^T sigma^2 ds (left-point Riemann sum).
     int_sigma_dw: int_0^T sigma dW (left-point Ito sum, adapted).
-    int_sigma_db: int_0^T sigma dB against the orthogonal Brownian driver,
-    drawn only for the direct Euler estimator.
+    int_sigma_db: int_0^T sigma dB against the Brownian driver B independent
+    of W, only for the direct Euler estimator. Given the vols it is exactly
+    Normal(0, Y), so it is drawn as sqrt(Y) times one normal per path.
     integrated_variance_mean: the exact E[Y] of the scheme that drew the
     paths (see integrated_variance_mean), which the pricers' Y control needs;
     None for functionals of a bare batch, whose scheme is unknown.

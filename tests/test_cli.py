@@ -29,7 +29,12 @@ from fracvol.cli import (
     run,
 )
 from fracvol.fbm import TILE_BYTES
-from fracvol.mcpricer import MATURITY_LAYOUT, McConfig
+from fracvol.mcpricer import (
+    INDEPENDENT_LEG,
+    MATURITY_LAYOUT,
+    McConfig,
+    simulation_record,
+)
 from fracvol.swapanalysis import simulate_report
 from fracvol.volmodel import ModelParams
 
@@ -283,11 +288,14 @@ class TestRun:
             "block_size": 65_536,
             "tile_bytes": TILE_BYTES,
             "maturity_layout": MATURITY_LAYOUT,
+            "independent_leg": None,
             "seeds": {"H=0.5": 99 * 100},
             "controls": ["spot_martingale", "integrated_variance"],
             "kernel_evaluation": "variance_exact",
             "convolution": {"H=0.5": "cumsum"},
         }
+        direct = McConfig(n_paths=1, seed=0, estimator="direct_euler")
+        assert simulation_record(direct, [0.5])["independent_leg"] == INDEPENDENT_LEG
         for scheme, evaluation, method in (
             ("midpoint_convolution", "midpoint", "toeplitz_trmm"),
             ("cholesky_oracle", None, "cholesky"),

@@ -10,7 +10,6 @@ from scipy.linalg import toeplitz
 from scipy.stats import ks_2samp
 
 from fracvol.fbm import (
-    B_STREAM,
     W_STREAM,
     GaussianPathBatch,
     TimeGrid,
@@ -227,41 +226,38 @@ class TestSamplePaths:
 
     def test_tiles_match_whole_block_draws(self):
         # 4,096-row blocks at 250 steps stream as several tiles each: the
-        # W and B increments, drawn tile by tile from each block's
-        # generators, equal one whole-block draw bit for bit, and
-        # sample_paths copies the same tiles.
+        # W increments, drawn tile by tile from each block's generator,
+        # equal one whole-block draw bit for bit, and sample_paths copies
+        # the same tiles.
         grid = TimeGrid(1.0, 250)
         w = kernel_weights(grid, 0.1)
         block, n_paths = 4096, 2 * 4096 + 1500
         assert tile_rows(grid.n_steps) < block
         dw = np.empty((n_paths, grid.n_steps))
-        wh, db = np.empty_like(dw), np.empty_like(dw)
+        wh = np.empty_like(dw)
         tiles_per_block = [0, 0, 0]
         row = 0
-        for b, tile in iter_path_blocks(
-            grid, w, n_paths, seed=5, block_size=block, orthogonal=True
-        ):
+        for b, tile in iter_path_blocks(grid, w, n_paths, seed=5, block_size=block):
             rows = slice(row, row + tile.n_paths)
-            dw[rows], wh[rows], db[rows] = tile.dw, tile.wh, tile.db
+            dw[rows], wh[rows] = tile.dw, tile.wh
             tiles_per_block[b] += 1
             row += tile.n_paths
         assert row == n_paths
         assert min(tiles_per_block) > 1
         for b, start in enumerate(range(0, n_paths, block)):
             rows = slice(start, min(start + block, n_paths))
-            shape = dw[rows].shape
-            for stream, drawn in ((W_STREAM, dw), (B_STREAM, db)):
-                whole = block_rng(5, stream, b).standard_normal(shape)
-                assert np.array_equal(drawn[rows], whole * math.sqrt(grid.dt))
+            whole = block_rng(5, W_STREAM, b).standard_normal(dw[rows].shape)
+            assert np.array_equal(dw[rows], whole * math.sqrt(grid.dt))
         full = sample_paths(grid, w, n_paths, seed=5, block_size=block)
         assert np.array_equal(full.dw, dw) and np.array_equal(full.wh, wh)
 
     @pytest.mark.parametrize("hurst", [0.2, 0.5])
     def test_reused_buffers_match_fresh_blocks(self, hurst):
         # Every block, partial last one included, is written in place into
-        # the same two buffers and equals a fresh allocating draw: normals
-        # times sqrt(dt), then the Toeplitz product (or cumsum at H = 1/2),
-        # bit for bit.
+        # the same two buffers and equals a fresh draw into fresh arrays:
+        # normals times sqrt(dt), then the same triangular product (or
+        # cumsum at H = 1/2), bit for bit. The product itself is checked
+        # against the dense Toeplitz GEMM in TestConvolution.
         grid = TimeGrid(1.0, 48)
         w = kernel_weights(grid, hurst)
         blocks = iter_path_blocks(grid, w, 1000, seed=9, block_size=256)
@@ -277,7 +273,8 @@ class TestSamplePaths:
             if hurst == 0.5:
                 wh = np.cumsum(dw, axis=1)
             else:
-                wh = dw @ toeplitz(w.weights, np.zeros(48)).T
+                wh = np.empty_like(dw)
+                _triangular_product(_convolution_matrix(w), dw, wh)
             assert np.array_equal(blk.dw, dw) and np.array_equal(blk.wh, wh)
             n_blocks += 1
         assert n_blocks == 4

@@ -183,10 +183,10 @@ class TestDirectEstimator:
         assert abs(spot.mean() - 1.0) < 3.0 * se
 
     def test_streaming_matches_materialized(self):
-        # Rebuild int sigma dB from one materialized batch with the B
-        # stream drawn per block: the streaming driver must match it bit
-        # for bit, so its B draws are block-aligned with the W draws, and
-        # so must the Euler log-return the pricer builds from it.
+        # Rebuild int sigma dB from one materialized batch as sqrt(Y)
+        # times one normal per path from block 0 of the B stream, whatever
+        # the block size: the streaming driver must match it bit for bit,
+        # and so must the Euler log-return the pricer builds from it.
         grid = TimeGrid(1.0, 64)
         params = ModelParams(SIGMA0, NU, -0.5, 0.3)
         config = McConfig(
@@ -197,11 +197,8 @@ class TestDirectEstimator:
         batch = sample_paths(grid, w, 3000, seed=7, block_size=1000)
         vols = vol_paths(batch, params, grid)
         whole = path_functionals(vols, batch, grid)
-        ito_b = np.empty(3000)
-        for b, row in enumerate(range(0, 3000, 1000)):
-            rows = slice(row, row + 1000)
-            db = block_rng(7, B_STREAM, b).standard_normal((1000, 64))
-            ito_b[rows] = np.einsum("ij,ij->i", vols[rows], db * math.sqrt(grid.dt))
+        z = block_rng(7, B_STREAM, 0).standard_normal(3000)
+        ito_b = np.sqrt(whole.integrated_variance) * z
         assert np.array_equal(funcs.int_sigma_db, ito_b)
         orth = math.sqrt(1.0 - params.rho**2)
         expected = (
@@ -210,6 +207,45 @@ class TestDirectEstimator:
             + orth * ito_b
         )
         assert np.array_equal(_terminal_log_return(funcs, params.rho), expected)
+
+    def test_one_normal_leg_has_the_law_of_the_increment_sum(self):
+        # The old construction: int sigma dB as the left-point sum of the
+        # vols against a B-increment field the test draws itself. Its
+        # controlled call prices must agree with the pricer on sqrt(Y) * z
+        # from an independent simulation, and z must be a standard normal
+        # uncorrelated with int sigma dW.
+        grid = TimeGrid(1.0, 50)
+        n_paths = 50_000
+        base = ModelParams(SIGMA0, NU, 0.0, 0.1)
+        w = kernel_weights(grid, base.hurst)
+        batch = sample_paths(grid, w, n_paths, seed=41)
+        vols = vol_paths(batch, base, grid)
+        whole = path_functionals(vols, batch, grid)
+        db = np.random.default_rng(42).standard_normal(vols.shape)
+        euler = PathFunctionals(
+            integrated_variance=whole.integrated_variance,
+            int_sigma_dw=whole.int_sigma_dw,
+            int_sigma_db=np.einsum("ij,ij->i", vols, db) * math.sqrt(grid.dt),
+            integrated_variance_mean=integrated_variance_mean(
+                base, grid, level_variance(grid, w)
+            ),
+        )
+        config = McConfig(n_paths=n_paths, seed=43, estimator="direct_euler")
+        (funcs,) = simulate_functionals(grid, base, config)
+        for rho in (0.0, -0.8):
+            params = ModelParams(SIGMA0, NU, rho, base.hurst)
+            old = strike_pricer(euler, params, 0.0, 1.0, estimator="direct_euler")
+            new = strike_pricer(funcs, params, 0.0, 1.0, estimator="direct_euler")
+            for k in (-0.1, 0.0, 0.1):
+                a, b = old(k), new(k)
+                assert abs(a.value - b.value) < 3.0 * combined_se(a, b), (rho, k)
+
+        z = funcs.int_sigma_db / np.sqrt(funcs.integrated_variance)
+        bound = 4.0 / math.sqrt(n_paths)
+        assert abs(z.mean()) < bound
+        centred = (z - z.mean()) ** 2
+        assert abs(z.var(ddof=1) - 1.0) < 4.0 * centred.std(ddof=1) / math.sqrt(n_paths)
+        assert abs(np.corrcoef(z, funcs.int_sigma_dw)[0, 1]) < bound
 
     @pytest.mark.parametrize("hurst", [0.1, 0.3, 0.5, 0.7, 0.9])
     @pytest.mark.parametrize("rho", [0.0, -0.8])
@@ -450,14 +486,11 @@ class TestBlockBuffers:
         (funcs,) = simulate_functionals(grid, params, config)
 
         if scheme == "cholesky_oracle":
-            # the oracle draws every path as block 0
-            block = n_paths
             batch = cholesky_oracle(grid, hurst, n_paths, seed=19)
         else:
-            block = self.BLOCK
             midpoint = scheme == "midpoint_convolution"
             w = kernel_weights(grid, hurst, "midpoint" if midpoint else "variance_exact")
-            batch = sample_paths(grid, w, n_paths, seed=19, block_size=block)
+            batch = sample_paths(grid, w, n_paths, seed=19, block_size=self.BLOCK)
         vols = vol_paths(batch, params, grid)
         whole = path_functionals(vols, batch, grid)
         assert np.array_equal(funcs.integrated_variance, whole.integrated_variance)
@@ -465,20 +498,16 @@ class TestBlockBuffers:
         if estimator == "conditional_mixing":
             assert funcs.int_sigma_db is None
             return
-        ito_b = np.empty(n_paths)
-        for b, row in enumerate(range(0, n_paths, block)):
-            rows = slice(row, row + block)
-            shape = vols[rows].shape
-            db = block_rng(19, B_STREAM, b).standard_normal(shape) * math.sqrt(grid.dt)
-            ito_b[rows] = np.einsum("ij,ij->i", vols[rows], db)
+        z = block_rng(19, B_STREAM, 0).standard_normal(n_paths)
+        ito_b = np.sqrt(whole.integrated_variance) * z
         assert np.array_equal(funcs.int_sigma_db, ito_b)
 
     @pytest.mark.parametrize("estimator", ["conditional_mixing", "direct_euler"])
     def test_peak_memory_is_a_few_tile_buffers(self, estimator):
-        # One full 65,536-path block at 250 steps: dw, wh, the vols and
-        # (direct Euler) db are tile-sized, so the peak is a few tiles plus
-        # the O(n_paths) functionals, not the 393 MB of three block-sized
-        # buffers.
+        # One full 65,536-path block at 250 steps: dw, wh and the vols are
+        # tile-sized, so the peak is a few tiles plus the O(n_paths)
+        # functionals (and, for direct Euler, one normal per path), not the
+        # 393 MB of three block-sized buffers.
         n_paths, n_steps = 65_536, 250
         grid = TimeGrid(1.0, n_steps)
         params = ModelParams(SIGMA0, NU, -0.5, 0.3)
@@ -508,27 +537,23 @@ class TestMaturityRescaling:
         simulation draws them."""
         grid = TimeGrid(maturity, self.N_STEPS)
         if scheme == "cholesky_oracle":
-            block = self.N_PATHS
             batch = cholesky_oracle(grid, params.hurst, self.N_PATHS, seed=31)
             variance = exact_level_variance(grid, params.hurst)
         else:
-            block = self.BLOCK
             midpoint = scheme == "midpoint_convolution"
             w = kernel_weights(
                 grid, params.hurst, "midpoint" if midpoint else "variance_exact"
             )
-            batch = sample_paths(grid, w, self.N_PATHS, seed=31, block_size=block)
+            batch = sample_paths(
+                grid, w, self.N_PATHS, seed=31, block_size=self.BLOCK
+            )
             variance = level_variance(grid, w)
         vols = vol_paths(batch, params, grid)
         funcs = path_functionals(vols, batch, grid)
         arrays = {"y": funcs.integrated_variance, "ito": funcs.int_sigma_dw}
         if estimator == "direct_euler":
-            ito_b = np.empty(self.N_PATHS)
-            for b, row in enumerate(range(0, self.N_PATHS, block)):
-                rows = slice(row, row + block)
-                z = block_rng(31, B_STREAM, b).standard_normal(vols[rows].shape)
-                ito_b[rows] = np.einsum("ij,ij->i", vols[rows], z * math.sqrt(grid.dt))
-            arrays["ito_b"] = ito_b
+            z = block_rng(31, B_STREAM, 0).standard_normal(self.N_PATHS)
+            arrays["ito_b"] = np.sqrt(funcs.integrated_variance) * z
         return arrays, integrated_variance_mean(params, grid, variance)
 
     def simulate(self, params, scheme, estimator):
