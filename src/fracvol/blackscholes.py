@@ -9,7 +9,7 @@ function of its arguments and is safe to call concurrently.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -23,13 +23,16 @@ __all__ = [
     "vega",
     "implied_vol",
     "zero_vanna_strike",
+    "ZeroVannaSearch",
 ]
 
 # Volatility bracket of the implied-vol inversion, and the bracket width
-# at which it stops.
+# at which it stops. An inversion error e enters the smile's slope at the
+# money as about e/2 (see swapanalysis.implied_smile).
 IV_BRACKET = (1e-6, 5.0)
-IV_TOL = 1e-10
-# Width of the log-strike bracket at which the zero-vanna search stops.
+IV_TOL = 1e-14
+# Newton step or log-strike bracket width at which the zero-vanna search
+# stops.
 ZERO_VANNA_XTOL = 1e-12
 # Iteration budget of every root find.
 ROOT_MAX_ITER = 100
@@ -82,7 +85,7 @@ def bs_price(x, k, sigma, tau):
     return float(price) if scalar else price
 
 
-def _call(x, ex, k, srt_safe, live):
+def _call(x, ex, k, srt_safe, live, with_slope=False):
     """Call price on checked inputs, the one copy of the formula.
 
     ex is ``exp(x)``; live marks the total vols ``sigma sqrt(tau)`` that are
@@ -90,11 +93,18 @@ def _call(x, ex, k, srt_safe, live):
     price is the intrinsic value. Everything that does not depend on k
     comes in precomputed, so a caller pricing many strikes on the same
     arrays checks and prepares them once.
+
+    with_slope returns the price and its log-strike slope
+    ``dC/dk = -exp(k) N(d2)``, from the same N(d2); where the price is
+    intrinsic the slope is ``-exp(k) 1{ex > exp(k)}``.
     """
     ek = np.exp(k)
     d_1 = (x - k) / srt_safe + 0.5 * srt_safe
-    price = ex * ndtr(d_1) - ek * ndtr(d_1 - srt_safe)
-    return np.where(live, price, np.maximum(ex - ek, 0.0))
+    n_2 = ndtr(d_1 - srt_safe)
+    price = np.where(live, ex * ndtr(d_1) - ek * n_2, np.maximum(ex - ek, 0.0))
+    if not with_slope:
+        return price
+    return price, -ek * np.where(live, n_2, ex > ek)
 
 
 def _total_vol(x: float, k: float, sigma: float, tau: float) -> float:
@@ -119,42 +129,6 @@ def vega(x: float, k: float, sigma: float, tau: float) -> float:
     return math.exp(x) * pdf * math.sqrt(tau)
 
 
-def _root(
-    f: Callable[..., float],
-    lo: float,
-    hi: float,
-    args: tuple,
-    xtol: float,
-    what: str,
-    no_root: str,
-) -> float:
-    """Brent root of ``f(., *args)`` on ``[lo, hi]``, to a bracket narrower than xtol.
-
-    This is the one sign-change check of both solvers. brentq evaluates
-    both ends first and raises ValueError when they share a sign; only on
-    that failure path are the ends evaluated again, to tell a missing root
-    (raised as NoSolutionError with the message no_root) from any other
-    ValueError.
-
-    f takes its data through args, not a closure: brentq wraps its function
-    in a self-referencing closure that outlives the call until the cyclic
-    GC runs, and would keep a pricer's path arrays alive.
-    """
-    try:
-        root, info = brentq(
-            f, lo, hi, args, xtol, maxiter=ROOT_MAX_ITER, full_output=True, disp=False
-        )
-    except ValueError:
-        if np.sign(f(lo, *args)) == np.sign(f(hi, *args)):
-            raise NoSolutionError(no_root) from None
-        raise
-    if not info.converged:
-        raise ConvergenceError(
-            f"{what}: {info.flag}", best=root, residual=f(root, *args)
-        )
-    return root
-
-
 def implied_vol(target_price: float, x: float, k: float, tau: float) -> float:
     """Invert the call price for volatility by a Brent root find to IV_TOL.
 
@@ -171,9 +145,32 @@ def implied_vol(target_price: float, x: float, k: float, tau: float) -> float:
             f"target price {target_price} outside arbitrage bounds ({lower}, {upper})"
         )
     lo, hi = IV_BRACKET
-    no_root = f"no volatility in bracket [{lo}, {hi}] matches price {target_price}"
     args = (target_price, x, np.exp(x), k, np.sqrt(tau))
-    return _root(_price_gap, lo, hi, args, IV_TOL, "implied vol", no_root)
+    # brentq prices both ends itself and raises ValueError when they share
+    # a sign; only on that failure path are they priced again, to tell a
+    # missing root from any other ValueError
+    try:
+        root, info = brentq(
+            _price_gap,
+            lo,
+            hi,
+            args,
+            IV_TOL,
+            maxiter=ROOT_MAX_ITER,
+            full_output=True,
+            disp=False,
+        )
+    except ValueError:
+        if np.sign(_price_gap(lo, *args)) == np.sign(_price_gap(hi, *args)):
+            raise NoSolutionError(
+                f"no volatility in bracket [{lo}, {hi}] matches price {target_price}"
+            ) from None
+        raise
+    if not info.converged:
+        raise ConvergenceError(
+            f"implied vol: {info.flag}", best=root, residual=_price_gap(root, *args)
+        )
+    return root
 
 
 def _price_gap(
@@ -186,37 +183,92 @@ def _price_gap(
     return float(_call(x, ex, k, srt if live else 1.0, live)) - target
 
 
-def zero_vanna_strike(iv_curve: Callable[[float], float], x: float, tau: float) -> float:
+class ZeroVannaSearch(NamedTuple):
+    """A zero-vanna strike and what finding it took: the curve evaluations
+    and whether any Newton step left the bracket, so that it bisected."""
+
+    strike: float
+    evals: int
+    bisected: bool
+
+
+def zero_vanna_strike(
+    iv_curve: Callable[[float], tuple[float, float]], x: float, tau: float
+) -> ZeroVannaSearch:
     """Log-strike where the smile's d2 vanishes: ``d2(x, k, I(k), tau) = 0``.
 
-    Brent's method finds the root of ``r(k) = d2(x, k, I(k), tau)`` on the
+    iv_curve maps k to the smile and its slope, ``(I(k), I'(k))``. A
+    safeguarded Newton search finds the root of ``r(k) = d2(x, k, I(k),
+    tau)``, with ``r'(k) = -1 / (I sqrt(tau)) - I'(k) d1 / I``, on the
     bracket ``[x - 2 I(x)^2 tau, x]``. At the right end
     ``r(x) = -I(x) sqrt(tau) / 2`` is always negative; at the left end r is
     positive for any smile close to its ATM level (for a flat smile it is
-    ``3 I sqrt(tau) / 2``). The search stops once the k bracket is narrower
-    than ZERO_VANNA_XTOL, never on the residual: an implied-vol curve
-    inverted to IV_TOL is rough at that scale in k, so a residual rule can
-    sit below its resolution and never be met. The returned strike is one
-    the curve was evaluated at.
+    ``3 I sqrt(tau) / 2``). Newton starts at ``x - I(x)^2 tau / 2``, the
+    root of a flat smile, and each evaluation narrows the bracket by the
+    sign of r. A Newton step that would leave the bracket (or a
+    non-finite or zero r') is replaced by bisection; the first time, the
+    left end is evaluated once to confirm the sign change.
+
+    The search stops once the Newton step or the bracket is narrower than
+    ZERO_VANNA_XTOL, never on the residual: an implied-vol curve inverted
+    to IV_TOL is rough at that scale in k, so a residual rule can sit
+    below its resolution and never be met. The returned strike is one the
+    curve was evaluated at.
 
     Raises NoSolutionError when r has no sign change on the bracket (the
-    smile has no zero-vanna strike near the money), ConvergenceError if
-    Brent's method runs out of iterations, and ValueError if the curve
+    smile has no zero-vanna strike near the money), ConvergenceError after
+    ROOT_MAX_ITER evaluations past the ATM one, and ValueError if the curve
     returns a non-positive or non-finite vol.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    sig_x = iv_curve(x)
-    if not (math.isfinite(sig_x) and sig_x > 0.0):
-        raise ValueError(f"iv_curve returned vol {sig_x} at k={x}")
-    lo = x - 2.0 * sig_x * sig_x * tau
-    no_root = (
-        f"zero-vanna strike: d2 does not change sign on [{lo}, {x}]; "
-        "the smile has no zero-vanna strike"
+    sqrt_tau = math.sqrt(tau)
+    sig_x = _curve_d2(iv_curve, x, x, sqrt_tau)[0]
+    evals, bisected, lo_checked = 1, False, False
+    lo, hi = x - 2.0 * sig_x * sig_x * tau, x
+    k = x - 0.5 * sig_x * sig_x * tau
+    best = (math.inf, k)
+    for _ in range(ROOT_MAX_ITER):
+        _, r, dr = _curve_d2(iv_curve, x, k, sqrt_tau)
+        evals += 1
+        best = min(best, (abs(r), k))
+        if r > 0.0:
+            lo, lo_checked = k, True
+        else:
+            hi = k
+        # NaN fails every comparison below, so it takes the bisection path
+        step = -r / dr if math.isfinite(dr) and dr != 0.0 else math.nan
+        if r == 0.0 or abs(step) < ZERO_VANNA_XTOL or hi - lo < ZERO_VANNA_XTOL:
+            return ZeroVannaSearch(k, evals, bisected)
+        if lo < k + step < hi:
+            k += step
+            continue
+        if not lo_checked:
+            evals += 1
+            if not _curve_d2(iv_curve, x, lo, sqrt_tau)[1] > 0.0:
+                raise NoSolutionError(
+                    f"zero-vanna strike: d2 does not change sign on [{lo}, {x}]; "
+                    "the smile has no zero-vanna strike"
+                )
+            lo_checked = True
+        k, bisected = 0.5 * (lo + hi), True
+    raise ConvergenceError(
+        f"zero-vanna strike: no convergence in {ROOT_MAX_ITER} iterations",
+        best=best[1],
+        residual=best[0],
     )
-    args = (iv_curve, x, tau)
-    return _root(_curve_d2, lo, x, args, ZERO_VANNA_XTOL, "zero-vanna strike", no_root)
 
 
-def _curve_d2(k: float, iv_curve: Callable[[float], float], x: float, tau: float) -> float:
-    return d2(x, k, iv_curve(k), tau)
+def _curve_d2(
+    iv_curve: Callable[[float], tuple[float, float]],
+    x: float,
+    k: float,
+    sqrt_tau: float,
+) -> tuple[float, float, float]:
+    """``(I(k), r(k), r'(k))`` for ``r(k) = d2(x, k, I(k), tau)``."""
+    vol, vol_slope = iv_curve(k)
+    if not (math.isfinite(vol) and vol > 0.0):
+        raise ValueError(f"iv_curve returned vol {vol} at k={k}")
+    srt = vol * sqrt_tau
+    d_1 = (x - k) / srt + 0.5 * srt
+    return vol, d_1 - srt, -1.0 / srt - vol_slope * d_1 / vol

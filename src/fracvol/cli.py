@@ -54,6 +54,7 @@ from .mcpricer import (
 from .swapanalysis import (
     RateFit,
     SwapReport,
+    analysis_record,
     check_fit_maturities,
     convergence_study,
     zero_vanna_report,
@@ -398,7 +399,11 @@ def run(config: ExperimentConfig, stream=None) -> int:
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     _write_csv(csv_path, outcomes)
 
-    extra: dict[str, object] = {}
+    extra: dict[str, object] = {
+        "analysis": analysis_record(
+            rep for rep in outcomes.values() if isinstance(rep, SwapReport)
+        )
+    }
     if failures:
         extra["failed_cells"] = {
             f"rho={rho:g},H={hurst:g},T={maturity:g}": cause

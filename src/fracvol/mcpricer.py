@@ -16,7 +16,9 @@ the spot martingale (the path's terminal spot, or under mixing its
 conditional mean e^{x_hat}, less e^{x0}; mean zero because sigma is
 adapted and the Ito sum is left-point) and the integrated variance Y less
 its exact discrete mean, which simulate_functionals records. The betas
-come from the same paths.
+come from the same paths. Each price comes with its pathwise log-strike
+slope dC/dk from the same pass (Broadie & Glasserman, Management Science
+1996), regressed on the same controls.
 
 Everything is deterministic given (seed, n_paths, block_size, grid, params):
 per-path arrays are assembled positionally by block index and reduced once,
@@ -58,6 +60,7 @@ from .volmodel import (
 __all__ = [
     "McConfig",
     "PriceEstimate",
+    "StrikeEstimate",
     "simulate_functionals",
     "simulation_record",
     "vol_swap_strike",
@@ -132,6 +135,20 @@ class PriceEstimate:
     def __post_init__(self):
         if self.std_error < 0.0:
             raise ValueError("std_error must be nonnegative")
+
+
+@dataclass(frozen=True)
+class StrikeEstimate(PriceEstimate):
+    """A call price with its log-strike slope dC/dk and the slope's
+    standard error, both from the same paths and the same regression."""
+
+    slope: float
+    slope_se: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.slope_se < 0.0:
+            raise ValueError("slope_se must be nonnegative")
 
 
 def _mean_se(values: np.ndarray, ddof: int = 1) -> PriceEstimate:
@@ -286,9 +303,9 @@ def variance_swap_strike(funcs: PathFunctionals, maturity: float) -> PriceEstima
 
 def _bind_controls(
     spot: np.ndarray, x0: float, funcs: PathFunctionals
-) -> tuple[np.ndarray, np.ndarray]:
-    """The live CONTROLS on these paths and the pseudo-inverse of their
-    centred Gram matrix, for _controlled_mean.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The live CONTROLS on these paths, their sample means and the
+    pseudo-inverse of their centred Gram matrix, for _controlled_mean.
 
     spot is each path's terminal spot, or its conditional mean. Both
     controls have mean exactly zero. A constant control (the spot control
@@ -311,28 +328,70 @@ def _bind_controls(
         raise ValueError("control variates must be finite on every path")
     live = [c for c in candidates if c.min() < c.max()]
     controls = np.stack(live) if live else np.empty((0, spot.shape[0]))
-    centred = controls - controls.mean(axis=1, keepdims=True)
-    return controls, np.linalg.pinv(centred @ centred.T)
+    means = controls.mean(axis=1)
+    centred = controls - means[:, None]
+    return controls, means, np.linalg.pinv(centred @ centred.T)
 
 
 def _controlled_mean(
-    values: np.ndarray, controls: np.ndarray, gram_pinv: np.ndarray
-) -> PriceEstimate:
-    """Mean and SE of values less beta times the mean-zero controls, beta
-    regressed on the same paths.
+    price: np.ndarray,
+    slope: np.ndarray,
+    controls: np.ndarray,
+    control_means: np.ndarray,
+    gram_pinv: np.ndarray,
+) -> StrikeEstimate:
+    """A call price and its log-strike slope, each the mean of its
+    per-path values less beta times the mean-zero controls, with its own
+    beta regressed on the same paths, and each with its SE.
 
-    The residuals' variance divides by n less one for the mean and one per
-    beta. Exactly _mean_se(values) with no live control, and also with too
-    few paths to leave the regression a degree of freedom, where the
-    residuals would all be zero.
+    The fit is linear in the response, so the controlled slope is exactly
+    the log-strike derivative of the controlled price. Each response takes
+    one pass for its cross-products with the controls and one for its sum
+    of squares; no per-path residual is formed. The residuals' variance
+    divides by n less one for the mean and one per beta. Exactly _mean_se
+    of each response with no live control, and also with too few paths to
+    leave the regression a degree of freedom, where the residuals would
+    all be zero.
     """
-    ddof = 1 + controls.shape[0]
-    if values.shape[0] <= ddof:
-        return _mean_se(values)
+    n, ddof = price.shape[0], 1 + controls.shape[0]
+    if ddof == 1 or n <= ddof:
+        price_fit, slope_fit = _mean_se(price), _mean_se(slope)
+    else:
+        price_fit, slope_fit = (
+            _regressed_mean_se(values, controls, control_means, gram_pinv)
+            for values in (price, slope)
+        )
+    return StrikeEstimate(
+        value=price_fit.value,
+        std_error=price_fit.std_error,
+        n_paths=n,
+        slope=slope_fit.value,
+        slope_se=slope_fit.std_error,
+    )
+
+
+def _regressed_mean_se(
+    values: np.ndarray,
+    controls: np.ndarray,
+    control_means: np.ndarray,
+    gram_pinv: np.ndarray,
+) -> PriceEstimate:
+    """_controlled_mean of one response, with at least one live control
+    and a degree of freedom left."""
+    n, ddof = values.shape[0], 1 + controls.shape[0]
+    mean = values.mean()
     # the controls' cross-products with centred values are their sample
     # covariances with values, up to the n - 1 the Gram matrix also omits
-    beta = gram_pinv @ (controls @ (values - values.mean()))
-    return _mean_se(values - beta @ controls, ddof)
+    cross = controls @ values - (n * mean) * control_means
+    beta = gram_pinv @ cross
+    # residual sum of squares: that of values about their mean less the
+    # part the fit explains, beta . cross
+    rss = max(values @ values - n * mean * mean - beta @ cross, 0.0)
+    return PriceEstimate(
+        value=float(mean - beta @ control_means),
+        std_error=math.sqrt(rss / (n - ddof) / n),
+        n_paths=n,
+    )
 
 
 def strike_pricer(
@@ -341,7 +400,7 @@ def strike_pricer(
     x0: float,
     maturity: float,
     estimator: str = "conditional_mixing",
-) -> Callable[[float], PriceEstimate]:
+) -> Callable[[float], StrikeEstimate]:
     """Bind one simulated batch into a price-of-log-strike function.
 
     All strikes reuse the same paths (common random numbers), which makes
@@ -362,7 +421,10 @@ def strike_pricer(
 
     Both estimators subtract beta times CONTROLS, beta regressed per
     strike on the same paths, so an implied vol's SE (price SE over vega)
-    is that of the controlled price.
+    is that of the controlled price. Each price comes with its pathwise
+    log-strike slope dC/dk from the same pass: -e^k N(d2) per path under
+    mixing (-e^k 1{e^{x_hat} > e^k} where the conditional law is a point
+    mass), -e^k 1{S_T > e^k} under direct Euler.
     """
     if maturity <= 0.0:
         raise ValueError("maturity must be positive")
@@ -375,11 +437,12 @@ def strike_pricer(
                 "estimator='direct_euler'"
             )
         spot = np.exp(x0 + _terminal_log_return(funcs, params.rho))
-        controls, gram_pinv = _bind_controls(spot, x0, funcs)
+        bound = _bind_controls(spot, x0, funcs)
 
-        def price_direct(k: float) -> PriceEstimate:
-            payoff = np.maximum(spot - math.exp(k), 0.0)
-            return _controlled_mean(payoff, controls, gram_pinv)
+        def price_direct(k: float) -> StrikeEstimate:
+            ek = math.exp(k)
+            payoff = np.maximum(spot - ek, 0.0)
+            return _controlled_mean(payoff, -ek * (spot > ek), *bound)
 
         return price_direct
 
@@ -390,10 +453,10 @@ def strike_pricer(
     srt = np.sqrt(max(1.0 - rho * rho, 0.0) * y)  # conditional vol * sqrt(T)
     live = srt > 0.0
     srt_safe = np.where(live, srt, 1.0)
-    controls, gram_pinv = _bind_controls(ex, x0, funcs)
+    bound = _bind_controls(ex, x0, funcs)
 
-    def price_conditional(k: float) -> PriceEstimate:
-        values = _call(x_hat, ex, k, srt_safe, live)
-        return _controlled_mean(values, controls, gram_pinv)
+    def price_conditional(k: float) -> StrikeEstimate:
+        price, slope = _call(x_hat, ex, k, srt_safe, live, with_slope=True)
+        return _controlled_mean(price, slope, *bound)
 
     return price_conditional

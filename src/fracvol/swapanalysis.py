@@ -5,10 +5,19 @@ simulated model: the Monte Carlo volatility-swap strike, the implied vol at
 the zero-vanna strike, and the at-the-money implied vol.  Also fits the
 power-law decay rate of the strike-vs-swap gaps across maturities.
 
-The SE of an implied vol is se_price / vega. The SE of a difference is the
-quadrature sum of its terms' SEs, which ignores the covariance of terms
-priced on shared paths: it can understate (by 1.1-1.25x for the gaps at
-rho = -0.8) as well as overstate.
+Every price comes with its pathwise log-strike slope, so each strike of
+the smile also gives the smile's slope dI/dk there. The zero-vanna search
+is a safeguarded Newton iteration on d2 that uses that slope
+(ZERO_VANNA_SEARCH), and the ATM skew is the slope at x0 (ATM_SKEW): a
+report prices about four strikes and no second strike for a difference.
+
+The SE of an implied vol is se_price / vega, and the SE of its slope is
+the slope's SE over vega. That one leaves out the noise the vol itself
+carries into the slope through d2, so it can overstate (at rho = 0 the
+two cancel exactly at the money) as well as understate. The SE of a
+difference is the quadrature sum of its terms' SEs, which ignores the
+covariance of terms priced on shared paths: it can understate (by
+1.1-1.25x for the gaps at rho = -0.8) as well as overstate.
 """
 
 from __future__ import annotations
@@ -16,15 +25,23 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
+from scipy.special import ndtr
 
-from .blackscholes import d2, implied_vol, vega, zero_vanna_strike
+from .blackscholes import (
+    IV_TOL,
+    ZERO_VANNA_XTOL,
+    d2,
+    implied_vol,
+    vega,
+    zero_vanna_strike,
+)
 from .fbm import TimeGrid
 from .mcpricer import (
     McConfig,
-    PriceEstimate,
+    StrikeEstimate,
     simulate_functionals,
     strike_pricer,
     vol_swap_strike,
@@ -33,15 +50,25 @@ from .volmodel import ModelParams, PathFunctionals
 
 # A fitted log-gap point must clear the MC noise floor by this factor.
 NOISE_FLOOR_MULTIPLE = 3.0
-# Gaps at or below the IV-solver tolerance carry no rate information.
+# Gaps at or below this carry no rate information: 10x the IV tolerance
+# it was set for (1e-10), far above today's IV_TOL and ZERO_VANNA_XTOL.
 SOLVER_FLOOR = 1e-9
-# ATM bump as a fraction of sigma0 * sqrt(T) (a twentieth of an
-# at-the-money standard deviation keeps the bump inside the smile's
-# quadratic regime; the Richardson fallback widens it when noise wins).
-SKEW_BUMP_FRACTION = 0.05
+# how zero_vanna_report finds k_hat and the ATM skew, as the manifest names them
+ZERO_VANNA_SEARCH = "safeguarded Newton on d2 with pathwise dI/dk"
+ATM_SKEW = "pathwise dI/dk at x0"
 
-Pricer = Callable[[float], PriceEstimate]
-Smile = Callable[[float], tuple[float, float]]
+
+class SmilePoint(NamedTuple):
+    """An implied vol and its log-strike slope dI/dk, each with its SE."""
+
+    vol: float
+    vol_se: float
+    slope: float
+    slope_se: float
+
+
+Pricer = Callable[[float], StrikeEstimate]
+Smile = Callable[[float], SmilePoint]
 
 
 @dataclass(frozen=True)
@@ -50,7 +77,10 @@ class SwapReport:
 
     ``err_zero_vanna`` and ``err_atmi`` are signed gaps against the
     volatility-swap strike; their SEs are quadrature SEs of the two legs,
-    which ignore the legs' shared-path covariance.
+    which ignore the legs' shared-path covariance. ``pricer_calls`` counts
+    the strikes priced, ``zero_vanna_evals`` the search's curve
+    evaluations and ``zero_vanna_bisected`` whether it fell back to
+    bisection.
     """
 
     hurst: float
@@ -70,6 +100,9 @@ class SwapReport:
     err_atmi_se: float
     k_hat: float
     zero_vanna_residual: float
+    pricer_calls: int
+    zero_vanna_evals: int
+    zero_vanna_bisected: bool
     n_paths: int
     seed: int
 
@@ -108,55 +141,40 @@ class RateFit:
 
 
 def implied_smile(pricer: Pricer, x0: float, maturity: float) -> Smile:
-    """Memoized log-strike -> (implied vol, SE) on one pricer's paths.
+    """Memoized log-strike -> SmilePoint on one pricer's paths.
 
-    The SE is the price SE over vega. Each strike is priced and inverted
-    at most once; an uninvertible price raises (NoSolutionError or
-    ConvergenceError) and is not cached.
+    The priced call is C(k) = BS(x0, k, I(k)), so its slope
+    dC/dk = -e^k N(d2) + vega I'(k) gives
+    I'(k) = (dC/dk + e^k N(d2(x0, k, I))) / vega. Both SEs are the
+    pricer's over vega. Where vega is zero the slope is NaN and the SEs
+    infinite. Each strike is priced and inverted at most once; an
+    uninvertible price raises (NoSolutionError or ConvergenceError) and is
+    not cached.
     """
 
     @functools.cache
-    def smile(k: float) -> tuple[float, float]:
+    def smile(k: float) -> SmilePoint:
         estimate = pricer(k)
         vol = implied_vol(estimate.value, x0, k, maturity)
         sensitivity = vega(x0, k, vol, maturity)
-        se = estimate.std_error / sensitivity if sensitivity > 0.0 else math.inf
-        return vol, se
+        if not sensitivity > 0.0:
+            return SmilePoint(vol, math.inf, math.nan, math.inf)
+        strike_slope = math.exp(k) * float(ndtr(d2(x0, k, vol, maturity)))
+        return SmilePoint(
+            vol=vol,
+            vol_se=estimate.std_error / sensitivity,
+            slope=(estimate.slope + strike_slope) / sensitivity,
+            slope_se=estimate.slope_se / sensitivity,
+        )
 
     return smile
 
 
-def atm_skew(
-    smile: Smile, x0: float, maturity: float, sigma0: float
-) -> tuple[float, float]:
-    """Central-difference ATM skew dI/dk of a smile and a conservative SE.
-
-    The bump is SKEW_BUMP_FRACTION * sigma0 * sqrt(T).  If the estimate
-    drowns in noise (|skew| < 3 SE), the bump is widened to 2h and 4h and
-    the two wide-bump estimates are Richardson-combined to cancel the
-    leading quadratic bias while keeping the larger denominator.
-    """
-    bump = SKEW_BUMP_FRACTION * sigma0 * math.sqrt(maturity)
-
-    def central(h: float) -> tuple[float, float]:
-        up_vol, up_se = smile(x0 + h)
-        dn_vol, dn_se = smile(x0 - h)
-        slope = (up_vol - dn_vol) / (2.0 * h)
-        se = math.hypot(up_se, dn_se) / (2.0 * h)
-        return slope, se
-
-    skew, se = central(bump)
-    if abs(skew) >= NOISE_FLOOR_MULTIPLE * se or se == 0.0:
-        return skew, se
-    # Noise-dominated: widen the stencil.  Richardson over h and 2h
-    # removes the O(h^2) bias the wider bump would otherwise add.
-    wide, wide_se = central(2.0 * bump)
-    wider, wider_se = central(4.0 * bump)
-    combined = (4.0 * wide - wider) / 3.0
-    combined_se = math.hypot(4.0 * wide_se, wider_se) / 3.0
-    if combined_se < se:
-        return combined, combined_se
-    return skew, se
+def atm_skew(smile: Smile, x0: float) -> tuple[float, float]:
+    """ATM skew dI/dk and its SE, read off the smile's entry at x0: the
+    exact slope of the smile on its paths, from the pathwise price slope."""
+    point = smile(x0)
+    return point.slope, point.slope_se
 
 
 def zero_vanna_report(
@@ -175,15 +193,21 @@ def zero_vanna_report(
     |d2(k_hat, I(k_hat))| is recorded (and must be below 1e-8).  Every
     vol comes from one implied_smile, so each strike is priced at most
     once: the search evaluates both the ATM strike and k_hat, and the
-    report and the skew stencil reuse those vols.
+    report and the skew reuse those entries.
     """
     swap = vol_swap_strike(funcs, maturity)
     smile = implied_smile(pricer, x0, maturity)
-    k_hat = zero_vanna_strike(lambda k: smile(k)[0], x0, maturity)
-    iv_zv, iv_zv_se = smile(k_hat)
+
+    def curve(k: float) -> tuple[float, float]:
+        point = smile(k)
+        return point.vol, point.slope
+
+    search = zero_vanna_strike(curve, x0, maturity)
+    k_hat = search.strike
+    zv, atm = smile(k_hat), smile(x0)
+    iv_zv, iv_zv_se, atm_vol, atm_se = zv.vol, zv.vol_se, atm.vol, atm.vol_se
     residual = abs(d2(x0, k_hat, iv_zv, maturity))
-    atm_vol, atm_se = smile(x0)
-    skew, skew_se = atm_skew(smile, x0, maturity, sigma0=params.sigma0)
+    skew, skew_se = atm_skew(smile, x0)
 
     return SwapReport(
         hurst=params.hurst,
@@ -203,9 +227,28 @@ def zero_vanna_report(
         err_atmi_se=math.hypot(atm_se, swap.std_error),
         k_hat=k_hat,
         zero_vanna_residual=residual,
+        pricer_calls=smile.cache_info().currsize,
+        zero_vanna_evals=search.evals,
+        zero_vanna_bisected=search.bisected,
         n_paths=config.n_paths,
         seed=config.seed,
     )
+
+
+def analysis_record(reports: Iterable[SwapReport]) -> dict[str, object]:
+    """How zero_vanna_report solved its cells, for the manifest: the
+    zero-vanna search, the ATM skew, the solver tolerances, and summed
+    over the given reports the strikes priced and the searches that fell
+    back to bisection."""
+    reports = list(reports)
+    return {
+        "zero_vanna_search": ZERO_VANNA_SEARCH,
+        "atm_skew": ATM_SKEW,
+        "iv_tol": IV_TOL,
+        "zero_vanna_xtol": ZERO_VANNA_XTOL,
+        "pricer_calls": sum(r.pricer_calls for r in reports),
+        "bisection_fallbacks": sum(r.zero_vanna_bisected for r in reports),
+    }
 
 
 def simulate_report(
@@ -299,13 +342,16 @@ def convergence_study(
 __all__ = [
     "SwapReport",
     "RateFit",
+    "SmilePoint",
     "implied_smile",
     "atm_skew",
     "zero_vanna_report",
+    "analysis_record",
     "simulate_report",
     "check_fit_maturities",
     "convergence_study",
     "NOISE_FLOOR_MULTIPLE",
     "SOLVER_FLOOR",
-    "SKEW_BUMP_FRACTION",
+    "ZERO_VANNA_SEARCH",
+    "ATM_SKEW",
 ]

@@ -241,7 +241,7 @@ def test_criterion_7_implied_vol_analytics(table_reports):
     assert max(residuals) < 1e-8, f"worst residual {max(residuals):.2e}"
 
     const_vol, const_tau, const_x = 0.23, 1.7, 0.1
-    k_hat = zero_vanna_strike(lambda k: const_vol, const_x, const_tau)
+    k_hat = zero_vanna_strike(lambda k: (const_vol, 0.0), const_x, const_tau).strike
     assert abs(k_hat - (const_x - const_vol**2 * const_tau / 2.0)) < 1e-12
 
 

@@ -188,7 +188,7 @@ class TestImpliedVol:
 
         monkeypatch.setattr(blackscholes, "_call", counted)
         implied_vol(price, 0.01, -0.03, 1.3)
-        assert len(calls) == 8
+        assert len(calls) == 9
         assert len(set(calls)) == len(calls)
 
     def test_deterministic(self):
@@ -215,45 +215,62 @@ def smiles_with_a_root(draw):
     return x, sig0, slope, tau
 
 
+def clipped_affine(sig0, slope, x, floor=0.01):
+    """(I, I') of the smile max(sig0 + slope (k - x), floor)."""
+
+    def curve(k):
+        vol = sig0 + slope * (k - x)
+        return (vol, slope) if vol > floor else (floor, 0.0)
+
+    return curve
+
+
 class TestZeroVannaStrike:
     def test_constant_curve_exact(self):
         x, sig, tau = 0.02, 0.22, 1.5
-        k_hat = zero_vanna_strike(lambda k: sig, x, tau)
+        k_hat, evals, bisected = zero_vanna_strike(lambda k: (sig, 0.0), x, tau)
         assert k_hat == pytest.approx(x - 0.5 * sig * sig * tau, abs=1e-12)
+        # the Newton start is the flat smile's root
+        assert evals == 2 and not bisected
 
     def test_affine_curve_reference_root(self):
         # I(k) = 0.2 - 0.5 k, x = 0, tau = 1. Fixed point solves the
         # quadratic 0.125 k^2 + 0.9 k + 0.02 = 0 (root nearer zero).
-        k_hat = zero_vanna_strike(lambda k: 0.2 - 0.5 * k, 0.0, 1.0)
-        assert k_hat == pytest.approx(AFFINE_ZERO_VANNA_K, abs=1e-10)
+        search = zero_vanna_strike(lambda k: (0.2 - 0.5 * k, -0.5), 0.0, 1.0)
+        assert search.strike == pytest.approx(AFFINE_ZERO_VANNA_K, abs=1e-10)
+        # Newton converges quadratically from the flat smile's root
+        assert search.evals <= 6 and not search.bisected
 
     def test_residual_below_tolerance(self):
-        curve = lambda k: 0.25 + 0.3 * (k - 0.01) ** 2
+        def curve(k):
+            return 0.25 + 0.3 * (k - 0.01) ** 2, 0.6 * (k - 0.01)
+
         x, tau = 0.01, 2.0
-        k_hat = zero_vanna_strike(curve, x, tau)
-        assert abs(d2(x, k_hat, curve(k_hat), tau)) < 1e-10
+        k_hat = zero_vanna_strike(curve, x, tau).strike
+        assert abs(d2(x, k_hat, curve(k_hat)[0], tau)) < 1e-10
 
     @given(smile=smiles_with_a_root())
     @settings(max_examples=100, deadline=None)
     def test_smooth_smiles_leave_tiny_residual(self, smile):
         x, sig0, slope, tau = smile
-        curve = lambda k: max(sig0 + slope * (k - x), 0.01)
-        k_hat = zero_vanna_strike(curve, x, tau)
-        assert abs(d2(x, k_hat, curve(k_hat), tau)) < 1e-9
+        curve = clipped_affine(sig0, slope, x)
+        k_hat = zero_vanna_strike(curve, x, tau).strike
+        assert abs(d2(x, k_hat, curve(k_hat)[0], tau)) < 1e-9
 
     def test_smile_without_root_raises_no_solution(self):
         # 1 + 2 tau sig0 slope = -0.125 < 0: k = x - I(k)^2 tau / 2 has no
         # real root, and d2 is negative across the whole bracket.
-        x, sig0, slope, tau = 0.0, 0.5, -0.375, 3.0
-        curve = lambda k: max(sig0 + slope * (k - x), 0.01)
+        curve = clipped_affine(sig0=0.5, slope=-0.375, x=0.0)
         with pytest.raises(NoSolutionError, match="no zero-vanna strike"):
-            zero_vanna_strike(curve, x, tau)
+            zero_vanna_strike(curve, 0.0, 3.0)
 
     def test_step_smile_below_residual_resolution_converges(self):
-        # Two vol levels 5 / 2^35 apart, about IV_TOL, with the jump midway
-        # between their two zero-d2 strikes: a fixed point on k alternates
-        # between the levels with |d2| ~ 2e-10 forever. The bracket still
-        # closes on the jump.
+        # Two vol levels 5 / 2^35 apart (about 1.5e-10), with the jump
+        # midway between their two zero-d2 strikes: a fixed point on
+        # k alternates between the levels with |d2| ~ 2e-10 forever. The
+        # smile's slope is zero on both sides, so each Newton step jumps
+        # to the other level's root; the search falls back to bisection
+        # and the bracket closes on the jump.
         x, tau = 0.0, 2.0
         sig_lo, step = 0.20077559900602, 1.455e-10
         sig_hi = sig_lo + step
@@ -262,17 +279,39 @@ class TestZeroVannaStrike:
 
         def curve(k):
             evals.append(k)
-            return sig_lo if k < k_jump else sig_hi
+            return (sig_lo if k < k_jump else sig_hi), 0.0
 
-        k_hat = zero_vanna_strike(curve, x, tau)
-        assert len(evals) <= 60
-        assert abs(d2(x, k_hat, curve(k_hat), tau)) < 1e-8
+        k_hat, reported, bisected = zero_vanna_strike(curve, x, tau)
+        assert len(evals) == reported <= 60
+        assert bisected
+        assert abs(d2(x, k_hat, curve(k_hat)[0], tau)) < 1e-8
         assert abs(k_hat - k_jump) < 1e-11
+
+    def test_non_finite_slope_bisects(self):
+        # a strike whose vega underflows has no usable I'; the search
+        # bisects past it instead of dividing by zero
+        def curve(k):
+            return 0.2 - 0.5 * k, math.nan
+
+        search = zero_vanna_strike(curve, 0.0, 1.0)
+        assert search.bisected
+        assert search.strike == pytest.approx(AFFINE_ZERO_VANNA_K, abs=1e-11)
+
+    def test_returns_an_evaluated_strike(self):
+        evals = []
+
+        def curve(k):
+            evals.append(k)
+            return 0.25 + 0.3 * (k - 0.01) ** 2, 0.6 * (k - 0.01)
+
+        search = zero_vanna_strike(curve, 0.01, 2.0)
+        assert search.strike in evals
+        assert search.evals == len(evals)
 
     def test_convergence_error_carries_best_iterate(self, monkeypatch):
         monkeypatch.setattr(blackscholes, "ROOT_MAX_ITER", 2)
         with pytest.raises(ConvergenceError) as err:
-            zero_vanna_strike(lambda k: 0.2 - 0.5 * k, 0.0, 1.0)
+            zero_vanna_strike(lambda k: (0.2 - 0.5 * k, -0.5), 0.0, 1.0)
         assert err.value.best == pytest.approx(AFFINE_ZERO_VANNA_K, abs=0.1)
         assert math.isfinite(err.value.residual)
 
@@ -281,7 +320,7 @@ class TestZeroVannaStrike:
         # hold it once the search is over, not even a reference cycle
         class Curve:
             def __call__(self, k):
-                return 0.2 - 0.5 * k
+                return 0.2 - 0.5 * k, -0.5
 
         curve = Curve()
         ref = weakref.ref(curve)
@@ -295,8 +334,8 @@ class TestZeroVannaStrike:
 
     def test_rejects_nonpositive_tau(self):
         with pytest.raises(ValueError):
-            zero_vanna_strike(lambda k: 0.2, 0.0, 0.0)
+            zero_vanna_strike(lambda k: (0.2, 0.0), 0.0, 0.0)
 
     def test_rejects_nonpositive_curve(self):
         with pytest.raises(ValueError):
-            zero_vanna_strike(lambda k: -0.1, 0.0, 1.0)
+            zero_vanna_strike(lambda k: (-0.1, 0.0), 0.0, 1.0)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 import scipy
 
-from fracvol.blackscholes import ConvergenceError
+from fracvol.blackscholes import IV_TOL, ZERO_VANNA_XTOL, ConvergenceError
 from fracvol.cli import (
     CSV_COLUMNS,
     FAILED_TOKEN,
@@ -35,7 +35,7 @@ from fracvol.mcpricer import (
     McConfig,
     simulation_record,
 )
-from fracvol.swapanalysis import simulate_report
+from fracvol.swapanalysis import ATM_SKEW, ZERO_VANNA_SEARCH, simulate_report
 from fracvol.volmodel import ModelParams
 
 FAST = {
@@ -312,6 +312,18 @@ class TestRun:
             ]
             assert simulation["kernel_evaluation"] == evaluation
             assert simulation["convolution"] == {"H=0.3": method}
+
+    def test_manifest_records_the_analysis(self, grid_run):
+        # how k_hat and the skew were solved, and what it took over the run
+        _, out = grid_run
+        analysis = json.loads(out.with_suffix(".manifest.json").read_text())["analysis"]
+        assert analysis["zero_vanna_search"] == ZERO_VANNA_SEARCH
+        assert analysis["atm_skew"] == ATM_SKEW
+        assert analysis["iv_tol"] == IV_TOL == 1e-14
+        assert analysis["zero_vanna_xtol"] == ZERO_VANNA_XTOL
+        # four cells, each the ATM strike and a few Newton iterates
+        assert 4 * 2 <= analysis["pricer_calls"] <= 4 * 5
+        assert analysis["bisection_fallbacks"] == 0
 
     def test_rerun_is_byte_identical(self, tmp_path, grid_run):
         _, first_out = grid_run

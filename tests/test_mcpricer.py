@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from fracvol.blackscholes import bs_price, implied_vol
 from fracvol.fbm import (
@@ -68,6 +69,18 @@ def regression_estimate(values, spot, x0: float, funcs) -> PriceEstimate:
     centred = controls - controls.mean(axis=0)
     beta = np.linalg.lstsq(centred, values - values.mean(), rcond=None)[0]
     return _mean_se(values - controls @ beta, ddof=3)
+
+
+def control_weights(spot, x0: float, funcs) -> np.ndarray:
+    """Per-path weights w with regression_estimate(v).value == w @ v for
+    every v: v-bar less beta times the controls' mean, with beta linear
+    in v. They do not depend on the strike."""
+    controls = np.column_stack(
+        [spot - math.exp(x0), funcs.integrated_variance - funcs.integrated_variance_mean]
+    )
+    centred = controls - controls.mean(axis=0)
+    beta_of_v = np.linalg.solve(centred.T @ centred, centred.T)
+    return 1.0 / spot.shape[0] - controls.mean(axis=0) @ beta_of_v
 
 
 @pytest.fixture(scope="module")
@@ -336,6 +349,11 @@ class TestControlVariates:
             intrinsic = np.maximum(np.exp(x_hat) - math.exp(k), 0.0)
             expected = regression_estimate(intrinsic, np.exp(x_hat), 0.0, funcs)
             assert pricer(k).value == pytest.approx(expected.value, rel=1e-12)
+            # a point mass: the slope is -e^k on the paths in the money
+            in_money = -math.exp(k) * (np.exp(x_hat) > math.exp(k))
+            slope = regression_estimate(in_money, np.exp(x_hat), 0.0, funcs)
+            assert pricer(k).slope == pytest.approx(slope.value, rel=1e-12)
+            assert pricer(k).slope_se == pytest.approx(slope.std_error, rel=1e-9)
 
     @pytest.mark.parametrize("n_paths", [1, 2])
     @pytest.mark.parametrize("estimator", ["conditional_mixing", "direct_euler"])
@@ -690,6 +708,68 @@ class TestStrikePricer:
             est = pricer(k)
             assert est.value == pytest.approx(expected.value, rel=1e-12, abs=0.0)
             assert est.std_error == pytest.approx(expected.std_error, rel=1e-9)
+
+    def test_mixing_slope_is_the_derivative_of_the_controlled_price(self):
+        # The controlled price is w @ v(k) with strike-free weights w, so
+        # a central difference differs from the slope w @ v'(k) by at most
+        # h^2 / 6 sum |w_i| max |v_i^(3)|. Per path, with s the conditional
+        # total vol, v^(3) = -e^k N(d2) + 2 e^k phi(d2) / s + e^k d2 phi(d2) / s^2,
+        # so |v^(3)| <= e^k (1 + 2 phi(0) / s + max|d phi(d)| / s^2).
+        # Rounding adds at most 64 ulps of a price below 1 over h.
+        grid = TimeGrid(1.0, 32)
+        params = ModelParams(SIGMA0, NU, -0.5, 0.3)
+        (funcs,) = simulate_functionals(grid, params, McConfig(n_paths=20_000, seed=38))
+        pricer = strike_pricer(funcs, params, 0.0, 1.0)
+        x_hat = mixing_values(funcs, params.rho, 0.0, 0.0, 1.0)[1]
+        weights = np.abs(control_weights(np.exp(x_hat), 0.0, funcs)).sum()
+        s_min = math.sqrt((1.0 - params.rho**2) * funcs.integrated_variance.min())
+        h = 1e-4
+        for k in (-0.05, 0.0, 0.05):
+            third = math.exp(k + h) * (
+                1.0 + 2.0 * 0.3989423 / s_min + 0.2419708 / s_min**2
+            )
+            tol = h * h / 6.0 * weights * third + 64 * np.finfo(float).eps / h
+            difference = (pricer(k + h).value - pricer(k - h).value) / (2.0 * h)
+            assert abs(pricer(k).slope - difference) <= tol
+
+    def test_euler_slope_is_the_derivative_of_the_controlled_price(self):
+        # Per path the payoff is (S - e^k)+, so off the kinks a central
+        # difference gives -e^k sinh(h) / h on the paths in the money: it
+        # differs from the slope by at most e^k (sinh(h) / h - 1) sum |w_i|.
+        # A path with log S within h of k adds at most 2 e^(k+h) |w_i|; a
+        # step this short leaves few such paths, if any.
+        grid = TimeGrid(1.0, 32)
+        params = ModelParams(SIGMA0, NU, -0.5, 0.3)
+        config = McConfig(n_paths=20_000, seed=39, estimator="direct_euler")
+        (funcs,) = simulate_functionals(grid, params, config)
+        pricer = strike_pricer(funcs, params, 0.0, 1.0, estimator="direct_euler")
+        log_spot = _terminal_log_return(funcs, params.rho)
+        weights = np.abs(control_weights(np.exp(log_spot), 0.0, funcs))
+        h = 1e-7
+        for k in (-0.05, 0.0, 0.05):
+            kinks = weights[np.abs(log_spot - k) <= h].sum()
+            tol = (
+                math.exp(k) * (math.sinh(h) / h - 1.0) * weights.sum()
+                + 2.0 * math.exp(k + h) * kinks
+                + 64 * np.finfo(float).eps / h
+            )
+            difference = (pricer(k + h).value - pricer(k - h).value) / (2.0 * h)
+            assert abs(pricer(k).slope - difference) <= tol
+
+    def test_slope_rides_the_price_regression(self, funcs_h05):
+        # the slope row goes through the same controls as the price
+        grid, _, funcs = funcs_h05
+        params = ModelParams(SIGMA0, NU, -0.5, 0.5)
+        pricer = strike_pricer(funcs, params, 0.0, grid.maturity)
+        x_hat = mixing_values(funcs, params.rho, 0.0, 0.0, grid.maturity)[1]
+        cond_vol = np.sqrt((1.0 - params.rho**2) * funcs.integrated_variance)
+        for k in (-0.05, 0.0, 0.05):
+            d_2 = (x_hat - k) / cond_vol - 0.5 * cond_vol
+            slope = -math.exp(k) * ndtr(d_2)
+            expected = regression_estimate(slope, np.exp(x_hat), 0.0, funcs)
+            est = pricer(k)
+            assert est.slope == pytest.approx(expected.value, rel=1e-12, abs=0.0)
+            assert est.slope_se == pytest.approx(expected.std_error, rel=1e-9)
 
     def test_direct_requires_terminal(self, funcs_h05):
         grid, params, funcs = funcs_h05

@@ -16,11 +16,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracvol.blackscholes import NoSolutionError, bs_price, vega
-from fracvol.mcpricer import McConfig, PriceEstimate
+from scipy.special import ndtr
+
+from fracvol import swapanalysis
+from fracvol.blackscholes import (
+    IV_TOL,
+    ZERO_VANNA_XTOL,
+    NoSolutionError,
+    bs_price,
+    d2,
+    vega,
+)
+from fracvol.mcpricer import McConfig, StrikeEstimate
 from fracvol.swapanalysis import (
+    ATM_SKEW,
+    ZERO_VANNA_SEARCH,
     RateFit,
+    SmilePoint,
     SwapReport,
+    analysis_record,
     atm_skew,
     convergence_study,
     implied_smile,
@@ -41,14 +55,25 @@ H05_REFERENCE_VOL = 0.2026
 ROUGH_REFERENCE = {"vol_swap": 0.2158, "iv_zero_vanna": 0.2049, "atmi": 0.1987}
 
 
-def analytic_pricer(vol_of_k, x0, maturity):
-    """Exact pricer for a known smile: zero SE, no MC noise."""
+def strike_slope(x0, k, vol, vol_slope, maturity):
+    """dC/dk of C(k) = BS(x0, k, I(k)): -e^k N(d2) + vega I'(k)."""
+    return -math.exp(k) * float(ndtr(d2(x0, k, vol, maturity))) + vega(
+        x0, k, vol, maturity
+    ) * vol_slope
 
-    def pricer(k: float) -> PriceEstimate:
-        return PriceEstimate(
-            value=float(bs_price(x0, k, vol_of_k(k), maturity)),
+
+def analytic_pricer(vol_of_k, x0, maturity, slope_of_k=lambda k: 0.0):
+    """Exact pricer for a known smile I(k) with slope I'(k): zero SE, no MC
+    noise."""
+
+    def pricer(k: float) -> StrikeEstimate:
+        vol = vol_of_k(k)
+        return StrikeEstimate(
+            value=float(bs_price(x0, k, vol, maturity)),
             std_error=0.0,
             n_paths=1,
+            slope=strike_slope(x0, k, vol, slope_of_k(k), maturity),
+            slope_se=0.0,
         )
 
     return pricer
@@ -80,25 +105,50 @@ class TestIvCurve:
     def test_flat_curve_from_analytic_pricer(self):
         pricer = analytic_pricer(lambda k: SIGMA0, X0, 2.0)
         for k in np.linspace(-0.3, 0.3, 7):
-            vol, se = implied_smile(pricer, X0, 2.0)(float(k))
-            assert vol == pytest.approx(SIGMA0, abs=1e-9)
-            assert se == 0.0
+            point = implied_smile(pricer, X0, 2.0)(float(k))
+            assert point.vol == pytest.approx(SIGMA0, abs=1e-9)
+            assert abs(point.slope) < 1e-12
+            assert point.vol_se == point.slope_se == 0.0
+
+    def test_slope_recovers_the_smile_slope(self):
+        # a quadratic smile: I'(k) comes back from the price slope alone
+        def vol_of_k(k):
+            return SIGMA0 - 0.2 * k + 0.5 * k * k
+
+        pricer = analytic_pricer(vol_of_k, X0, 1.0, lambda k: -0.2 + k)
+        smile = implied_smile(pricer, X0, 1.0)
+        for k in (-0.2, -0.05, 0.0, 0.1):
+            point = smile(k)
+            assert point.vol == pytest.approx(vol_of_k(k), abs=1e-12)
+            assert point.slope == pytest.approx(-0.2 + k, abs=1e-10)
 
     def test_se_is_price_se_over_vega(self):
-        se_price = 3e-4
+        se_price, se_slope = 3e-4, 5e-4
         vol = 0.25
 
-        def pricer(k: float) -> PriceEstimate:
-            return PriceEstimate(float(bs_price(X0, k, vol, 1.0)), se_price, 100)
+        def pricer(k: float) -> StrikeEstimate:
+            price = float(bs_price(X0, k, vol, 1.0))
+            slope = strike_slope(X0, k, vol, 0.0, 1.0)
+            return StrikeEstimate(price, se_price, 100, slope, se_slope)
 
-        vol, se = implied_smile(pricer, X0, 1.0)(0.05)
-        expected = se_price / vega(X0, 0.05, vol, 1.0)
-        assert se == pytest.approx(expected, rel=1e-9)
+        point = implied_smile(pricer, X0, 1.0)(0.05)
+        sensitivity = vega(X0, 0.05, vol, 1.0)
+        assert point.vol_se == pytest.approx(se_price / sensitivity, rel=1e-9)
+        assert point.slope_se == pytest.approx(se_slope / sensitivity, rel=1e-9)
+
+    def test_zero_vega_gives_nan_slope(self, monkeypatch):
+        # no ZeroDivisionError: the slope is NaN and both SEs infinite
+        monkeypatch.setattr(swapanalysis, "vega", lambda *args: 0.0)
+        pricer = analytic_pricer(lambda k: SIGMA0, X0, 1.0)
+        point = implied_smile(pricer, X0, 1.0)(0.1)
+        assert point.vol == pytest.approx(SIGMA0, abs=1e-12)
+        assert math.isnan(point.slope)
+        assert point.vol_se == point.slope_se == math.inf
 
     def test_uninvertible_price_raises(self):
-        def pricer(k: float) -> PriceEstimate:
+        def pricer(k: float) -> StrikeEstimate:
             # above the e^x upper arbitrage bound
-            return PriceEstimate(2.0, 0.0, 10)
+            return StrikeEstimate(2.0, 0.0, 10, -0.5, 0.0)
 
         with pytest.raises(NoSolutionError, match="arbitrage bounds"):
             implied_smile(pricer, X0, 1.0)(0.1)
@@ -107,7 +157,7 @@ class TestIvCurve:
         strikes = []
         flat = analytic_pricer(lambda k: SIGMA0, X0, 1.0)
 
-        def pricer(k: float) -> PriceEstimate:
+        def pricer(k: float) -> StrikeEstimate:
             strikes.append(k)
             return flat(k)
 
@@ -134,8 +184,8 @@ class TestIvCurve:
         for rho in (0.0, -0.8):
             params = ModelParams(sigma0=SIGMA0, nu=NU, rho=rho, hurst=0.5)
             smile = implied_smile(strike_pricer(funcs, params, X0, 1.0), X0, 1.0)
-            lo, _ = smile(X0 - delta)
-            hi, _ = smile(X0 + delta)
+            lo = smile(X0 - delta).vol
+            hi = smile(X0 + delta).vol
             asymmetry[rho] = abs(hi - lo)
         # mixing over a symmetric vol law cancels the asymmetry exactly
         assert asymmetry[0.0] < 1e-12
@@ -145,23 +195,23 @@ class TestIvCurve:
 class TestAtmSkew:
     def test_linear_smile_recovers_slope(self):
         slope = 0.1
-        pricer = analytic_pricer(lambda k: SIGMA0 + slope * (k - X0), X0, 1.0)
-        skew, se = atm_skew(implied_smile(pricer, X0, 1.0), X0, 1.0, sigma0=SIGMA0)
-        assert skew == pytest.approx(slope, abs=1e-6)
+        pricer = analytic_pricer(
+            lambda k: SIGMA0 + slope * (k - X0), X0, 1.0, lambda k: slope
+        )
+        skew, se = atm_skew(implied_smile(pricer, X0, 1.0), X0)
+        assert skew == pytest.approx(slope, abs=1e-12)
         assert se == 0.0
 
     def test_reads_any_smile_function(self):
-        def smile(k: float) -> tuple[float, float]:
-            return SIGMA0 + 0.1 * (k - X0), 0.0
+        def smile(k: float) -> SmilePoint:
+            return SmilePoint(SIGMA0 + 0.1 * (k - X0), 0.0, 0.1, 2e-4)
 
-        skew, se = atm_skew(smile, X0, 1.0, sigma0=SIGMA0)
-        assert skew == pytest.approx(0.1, abs=1e-12)
-        assert se == 0.0
+        assert atm_skew(smile, X0) == (0.1, 2e-4)
 
     def test_constant_vol_skew_is_zero(self):
         pricer = analytic_pricer(lambda k: SIGMA0, X0, 1.0)
-        skew, _ = atm_skew(implied_smile(pricer, X0, 1.0), X0, 1.0, sigma0=SIGMA0)
-        assert abs(skew) < 1e-8
+        skew, _ = atm_skew(implied_smile(pricer, X0, 1.0), X0)
+        assert abs(skew) < 1e-12
 
     def test_zero_rho_skew_within_noise(self, rep_h05):
         assert abs(rep_h05.atm_skew) < 3.0 * rep_h05.atm_skew_se
@@ -187,17 +237,82 @@ class TestSwapReport:
         params = ModelParams(sigma0=SIGMA0, nu=NU, rho=-0.5, hurst=0.5)
         config = McConfig(n_paths=256, seed=430)
         (funcs,) = simulate_functionals(TimeGrid(1.0, 8), params, config)
-        smile = analytic_pricer(lambda k: SIGMA0 - 0.1 * (k - X0), X0, 1.0)
+        smile = analytic_pricer(
+            lambda k: SIGMA0 - 0.1 * (k - X0), X0, 1.0, lambda k: -0.1
+        )
         strikes = []
 
-        def pricer(k: float) -> PriceEstimate:
+        def pricer(k: float) -> StrikeEstimate:
             strikes.append(k)
             return smile(k)
 
         rep = zero_vanna_report(pricer, funcs, params, X0, 1.0, config)
-        # the search evaluates the ATM strike and k_hat; the report reuses them
+        # the search evaluates the ATM strike and k_hat; the report and
+        # the skew reuse them
         assert X0 in strikes and rep.k_hat in strikes
         assert len(strikes) == len(set(strikes))
+        assert rep.pricer_calls == rep.zero_vanna_evals == len(strikes)
+        assert rep.atm_skew == pytest.approx(-0.1, abs=1e-12)
+
+    @pytest.mark.parametrize("rho", [-0.8, 0.0])
+    def test_monte_carlo_report_prices_at_most_five_strikes(self, rho):
+        # Newton from the flat smile's root on the pathwise slope: the ATM
+        # strike and at most four iterates, and no strike for the skew
+        from fracvol.fbm import TimeGrid
+        from fracvol.mcpricer import simulate_functionals, strike_pricer
+
+        params = ModelParams(sigma0=SIGMA0, nu=NU, rho=rho, hurst=0.1)
+        config = McConfig(n_paths=20_000, seed=432)
+        (funcs,) = simulate_functionals(TimeGrid(1.0, 50), params, config)
+        price = strike_pricer(funcs, params, X0, 1.0)
+        strikes = []
+
+        def pricer(k: float) -> StrikeEstimate:
+            strikes.append(k)
+            return price(k)
+
+        rep = zero_vanna_report(pricer, funcs, params, X0, 1.0, config)
+        assert len(set(strikes)) == len(strikes) == rep.pricer_calls <= 5
+        assert not rep.zero_vanna_bisected
+        assert rep.zero_vanna_residual < 1e-8
+
+    def test_zero_vega_strike_bisects_or_fails_typed(self, monkeypatch):
+        # vega zero away from the money: every Newton step lacks I', so the
+        # search bisects; vega zero at the money: the skew is NaN and the
+        # report is refused with a ValueError, never a ZeroDivisionError
+        from fracvol.fbm import TimeGrid
+        from fracvol.mcpricer import simulate_functionals
+
+        params = ModelParams(sigma0=SIGMA0, nu=NU, rho=-0.5, hurst=0.5)
+        config = McConfig(n_paths=256, seed=433)
+        (funcs,) = simulate_functionals(TimeGrid(1.0, 8), params, config)
+        pricer = analytic_pricer(
+            lambda k: SIGMA0 - 0.1 * (k - X0), X0, 1.0, lambda k: -0.1
+        )
+        real_vega = swapanalysis.vega
+
+        def vega_zero_off_the_money(x, k, sigma, tau):
+            return real_vega(x, k, sigma, tau) if k == X0 else 0.0
+
+        monkeypatch.setattr(swapanalysis, "vega", vega_zero_off_the_money)
+        rep = zero_vanna_report(pricer, funcs, params, X0, 1.0, config)
+        assert rep.zero_vanna_bisected
+        assert rep.zero_vanna_residual < 1e-8
+        monkeypatch.setattr(swapanalysis, "vega", lambda *args: 0.0)
+        with pytest.raises(ValueError, match="atm_skew"):
+            zero_vanna_report(pricer, funcs, params, X0, 1.0, config)
+
+    def test_analysis_record_sums_the_reports(self, rep_h05, rep_rough_neg):
+        record = analysis_record([rep_h05, rep_rough_neg])
+        assert record == {
+            "zero_vanna_search": ZERO_VANNA_SEARCH,
+            "atm_skew": ATM_SKEW,
+            "iv_tol": IV_TOL,
+            "zero_vanna_xtol": ZERO_VANNA_XTOL,
+            "pricer_calls": rep_h05.pricer_calls + rep_rough_neg.pricer_calls,
+            "bisection_fallbacks": int(rep_h05.zero_vanna_bisected)
+            + int(rep_rough_neg.zero_vanna_bisected),
+        }
 
     def test_report_does_not_keep_its_pricer_alive(self):
         # the report's memoized smile and the root finder's closures must
@@ -307,6 +422,9 @@ def synthetic_report(maturity, err, err_se):
         err_atmi_se=err_se,
         k_hat=-0.02,
         zero_vanna_residual=0.0,
+        pricer_calls=4,
+        zero_vanna_evals=4,
+        zero_vanna_bisected=False,
         n_paths=1,
         seed=0,
     )
