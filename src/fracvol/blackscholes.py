@@ -81,30 +81,25 @@ def bs_price(x, k, sigma, tau):
         raise ValueError("sigma and tau must be nonnegative")
     srt = sigma * np.sqrt(tau)
     live = srt > 0.0
-    price = _call(x, np.exp(x), k, np.where(live, srt, 1.0), live)
+    ex = np.exp(x)
+    price = _call(x, ex, k, np.where(live, srt, 1.0))[0]
+    price = np.where(live, price, np.maximum(ex - np.exp(k), 0.0))
     return float(price) if scalar else price
 
 
-def _call(x, ex, k, srt_safe, live, with_slope=False):
-    """Call price on checked inputs, the one copy of the formula.
+def _call(x, ex, k, srt):
+    """Call price and its log-strike slope ``dC/dk = -exp(k) N(d2)``, from
+    one N(d2): the one copy of the formula, on checked inputs.
 
-    ex is ``exp(x)``; live marks the total vols ``sigma sqrt(tau)`` that are
-    positive, and srt_safe holds them there and 1 elsewhere, where the
-    price is the intrinsic value. Everything that does not depend on k
-    comes in precomputed, so a caller pricing many strikes on the same
-    arrays checks and prepares them once.
-
-    with_slope returns the price and its log-strike slope
-    ``dC/dk = -exp(k) N(d2)``, from the same N(d2); where the price is
-    intrinsic the slope is ``-exp(k) 1{ex > exp(k)}``.
+    ex is ``exp(x)`` and srt the total vol ``sigma sqrt(tau)``, which must
+    be positive: a zero total vol is bs_price's to map to the intrinsic
+    value. Everything that does not depend on k comes in precomputed, so
+    a caller pricing many strikes on the same arrays prepares them once.
     """
     ek = np.exp(k)
-    d_1 = (x - k) / srt_safe + 0.5 * srt_safe
-    n_2 = ndtr(d_1 - srt_safe)
-    price = np.where(live, ex * ndtr(d_1) - ek * n_2, np.maximum(ex - ek, 0.0))
-    if not with_slope:
-        return price
-    return price, -ek * np.where(live, n_2, ex > ek)
+    d_1 = (x - k) / srt + 0.5 * srt
+    n_2 = ndtr(d_1 - srt)
+    return ex * ndtr(d_1) - ek * n_2, -ek * n_2
 
 
 def _total_vol(x: float, k: float, sigma: float, tau: float) -> float:
@@ -133,11 +128,12 @@ def implied_vol(target_price: float, x: float, k: float, tau: float) -> float:
     """Invert the call price for volatility by a Brent root find to IV_TOL.
 
     Raises NoSolutionError if ``target_price`` lies outside the arbitrage
-    bounds ``((e^x - e^k)+, e^x)`` or no vol in IV_BRACKET matches it.
+    bounds ``((e^x - e^k)+, e^x)`` or no vol in IV_BRACKET matches it, and
+    ValueError unless tau is positive.
     """
     _check_finite(target_price=target_price, x=x, k=k, tau=tau)
-    if tau < 0.0:
-        raise ValueError("tau must be nonnegative")
+    if tau <= 0.0:
+        raise ValueError("tau must be positive")
     lower = max(math.exp(x) - math.exp(k), 0.0)
     upper = math.exp(x)
     if not lower < target_price < upper:
@@ -178,9 +174,7 @@ def _price_gap(
 ) -> float:
     """Price at sigma less the target, straight through _call: implied_vol
     has checked the inputs, and exp(x) and sqrt(tau) come precomputed."""
-    srt = sigma * sqrt_tau
-    live = srt > 0.0
-    return float(_call(x, ex, k, srt if live else 1.0, live)) - target
+    return float(_call(x, ex, k, sigma * sqrt_tau)[0]) - target
 
 
 class ZeroVannaSearch(NamedTuple):

@@ -4,11 +4,13 @@ Two call estimators share one set of rho-free path functionals, so one
 simulation serves every correlation. The conditional (mixing) estimator
 integrates the independent Brownian factor out exactly: given the vol path,
 the log-price is Gaussian, so each path contributes a shifted-spot,
-reduced-vol Black-Scholes value and no B draws are needed. The direct
-estimator draws that factor's leg instead: given the vol path, int sigma dB
-is exactly Normal(0, Y), so it is sqrt(Y) times one standard normal per
-path (INDEPENDENT_LEG). It builds the left-point Euler log-price from it
-per rho and averages the payoff.
+reduced-vol Black-Scholes value (at |rho| = 1 the law is a point mass and
+the value intrinsic) and no B draws are needed. The direct estimator draws
+that factor's leg instead: given the vol path, int sigma dB is exactly
+Normal(0, Y), so it is sqrt(Y) times one standard normal per path
+(INDEPENDENT_LEG). It builds the left-point Euler log-price from it per rho
+and averages the payoff, the intrinsic value of that point mass. So each
+pricer binds one of two laws per rho: lognormal, or a point mass.
 
 Both estimators always regress their per-path values on the same two
 control variates, CONTROLS, whose means are exact in the discrete scheme:
@@ -18,7 +20,8 @@ adapted and the Ito sum is left-point) and the integrated variance Y less
 its exact discrete mean, which simulate_functionals records. The betas
 come from the same paths. Each price comes with its pathwise log-strike
 slope dC/dk from the same pass (Broadie & Glasserman, Management Science
-1996), regressed on the same controls.
+1996), and one regression over both gives their means, SEs and
+covariance.
 
 Everything is deterministic given (seed, n_paths, block_size, grid, params):
 per-path arrays are assembled positionally by block index and reduced once,
@@ -139,11 +142,13 @@ class PriceEstimate:
 
 @dataclass(frozen=True)
 class StrikeEstimate(PriceEstimate):
-    """A call price with its log-strike slope dC/dk and the slope's
-    standard error, both from the same paths and the same regression."""
+    """A call price with its log-strike slope dC/dk, the slope's standard
+    error and the covariance of the two estimates, all from the same
+    paths and the same regression."""
 
     slope: float
     slope_se: float
+    cov: float
 
     def __post_init__(self):
         super().__post_init__()
@@ -279,7 +284,7 @@ def simulation_record(config: McConfig, hurst: Sequence[float]) -> dict[str, obj
 def _terminal_log_return(funcs: PathFunctionals, rho: float) -> np.ndarray:
     """Left-point Euler X_T - x0 = -Y/2 + rho int sigma dW
     + sqrt(1 - rho^2) int sigma dB, per path."""
-    orth = math.sqrt(max(1.0 - rho * rho, 0.0))
+    orth = math.sqrt(1.0 - rho * rho)
     return (
         -0.5 * funcs.integrated_variance
         + rho * funcs.int_sigma_dw
@@ -310,8 +315,9 @@ def _bind_controls(
     spot is each path's terminal spot, or its conditional mean. Both
     controls have mean exactly zero. A constant control (the spot control
     at rho = 0 under mixing, Y at nu = 0) has zero sample variance and is
-    dropped; pinv tolerates what is left being collinear or having fewer
-    paths than controls.
+    dropped; pinv tolerates what is left being collinear. A batch too
+    small to leave the regression a degree of freedom, where the fit
+    would pass through every path, keeps no control.
     """
     if funcs.integrated_variance_mean is None:
         raise ValueError(
@@ -327,6 +333,8 @@ def _bind_controls(
     if not all(np.isfinite(c).all() for c in candidates):
         raise ValueError("control variates must be finite on every path")
     live = [c for c in candidates if c.min() < c.max()]
+    if spot.shape[0] <= 1 + len(live):
+        live = []
     controls = np.stack(live) if live else np.empty((0, spot.shape[0]))
     means = controls.mean(axis=1)
     centred = controls - means[:, None]
@@ -342,55 +350,45 @@ def _controlled_mean(
 ) -> StrikeEstimate:
     """A call price and its log-strike slope, each the mean of its
     per-path values less beta times the mean-zero controls, with its own
-    beta regressed on the same paths, and each with its SE.
+    beta regressed on the same paths, and their SEs and covariance.
 
     The fit is linear in the response, so the controlled slope is exactly
     the log-strike derivative of the controlled price. Each response takes
-    one pass for its cross-products with the controls and one for its sum
-    of squares; no per-path residual is formed. The residuals' variance
-    divides by n less one for the mean and one per beta. Exactly _mean_se
-    of each response with no live control, and also with too few paths to
-    leave the regression a degree of freedom, where the residuals would
-    all be zero.
+    one pass for its cross-products with the controls and one to centre it
+    in place (price and slope are overwritten), and each entry of the 2x2
+    residual cross-product matrix one more; no per-path residual is formed.
+    It divides by n less one for the mean and one per beta, so with no
+    control it gives the plain sample variances (SE 0 on a single path).
     """
-    n, ddof = price.shape[0], 1 + controls.shape[0]
-    if ddof == 1 or n <= ddof:
-        price_fit, slope_fit = _mean_se(price), _mean_se(slope)
-    else:
-        price_fit, slope_fit = (
-            _regressed_mean_se(values, controls, control_means, gram_pinv)
-            for values in (price, slope)
-        )
+    n = price.shape[0]
+    dof = max(n - 1 - controls.shape[0], 1)
+    responses = (price, slope)
+    means = [values.mean() for values in responses]
+    # the controls' cross-products with centred responses are their sample
+    # covariances with them, up to the n - 1 the Gram matrix also omits
+    cross = [
+        controls @ values - (n * mean) * control_means
+        for values, mean in zip(responses, means)
+    ]
+    betas = [gram_pinv @ c for c in cross]
+    # centred, a response's cross-products need no n * mean * mean term,
+    # which would cancel all but rounding of a nearly constant one
+    for values, mean in zip(responses, means):
+        values -= mean
+
+    def residual_cov(i: int, j: int) -> float:
+        # the responses' cross-product less the part the fit explains, per
+        # degree of freedom and path
+        fit = betas[i] @ cross[j]
+        return (responses[i] @ responses[j] - fit) / dof / n
+
     return StrikeEstimate(
-        value=price_fit.value,
-        std_error=price_fit.std_error,
+        value=float(means[0] - betas[0] @ control_means),
+        std_error=math.sqrt(max(residual_cov(0, 0), 0.0)),
         n_paths=n,
-        slope=slope_fit.value,
-        slope_se=slope_fit.std_error,
-    )
-
-
-def _regressed_mean_se(
-    values: np.ndarray,
-    controls: np.ndarray,
-    control_means: np.ndarray,
-    gram_pinv: np.ndarray,
-) -> PriceEstimate:
-    """_controlled_mean of one response, with at least one live control
-    and a degree of freedom left."""
-    n, ddof = values.shape[0], 1 + controls.shape[0]
-    mean = values.mean()
-    # the controls' cross-products with centred values are their sample
-    # covariances with values, up to the n - 1 the Gram matrix also omits
-    cross = controls @ values - (n * mean) * control_means
-    beta = gram_pinv @ cross
-    # residual sum of squares: that of values about their mean less the
-    # part the fit explains, beta . cross
-    rss = max(values @ values - n * mean * mean - beta @ cross, 0.0)
-    return PriceEstimate(
-        value=float(mean - beta @ control_means),
-        std_error=math.sqrt(rss / (n - ddof) / n),
-        n_paths=n,
+        slope=float(means[1] - betas[1] @ control_means),
+        slope_se=math.sqrt(max(residual_cov(1, 1), 0.0)),
+        cov=float(residual_cov(0, 1)),
     )
 
 
@@ -405,58 +403,51 @@ def strike_pricer(
 
     All strikes reuse the same paths (common random numbers), which makes
     differences of implied vols across strikes far less noisy than
-    independent runs would be. Each estimator mixes the rho-free
-    functionals for params.rho once, here, into the per-path arrays and
-    controls every strike reads, and checks them once.
+    independent runs would be. Each estimator sets, once per rho, the
+    per-path log spot S = e^x its law sits on and its controls, checks
+    them once, and binds one of two closures.
 
-    Conditional mixing: given the vol path, X_T ~ Normal(x0 - Y/2 + rho *
-    int sigma dW + rho^2 adjustment, (1 - rho^2) Y); folding the mean into
-    a shifted spot gives bs_price(x_hat, k, sqrt((1-rho^2) Y / T), T) per
-    path. At |rho| = 1 the conditional law is a point mass and the price's
-    degenerate branch returns the intrinsic value. Its spot control is
-    e^{x_hat} - e^{x0}.
-
-    Direct Euler: per-path payoffs on the Euler terminal spot, whose spot
-    control is that spot less e^{x0}.
-
-    Both estimators subtract beta times CONTROLS, beta regressed per
-    strike on the same paths, so an implied vol's SE (price SE over vega)
-    is that of the controlled price. Each price comes with its pathwise
-    log-strike slope dC/dk from the same pass: -e^k N(d2) per path under
-    mixing (-e^k 1{e^{x_hat} > e^k} where the conditional law is a point
-    mass), -e^k 1{S_T > e^k} under direct Euler.
+    Conditional mixing: given the vol path, X_T ~ Normal(x_hat, (1 - rho^2)
+    Y) with x_hat = x0 + rho int sigma dW - rho^2 Y / 2, so each path's
+    value is the Black-Scholes call at x_hat with total vol
+    sqrt((1 - rho^2) Y), and slope -e^k N(d2). At |rho| = 1 the law is a
+    point mass at x_hat. Direct Euler: a point mass at the Euler terminal
+    log spot. A point mass prices (S - e^k)+ per path, with slope
+    -e^k 1{S > e^k}. Either closure regresses price and slope on CONTROLS
+    (spot control S - e^{x0}), beta regressed per strike on the same
+    paths, so an implied vol's SE (price SE over vega) is that of the
+    controlled price.
     """
     if maturity <= 0.0:
         raise ValueError("maturity must be positive")
     if estimator not in VALID_ESTIMATORS:
         raise ValueError(f"estimator must be one of {VALID_ESTIMATORS}")
+    rho = params.rho
     if estimator == "direct_euler":
         if funcs.int_sigma_db is None:
             raise ValueError(
                 "direct_euler pricing needs functionals simulated with "
                 "estimator='direct_euler'"
             )
-        spot = np.exp(x0 + _terminal_log_return(funcs, params.rho))
-        bound = _bind_controls(spot, x0, funcs)
+        log_spot = x0 + _terminal_log_return(funcs, rho)
+        total_vol = None
+    else:
+        y = funcs.integrated_variance
+        log_spot = x0 + rho * funcs.int_sigma_dw - 0.5 * rho * rho * y
+        total_vol = np.sqrt((1.0 - rho * rho) * y) if abs(rho) < 1.0 else None
+    spot = np.exp(log_spot)
+    bound = _bind_controls(spot, x0, funcs)
 
-        def price_direct(k: float) -> StrikeEstimate:
+    if total_vol is None:
+
+        def price_intrinsic(k: float) -> StrikeEstimate:
             ek = math.exp(k)
             payoff = np.maximum(spot - ek, 0.0)
             return _controlled_mean(payoff, -ek * (spot > ek), *bound)
 
-        return price_direct
+        return price_intrinsic
 
-    rho = params.rho
-    y = funcs.integrated_variance
-    x_hat = x0 + rho * funcs.int_sigma_dw - 0.5 * rho * rho * y
-    ex = np.exp(x_hat)
-    srt = np.sqrt(max(1.0 - rho * rho, 0.0) * y)  # conditional vol * sqrt(T)
-    live = srt > 0.0
-    srt_safe = np.where(live, srt, 1.0)
-    bound = _bind_controls(ex, x0, funcs)
+    def price_lognormal(k: float) -> StrikeEstimate:
+        return _controlled_mean(*_call(log_spot, spot, k, total_vol), *bound)
 
-    def price_conditional(k: float) -> StrikeEstimate:
-        price, slope = _call(x_hat, ex, k, srt_safe, live, with_slope=True)
-        return _controlled_mean(price, slope, *bound)
-
-    return price_conditional
+    return price_lognormal

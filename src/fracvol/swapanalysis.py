@@ -11,10 +11,11 @@ is a safeguarded Newton iteration on d2 that uses that slope
 (ZERO_VANNA_SEARCH), and the ATM skew is the slope at x0 (ATM_SKEW): a
 report prices about four strikes and no second strike for a difference.
 
-The SE of an implied vol is se_price / vega, and the SE of its slope is
-the slope's SE over vega. That one leaves out the noise the vol itself
-carries into the slope through d2, so it can overstate (at rho = 0 the
-two cancel exactly at the money) as well as understate. The SE of a
+The SE of an implied vol is se_price / vega. The SE of its slope is the
+delta method's on the price, the price slope and their covariance
+(implied_smile), so it counts the noise the vol itself carries into the
+slope; at rho = 0, where the ATM skew is zero by symmetry, the two
+cancel exactly at the money and the SE is rounding. The SE of a
 difference is the quadrature sum of its terms' SEs, which ignores the
 covariance of terms priced on shared paths: it can understate (by
 1.1-1.25x for the gaps at rho = -0.8) as well as overstate.
@@ -77,7 +78,9 @@ class SwapReport:
 
     ``err_zero_vanna`` and ``err_atmi`` are signed gaps against the
     volatility-swap strike; their SEs are quadrature SEs of the two legs,
-    which ignore the legs' shared-path covariance. ``pricer_calls`` counts
+    which ignore the legs' shared-path covariance. ``atm_skew_se`` is the
+    delta-method SE of implied_smile; at rho = 0 it is rounding, like the
+    skew (zero by symmetry). ``pricer_calls`` counts
     the strikes priced, ``zero_vanna_evals`` the search's curve
     evaluations and ``zero_vanna_bisected`` whether it fell back to
     bisection.
@@ -145,11 +148,14 @@ def implied_smile(pricer: Pricer, x0: float, maturity: float) -> Smile:
 
     The priced call is C(k) = BS(x0, k, I(k)), so its slope
     dC/dk = -e^k N(d2) + vega I'(k) gives
-    I'(k) = (dC/dk + e^k N(d2(x0, k, I))) / vega. Both SEs are the
-    pricer's over vega. Where vega is zero the slope is NaN and the SEs
-    infinite. Each strike is priced and inverted at most once; an
-    uninvertible price raises (NoSolutionError or ConvergenceError) and is
-    not cached.
+    I'(k) = (dC/dk + e^k N(d2(x0, k, I))) / vega. The vol's SE is the
+    price's over vega; the slope's is the delta method's: the vol's own
+    noise dI = dC / vega moves N(d2) and vega, so dI' = (dC' - a dC) / vega
+    with a = d1 / (I sqrt(T)) + I' d1 d2 / I, and Var I' = (Var C'
+    - 2 a Cov(C, C') + a^2 Var C) / vega^2. Where vega is zero the slope
+    is NaN and the SEs infinite. Each strike is priced and inverted at
+    most once; an uninvertible price raises (NoSolutionError or
+    ConvergenceError) and is not cached.
     """
 
     @functools.cache
@@ -159,12 +165,18 @@ def implied_smile(pricer: Pricer, x0: float, maturity: float) -> Smile:
         sensitivity = vega(x0, k, vol, maturity)
         if not sensitivity > 0.0:
             return SmilePoint(vol, math.inf, math.nan, math.inf)
-        strike_slope = math.exp(k) * float(ndtr(d2(x0, k, vol, maturity)))
+        d_2 = d2(x0, k, vol, maturity)
+        slope = (estimate.slope + math.exp(k) * float(ndtr(d_2))) / sensitivity
+        total_vol = vol * math.sqrt(maturity)
+        d_1 = d_2 + total_vol
+        a = d_1 / total_vol + slope * d_1 * d_2 / vol
+        var_c, var_dc = estimate.std_error**2, estimate.slope_se**2
+        slope_var = var_dc - 2.0 * a * estimate.cov + a * a * var_c
         return SmilePoint(
             vol=vol,
             vol_se=estimate.std_error / sensitivity,
-            slope=(estimate.slope + strike_slope) / sensitivity,
-            slope_se=estimate.slope_se / sensitivity,
+            slope=slope,
+            slope_se=math.sqrt(max(slope_var, 0.0)) / sensitivity,
         )
 
     return smile

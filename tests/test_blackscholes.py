@@ -191,6 +191,20 @@ class TestImpliedVol:
         assert len(calls) == 9
         assert len(set(calls)) == len(calls)
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0])
+    def test_rejects_nonpositive_tau_before_pricing(self, monkeypatch, tau):
+        calls = []
+        real = blackscholes._call
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(blackscholes, "_call", counted)
+        with pytest.raises(ValueError, match="tau"):
+            implied_vol(0.05, 0.0, 0.0, tau)
+        assert calls == []
+
     def test_deterministic(self):
         price = bs_price(0.01, -0.03, 0.27, 1.3)
         a = implied_vol(price, 0.01, -0.03, 1.3)

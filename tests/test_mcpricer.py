@@ -355,6 +355,23 @@ class TestControlVariates:
             assert pricer(k).slope == pytest.approx(slope.value, rel=1e-12)
             assert pricer(k).slope_se == pytest.approx(slope.std_error, rel=1e-9)
 
+    @pytest.mark.parametrize("rho", [-1.0, 1.0])
+    def test_unit_correlation_estimators_price_one_law(self, rho):
+        # at |rho| = 1 the Euler terminal spot is the mixing shifted spot,
+        # so both estimators price the same intrinsic values
+        grid = TimeGrid(1.0, 50)
+        params = ModelParams(SIGMA0, NU, rho, 0.3)
+        config = McConfig(n_paths=20_000, seed=5, estimator="direct_euler")
+        (funcs,) = simulate_functionals(grid, params, config)
+        mixing = strike_pricer(funcs, params, 0.0, 1.0)
+        direct = strike_pricer(funcs, params, 0.0, 1.0, estimator="direct_euler")
+        for k in (-0.05, 0.0, 0.05):
+            a, b = mixing(k), direct(k)
+            for field in ("value", "std_error", "slope", "slope_se", "cov"):
+                assert getattr(a, field) == pytest.approx(
+                    getattr(b, field), rel=1e-12, abs=0.0
+                ), field
+
     @pytest.mark.parametrize("n_paths", [1, 2])
     @pytest.mark.parametrize("estimator", ["conditional_mixing", "direct_euler"])
     def test_tiny_batches_price(self, n_paths, estimator):

@@ -74,6 +74,7 @@ def analytic_pricer(vol_of_k, x0, maturity, slope_of_k=lambda k: 0.0):
             n_paths=1,
             slope=strike_slope(x0, k, vol, slope_of_k(k), maturity),
             slope_se=0.0,
+            cov=0.0,
         )
 
     return pricer
@@ -122,19 +123,29 @@ class TestIvCurve:
             assert point.vol == pytest.approx(vol_of_k(k), abs=1e-12)
             assert point.slope == pytest.approx(-0.2 + k, abs=1e-10)
 
-    def test_se_is_price_se_over_vega(self):
-        se_price, se_slope = 3e-4, 5e-4
-        vol = 0.25
+    def test_slope_se_is_the_delta_method_se(self):
+        # vol SE: the price's over vega. Slope SE: I' = (C' + e^k N(d2)) /
+        # vega moves with the vol, dI = dC / vega, through d2 and vega:
+        # dI' = (dC' - a dC) / vega, a = d1 / (I sqrt T) + I' d1 d2 / I
+        se_price, se_slope, cov = 3e-4, 5e-4, -1e-7
+        vol, vol_slope, k, maturity = 0.25, -0.1, 0.05, 1.5
 
         def pricer(k: float) -> StrikeEstimate:
-            price = float(bs_price(X0, k, vol, 1.0))
-            slope = strike_slope(X0, k, vol, 0.0, 1.0)
-            return StrikeEstimate(price, se_price, 100, slope, se_slope)
+            price = float(bs_price(X0, k, vol, maturity))
+            slope = strike_slope(X0, k, vol, vol_slope, maturity)
+            return StrikeEstimate(price, se_price, 100, slope, se_slope, cov)
 
-        point = implied_smile(pricer, X0, 1.0)(0.05)
-        sensitivity = vega(X0, 0.05, vol, 1.0)
+        point = implied_smile(pricer, X0, maturity)(k)
+        sensitivity = vega(X0, k, vol, maturity)
+        d_2 = d2(X0, k, vol, maturity)
+        d_1 = d_2 + vol * math.sqrt(maturity)
+        a = d_1 / (vol * math.sqrt(maturity)) + vol_slope * d_1 * d_2 / vol
+        slope_var = se_slope**2 - 2.0 * a * cov + a * a * se_price**2
         assert point.vol_se == pytest.approx(se_price / sensitivity, rel=1e-9)
-        assert point.slope_se == pytest.approx(se_slope / sensitivity, rel=1e-9)
+        assert point.slope == pytest.approx(vol_slope, rel=1e-9)
+        assert point.slope_se == pytest.approx(
+            math.sqrt(slope_var) / sensitivity, rel=1e-9
+        )
 
     def test_zero_vega_gives_nan_slope(self, monkeypatch):
         # no ZeroDivisionError: the slope is NaN and both SEs infinite
@@ -148,7 +159,7 @@ class TestIvCurve:
     def test_uninvertible_price_raises(self):
         def pricer(k: float) -> StrikeEstimate:
             # above the e^x upper arbitrage bound
-            return StrikeEstimate(2.0, 0.0, 10, -0.5, 0.0)
+            return StrikeEstimate(2.0, 0.0, 10, -0.5, 0.0, 0.0)
 
         with pytest.raises(NoSolutionError, match="arbitrage bounds"):
             implied_smile(pricer, X0, 1.0)(0.1)
@@ -214,7 +225,12 @@ class TestAtmSkew:
         assert abs(skew) < 1e-12
 
     def test_zero_rho_skew_within_noise(self, rep_h05):
-        assert abs(rep_h05.atm_skew) < 3.0 * rep_h05.atm_skew_se
+        # zero by symmetry: what is left is rounding
+        assert abs(rep_h05.atm_skew) < 1e-12
+
+    def test_zero_rho_skew_se_is_rounding(self, rep_h05):
+        # at the money the vol's own noise cancels the price slope's
+        assert rep_h05.atm_skew_se < 1e-9
 
     def test_negative_rho_skew_negative_and_flattening(self):
         params = ModelParams(sigma0=SIGMA0, nu=NU, rho=-0.8, hurst=0.1)
