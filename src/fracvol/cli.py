@@ -294,9 +294,7 @@ def _cell_rows(
     for maturity, funcs in zip(config.maturities, per_maturity):
         for params in cell_params:
             try:
-                pricer = strike_pricer(
-                    funcs, params, X0, maturity, estimator=config.estimator
-                )
+                pricer = strike_pricer(funcs, params, X0, maturity)
                 outcome = zero_vanna_report(pricer, funcs, params, X0, maturity, mc)
             except NUMERICAL_ERRORS as exc:
                 outcome = _cause(exc)
@@ -357,8 +355,7 @@ def _write_manifest(
         "simulation": simulation,
     }
     payload.update(extra)
-    # the rate fits are RateFit dataclasses
-    text = json.dumps(payload, indent=2, sort_keys=True, default=dataclasses.asdict)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     manifest_path.write_text(text + "\n")
     return manifest_path
 
@@ -411,7 +408,12 @@ def run(config: ExperimentConfig, stream=None) -> int:
         }
     if config.mode == "convergence":
         fits = _rate_fits(config, outcomes, stream)
-        extra["rate_fits"] = {_rate_label(*pair): fit for pair, fit in fits.items()}
+        extra["rate_fits"] = {
+            _rate_label(*pair): study if isinstance(study, str) else {
+                series: _fit_record(fit) for series, fit in study.items()
+            }
+            for pair, study in fits.items()
+        }
         rates_path = csv_path.with_suffix(".rates.csv")
         _write_rates_csv(rates_path, fits)
         print(f"wrote rate fits to {rates_path}", file=stream)
@@ -445,6 +447,16 @@ RateFits = dict[tuple[float, float], dict[str, RateFit] | str]
 
 def _rate_label(rho: float, hurst: float) -> str:
     return f"rho={rho:g},H={hurst:g}"
+
+
+def _fit_record(fit: RateFit) -> dict[str, object]:
+    """A rate fit for the manifest. The fit fields an inconclusive fit
+    leaves NaN are written null, which strict JSON parsers accept; its
+    inconclusive flag says why."""
+    return {
+        name: None if isinstance(value, float) and not math.isfinite(value) else value
+        for name, value in dataclasses.asdict(fit).items()
+    }
 
 
 def _write_rates_csv(path: Path, fits: RateFits) -> None:
@@ -534,6 +546,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _prepare_out(csv_path: Path) -> None:
+    """Create the output CSV's directory, so that an unusable out path is
+    a config error before any cell is simulated, not a crash after."""
+    if csv_path.is_dir():
+        raise ConfigError(f"key 'out': {csv_path} is a directory")
+    try:
+        csv_path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"key 'out': cannot create its directory: {exc}") from None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     overrides = vars(_build_parser().parse_args(argv))
     config_path = overrides.pop("config")
@@ -544,6 +567,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             else None
         )
         config = build_config(file_values, overrides)
+        _prepare_out(Path(config.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

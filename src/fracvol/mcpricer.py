@@ -1,16 +1,19 @@
 """Monte Carlo estimators for calls and volatility/variance swap strikes.
 
-Two call estimators share one set of rho-free path functionals, so one
-simulation serves every correlation. The conditional (mixing) estimator
-integrates the independent Brownian factor out exactly: given the vol path,
-the log-price is Gaussian, so each path contributes a shifted-spot,
-reduced-vol Black-Scholes value (at |rho| = 1 the law is a point mass and
-the value intrinsic) and no B draws are needed. The direct estimator draws
-that factor's leg instead: given the vol path, int sigma dB is exactly
-Normal(0, Y), so it is sqrt(Y) times one standard normal per path
-(INDEPENDENT_LEG). It builds the left-point Euler log-price from it per rho
-and averages the payoff, the intrinsic value of that point mass. So each
-pricer binds one of two laws per rho: lognormal, or a point mass.
+The estimator is chosen once, when the paths are simulated
+(McConfig.estimator); the pricer reads it off the functionals. Both
+estimators share rho-free path functionals, so one simulation serves every
+correlation. The conditional (mixing) estimator integrates the independent
+Brownian factor out exactly: given the vol path, the log-price is Gaussian,
+so each path contributes a shifted-spot, reduced-vol Black-Scholes value
+(at |rho| = 1 the law is a point mass and the value intrinsic) and no B
+draws are needed. The direct estimator draws that factor's leg instead:
+given the vol path, int sigma dB is exactly Normal(0, Y), so it is sqrt(Y)
+times one standard normal per path (INDEPENDENT_LEG), and only its
+functionals carry it. The pricer builds the left-point Euler log-price
+from it per rho and averages the payoff, the intrinsic value of that point
+mass. So each pricer binds one of two laws per rho: lognormal, or a point
+mass.
 
 Both estimators always regress their per-path values on the same two
 control variates, CONTROLS, whose means are exact in the discrete scheme:
@@ -281,17 +284,6 @@ def simulation_record(config: McConfig, hurst: Sequence[float]) -> dict[str, obj
     }
 
 
-def _terminal_log_return(funcs: PathFunctionals, rho: float) -> np.ndarray:
-    """Left-point Euler X_T - x0 = -Y/2 + rho int sigma dW
-    + sqrt(1 - rho^2) int sigma dB, per path."""
-    orth = math.sqrt(1.0 - rho * rho)
-    return (
-        -0.5 * funcs.integrated_variance
-        + rho * funcs.int_sigma_dw
-        + orth * funcs.int_sigma_db
-    )
-
-
 def vol_swap_strike(funcs: PathFunctionals, maturity: float) -> PriceEstimate:
     """Fair volatility-swap strike E[sqrt(Y/T)] with standard error."""
     if maturity <= 0.0:
@@ -397,43 +389,38 @@ def strike_pricer(
     params: ModelParams,
     x0: float,
     maturity: float,
-    estimator: str = "conditional_mixing",
 ) -> Callable[[float], StrikeEstimate]:
     """Bind one simulated batch into a price-of-log-strike function.
 
     All strikes reuse the same paths (common random numbers), which makes
     differences of implied vols across strikes far less noisy than
-    independent runs would be. Each estimator sets, once per rho, the
-    per-path log spot S = e^x its law sits on and its controls, checks
+    independent runs would be. The law comes from the functionals, whose
+    estimator was chosen at simulation: it sets, once per rho, the
+    per-path log spot S = e^x the law sits on and its controls, checks
     them once, and binds one of two closures.
 
-    Conditional mixing: given the vol path, X_T ~ Normal(x_hat, (1 - rho^2)
-    Y) with x_hat = x0 + rho int sigma dW - rho^2 Y / 2, so each path's
-    value is the Black-Scholes call at x_hat with total vol
-    sqrt((1 - rho^2) Y), and slope -e^k N(d2). At |rho| = 1 the law is a
-    point mass at x_hat. Direct Euler: a point mass at the Euler terminal
-    log spot. A point mass prices (S - e^k)+ per path, with slope
-    -e^k 1{S > e^k}. Either closure regresses price and slope on CONTROLS
-    (spot control S - e^{x0}), beta regressed per strike on the same
-    paths, so an implied vol's SE (price SE over vega) is that of the
-    controlled price.
+    Direct Euler (functionals that carry int sigma dB): a point mass at the
+    Euler terminal log spot x0 - Y/2 + rho int sigma dW + sqrt(1 - rho^2)
+    int sigma dB. Conditional mixing (all others): given the vol path,
+    X_T ~ Normal(x_hat, (1 - rho^2) Y) with x_hat = x0 + rho int sigma dW -
+    rho^2 Y / 2, so each path's value is the Black-Scholes call at x_hat
+    with total vol sqrt((1 - rho^2) Y), and slope -e^k N(d2); at |rho| = 1
+    the law is a point mass at x_hat. A point mass prices (S - e^k)+ per
+    path, with slope -e^k 1{S > e^k}. Either closure regresses price and
+    slope on CONTROLS (spot control S - e^{x0}), beta regressed per strike
+    on the same paths, so an implied vol's SE (price SE over vega) is that
+    of the controlled price.
     """
     if maturity <= 0.0:
         raise ValueError("maturity must be positive")
-    if estimator not in VALID_ESTIMATORS:
-        raise ValueError(f"estimator must be one of {VALID_ESTIMATORS}")
     rho = params.rho
-    if estimator == "direct_euler":
-        if funcs.int_sigma_db is None:
-            raise ValueError(
-                "direct_euler pricing needs functionals simulated with "
-                "estimator='direct_euler'"
-            )
-        log_spot = x0 + _terminal_log_return(funcs, rho)
+    y, ito = funcs.integrated_variance, funcs.int_sigma_dw
+    if funcs.int_sigma_db is not None:
+        orth = math.sqrt(1.0 - rho * rho)
+        log_spot = x0 + (-0.5 * y + rho * ito + orth * funcs.int_sigma_db)
         total_vol = None
     else:
-        y = funcs.integrated_variance
-        log_spot = x0 + rho * funcs.int_sigma_dw - 0.5 * rho * rho * y
+        log_spot = x0 + rho * ito - 0.5 * rho * rho * y
         total_vol = np.sqrt((1.0 - rho * rho) * y) if abs(rho) < 1.0 else None
     spot = np.exp(log_spot)
     bound = _bind_controls(spot, x0, funcs)

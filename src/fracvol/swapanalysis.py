@@ -39,14 +39,7 @@ from .blackscholes import (
     vega,
     zero_vanna_strike,
 )
-from .fbm import TimeGrid
-from .mcpricer import (
-    McConfig,
-    StrikeEstimate,
-    simulate_functionals,
-    strike_pricer,
-    vol_swap_strike,
-)
+from .mcpricer import McConfig, StrikeEstimate, vol_swap_strike
 from .volmodel import ModelParams, PathFunctionals
 
 # A fitted log-gap point must clear the MC noise floor by this factor.
@@ -202,7 +195,8 @@ def zero_vanna_report(
     ``pricer`` and ``funcs`` must come from the same simulation so the
     swap strike and the implied vols share paths.  The zero-vanna strike
     is located on the curve implied by ``pricer`` and its residual
-    |d2(k_hat, I(k_hat))| is recorded (and must be below 1e-8).  Every
+    |d2(k_hat, I(k_hat))| is recorded, not enforced: acceptance criterion
+    7 and the benchmark's correctness gate hold it below 1e-8.  Every
     vol comes from one implied_smile, so each strike is priced at most
     once: the search evaluates both the ATM strike and k_hat, and the
     report and the skew reuse those entries.
@@ -261,24 +255,6 @@ def analysis_record(reports: Iterable[SwapReport]) -> dict[str, object]:
         "pricer_calls": sum(r.pricer_calls for r in reports),
         "bisection_fallbacks": sum(r.zero_vanna_bisected for r in reports),
     }
-
-
-def simulate_report(
-    params: ModelParams,
-    x0: float,
-    maturity: float,
-    n_steps: int,
-    config: McConfig,
-) -> SwapReport:
-    """Simulate one cell end to end and report it.
-
-    Convenience wrapper: runs the path simulation once, then prices and
-    inverts on the shared functionals.
-    """
-    grid = TimeGrid(maturity, n_steps)
-    (funcs,) = simulate_functionals(grid, params, config)
-    pricer = strike_pricer(funcs, params, x0, maturity, estimator=config.estimator)
-    return zero_vanna_report(pricer, funcs, params, x0, maturity, config)
 
 
 def _fit_rate(
@@ -359,7 +335,6 @@ __all__ = [
     "atm_skew",
     "zero_vanna_report",
     "analysis_record",
-    "simulate_report",
     "check_fit_maturities",
     "convergence_study",
     "NOISE_FLOOR_MULTIPLE",

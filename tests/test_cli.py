@@ -22,6 +22,7 @@ from fracvol.cli import (
     RATES_COLUMNS,
     ConfigError,
     ExperimentConfig,
+    _cell_rows,
     _write_csv,
     build_config,
     main,
@@ -35,8 +36,7 @@ from fracvol.mcpricer import (
     McConfig,
     simulation_record,
 )
-from fracvol.swapanalysis import ATM_SKEW, ZERO_VANNA_SEARCH, simulate_report
-from fracvol.volmodel import ModelParams
+from fracvol.swapanalysis import ATM_SKEW, ZERO_VANNA_SEARCH
 
 FAST = {
     "n_paths": 3_000,
@@ -51,6 +51,16 @@ FAST = {
 def read_csv(path):
     with open(path, newline="") as handle:
         return list(csv.reader(handle))
+
+
+def read_strict_json(path):
+    """Parse JSON as strict parsers such as jq do: NaN and Infinity,
+    which the JSON standard leaves out, are rejected."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 class TestParseConfig:
@@ -237,8 +247,8 @@ class TestRun:
             "n_paths",
             "seed",
         ]
-        params = ModelParams(sigma0=0.2, nu=0.4, rho=0.0, hurst=0.5)
-        report = simulate_report(params, 0.0, 1.0, 16, McConfig(n_paths=3_000, seed=7))
+        config = ExperimentConfig(**{**FAST, "maturities": (1.0,), "rho": (0.0,)})
+        ((_, report),) = _cell_rows(config, 0)
         out = tmp_path / "row.csv"
         _write_csv(out, {(report.rho, report.hurst, report.maturity): report})
         row = dict(zip(*read_csv(out)))
@@ -466,11 +476,14 @@ class TestRun:
             rho=(0.0,),
         )
         assert run(config, stream=open("/dev/null", "w")) == 0
-        manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+        # an inconclusive fit writes null, not a bare NaN, for its fields
+        manifest = read_strict_json(out.with_suffix(".manifest.json"))
         fits = manifest["rate_fits"]["rho=0,H=0.5"]
         assert fits["err_zero_vanna"]["inconclusive"] is True
         assert fits["err_atmi"]["inconclusive"] is True
-        assert math.isnan(fits["err_zero_vanna"]["slope"])
+        for series in ("err_zero_vanna", "err_atmi"):
+            for field in ("slope", "intercept", "r_squared"):
+                assert fits[series][field] is None, (series, field)
         rates = read_csv(out.with_suffix(".rates.csv"))
         assert rates[0][:4] == ["rho", "H", "series", "slope"]
         assert len(rates) == 3  # header + two series for the one (rho, H)
@@ -665,6 +678,22 @@ class TestMain:
         assert main(["--maturities", maturity]) == 2
         err = capsys.readouterr().err
         assert "key 'maturities'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("under_a_file", [True, False])
+    def test_unusable_out_exits_two_before_simulating(
+        self, under_a_file, tmp_path, capsys, monkeypatch
+    ):
+        # a path under a regular file, or a directory, cannot take the CSV:
+        # exit 2 with no traceback, and no cell is simulated first
+        import fracvol.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "run", lambda *args: pytest.fail("ran"))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "x.csv" if under_a_file else tmp_path
+        assert main(["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: key 'out': ") and "Traceback" not in err
 
     def test_oracle_past_its_step_cap_exits_two(self, capsys):
         assert main(["--scheme", "cholesky_oracle", "--steps", "3000"]) == 2

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo pricing engine."""
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ from fracvol.fbm import (
 from fracvol.mcpricer import (
     McConfig,
     PriceEstimate,
+    _bind_controls,
+    _controlled_mean,
     _mean_se,
-    _terminal_log_return,
     simulate_functionals,
     strike_pricer,
     variance_swap_strike,
@@ -45,9 +47,20 @@ def combined_se(a: PriceEstimate, b: PriceEstimate) -> float:
     return math.hypot(a.std_error, b.std_error)
 
 
+def euler_log_return(funcs, rho: float) -> np.ndarray:
+    """Left-point Euler X_T - x0 = -Y/2 + rho int sigma dW
+    + sqrt(1 - rho^2) int sigma dB, per path, in the pricer's order."""
+    orth = math.sqrt(1.0 - rho * rho)
+    return (
+        -0.5 * funcs.integrated_variance
+        + rho * funcs.int_sigma_dw
+        + orth * funcs.int_sigma_db
+    )
+
+
 def plain_direct_price(funcs, params, x0: float, k: float) -> PriceEstimate:
     """Direct Euler payoff mean without the terminal-spot control."""
-    ret = _terminal_log_return(funcs, params.rho)
+    ret = euler_log_return(funcs, params.rho)
     return _mean_se(np.maximum(np.exp(x0 + ret) - math.exp(k), 0.0))
 
 
@@ -178,9 +191,7 @@ class TestDirectEstimator:
         config = McConfig(n_paths=100_000, seed=5, estimator="direct_euler")
         (funcs,) = simulate_functionals(grid, params, config)
         est_plain = plain_direct_price(funcs, params, 0.0, 0.0)
-        est_cv = strike_pricer(
-            funcs, params, 0.0, 1.0, estimator="direct_euler"
-        )(0.0)
+        est_cv = strike_pricer(funcs, params, 0.0, 1.0)(0.0)
         assert est_cv.std_error < est_plain.std_error
         assert abs(est_cv.value - est_plain.value) < 3.0 * combined_se(
             est_plain, est_cv
@@ -191,7 +202,7 @@ class TestDirectEstimator:
         params = ModelParams(SIGMA0, NU, -0.8, 0.3)
         config = McConfig(n_paths=100_000, seed=6, estimator="direct_euler")
         (funcs,) = simulate_functionals(grid, params, config)
-        spot = np.exp(_terminal_log_return(funcs, params.rho))
+        spot = np.exp(euler_log_return(funcs, params.rho))
         se = spot.std(ddof=1) / math.sqrt(spot.shape[0])
         assert abs(spot.mean() - 1.0) < 3.0 * se
 
@@ -219,7 +230,7 @@ class TestDirectEstimator:
             + params.rho * whole.int_sigma_dw
             + orth * ito_b
         )
-        assert np.array_equal(_terminal_log_return(funcs, params.rho), expected)
+        assert np.array_equal(euler_log_return(funcs, params.rho), expected)
 
     def test_one_normal_leg_has_the_law_of_the_increment_sum(self):
         # The old construction: int sigma dB as the left-point sum of the
@@ -247,8 +258,8 @@ class TestDirectEstimator:
         (funcs,) = simulate_functionals(grid, base, config)
         for rho in (0.0, -0.8):
             params = ModelParams(SIGMA0, NU, rho, base.hurst)
-            old = strike_pricer(euler, params, 0.0, 1.0, estimator="direct_euler")
-            new = strike_pricer(funcs, params, 0.0, 1.0, estimator="direct_euler")
+            old = strike_pricer(euler, params, 0.0, 1.0)
+            new = strike_pricer(funcs, params, 0.0, 1.0)
             for k in (-0.1, 0.0, 0.1):
                 a, b = old(k), new(k)
                 assert abs(a.value - b.value) < 3.0 * combined_se(a, b), (rho, k)
@@ -273,9 +284,7 @@ class TestDirectEstimator:
             params,
             McConfig(n_paths=40_000, seed=12, estimator="direct_euler"),
         )
-        direct = strike_pricer(
-            direct_funcs, params, 0.0, 1.0, estimator="direct_euler"
-        )
+        direct = strike_pricer(direct_funcs, params, 0.0, 1.0)
         cond = strike_pricer(cond_funcs, params, 0.0, 1.0)
         for k in (-0.1, 0.0, 0.1):
             a = cond(k)
@@ -287,7 +296,10 @@ class TestDirectEstimator:
         params = ModelParams(SIGMA0, NU, 0.0, 0.5)
         config = McConfig(n_paths=50_000, seed=13, estimator="direct_euler")
         (funcs,) = simulate_functionals(grid, params, config)
-        cond = strike_pricer(funcs, params, 0.0, 1.0)(0.0)
+        # mixing on the same paths: the pricer reads the law off the
+        # functionals, so drop the leg only direct Euler prices
+        mixed = replace(funcs, int_sigma_db=None)
+        cond = strike_pricer(mixed, params, 0.0, 1.0)(0.0)
         direct = plain_direct_price(funcs, params, 0.0, 0.0)
         assert cond.std_error < direct.std_error
 
@@ -334,7 +346,7 @@ class TestControlVariates:
             plain = plain_direct_price(funcs, params, 0.0, 0.0)
         else:
             plain = _mean_se(mixing_values(funcs, rho, 0.0, 0.0, 1.0)[0])
-        est = strike_pricer(funcs, params, 0.0, 1.0, estimator=estimator)(0.0)
+        est = strike_pricer(funcs, params, 0.0, 1.0)(0.0)
         assert est.std_error * 1.5 <= plain.std_error
         assert abs(est.value - plain.value) < 3.0 * plain.std_error
 
@@ -363,8 +375,8 @@ class TestControlVariates:
         params = ModelParams(SIGMA0, NU, rho, 0.3)
         config = McConfig(n_paths=20_000, seed=5, estimator="direct_euler")
         (funcs,) = simulate_functionals(grid, params, config)
-        mixing = strike_pricer(funcs, params, 0.0, 1.0)
-        direct = strike_pricer(funcs, params, 0.0, 1.0, estimator="direct_euler")
+        mixing = strike_pricer(replace(funcs, int_sigma_db=None), params, 0.0, 1.0)
+        direct = strike_pricer(funcs, params, 0.0, 1.0)
         for k in (-0.05, 0.0, 0.05):
             a, b = mixing(k), direct(k)
             for field in ("value", "std_error", "slope", "slope_se", "cov"):
@@ -385,12 +397,12 @@ class TestControlVariates:
         if estimator == "direct_euler":
             # below every terminal spot, so no payoff is zero and the plain
             # SE at two paths is positive whatever the draw
-            k = float(_terminal_log_return(funcs, params.rho).min()) - 0.1
+            k = float(euler_log_return(funcs, params.rho).min()) - 0.1
             plain = plain_direct_price(funcs, params, 0.0, k)
         else:
             k = 0.0
             plain = _mean_se(mixing_values(funcs, params.rho, 0.0, k, 1.0)[0])
-        est = strike_pricer(funcs, params, 0.0, 1.0, estimator=estimator)(k)
+        est = strike_pricer(funcs, params, 0.0, 1.0)(k)
         assert est.value == pytest.approx(plain.value, rel=1e-12)
         assert est.std_error == pytest.approx(plain.std_error, rel=1e-12, abs=0.0)
         if n_paths == 2:
@@ -717,14 +729,30 @@ class TestStrikePricer:
         params = ModelParams(SIGMA0, NU, -0.5, 0.3)
         config = McConfig(n_paths=20_000, seed=37, estimator="direct_euler")
         (funcs,) = simulate_functionals(grid, params, config)
-        pricer = strike_pricer(funcs, params, 0.0, 1.0, estimator="direct_euler")
-        spot = np.exp(_terminal_log_return(funcs, params.rho))
+        pricer = strike_pricer(funcs, params, 0.0, 1.0)
+        spot = np.exp(euler_log_return(funcs, params.rho))
         for k in (-0.05, 0.0, 0.05):
             payoff = np.maximum(spot - math.exp(k), 0.0)
             expected = regression_estimate(payoff, spot, 0.0, funcs)
             est = pricer(k)
             assert est.value == pytest.approx(expected.value, rel=1e-12, abs=0.0)
             assert est.std_error == pytest.approx(expected.std_error, rel=1e-9)
+
+    def test_direct_functionals_price_as_a_point_mass(self):
+        # the estimator is chosen at simulation: functionals that carry
+        # int sigma dB price as the Euler point mass with no further
+        # argument, bit for bit the regression on its intrinsic values
+        grid = TimeGrid(1.0, 16)
+        params = ModelParams(SIGMA0, NU, -0.5, 0.3)
+        config = McConfig(n_paths=4_000, seed=36, estimator="direct_euler")
+        (funcs,) = simulate_functionals(grid, params, config)
+        pricer = strike_pricer(funcs, params, 0.0, 1.0)
+        spot = np.exp(0.0 + euler_log_return(funcs, params.rho))
+        bound = _bind_controls(spot, 0.0, funcs)
+        for k in (-0.05, 0.0, 0.05):
+            ek = math.exp(k)
+            payoff = np.maximum(spot - ek, 0.0)
+            assert pricer(k) == _controlled_mean(payoff, -ek * (spot > ek), *bound)
 
     def test_mixing_slope_is_the_derivative_of_the_controlled_price(self):
         # The controlled price is w @ v(k) with strike-free weights w, so
@@ -759,8 +787,8 @@ class TestStrikePricer:
         params = ModelParams(SIGMA0, NU, -0.5, 0.3)
         config = McConfig(n_paths=20_000, seed=39, estimator="direct_euler")
         (funcs,) = simulate_functionals(grid, params, config)
-        pricer = strike_pricer(funcs, params, 0.0, 1.0, estimator="direct_euler")
-        log_spot = _terminal_log_return(funcs, params.rho)
+        pricer = strike_pricer(funcs, params, 0.0, 1.0)
+        log_spot = euler_log_return(funcs, params.rho)
         weights = np.abs(control_weights(np.exp(log_spot), 0.0, funcs))
         h = 1e-7
         for k in (-0.05, 0.0, 0.05):
@@ -787,13 +815,3 @@ class TestStrikePricer:
             est = pricer(k)
             assert est.slope == pytest.approx(expected.value, rel=1e-12, abs=0.0)
             assert est.slope_se == pytest.approx(expected.std_error, rel=1e-9)
-
-    def test_direct_requires_terminal(self, funcs_h05):
-        grid, params, funcs = funcs_h05
-        with pytest.raises(ValueError):
-            strike_pricer(funcs, params, 0.0, grid.maturity, estimator="direct_euler")
-
-    def test_rejects_unknown_estimator(self, funcs_h05):
-        grid, params, funcs = funcs_h05
-        with pytest.raises(ValueError):
-            strike_pricer(funcs, params, 0.0, grid.maturity, estimator="qmc")

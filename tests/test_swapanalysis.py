@@ -27,7 +27,13 @@ from fracvol.blackscholes import (
     d2,
     vega,
 )
-from fracvol.mcpricer import McConfig, StrikeEstimate
+from fracvol.fbm import TimeGrid
+from fracvol.mcpricer import (
+    McConfig,
+    StrikeEstimate,
+    simulate_functionals,
+    strike_pricer,
+)
 from fracvol.swapanalysis import (
     ATM_SKEW,
     ZERO_VANNA_SEARCH,
@@ -38,7 +44,6 @@ from fracvol.swapanalysis import (
     atm_skew,
     convergence_study,
     implied_smile,
-    simulate_report,
     zero_vanna_report,
 )
 from fracvol.volmodel import ModelParams
@@ -53,6 +58,14 @@ H05_REFERENCE_VOL = 0.2026
 # Rough negative-correlation cell under the coarse midpoint kernel at
 # 500 steps/year (independent large-run values, in vol units).
 ROUGH_REFERENCE = {"vol_swap": 0.2158, "iv_zero_vanna": 0.2049, "atmi": 0.1987}
+
+
+def simulate_cell(params, x0, maturity, n_steps, config) -> SwapReport:
+    """One cell end to end: simulate its maturity, bind the pricer and
+    report it on the shared functionals."""
+    (funcs,) = simulate_functionals(TimeGrid(maturity, n_steps), params, config)
+    pricer = strike_pricer(funcs, params, x0, maturity)
+    return zero_vanna_report(pricer, funcs, params, x0, maturity, config)
 
 
 def strike_slope(x0, k, vol, vol_slope, maturity):
@@ -84,21 +97,21 @@ def analytic_pricer(vol_of_k, x0, maturity, slope_of_k=lambda k: 0.0):
 def rep_h05():
     params = ModelParams(sigma0=SIGMA0, nu=NU, rho=0.0, hurst=0.5)
     config = McConfig(n_paths=100_000, seed=401)
-    return simulate_report(params, X0, 1.0, 250, config)
+    return simulate_cell(params, X0, 1.0, 250, config)
 
 
 @pytest.fixture(scope="module")
 def rep_rough_neg():
     params = ModelParams(sigma0=SIGMA0, nu=NU, rho=-0.8, hurst=0.1)
     config = McConfig(n_paths=100_000, seed=402, scheme="midpoint_convolution")
-    return simulate_report(params, X0, 1.0, 500, config)
+    return simulate_cell(params, X0, 1.0, 500, config)
 
 
 class TestIvCurve:
     def test_constant_vol_curve_is_flat(self):
         params = ModelParams(sigma0=SIGMA0, nu=0.0, rho=0.0, hurst=0.5)
         config = McConfig(n_paths=2_000, seed=410)
-        rep = simulate_report(params, X0, 1.0, 50, config)
+        rep = simulate_cell(params, X0, 1.0, 50, config)
         assert abs(rep.iv_zero_vanna - SIGMA0) < 1e-9
         assert abs(rep.atmi - SIGMA0) < 1e-9
         assert rep.vol_swap == pytest.approx(SIGMA0, abs=1e-12)
@@ -183,9 +196,6 @@ class TestIvCurve:
                 implied_smile(pricer, X0, maturity)(0.0)
 
     def test_uncorrelated_curve_more_symmetric_than_skewed(self):
-        from fracvol.fbm import TimeGrid
-        from fracvol.mcpricer import simulate_functionals, strike_pricer
-
         grid = TimeGrid(1.0, 64)
         config = McConfig(n_paths=20_000, seed=420)
         delta = 0.05
@@ -237,7 +247,7 @@ class TestAtmSkew:
         skews = {}
         for maturity in (0.25, 1.0, 3.0):
             config = McConfig(n_paths=60_000, seed=403)
-            rep = simulate_report(params, X0, maturity, 250, config)
+            rep = simulate_cell(params, X0, maturity, 250, config)
             assert rep.atm_skew < -3.0 * rep.atm_skew_se, (
                 f"skew not significantly negative at T={maturity}"
             )
@@ -247,9 +257,6 @@ class TestAtmSkew:
 
 class TestSwapReport:
     def test_prices_each_strike_once(self):
-        from fracvol.fbm import TimeGrid
-        from fracvol.mcpricer import simulate_functionals
-
         params = ModelParams(sigma0=SIGMA0, nu=NU, rho=-0.5, hurst=0.5)
         config = McConfig(n_paths=256, seed=430)
         (funcs,) = simulate_functionals(TimeGrid(1.0, 8), params, config)
@@ -274,9 +281,6 @@ class TestSwapReport:
     def test_monte_carlo_report_prices_at_most_five_strikes(self, rho):
         # Newton from the flat smile's root on the pathwise slope: the ATM
         # strike and at most four iterates, and no strike for the skew
-        from fracvol.fbm import TimeGrid
-        from fracvol.mcpricer import simulate_functionals, strike_pricer
-
         params = ModelParams(sigma0=SIGMA0, nu=NU, rho=rho, hurst=0.1)
         config = McConfig(n_paths=20_000, seed=432)
         (funcs,) = simulate_functionals(TimeGrid(1.0, 50), params, config)
@@ -296,9 +300,6 @@ class TestSwapReport:
         # vega zero away from the money: every Newton step lacks I', so the
         # search bisects; vega zero at the money: the skew is NaN and the
         # report is refused with a ValueError, never a ZeroDivisionError
-        from fracvol.fbm import TimeGrid
-        from fracvol.mcpricer import simulate_functionals
-
         params = ModelParams(sigma0=SIGMA0, nu=NU, rho=-0.5, hurst=0.5)
         config = McConfig(n_paths=256, seed=433)
         (funcs,) = simulate_functionals(TimeGrid(1.0, 8), params, config)
@@ -333,9 +334,6 @@ class TestSwapReport:
     def test_report_does_not_keep_its_pricer_alive(self):
         # the report's memoized smile and the root finder's closures must
         # not outlive the call: a pricer holds the simulation's path arrays
-        from fracvol.fbm import TimeGrid
-        from fracvol.mcpricer import simulate_functionals, strike_pricer
-
         params = ModelParams(sigma0=SIGMA0, nu=NU, rho=-0.5, hurst=0.5)
         config = McConfig(n_paths=256, seed=431)
         (funcs,) = simulate_functionals(TimeGrid(1.0, 8), params, config)
@@ -378,7 +376,7 @@ class TestSwapReport:
             params = ModelParams(sigma0=SIGMA0, nu=NU, rho=0.0, hurst=hurst)
             for maturity in (0.5, 1.0):
                 config = McConfig(n_paths=100_000, seed=406)
-                rep = simulate_report(params, X0, maturity, 250, config)
+                rep = simulate_cell(params, X0, maturity, 250, config)
                 assert abs(rep.err_zero_vanna) < 5e-4, (
                     f"H={hurst} T={maturity}: gap {rep.err_zero_vanna:.6f}"
                 )
@@ -397,8 +395,8 @@ class TestSwapReport:
     def test_report_deterministic(self):
         params = ModelParams(sigma0=SIGMA0, nu=NU, rho=-0.5, hurst=0.3)
         config = McConfig(n_paths=5_000, seed=411)
-        first = simulate_report(params, X0, 0.5, 64, config)
-        second = simulate_report(params, X0, 0.5, 64, config)
+        first = simulate_cell(params, X0, 0.5, 64, config)
+        second = simulate_cell(params, X0, 0.5, 64, config)
         assert dataclasses.asdict(first) == dataclasses.asdict(second)
 
     def test_metadata_carried(self, rep_h05):
@@ -510,7 +508,7 @@ class TestRateFit:
     def test_zero_vol_of_vol_is_inconclusive(self):
         params = ModelParams(sigma0=SIGMA0, nu=0.0, rho=0.0, hurst=0.5)
         config = McConfig(n_paths=2_000, seed=412)
-        reports = [simulate_report(params, X0, t, 32, config) for t in (0.5, 1.0, 2.0)]
+        reports = [simulate_cell(params, X0, t, 32, config) for t in (0.5, 1.0, 2.0)]
         fits = convergence_study(params, reports)
         for fit in fits.values():
             assert fit.inconclusive
@@ -522,7 +520,7 @@ class TestRateFit:
         params = ModelParams(sigma0=SIGMA0, nu=NU, rho=-0.8, hurst=0.3)
         config = McConfig(n_paths=200_000, seed=404)
         reports = [
-            simulate_report(params, X0, t, 250, config) for t in (0.5, 1.0, 2.0, 3.0)
+            simulate_cell(params, X0, t, 250, config) for t in (0.5, 1.0, 2.0, 3.0)
         ]
         fit = convergence_study(params, reports)["err_zero_vanna"]
         assert not fit.inconclusive
