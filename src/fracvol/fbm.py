@@ -4,13 +4,17 @@ The process W^H_s = int_0^s (s - r)^(H - 1/2) dW_r is sampled jointly with
 its driving Brownian increments. The scheme is a left-point Volterra
 convolution whose kernel weights carry the exact cell variance, so the
 marginal Var[W^H_{t_i}] = t_i^{2H} / (2H) holds at every grid point by
-construction. A dense Cholesky sampler of the exact joint law is provided
-as a test oracle. Only W is drawn as a path: the independent driver B
-enters the pricing layer as one normal per path from block 0 of B_STREAM.
+construction. The exact joint law, the test oracle, is a triangular factor
+of its dense covariance (cholesky_factor). Either law streams through the
+same row tiles of iter_path_blocks: a tile's normals are multiplied in
+place by an upper-triangular matrix, the Toeplitz convolution matrix or
+the factor. Only W is drawn as a path: the independent driver B enters the
+pricing layer as one normal per path from block 0 of B_STREAM.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.integrate import quad
@@ -24,7 +28,7 @@ __all__ = [
     "kernel_weights",
     "sample_paths",
     "iter_path_blocks",
-    "cholesky_oracle",
+    "cholesky_factor",
     "level_variance",
     "exact_level_variance",
     "block_rng",
@@ -49,10 +53,10 @@ B_STREAM = 1
 ORACLE_STREAM = 2
 
 DEFAULT_BLOCK_SIZE = 65_536
-# bytes of one tile buffer: a block is drawn, convolved and consumed in
-# row tiles of this size, so the working set stays in cache
+# bytes of the largest tile buffer: a block is drawn, multiplied and
+# consumed in row tiles of this size, so the working set stays in cache
 TILE_BYTES = 2 * 1024 * 1024
-# the oracle factors a dense (2 n_steps)^2 covariance
+# the exact law factors a dense (2 n_steps)^2 covariance
 ORACLE_MAX_STEPS = 2048
 
 
@@ -174,17 +178,14 @@ def _convolution_matrix(weights: KernelWeights) -> np.ndarray | None:
     return toeplitz(b, np.zeros_like(b)).T
 
 
-def _triangular_product(
-    matrix: np.ndarray, dw: np.ndarray, wh: np.ndarray
-) -> np.ndarray:
-    """wh = dw @ matrix for the upper-triangular matrix, computed in wh.
+def _triangular_product(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """rows @ matrix for the upper-triangular matrix, computed in place.
 
-    dw is copied into the C-contiguous wh, and BLAS trmm overwrites the
-    Fortran-ordered view wh.T with matrix.T @ wh.T, half the flops of a
-    dense product. Returns the array trmm wrote, which is wh.T itself.
+    BLAS trmm overwrites the Fortran-ordered view rows.T of the
+    C-contiguous rows with matrix.T @ rows.T, half the flops of a dense
+    product. Returns the product as trmm wrote it, which is rows itself.
     """
-    np.copyto(wh, dw)
-    return dtrmm(1.0, matrix, wh.T, trans_a=1, overwrite_b=1)
+    return dtrmm(1.0, matrix, rows.T, trans_a=1, overwrite_b=1).T
 
 
 def level_variance(grid: TimeGrid, weights: KernelWeights) -> np.ndarray:
@@ -206,36 +207,40 @@ def tile_rows(n_steps: int) -> int:
     return max(1, TILE_BYTES // (8 * n_steps))
 
 
-def _fill_tile(
-    w_rng: np.random.Generator,
+def _fill_convolution_tile(
     sqrt_dt: float,
     matrix: np.ndarray | None,
+    rng: np.random.Generator,
     tile: GaussianPathBatch,
 ) -> None:
-    """Draw a tile's next rows of W increments from its block's generator,
-    then its W^H levels.
-
-    The generator advances by the tile's rows, so the tiles of one block,
-    drawn in order, are bit-identical to one whole-block draw. Every
-    operation writes in place into the tile's C-contiguous arrays.
-    """
-    w_rng.standard_normal(out=tile.dw)
+    """Draw a tile's W increments from its block's generator, then its
+    W^H levels by the Volterra convolution."""
+    rng.standard_normal(out=tile.dw)
     tile.dw *= sqrt_dt
     if matrix is None:
         np.cumsum(tile.dw, axis=1, out=tile.wh)
     else:
-        _triangular_product(matrix, tile.dw, tile.wh)
+        np.copyto(tile.wh, tile.dw)
+        _triangular_product(matrix, tile.wh)
 
 
-def _check_blocking(
-    grid: TimeGrid, weights: KernelWeights, n_paths: int, block_size: int
+def _fill_exact_tile(
+    factor: np.ndarray,
+    draws: np.ndarray,
+    rng: np.random.Generator,
+    tile: GaussianPathBatch,
 ) -> None:
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
-    if block_size < 1:
-        raise ValueError("block_size must be at least 1")
-    if weights.n_steps != grid.n_steps:
-        raise ValueError("weights were built for a different grid")
+    """Draw a tile's 2 n_steps normals per path from its block's generator
+    into draws, turn them into the exact law's levels (W, W^H) at
+    t_1..t_n with the factor, then write the W increments and the W^H
+    levels."""
+    n = tile.n_steps
+    z = draws[: tile.n_paths]
+    rng.standard_normal(out=z)
+    levels = _triangular_product(factor, z)
+    tile.dw[:, 0] = levels[:, 0]
+    np.subtract(levels[:, 1:n], levels[:, : n - 1], out=tile.dw[:, 1:])
+    np.copyto(tile.wh, levels[:, n:])
 
 
 def block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
@@ -248,7 +253,7 @@ def block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
 
 def iter_path_blocks(
     grid: TimeGrid,
-    weights: KernelWeights,
+    law: KernelWeights | np.ndarray,
     n_paths: int,
     seed: int,
     block_size: int = DEFAULT_BLOCK_SIZE,
@@ -256,35 +261,49 @@ def iter_path_blocks(
     """Iterator of (block_index, GaussianPathBatch) tiles covering n_paths
     in order.
 
+    law is either the convolution's KernelWeights, whose tiles draw
+    n_steps normals per path from W_STREAM, or the exact law's
+    cholesky_factor, whose tiles draw 2 n_steps from ORACLE_STREAM.
     Block b holds paths [b * block_size, min((b+1) * block_size, n_paths))
     and draws from its own generator, so its draws depend only on (seed,
     b, block_size, grid shape), never on other blocks: generation
     parallelizes with deterministic output, and block_size is part of the
-    reproducibility key. Each block is yielded as consecutive row tiles of
-    at most tile_rows(n_steps) rows, drawn in order from the block's
-    generator, which gives the same numbers as a whole-block draw.
+    reproducibility key. Each block is yielded as consecutive row tiles,
+    drawn in order from the block's generator, which gives the same
+    numbers as a whole-block draw.
 
     The arguments are checked at the call, not at the first tile. Every
     tile is written in place into the leading rows of C-contiguous buffers
-    of one tile's size owned by the iterator, so a yielded tile is
+    owned by the iterator, none over TILE_BYTES, so a yielded tile is
     overwritten by the next: a caller that keeps one must copy it, and may
     use its arrays as scratch meanwhile.
     """
-    _check_blocking(grid, weights, n_paths, block_size)
-    step = min(tile_rows(grid.n_steps), block_size, n_paths)
-    shape = (step, grid.n_steps)
-    dw, wh = np.empty(shape), np.empty(shape)
-    sqrt_dt = np.sqrt(grid.dt)
-    matrix = _convolution_matrix(weights)
+    if n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
+    if block_size < 1:
+        raise ValueError("block_size must be at least 1")
+    n = grid.n_steps
+    exact = not isinstance(law, KernelWeights)
+    if (law.shape[0] // 2 if exact else law.n_steps) != n:
+        raise ValueError("the law was built for a different grid")
+    step = min(tile_rows(2 * n if exact else n), block_size, n_paths)
+    if exact:
+        stream = ORACLE_STREAM
+        fill = partial(_fill_exact_tile, law, np.empty((step, 2 * n)))
+    else:
+        stream = W_STREAM
+        matrix = _convolution_matrix(law)
+        fill = partial(_fill_convolution_tile, np.sqrt(grid.dt), matrix)
+    dw, wh = np.empty((step, n)), np.empty((step, n))
 
     def tiles():
         for b, start in enumerate(range(0, n_paths, block_size)):
-            w_rng = block_rng(seed, W_STREAM, b)
+            rng = block_rng(seed, stream, b)
             block_rows = min(block_size, n_paths - start)
             for offset in range(0, block_rows, step):
                 rows = min(step, block_rows - offset)
                 tile = GaussianPathBatch(dw=dw[:rows], wh=wh[:rows])
-                _fill_tile(w_rng, sqrt_dt, matrix, tile)
+                fill(rng, tile)
                 yield b, tile
 
     return tiles()
@@ -292,14 +311,14 @@ def iter_path_blocks(
 
 def sample_paths(
     grid: TimeGrid,
-    weights: KernelWeights,
+    law: KernelWeights | np.ndarray,
     n_paths: int,
     seed: int,
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> GaussianPathBatch:
     """Materialize all paths as one batch: the tiles of iter_path_blocks,
     the streaming variant the pricing engine uses, copied into place."""
-    tiles = iter_path_blocks(grid, weights, n_paths, seed, block_size)
+    tiles = iter_path_blocks(grid, law, n_paths, seed, block_size)
     dw = np.empty((n_paths, grid.n_steps))
     wh = np.empty((n_paths, grid.n_steps))
     row = 0
@@ -370,30 +389,22 @@ def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
 
 
 def exact_level_variance(grid: TimeGrid, hurst: float) -> np.ndarray:
-    """Var W^H = t^{2H} / (2H) of the exact law, which cholesky_oracle
+    """Var W^H = t^{2H} / (2H) of the exact law, which cholesky_factor
     samples, at the left grid points t_0..t_{n-1}."""
     return grid.times[:-1] ** (2.0 * hurst) / (2.0 * hurst)
 
 
-def cholesky_oracle(
-    grid: TimeGrid, hurst: float, n_paths: int, seed: int
-) -> GaussianPathBatch:
-    """Sample the exact joint Gaussian law of (W, W^H) at the grid points.
+def cholesky_factor(grid: TimeGrid, hurst: float) -> np.ndarray:
+    """Upper-triangular U, Fortran-ordered, with U.T @ U the covariance of
+    (W_{t_1..t_n}, W^H_{t_1..t_n}): a row of 2 n_steps standard normals
+    times U samples the exact joint law at the grid points.
 
-    Dense factorization of the analytically-computed covariance; intended
-    for tests only, hence the step budget.
+    The dense (2 n_steps)^2 covariance is computed analytically and
+    factored with the least jitter that makes it positive definite;
+    intended for tests only, hence the step budget.
     """
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst must lie in (0, 1), got {hurst}")
     if grid.n_steps > ORACLE_MAX_STEPS:
-        raise ValueError(f"cholesky_oracle supports at most {ORACLE_MAX_STEPS} steps")
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
-    chol = _cholesky_with_jitter(_joint_covariance(grid, hurst))
-    rng = block_rng(seed, ORACLE_STREAM, 0)
-    z = rng.standard_normal((n_paths, 2 * grid.n_steps))
-    joint = z @ chol.T
-    w_levels = joint[:, : grid.n_steps]
-    wh = joint[:, grid.n_steps :]
-    dw = np.diff(w_levels, axis=1, prepend=0.0)
-    return GaussianPathBatch(dw=dw, wh=np.ascontiguousarray(wh))
+        raise ValueError(f"the exact law supports at most {ORACLE_MAX_STEPS} steps")
+    return _cholesky_with_jitter(_joint_covariance(grid, hurst)).T

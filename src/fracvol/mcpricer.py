@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,10 +44,9 @@ from .fbm import (
     BIT_GENERATOR,
     DEFAULT_BLOCK_SIZE,
     TILE_BYTES,
-    GaussianPathBatch,
     TimeGrid,
     block_rng,
-    cholesky_oracle,
+    cholesky_factor,
     convolution_method,
     exact_level_variance,
     iter_path_blocks,
@@ -70,7 +69,6 @@ __all__ = [
     "simulate_functionals",
     "simulation_record",
     "vol_swap_strike",
-    "variance_swap_strike",
     "strike_pricer",
     "VALID_SCHEMES",
     "VALID_ESTIMATORS",
@@ -107,8 +105,9 @@ class McConfig:
     """Experiment knobs: path budget, seeding, scheme and estimator choice.
 
     block_size partitions paths into deterministic work units and is part
-    of the reproducibility key (it selects which RNG stream draws which
-    rows, not just a performance hint).
+    of the reproducibility key under every scheme, the Cholesky oracle
+    included (it selects which RNG stream draws which rows, not just a
+    performance hint).
     """
 
     n_paths: int
@@ -159,11 +158,10 @@ class StrikeEstimate(PriceEstimate):
             raise ValueError("slope_se must be nonnegative")
 
 
-def _mean_se(values: np.ndarray, ddof: int = 1) -> PriceEstimate:
-    """Sample mean with its SE; ddof counts the fitted parameters the
-    values already carry (1 for the mean alone). SE 0 when n <= ddof."""
+def _mean_se(values: np.ndarray) -> PriceEstimate:
+    """Sample mean with its SE; SE 0 on a single value."""
     n = values.shape[0]
-    se = float(values.std(ddof=ddof) / math.sqrt(n)) if n > ddof else 0.0
+    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return PriceEstimate(value=float(values.mean()), std_error=se, n_paths=n)
 
 
@@ -184,12 +182,15 @@ def simulate_functionals(
     nu * T^H. So Y and its exact mean E[Y] at T are T times the unit-grid
     ones at nu * T^H, and int sigma dW is sqrt(T) times.
 
-    Every RNG block streams through tiles of fbm.TILE_BYTES per buffer:
-    each tile is drawn and convolved once, then every maturity's vols and
-    functionals are taken from it while it is in cache. Memory is a few
-    tile buffers (dw, wh, vols) plus O(n_paths x maturities) for the
-    functionals. The Cholesky oracle draws all paths as one block at unit
-    maturity and streams that through the same tiles.
+    Every RNG block streams through tiles of at most fbm.TILE_BYTES per
+    buffer: each tile is drawn and multiplied by its law's triangular
+    matrix once, then every maturity's vols and functionals are taken from
+    it while it is in cache. Every scheme streams alike; the Cholesky
+    oracle differs only in its law, the factor of the exact covariance,
+    whose tiles draw 2 n_steps normals per path from fbm.ORACLE_STREAM.
+    Memory is a few tile buffers (normals, dw, wh, vols) plus
+    O(n_paths x maturities) for the functionals, and for the oracle its
+    (2 n_steps)^2 covariance and factor.
 
     The functionals are rho-free: params.rho is never read. For the
     direct Euler estimator int sigma dB is sqrt(Y) * z (INDEPENDENT_LEG):
@@ -210,17 +211,13 @@ def simulate_functionals(
     y, ito = np.empty(shape), np.empty(shape)
 
     if config.scheme == "cholesky_oracle":
-        batch = cholesky_oracle(unit, params.hurst, config.n_paths, config.seed)
-        tiles = _tiles(batch)
+        law = cholesky_factor(unit, params.hurst)
         variance = exact_level_variance(unit, params.hurst)
     else:
-        weights = kernel_weights(unit, params.hurst, KERNEL_EVALUATION[config.scheme])
-        tiles = iter_path_blocks(
-            unit, weights, config.n_paths, config.seed, config.block_size
-        )
-        variance = level_variance(unit, weights)
-    buffer = (min(tile_rows(unit.n_steps), config.n_paths), unit.n_steps)
-    vol = np.empty(buffer)
+        law = kernel_weights(unit, params.hurst, KERNEL_EVALUATION[config.scheme])
+        variance = level_variance(unit, law)
+    tiles = iter_path_blocks(unit, law, config.n_paths, config.seed, config.block_size)
+    vol = np.empty((min(tile_rows(unit.n_steps), config.n_paths), unit.n_steps))
 
     row = 0
     for _, tile in tiles:
@@ -249,15 +246,6 @@ def simulate_functionals(
             )
         )
     return out
-
-
-def _tiles(batch: GaussianPathBatch) -> Iterator[tuple[int, GaussianPathBatch]]:
-    """A materialized batch as consecutive row tiles of fbm.tile_rows rows,
-    in iter_path_blocks' form; the whole batch is block 0."""
-    step = tile_rows(batch.n_steps)
-    for row in range(0, batch.n_paths, step):
-        rows = slice(row, row + step)
-        yield 0, GaussianPathBatch(dw=batch.dw[rows], wh=batch.wh[rows])
 
 
 def simulation_record(config: McConfig, hurst: Sequence[float]) -> dict[str, object]:
@@ -289,13 +277,6 @@ def vol_swap_strike(funcs: PathFunctionals, maturity: float) -> PriceEstimate:
     if maturity <= 0.0:
         raise ValueError("maturity must be positive")
     return _mean_se(np.sqrt(funcs.integrated_variance / maturity))
-
-
-def variance_swap_strike(funcs: PathFunctionals, maturity: float) -> PriceEstimate:
-    """Fair variance-swap strike E[Y/T] with standard error."""
-    if maturity <= 0.0:
-        raise ValueError("maturity must be positive")
-    return _mean_se(funcs.integrated_variance / maturity)
 
 
 def _bind_controls(

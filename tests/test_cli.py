@@ -3,6 +3,7 @@
 import csv
 import importlib.util
 import io
+import itertools
 import json
 import math
 import os
@@ -349,19 +350,27 @@ class TestRun:
         assert run(config, stream=open("/dev/null", "w")) == 0
         assert out.read_bytes() == first_out.read_bytes()
         # FAST has one H, so the pool above runs serially; two H values
-        # give the pool two tasks, in both modes
-        for mode in ("tables", "convergence"):
-            two_h = dict(FAST, hurst=(0.3, 0.5), maturities=(0.5, 1.0, 2.0), mode=mode)
+        # give the pool two tasks, in both modes and under both laws
+        for mode, scheme in itertools.product(
+            ("tables", "convergence"), ("convolution", "cholesky_oracle")
+        ):
+            two_h = dict(
+                FAST,
+                hurst=(0.3, 0.5),
+                maturities=(0.5, 1.0, 2.0),
+                mode=mode,
+                scheme=scheme,
+            )
             outputs = []
             for workers in (1, 2):
-                out = tmp_path / f"{mode}{workers}.csv"
+                out = tmp_path / f"{mode}_{scheme}{workers}.csv"
                 config = ExperimentConfig(out=str(out), workers=workers, **two_h)
                 assert run(config, stream=open("/dev/null", "w")) == 0
                 rates = out.with_suffix(".rates.csv")
                 outputs.append(
                     (out.read_bytes(), rates.read_bytes() if rates.exists() else None)
                 )
-            assert outputs[0] == outputs[1], mode
+            assert outputs[0] == outputs[1], (mode, scheme)
             assert (outputs[0][1] is None) == (mode == "tables")
 
     def test_pool_is_capped_at_the_task_count(self, tmp_path, monkeypatch):

@@ -10,6 +10,7 @@ from scipy.linalg import toeplitz
 from scipy.stats import ks_2samp
 
 from fracvol.fbm import (
+    ORACLE_STREAM,
     W_STREAM,
     GaussianPathBatch,
     TimeGrid,
@@ -17,7 +18,7 @@ from fracvol.fbm import (
     _joint_covariance,
     _triangular_product,
     block_rng,
-    cholesky_oracle,
+    cholesky_factor,
     exact_level_variance,
     iter_path_blocks,
     kernel_weights,
@@ -147,7 +148,8 @@ class TestConvolution:
         assert n_tiles == 3 and tile.n_paths == 44
         buffer = np.empty((128, n_steps))
         wh = buffer[:44]
-        written = _triangular_product(_convolution_matrix(w), tile.dw, wh)
+        np.copyto(wh, tile.dw)
+        written = _triangular_product(_convolution_matrix(w), wh)
         assert np.shares_memory(written, buffer)
         np.testing.assert_allclose(wh, expected, rtol=0, atol=1e-13 * rms)
 
@@ -273,8 +275,7 @@ class TestSamplePaths:
             if hurst == 0.5:
                 wh = np.cumsum(dw, axis=1)
             else:
-                wh = np.empty_like(dw)
-                _triangular_product(_convolution_matrix(w), dw, wh)
+                wh = _triangular_product(_convolution_matrix(w), dw.copy())
             assert np.array_equal(blk.dw, dw) and np.array_equal(blk.wh, wh)
             n_blocks += 1
         assert n_blocks == 4
@@ -334,7 +335,7 @@ class TestCholeskyOracle:
 
     def test_oracle_sample_moments(self):
         grid = TimeGrid(1.0, 32)
-        batch = cholesky_oracle(grid, 0.3, 20_000, seed=17)
+        batch = sample_paths(grid, cholesky_factor(grid, 0.3), 20_000, seed=17)
         var = batch.wh[:, -1].var(ddof=1)
         target = 1.0 / 0.6
         assert abs(var - target) < 3.0 * target * math.sqrt(2.0 / batch.n_paths)
@@ -347,13 +348,39 @@ class TestCholeskyOracle:
         grid = TimeGrid(1.0, 64)
         w = kernel_weights(grid, hurst)
         conv = sample_paths(grid, w, 10_000, seed=23)
-        oracle = cholesky_oracle(grid, hurst, 10_000, seed=29)
+        oracle = sample_paths(grid, cholesky_factor(grid, hurst), 10_000, seed=29)
         stat = ks_2samp(conv.wh[:, -1], oracle.wh[:, -1])
         assert stat.pvalue > 0.01
 
     def test_rejects_oversized_grid(self):
         with pytest.raises(ValueError):
-            cholesky_oracle(TimeGrid(1.0, 4096), 0.3, 10, seed=0)
+            cholesky_factor(TimeGrid(1.0, 4096), 0.3)
+
+    def test_blocks_match_dense_draws(self):
+        # 2,048-path blocks at 128 steps stream as two 1,024-row tiles
+        # each. Every block, the partial last one included, equals the
+        # dense product of one whole-block draw of 2n normals from its own
+        # ORACLE_STREAM generator with the factor, up to summation order:
+        # W increments from the differences of the W levels, W^H as drawn.
+        grid = TimeGrid(1.0, 128)
+        n = grid.n_steps
+        factor = cholesky_factor(grid, 0.3)
+        assert factor.flags.f_contiguous and np.array_equal(factor, np.triu(factor))
+        block, n_paths = 2048, 2 * 2048 + 500
+        tiles = list(iter_path_blocks(grid, factor, n_paths, seed=8, block_size=block))
+        assert [b for b, _ in tiles] == [0, 0, 1, 1, 2]
+        batch = sample_paths(grid, factor, n_paths, seed=8, block_size=block)
+        for b, start in enumerate(range(0, n_paths, block)):
+            rows = slice(start, min(start + block, n_paths))
+            rng = block_rng(8, ORACLE_STREAM, b)
+            z = rng.standard_normal((rows.stop - start, 2 * n))
+            levels = z @ factor
+            dw = np.diff(levels[:, :n], axis=1, prepend=0.0)
+            for got, want in ((batch.dw[rows], dw), (batch.wh[rows], levels[:, n:])):
+                rms = math.sqrt(np.mean(want**2))
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * rms)
+        with pytest.raises(ValueError, match="different grid"):
+            iter_path_blocks(TimeGrid(1.0, n + 1), factor, 10, seed=0)
 
 
 class TestBatchValidation:

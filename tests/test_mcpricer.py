@@ -13,7 +13,7 @@ from fracvol.fbm import (
     TILE_BYTES,
     TimeGrid,
     block_rng,
-    cholesky_oracle,
+    cholesky_factor,
     exact_level_variance,
     kernel_weights,
     level_variance,
@@ -27,7 +27,6 @@ from fracvol.mcpricer import (
     _mean_se,
     simulate_functionals,
     strike_pricer,
-    variance_swap_strike,
     vol_swap_strike,
 )
 from fracvol.volmodel import (
@@ -81,7 +80,10 @@ def regression_estimate(values, spot, x0: float, funcs) -> PriceEstimate:
     )
     centred = controls - controls.mean(axis=0)
     beta = np.linalg.lstsq(centred, values - values.mean(), rcond=None)[0]
-    return _mean_se(values - controls @ beta, ddof=3)
+    residuals = values - controls @ beta
+    n = residuals.shape[0]
+    se = float(residuals.std(ddof=3) / math.sqrt(n))
+    return PriceEstimate(value=float(residuals.mean()), std_error=se, n_paths=n)
 
 
 def control_weights(spot, x0: float, funcs) -> np.ndarray:
@@ -436,7 +438,7 @@ class TestSwapStrikes:
         est = vol_swap_strike(funcs, 1.0)
         assert est.value == pytest.approx(SIGMA0, abs=1e-12)
         assert est.std_error < 1e-12
-        var_est = variance_swap_strike(funcs, 1.0)
+        var_est = _mean_se(funcs.integrated_variance / 1.0)
         assert var_est.value == pytest.approx(SIGMA0**2, abs=1e-12)
 
     def test_vol_swap_reference_h05(self, funcs_h05):
@@ -484,20 +486,20 @@ class TestSwapStrikes:
 
     def test_variance_swap_matches_oracle(self, funcs_h05):
         grid, params, funcs = funcs_h05
-        est = variance_swap_strike(funcs, grid.maturity)
+        est = _mean_se(funcs.integrated_variance / grid.maturity)
         oracle = variance_swap_oracle(params, grid.maturity)
         assert abs(est.value - oracle) < 3.0 * est.std_error
 
     def test_variance_swap_matches_oracle_rough(self, funcs_h01_t3):
         grid, params, funcs = funcs_h01_t3
-        est = variance_swap_strike(funcs, grid.maturity)
+        est = _mean_se(funcs.integrated_variance / grid.maturity)
         oracle = variance_swap_oracle(params, grid.maturity)
         assert abs(est.value - oracle) < 3.0 * est.std_error
 
     def test_jensen_gap_every_run(self, funcs_h05, funcs_h01_t3):
         for grid, params, funcs in (funcs_h05, funcs_h01_t3):
             vs = vol_swap_strike(funcs, grid.maturity)
-            var = variance_swap_strike(funcs, grid.maturity)
+            var = _mean_se(funcs.integrated_variance / grid.maturity)
             assert vs.value <= math.sqrt(var.value)
 
 
@@ -533,11 +535,13 @@ class TestBlockBuffers:
         (funcs,) = simulate_functionals(grid, params, config)
 
         if scheme == "cholesky_oracle":
-            batch = cholesky_oracle(grid, hurst, n_paths, seed=19)
+            law = cholesky_factor(grid, hurst)
         else:
             midpoint = scheme == "midpoint_convolution"
-            w = kernel_weights(grid, hurst, "midpoint" if midpoint else "variance_exact")
-            batch = sample_paths(grid, w, n_paths, seed=19, block_size=self.BLOCK)
+            law = kernel_weights(
+                grid, hurst, "midpoint" if midpoint else "variance_exact"
+            )
+        batch = sample_paths(grid, law, n_paths, seed=19, block_size=self.BLOCK)
         vols = vol_paths(batch, params, grid)
         whole = path_functionals(vols, batch, grid)
         assert np.array_equal(funcs.integrated_variance, whole.integrated_variance)
@@ -549,16 +553,28 @@ class TestBlockBuffers:
         ito_b = np.sqrt(whole.integrated_variance) * z
         assert np.array_equal(funcs.int_sigma_db, ito_b)
 
-    @pytest.mark.parametrize("estimator", ["conditional_mixing", "direct_euler"])
-    def test_peak_memory_is_a_few_tile_buffers(self, estimator):
-        # One full 65,536-path block at 250 steps: dw, wh and the vols are
-        # tile-sized, so the peak is a few tiles plus the O(n_paths)
-        # functionals (and, for direct Euler, one normal per path), not the
-        # 393 MB of three block-sized buffers.
+    @pytest.mark.parametrize(
+        "scheme, estimator",
+        [
+            ("convolution", "conditional_mixing"),
+            ("convolution", "direct_euler"),
+            ("cholesky_oracle", "conditional_mixing"),
+        ],
+        ids=["conditional_mixing", "direct_euler", "cholesky_oracle"],
+    )
+    def test_peak_memory_is_a_few_tile_buffers(self, scheme, estimator):
+        # One full 65,536-path block at 250 steps: the normals, dw, wh and
+        # the vols are tile-sized, so the peak is a few tiles plus the
+        # O(n_paths) functionals (and, for direct Euler, one normal per
+        # path), not the 393 MB of three block-sized buffers. The oracle
+        # also holds its (2n)^2 covariance and factor, where it once held
+        # the whole block's 2n normals per path and their product.
         n_paths, n_steps = 65_536, 250
         grid = TimeGrid(1.0, n_steps)
         params = ModelParams(SIGMA0, NU, -0.5, 0.3)
-        config = McConfig(n_paths=n_paths, seed=23, estimator=estimator)
+        config = McConfig(
+            n_paths=n_paths, seed=23, scheme=scheme, estimator=estimator
+        )
         tracemalloc.start()
         try:
             simulate_functionals(grid, params, config)
@@ -566,7 +582,8 @@ class TestBlockBuffers:
         finally:
             tracemalloc.stop()
         functionals = 3 * n_paths * 8
-        assert peak < 6 * TILE_BYTES + functionals, peak / TILE_BYTES
+        law = 2 * (2 * n_steps) ** 2 * 8 if scheme == "cholesky_oracle" else 0
+        assert peak < 6 * TILE_BYTES + law + functionals, peak / TILE_BYTES
 
 
 class TestMaturityRescaling:
@@ -579,22 +596,20 @@ class TestMaturityRescaling:
     N_PATHS = 2 * 256 + 37
 
     def reference(self, maturity, params, scheme, estimator):
-        """Per-maturity functionals and E[Y] built from sample_paths (or
-        the oracle) on TimeGrid(maturity, n), the way the per-maturity
-        simulation draws them."""
+        """Per-maturity functionals and E[Y] built from sample_paths, with
+        the scheme's law, on TimeGrid(maturity, n), the way the
+        per-maturity simulation draws them."""
         grid = TimeGrid(maturity, self.N_STEPS)
         if scheme == "cholesky_oracle":
-            batch = cholesky_oracle(grid, params.hurst, self.N_PATHS, seed=31)
+            law = cholesky_factor(grid, params.hurst)
             variance = exact_level_variance(grid, params.hurst)
         else:
             midpoint = scheme == "midpoint_convolution"
-            w = kernel_weights(
+            law = kernel_weights(
                 grid, params.hurst, "midpoint" if midpoint else "variance_exact"
             )
-            batch = sample_paths(
-                grid, w, self.N_PATHS, seed=31, block_size=self.BLOCK
-            )
-            variance = level_variance(grid, w)
+            variance = level_variance(grid, law)
+        batch = sample_paths(grid, law, self.N_PATHS, seed=31, block_size=self.BLOCK)
         vols = vol_paths(batch, params, grid)
         funcs = path_functionals(vols, batch, grid)
         arrays = {"y": funcs.integrated_variance, "ito": funcs.int_sigma_dw}
