@@ -3,8 +3,8 @@
 All functions work on the log-spot ``x`` and log-strike ``k`` (strike is
 ``exp(k)``, spot is ``exp(x)``), with zero interest rate. ``bs_price``
 broadcasts like numpy arrays (scalar inputs give a scalar output); ``d2``,
-``vega`` and the two solvers take scalars. Every function is a pure
-function of its arguments and is safe to call concurrently.
+``vega`` and the two solvers, one safeguarded Newton search, take scalars.
+Every function is pure and safe to call concurrently.
 """
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ import math
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr
 
 __all__ = [
@@ -26,15 +25,15 @@ __all__ = [
     "ZeroVannaSearch",
 ]
 
-# Volatility bracket of the implied-vol inversion, and the bracket width
-# at which it stops. An inversion error e enters the smile's slope at the
-# money as about e/2 (see swapanalysis.implied_smile).
+# Volatility bracket of the implied-vol inversion, and the Newton step or
+# bracket width at which it stops. An inversion error e enters the smile's
+# slope at the money as about e/2 (see swapanalysis.implied_smile).
 IV_BRACKET = (1e-6, 5.0)
 IV_TOL = 1e-14
 # Newton step or log-strike bracket width at which the zero-vanna search
 # stops.
 ZERO_VANNA_XTOL = 1e-12
-# Iteration budget of every root find.
+# Iteration budget of both searches.
 ROOT_MAX_ITER = 100
 
 
@@ -43,15 +42,8 @@ class NoSolutionError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Iterative solver ran out of iterations.
-
-    Attributes
-    ----------
-    best : float
-        Best iterate found before giving up.
-    residual : float
-        Residual at the best iterate.
-    """
+    """Iterative solver ran out of iterations; ``best`` is its best iterate
+    and ``residual`` the absolute residual there."""
 
     def __init__(self, message: str, best: float, residual: float):
         super().__init__(message)
@@ -118,18 +110,25 @@ def d2(x: float, k: float, sigma: float, tau: float) -> float:
 
 def vega(x: float, k: float, sigma: float, tau: float) -> float:
     """Price sensitivity to volatility: ``exp(x) N'(d1) sqrt(tau)``. Strictly positive."""
-    srt = _total_vol(x, k, sigma, tau)
+    return _vega(x, k, _total_vol(x, k, sigma, tau), math.sqrt(tau))
+
+
+def _vega(x: float, k: float, srt: float, sqrt_tau: float) -> float:
     d_1 = (x - k) / srt + 0.5 * srt
     pdf = math.exp(-0.5 * d_1 * d_1) / math.sqrt(2.0 * math.pi)
-    return math.exp(x) * pdf * math.sqrt(tau)
+    return math.exp(x) * pdf * sqrt_tau
 
 
 def implied_vol(target_price: float, x: float, k: float, tau: float) -> float:
-    """Invert the call price for volatility by a Brent root find to IV_TOL.
+    """Invert the call price for volatility to IV_TOL by Newton on vega from
+    ``sqrt(2 |x - k| / tau)``, the price's inflection point in vol, from
+    which Newton converges monotonically (Manaster and Koehler, J. Finance
+    37, 1982).
 
     Raises NoSolutionError if ``target_price`` lies outside the arbitrage
-    bounds ``((e^x - e^k)+, e^x)`` or no vol in IV_BRACKET matches it, and
-    ValueError unless tau is positive.
+    bounds ``((e^x - e^k)+, e^x)`` or no vol in IV_BRACKET matches it,
+    ConvergenceError after ROOT_MAX_ITER prices, and ValueError unless tau
+    is positive.
     """
     _check_finite(target_price=target_price, x=x, k=k, tau=tau)
     if tau <= 0.0:
@@ -141,40 +140,64 @@ def implied_vol(target_price: float, x: float, k: float, tau: float) -> float:
             f"target price {target_price} outside arbitrage bounds ({lower}, {upper})"
         )
     lo, hi = IV_BRACKET
-    args = (target_price, x, np.exp(x), k, np.sqrt(tau))
-    # brentq prices both ends itself and raises ValueError when they share
-    # a sign; only on that failure path are they priced again, to tell a
-    # missing root from any other ValueError
-    try:
-        root, info = brentq(
-            _price_gap,
-            lo,
-            hi,
-            args,
-            IV_TOL,
-            maxiter=ROOT_MAX_ITER,
-            full_output=True,
-            disp=False,
-        )
-    except ValueError:
-        if np.sign(_price_gap(lo, *args)) == np.sign(_price_gap(hi, *args)):
-            raise NoSolutionError(
-                f"no volatility in bracket [{lo}, {hi}] matches price {target_price}"
-            ) from None
-        raise
-    if not info.converged:
-        raise ConvergenceError(
-            f"implied vol: {info.flag}", best=root, residual=_price_gap(root, *args)
-        )
-    return root
+    ex, sqrt_tau = np.exp(x), math.sqrt(tau)
+
+    def price_gap(sigma: float) -> tuple[float, float]:
+        srt = sigma * sqrt_tau
+        return float(_call(x, ex, k, srt)[0]) - target_price, _vega(x, k, srt, sqrt_tau)
+
+    # strictly inside: a start on a bracket end closes the bracket unchecked
+    start = min(max(math.sqrt(2.0 * abs(x - k) / tau), 2.0 * lo), 0.5 * hi)
+    no_root = f"no volatility in bracket [{lo}, {hi}] matches price {target_price}"
+    return _newton(price_gap, lo, hi, start, IV_TOL, "implied vol", no_root)[0]
 
 
-def _price_gap(
-    sigma: float, target: float, x: float, ex: float, k: float, sqrt_tau: float
-) -> float:
-    """Price at sigma less the target, straight through _call: implied_vol
-    has checked the inputs, and exp(x) and sqrt(tau) come precomputed."""
-    return float(_call(x, ex, k, sigma * sqrt_tau)[0]) - target
+def _newton(f, lo, hi, start, xtol, name, no_root, hi_known=False):
+    """``(root, evals, bisected)`` of an increasing f on [lo, hi], where
+    ``f(v)`` returns ``(f(v), f'(v))``, by a safeguarded Newton search.
+
+    Each evaluation narrows the bracket by the sign of f. A Newton step
+    that would leave the bracket (or a non-finite or zero f') bisects
+    instead; the first time, each end whose sign no evaluation has shown
+    is evaluated once to confirm the sign change (hi_known: the caller
+    knows f(hi) > 0). The search stops once the step or the bracket is
+    narrower than xtol, never on the residual: an f computed from rounded
+    prices is rough at that scale, so a residual rule can sit below its
+    resolution and never be met. The root is a point f was evaluated at.
+
+    Raises NoSolutionError(no_root) when f does not change sign on the
+    bracket, and ConvergenceError after ROOT_MAX_ITER steps.
+    """
+    checked = [False, hi_known]
+    v, evals, bisected = start, 0, False
+    best = (math.inf, v)
+    for _ in range(ROOT_MAX_ITER):
+        value, slope = f(v)
+        evals += 1
+        best = min(best, (abs(value), v))
+        if value < 0.0:
+            lo, checked[0] = v, True
+        else:
+            hi, checked[1] = v, True
+        # NaN fails every comparison below, so it takes the bisection path
+        step = -value / slope if math.isfinite(slope) and slope != 0.0 else math.nan
+        if value == 0.0 or abs(step) < xtol or hi - lo < xtol:
+            return v, evals, bisected
+        if lo < v + step < hi:
+            v += step
+            continue
+        for side, (end, sign) in enumerate(((lo, -1.0), (hi, 1.0))):
+            if not checked[side]:
+                evals += 1
+                if not sign * f(end)[0] > 0.0:
+                    raise NoSolutionError(no_root)
+        checked = [True, True]
+        v, bisected = 0.5 * (lo + hi), True
+    raise ConvergenceError(
+        f"{name}: no convergence in {ROOT_MAX_ITER} iterations",
+        best=best[1],
+        residual=best[0],
+    )
 
 
 class ZeroVannaSearch(NamedTuple):
@@ -191,23 +214,13 @@ def zero_vanna_strike(
 ) -> ZeroVannaSearch:
     """Log-strike where the smile's d2 vanishes: ``d2(x, k, I(k), tau) = 0``.
 
-    iv_curve maps k to the smile and its slope, ``(I(k), I'(k))``. A
+    iv_curve maps k to the smile and its slope, ``(I(k), I'(k))``. The
     safeguarded Newton search finds the root of ``r(k) = d2(x, k, I(k),
-    tau)``, with ``r'(k) = -1 / (I sqrt(tau)) - I'(k) d1 / I``, on the
-    bracket ``[x - 2 I(x)^2 tau, x]``. At the right end
-    ``r(x) = -I(x) sqrt(tau) / 2`` is always negative; at the left end r is
-    positive for any smile close to its ATM level (for a flat smile it is
-    ``3 I sqrt(tau) / 2``). Newton starts at ``x - I(x)^2 tau / 2``, the
-    root of a flat smile, and each evaluation narrows the bracket by the
-    sign of r. A Newton step that would leave the bracket (or a
-    non-finite or zero r') is replaced by bisection; the first time, the
-    left end is evaluated once to confirm the sign change.
-
-    The search stops once the Newton step or the bracket is narrower than
-    ZERO_VANNA_XTOL, never on the residual: an implied-vol curve inverted
-    to IV_TOL is rough at that scale in k, so a residual rule can sit
-    below its resolution and never be met. The returned strike is one the
-    curve was evaluated at.
+    tau)``, with ``r'(k) = -1 / (I sqrt(tau)) - I'(k) d1 / I``, to
+    ZERO_VANNA_XTOL on ``[x - 2 I(x)^2 tau, x]``, from the flat smile's root
+    ``x - I(x)^2 tau / 2``. ``r(x) = -I(x) sqrt(tau) / 2`` is always
+    negative; at the left end r is positive for any smile close to its ATM
+    level (``3 I sqrt(tau) / 2`` for a flat one).
 
     Raises NoSolutionError when r has no sign change on the bracket (the
     smile has no zero-vanna strike near the money), ConvergenceError after
@@ -218,39 +231,19 @@ def zero_vanna_strike(
         raise ValueError("tau must be positive")
     sqrt_tau = math.sqrt(tau)
     sig_x = _curve_d2(iv_curve, x, x, sqrt_tau)[0]
-    evals, bisected, lo_checked = 1, False, False
-    lo, hi = x - 2.0 * sig_x * sig_x * tau, x
-    k = x - 0.5 * sig_x * sig_x * tau
-    best = (math.inf, k)
-    for _ in range(ROOT_MAX_ITER):
-        _, r, dr = _curve_d2(iv_curve, x, k, sqrt_tau)
-        evals += 1
-        best = min(best, (abs(r), k))
-        if r > 0.0:
-            lo, lo_checked = k, True
-        else:
-            hi = k
-        # NaN fails every comparison below, so it takes the bisection path
-        step = -r / dr if math.isfinite(dr) and dr != 0.0 else math.nan
-        if r == 0.0 or abs(step) < ZERO_VANNA_XTOL or hi - lo < ZERO_VANNA_XTOL:
-            return ZeroVannaSearch(k, evals, bisected)
-        if lo < k + step < hi:
-            k += step
-            continue
-        if not lo_checked:
-            evals += 1
-            if not _curve_d2(iv_curve, x, lo, sqrt_tau)[1] > 0.0:
-                raise NoSolutionError(
-                    f"zero-vanna strike: d2 does not change sign on [{lo}, {x}]; "
-                    "the smile has no zero-vanna strike"
-                )
-            lo_checked = True
-        k, bisected = 0.5 * (lo + hi), True
-    raise ConvergenceError(
-        f"zero-vanna strike: no convergence in {ROOT_MAX_ITER} iterations",
-        best=best[1],
-        residual=best[0],
+    lo = x - 2.0 * sig_x * sig_x * tau
+    strike, evals, bisected = _newton(
+        lambda k: _curve_d2(iv_curve, x, k, sqrt_tau)[1:],
+        lo,
+        x,
+        x - 0.5 * sig_x * sig_x * tau,
+        ZERO_VANNA_XTOL,
+        "zero-vanna strike",
+        f"zero-vanna strike: d2 does not change sign on [{lo}, {x}]; "
+        "the smile has no zero-vanna strike",
+        hi_known=True,
     )
+    return ZeroVannaSearch(strike, 1 + evals, bisected)
 
 
 def _curve_d2(
@@ -259,10 +252,11 @@ def _curve_d2(
     k: float,
     sqrt_tau: float,
 ) -> tuple[float, float, float]:
-    """``(I(k), r(k), r'(k))`` for ``r(k) = d2(x, k, I(k), tau)``."""
+    """``(I(k), -r(k), -r'(k))`` for ``r(k) = d2(x, k, I(k), tau)``, which
+    decreases through its root."""
     vol, vol_slope = iv_curve(k)
     if not (math.isfinite(vol) and vol > 0.0):
         raise ValueError(f"iv_curve returned vol {vol} at k={k}")
     srt = vol * sqrt_tau
     d_1 = (x - k) / srt + 0.5 * srt
-    return vol, d_1 - srt, -1.0 / srt - vol_slope * d_1 / vol
+    return vol, srt - d_1, 1.0 / srt + vol_slope * d_1 / vol

@@ -117,8 +117,10 @@ class ExperimentConfig:
             values = getattr(self, name)
             if len(values) == 0:
                 raise ConfigError(f"key '{name}': list must not be empty")
-            if len(set(values)) != len(values):
-                raise ConfigError(f"key '{name}': values must be distinct")
+            # cells, seeds and output rows are keyed by their :g labels
+            labels = {f"{value:g}" for value in values}
+            if len(set(values)) != len(values) or len(labels) != len(values):
+                raise ConfigError(f"key '{name}': values must be distinct to 6 digits")
         if len(self.hurst) > MAX_AXIS_VALUES:
             raise ConfigError(
                 f"key 'hurst': at most {MAX_AXIS_VALUES} values, "

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import toeplitz
 from scipy.linalg.blas import dtrmm
 
@@ -344,6 +343,8 @@ def _rl_auto_cov(t_small: float, t_large: float, hurst: float) -> float:
     """
     if t_small == t_large:
         return t_small ** (2.0 * hurst) / (2.0 * hurst)
+    # imported here: scipy.integrate loads scipy's optimizers, a third of import time
+    from scipy.integrate import quad
 
     def smooth_part(r):
         return (t_large - r) ** (hurst - 0.5)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .fbm import GaussianPathBatch, TimeGrid
 
@@ -163,6 +162,8 @@ def variance_swap_oracle(params: ModelParams, maturity: float) -> float:
     if params.nu == 0.0:
         return params.sigma0**2
     two_h = 2.0 * params.hurst
+    # imported here: scipy.integrate loads scipy's optimizers, a third of import time
+    from scipy.integrate import quad
 
     def second_moment(s):
         return np.exp(params.nu**2 * s**two_h / two_h)

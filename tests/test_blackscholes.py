@@ -153,6 +153,13 @@ class TestImpliedVol:
         with pytest.raises(NoSolutionError, match="no volatility in bracket"):
             implied_vol(price, 0.0, 0.0, 1.0)
 
+    def test_rejects_price_below_bracket(self):
+        # near the money C(IV_BRACKET[0]) is about 4e-7: the Newton step
+        # from the start leaves the bracket below, and the lower end's
+        # sign check finds no root
+        with pytest.raises(NoSolutionError, match="no volatility in bracket"):
+            implied_vol(1e-9, 0.0, 0.0, 1.0)
+
     def test_convergence_error_carries_best_iterate(self, monkeypatch):
         monkeypatch.setattr(blackscholes, "ROOT_MAX_ITER", 2)
         price = bs_price(0.0, 0.0, 0.2, 1.0)
@@ -175,9 +182,9 @@ class TestImpliedVol:
         assert implied_vol(price, 0.01, -0.03, 1.3) == pytest.approx(0.27, abs=1e-10)
         assert len(calls) <= 16
 
-    def test_near_atm_inversion_prices_each_bracket_end_once(self, monkeypatch):
-        # brentq prices both ends of IV_BRACKET itself; a sign pre-check
-        # would price them a second time
+    def test_near_atm_inversion_prices_each_vol_once(self, monkeypatch):
+        # Newton from the inflection vol converges monotonically, so it
+        # prices no vol twice and never needs a bracket end
         calls = []
         real = blackscholes._call
         price = bs_price(0.01, -0.03, 0.27, 1.3)
@@ -188,7 +195,7 @@ class TestImpliedVol:
 
         monkeypatch.setattr(blackscholes, "_call", counted)
         implied_vol(price, 0.01, -0.03, 1.3)
-        assert len(calls) == 9
+        assert len(calls) <= 6
         assert len(set(calls)) == len(calls)
 
     @pytest.mark.parametrize("tau", [0.0, -1.0])

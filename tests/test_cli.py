@@ -162,6 +162,11 @@ class TestBuildConfig:
             ({"seed": -1}, "seed"),
             ({"mode": "single"}, "mode"),
             ({"nu": math.inf}, "nu"),
+            # seeds, cells and CSV rows are keyed by :g labels, which
+            # would merge two values equal to 6 significant digits
+            ({"hurst": (0.3, 0.3000001)}, "hurst"),
+            ({"maturities": (1.0, 1.0000001)}, "maturities"),
+            ({"rho": (-0.8, -0.8000001)}, "rho"),
         ],
     )
     def test_validation_names_field(self, values, needle):
@@ -728,20 +733,32 @@ print(json.dumps({"rc": rc, "spans": sorted({s[0] for s in tracer.spans})}))
 """
 
 
+def modules_loaded_by_cli_import(names):
+    """The names among ``names`` in sys.modules after a fresh interpreter
+    imports fracvol.cli."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = f"import sys, fracvol.cli; print([m for m in {names!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 class TestImportCost:
     def test_cli_import_leaves_scipy_signal_out(self):
         # scipy.signal was the larger half of the package's import time
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        code = "import sys, fracvol.cli; print('scipy.signal' in sys.modules)"
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert modules_loaded_by_cli_import(["scipy.signal"]) == "[]"
+
+    def test_cli_import_leaves_scipy_optimize_out(self):
+        # no solver uses scipy.optimize, and scipy.integrate, which loads
+        # it, is imported only inside the two quadrature oracles
+        names = ["scipy.optimize", "scipy.integrate"]
+        assert modules_loaded_by_cli_import(names) == "[]"
 
 
 class TestBenchmarkHooks:
