@@ -29,6 +29,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import platform
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -94,6 +95,19 @@ class ConfigError(ValueError):
     """Raised for unknown keys, type mismatches, or malformed config."""
 
 
+def _is_real(value: object) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _has_type_of(value: object, default: object) -> bool:
+    """Whether value has the type of a key's default; a bool is no number."""
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(map(_is_real, value))
+    if isinstance(default, float):
+        return _is_real(value)
+    return type(value) is type(default)  # int or str
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full experiment description; every field has a sensible default."""
@@ -113,6 +127,12 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        for name, default in _DEFAULTS.items():
+            if not _has_type_of(getattr(self, name), default):
+                raise ConfigError(
+                    f"key '{name}': expected {_EXPECTED[type(default)]}, "
+                    f"got {getattr(self, name)!r}"
+                )
         for name in ("rho", "hurst", "maturities"):
             values = getattr(self, name)
             if len(values) == 0:
@@ -166,6 +186,7 @@ class ExperimentConfig:
 
 # A key's type is its default's: tuple (a float list), float, int or str.
 _DEFAULTS = {field.name: field.default for field in dataclasses.fields(ExperimentConfig)}
+_EXPECTED = {tuple: "a list of numbers", float: "a number", int: "an int", str: "a str"}
 
 
 def _parse_float(key: str, token: str) -> float:
@@ -241,8 +262,9 @@ def build_config(
     for key, value in merged.items():
         if key not in _DEFAULTS:
             raise ConfigError(f"unknown key '{key}'")
-        if isinstance(_DEFAULTS[key], tuple):
-            merged[key] = tuple(sorted(value))  # type: ignore[arg-type]
+        # anything else is left to ExperimentConfig's type check
+        if isinstance(value, (list, tuple)) and all(map(_is_real, value)):
+            merged[key] = tuple(sorted(value))
     return ExperimentConfig(**merged)
 
 

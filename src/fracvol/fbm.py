@@ -5,11 +5,12 @@ its driving Brownian increments. The scheme is a left-point Volterra
 convolution whose kernel weights carry the exact cell variance, so the
 marginal Var[W^H_{t_i}] = t_i^{2H} / (2H) holds at every grid point by
 construction. The exact joint law, the test oracle, is a triangular factor
-of its dense covariance (cholesky_factor). Either law streams through the
-same row tiles of iter_path_blocks: a tile's normals are multiplied in
-place by an upper-triangular matrix, the Toeplitz convolution matrix or
-the factor. Only W is drawn as a path: the independent driver B enters the
-pricing layer as one normal per path from block 0 of B_STREAM.
+of its closed-form dense covariance (cholesky_factor). Either law streams
+through the same row tiles of iter_path_blocks: a tile's normals are
+multiplied in place by an upper-triangular matrix, the Toeplitz
+convolution matrix or the factor. Only W is drawn as a path: the
+independent driver B enters the pricing layer as one normal per path from
+block 0 of B_STREAM.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from functools import partial
 import numpy as np
 from scipy.linalg import toeplitz
 from scipy.linalg.blas import dtrmm
+from scipy.special import hyp2f1
 
 __all__ = [
     "TimeGrid",
@@ -335,31 +337,13 @@ def _rl_cross_cov(t: np.ndarray, s: np.ndarray, hurst: float) -> np.ndarray:
     return (t**hp - (t - capped) ** hp) / hp
 
 
-def _rl_auto_cov(t_small: float, t_large: float, hurst: float) -> float:
-    """cov(W^H_s, W^H_t) = int_0^s (s-r)^(H-1/2) (t-r)^(H-1/2) dr, s <= t.
-
-    The integrand has an algebraic endpoint singularity at r = s when
-    H < 1/2; quad's weighted rule handles it exactly.
-    """
-    if t_small == t_large:
-        return t_small ** (2.0 * hurst) / (2.0 * hurst)
-    # imported here: scipy.integrate loads scipy's optimizers, a third of import time
-    from scipy.integrate import quad
-
-    def smooth_part(r):
-        return (t_large - r) ** (hurst - 0.5)
-
-    val, _ = quad(
-        smooth_part,
-        0.0,
-        t_small,
-        weight="alg",
-        wvar=(0.0, hurst - 0.5),
-        epsabs=1e-13,
-        epsrel=1e-12,
-        limit=200,
-    )
-    return val
+def _rl_auto_cov(s: np.ndarray, t: np.ndarray, hurst: float) -> np.ndarray:
+    """cov(W^H_s, W^H_t) = int_0^s (s-r)^(H-1/2) (t-r)^(H-1/2) dr, s <= t,
+    in closed form by Euler's integral for the Gauss function (DLMF 15.6.1):
+    s^{H+1/2} t^{H-1/2} / (H+1/2) * 2F1(1/2-H, 1; H+3/2; s/t). At s = t
+    the series sums to t^{2H} / (2H)."""
+    hp = hurst + 0.5
+    return s**hp * t ** (hurst - 0.5) / hp * hyp2f1(1.0 - hp, 1.0, hp + 1.0, s / t)
 
 
 def _joint_covariance(grid: TimeGrid, hurst: float) -> np.ndarray:
@@ -371,9 +355,7 @@ def _joint_covariance(grid: TimeGrid, hurst: float) -> np.ndarray:
     cross = _rl_cross_cov(t[np.newaxis, :], t[:, np.newaxis], hurst)  # [s, t]
     cov[:n, n:] = cross
     cov[n:, :n] = cross.T
-    for i in range(n):
-        for j in range(i, n):
-            cov[n + i, n + j] = cov[n + j, n + i] = _rl_auto_cov(t[i], t[j], hurst)
+    cov[n:, n:] = _rl_auto_cov(cov[:n, :n], np.maximum.outer(t, t), hurst)
     return cov
 
 
@@ -400,7 +382,7 @@ def cholesky_factor(grid: TimeGrid, hurst: float) -> np.ndarray:
     (W_{t_1..t_n}, W^H_{t_1..t_n}): a row of 2 n_steps standard normals
     times U samples the exact joint law at the grid points.
 
-    The dense (2 n_steps)^2 covariance is computed analytically and
+    The dense (2 n_steps)^2 covariance is computed in closed form and
     factored with the least jitter that makes it positive definite;
     intended for tests only, hence the step budget.
     """

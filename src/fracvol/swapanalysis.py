@@ -244,8 +244,8 @@ def zero_vanna_report(
 def analysis_record(reports: Iterable[SwapReport]) -> dict[str, object]:
     """How zero_vanna_report solved its cells, for the manifest: the
     zero-vanna search, the ATM skew, the solver tolerances, and summed
-    over the given reports the strikes priced and the searches that fell
-    back to bisection."""
+    over the given reports the strikes priced, the search's curve
+    evaluations and the searches that fell back to bisection."""
     reports = list(reports)
     return {
         "zero_vanna_search": ZERO_VANNA_SEARCH,
@@ -253,6 +253,7 @@ def analysis_record(reports: Iterable[SwapReport]) -> dict[str, object]:
         "iv_tol": IV_TOL,
         "zero_vanna_xtol": ZERO_VANNA_XTOL,
         "pricer_calls": sum(r.pricer_calls for r in reports),
+        "zero_vanna_evals": sum(r.zero_vanna_evals for r in reports),
         "bisection_fallbacks": sum(r.zero_vanna_bisected for r in reports),
     }
 

@@ -173,6 +173,24 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match=f"^key '{needle}'"):
             build_config(values)
 
+    @pytest.mark.parametrize(
+        "overrides,needle",
+        [
+            ({"rho": 0.5}, "rho"),
+            ({"n_paths": "abc"}, "n_paths"),
+            ({"n_steps": 10.0}, "n_steps"),
+            ({"n_paths": 2000.0}, "n_paths"),
+            ({"seed": True}, "seed"),
+            # a list that cannot be sorted is left to the type check
+            ({"hurst": [0.3, "0.1"]}, "hurst"),
+        ],
+    )
+    def test_mistyped_override_names_field(self, overrides, needle):
+        # Python callers bypass argparse's typed flags; a value of the
+        # wrong type must be a ConfigError, not a TypeError in run
+        with pytest.raises(ConfigError, match=f"^key '{needle}': expected"):
+            build_config(overrides=overrides)
+
     def test_unknown_override_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key 'foo'"):
             build_config(overrides={"foo": 1})
@@ -339,6 +357,8 @@ class TestRun:
         assert analysis["zero_vanna_xtol"] == ZERO_VANNA_XTOL
         # four cells, each the ATM strike and a few Newton iterates
         assert 4 * 2 <= analysis["pricer_calls"] <= 4 * 5
+        # every smile entry is one of the search's evaluations
+        assert analysis["zero_vanna_evals"] >= analysis["pricer_calls"]
         assert analysis["bisection_fallbacks"] == 0
 
     def test_rerun_is_byte_identical(self, tmp_path, grid_run):
@@ -733,11 +753,14 @@ print(json.dumps({"rc": rc, "spans": sorted({s[0] for s in tracer.spans})}))
 """
 
 
-def modules_loaded_by_cli_import(names):
+def modules_loaded_by_cli_import(names, then=""):
     """The names among ``names`` in sys.modules after a fresh interpreter
-    imports fracvol.cli."""
+    imports fracvol.cli and runs the statements ``then``."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = f"import sys, fracvol.cli; print([m for m in {names!r} if m in sys.modules])"
+    code = (
+        f"import sys, fracvol.cli\n{then}\n"
+        f"print([m for m in {names!r} if m in sys.modules])"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env=env,
@@ -755,10 +778,21 @@ class TestImportCost:
         assert modules_loaded_by_cli_import(["scipy.signal"]) == "[]"
 
     def test_cli_import_leaves_scipy_optimize_out(self):
-        # no solver uses scipy.optimize, and scipy.integrate, which loads
-        # it, is imported only inside the two quadrature oracles
+        # no solver uses scipy.optimize, nor scipy.integrate, which loads it
         names = ["scipy.optimize", "scipy.integrate"]
         assert modules_loaded_by_cli_import(names) == "[]"
+
+    def test_oracles_leave_scipy_integrate_out(self):
+        # the exact law's covariance and the variance-swap strike are
+        # closed forms in scipy.special: building them integrates nothing
+        then = (
+            "from fracvol.fbm import TimeGrid, cholesky_factor\n"
+            "from fracvol.volmodel import ModelParams, variance_swap_oracle\n"
+            "cholesky_factor(TimeGrid(1.0, 8), 0.3)\n"
+            "variance_swap_oracle(ModelParams(0.2, 0.4, 0.0, 0.3), 1.0)"
+        )
+        names = ["scipy.optimize", "scipy.integrate"]
+        assert modules_loaded_by_cli_import(names, then) == "[]"
 
 
 class TestBenchmarkHooks:

@@ -16,6 +16,7 @@ from fracvol.fbm import (
     TimeGrid,
     _convolution_matrix,
     _joint_covariance,
+    _rl_auto_cov,
     _triangular_product,
     block_rng,
     cholesky_factor,
@@ -50,6 +51,27 @@ def cell_second_moment_oracle(grid: TimeGrid, hurst: float) -> np.ndarray:
             )
         out[j] = val
     return out
+
+
+def rl_auto_cov_quadrature(s: float, t: float, hurst: float) -> float:
+    """Independent oracle: int_0^s (s-r)^(H-1/2) (t-r)^(H-1/2) dr, s <= t,
+    by adaptive quadrature. The factors singular at r = s go into quad's
+    algebraic weight, which integrates them exactly."""
+    if s == t:
+        smooth, power = (lambda r: 1.0), 2.0 * hurst - 1.0
+    else:
+        smooth, power = (lambda r: (t - r) ** (hurst - 0.5)), hurst - 0.5
+    val, _ = quad(
+        smooth,
+        0.0,
+        s,
+        weight="alg",
+        wvar=(0.0, power),
+        epsabs=0.0,
+        epsrel=1e-13,
+        limit=200,
+    )
+    return val
 
 
 class TestTimeGrid:
@@ -332,6 +354,16 @@ class TestCholeskyOracle:
                 np.diag(cov)[grid.n_steps :], t ** (2 * hurst) / (2 * hurst),
                 atol=1e-10,
             )
+
+    @pytest.mark.parametrize("hurst", [0.01, 0.1, 0.3, 0.5, 0.7, 0.99])
+    def test_auto_covariance_matches_quadrature(self, hurst):
+        # the closed form on the diagonal, far from it, and one step of a
+        # 2,048-step grid off it, where the integrand is nearly singular
+        t = 2.0
+        for s in (t, 1e-3 * t, t * (1.0 - 1.0 / 2048)):
+            got = _rl_auto_cov(np.array(s), np.array(t), hurst)
+            want = rl_auto_cov_quadrature(s, t, hurst)
+            assert got == pytest.approx(want, rel=1e-12)
 
     def test_oracle_sample_moments(self):
         grid = TimeGrid(1.0, 32)

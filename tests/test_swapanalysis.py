@@ -327,6 +327,8 @@ class TestSwapReport:
             "iv_tol": IV_TOL,
             "zero_vanna_xtol": ZERO_VANNA_XTOL,
             "pricer_calls": rep_h05.pricer_calls + rep_rough_neg.pricer_calls,
+            "zero_vanna_evals": rep_h05.zero_vanna_evals
+            + rep_rough_neg.zero_vanna_evals,
             "bisection_fallbacks": int(rep_h05.zero_vanna_bisected)
             + int(rep_rough_neg.zero_vanna_bisected),
         }

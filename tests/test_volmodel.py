@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from fracvol.fbm import TimeGrid, kernel_weights, sample_paths
 from fracvol.volmodel import (
@@ -172,6 +173,24 @@ class TestVarianceSwapOracle:
         assert variance_swap_oracle(params, 1.0) == pytest.approx(
             VAR_SWAP_H05, rel=1e-10
         )
+
+    @pytest.mark.parametrize("hurst", [0.05, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95])
+    @pytest.mark.parametrize("nu", [0.1, 0.4, 1.0])
+    def test_matches_quadrature(self, hurst, nu):
+        # the time average of E[sigma_s^2] by adaptive quadrature
+        params = ModelParams(sigma0=0.2, nu=nu, rho=0.0, hurst=hurst)
+        for maturity in (0.1, 1.0, 3.0):
+            integral, _ = quad(
+                lambda s: np.exp(nu**2 * s ** (2 * hurst) / (2 * hurst)),
+                0.0,
+                maturity,
+                epsabs=0.0,
+                epsrel=1e-13,
+                limit=200,
+            )
+            assert variance_swap_oracle(params, maturity) == pytest.approx(
+                0.2**2 * integral / maturity, rel=1e-10
+            )
 
     def test_monotone_in_maturity(self):
         params = ModelParams(sigma0=0.2, nu=0.4, rho=0.0, hurst=0.1)
