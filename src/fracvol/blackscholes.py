@@ -21,6 +21,7 @@ __all__ = [
     "d2",
     "vega",
     "implied_vol",
+    "ImpliedVol",
     "zero_vanna_strike",
     "ZeroVannaSearch",
 ]
@@ -119,11 +120,21 @@ def _vega(x: float, k: float, srt: float, sqrt_tau: float) -> float:
     return math.exp(x) * pdf * sqrt_tau
 
 
-def implied_vol(target_price: float, x: float, k: float, tau: float) -> float:
+class ImpliedVol(NamedTuple):
+    """An implied vol and what inverting for it took: the call prices and
+    whether any Newton step left the bracket, so that it bisected."""
+
+    vol: float
+    evals: int
+    bisected: bool
+
+
+def implied_vol(target_price: float, x: float, k: float, tau: float) -> ImpliedVol:
     """Invert the call price for volatility to IV_TOL by Newton on vega from
     ``sqrt(2 |x - k| / tau)``, the price's inflection point in vol, from
     which Newton converges monotonically (Manaster and Koehler, J. Finance
-    37, 1982).
+    37, 1982). Returns the vol with the call prices the search took and
+    whether it bisected.
 
     Raises NoSolutionError if ``target_price`` lies outside the arbitrage
     bounds ``((e^x - e^k)+, e^x)`` or no vol in IV_BRACKET matches it,
@@ -149,7 +160,8 @@ def implied_vol(target_price: float, x: float, k: float, tau: float) -> float:
     # strictly inside: a start on a bracket end closes the bracket unchecked
     start = min(max(math.sqrt(2.0 * abs(x - k) / tau), 2.0 * lo), 0.5 * hi)
     no_root = f"no volatility in bracket [{lo}, {hi}] matches price {target_price}"
-    return _newton(price_gap, lo, hi, start, IV_TOL, "implied vol", no_root)[0]
+    search = _newton(price_gap, lo, hi, start, IV_TOL, "implied vol", no_root)
+    return ImpliedVol(*search)
 
 
 def _newton(f, lo, hi, start, xtol, name, no_root, hi_known=False):

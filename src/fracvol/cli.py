@@ -200,8 +200,13 @@ def _parse_float(key: str, token: str) -> float:
 
 
 def _parse_int(key: str, token: str) -> int:
-    # scientific notation is accepted for integer keys when integral
-    # (n_paths = 2e5), anything fractional is a type mismatch
+    # an integer literal parses exactly, at any size; scientific notation
+    # is accepted for integer keys when integral (n_paths = 2e5), anything
+    # fractional is a type mismatch
+    try:
+        return int(token)
+    except ValueError:
+        pass
     value = _parse_float(key, token)
     if value != int(value):
         raise ConfigError(f"key '{key}': expected an integer, got '{token}'")
@@ -331,8 +336,9 @@ def _cause(exc: Exception) -> str:
 
 
 def _format_csv_value(value: object) -> str:
+    # float() first: numpy reals are floats too, and their repr is not a number
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 

@@ -5,10 +5,11 @@ its driving Brownian increments. The scheme is a left-point Volterra
 convolution whose kernel weights carry the exact cell variance, so the
 marginal Var[W^H_{t_i}] = t_i^{2H} / (2H) holds at every grid point by
 construction. The exact joint law, the test oracle, is a triangular factor
-of its closed-form dense covariance (cholesky_factor). Either law streams
-through the same row tiles of iter_path_blocks: a tile's normals are
-multiplied in place by an upper-triangular matrix, the Toeplitz
-convolution matrix or the factor. Only W is drawn as a path: the
+of the closed-form dense covariance of (dW, W^H), the pair every tile
+hands out (cholesky_factor). Either law streams through the same row tiles
+of iter_path_blocks: a tile's normals are multiplied in place by an
+upper-triangular matrix, the Toeplitz convolution matrix or the factor,
+whose product is the tile. Only W is drawn as a path: the
 independent driver B enters the pricing layer as one normal per path from
 block 0 of B_STREAM.
 """
@@ -211,11 +212,15 @@ def tile_rows(n_steps: int) -> int:
 def _fill_convolution_tile(
     sqrt_dt: float,
     matrix: np.ndarray | None,
+    dw: np.ndarray,
+    wh: np.ndarray,
     rng: np.random.Generator,
-    tile: GaussianPathBatch,
-) -> None:
-    """Draw a tile's W increments from its block's generator, then its
-    W^H levels by the Volterra convolution."""
+    rows: int,
+) -> GaussianPathBatch:
+    """Draw a tile's W increments from its block's generator into the
+    leading rows of dw, then its W^H levels by the Volterra convolution
+    into those of wh."""
+    tile = GaussianPathBatch(dw=dw[:rows], wh=wh[:rows])
     rng.standard_normal(out=tile.dw)
     tile.dw *= sqrt_dt
     if matrix is None:
@@ -223,25 +228,21 @@ def _fill_convolution_tile(
     else:
         np.copyto(tile.wh, tile.dw)
         _triangular_product(matrix, tile.wh)
+    return tile
 
 
 def _fill_exact_tile(
-    factor: np.ndarray,
-    draws: np.ndarray,
-    rng: np.random.Generator,
-    tile: GaussianPathBatch,
-) -> None:
+    factor: np.ndarray, draws: np.ndarray, rng: np.random.Generator, rows: int
+) -> GaussianPathBatch:
     """Draw a tile's 2 n_steps normals per path from its block's generator
-    into draws, turn them into the exact law's levels (W, W^H) at
-    t_1..t_n with the factor, then write the W increments and the W^H
-    levels."""
-    n = tile.n_steps
-    z = draws[: tile.n_paths]
+    into the leading rows of draws and multiply them in place by the
+    factor: the product's first n_steps columns are the W increments, the
+    rest the W^H levels."""
+    n = factor.shape[0] // 2
+    z = draws[:rows]
     rng.standard_normal(out=z)
-    levels = _triangular_product(factor, z)
-    tile.dw[:, 0] = levels[:, 0]
-    np.subtract(levels[:, 1:n], levels[:, : n - 1], out=tile.dw[:, 1:])
-    np.copyto(tile.wh, levels[:, n:])
+    _triangular_product(factor, z)
+    return GaussianPathBatch(dw=z[:, :n], wh=z[:, n:])
 
 
 def block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
@@ -275,9 +276,11 @@ def iter_path_blocks(
 
     The arguments are checked at the call, not at the first tile. Every
     tile is written in place into the leading rows of C-contiguous buffers
-    owned by the iterator, none over TILE_BYTES, so a yielded tile is
-    overwritten by the next: a caller that keeps one must copy it, and may
-    use its arrays as scratch meanwhile.
+    owned by the iterator, none over TILE_BYTES: the convolution's dw and
+    wh buffers, or the exact law's one buffer of 2 n_steps columns, whose
+    halves are the tile's dw and wh. A yielded tile is overwritten by the
+    next: a caller that keeps one must copy it, and may use its arrays as
+    scratch meanwhile.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
@@ -294,18 +297,15 @@ def iter_path_blocks(
     else:
         stream = W_STREAM
         matrix = _convolution_matrix(law)
-        fill = partial(_fill_convolution_tile, np.sqrt(grid.dt), matrix)
-    dw, wh = np.empty((step, n)), np.empty((step, n))
+        buffers = np.empty((step, n)), np.empty((step, n))
+        fill = partial(_fill_convolution_tile, np.sqrt(grid.dt), matrix, *buffers)
 
     def tiles():
         for b, start in enumerate(range(0, n_paths, block_size)):
             rng = block_rng(seed, stream, b)
             block_rows = min(block_size, n_paths - start)
             for offset in range(0, block_rows, step):
-                rows = min(step, block_rows - offset)
-                tile = GaussianPathBatch(dw=dw[:rows], wh=wh[:rows])
-                fill(rng, tile)
-                yield b, tile
+                yield b, fill(rng, min(step, block_rows - offset))
 
     return tiles()
 
@@ -347,23 +347,32 @@ def _rl_auto_cov(s: np.ndarray, t: np.ndarray, hurst: float) -> np.ndarray:
 
 
 def _joint_covariance(grid: TimeGrid, hurst: float) -> np.ndarray:
-    """Covariance of (W_{t_1..t_n}, W^H_{t_1..t_n}), shape (2n, 2n)."""
+    """Covariance of (dW_0..dW_{n-1}, W^H_{t_1..t_n}), shape (2n, 2n): dt I
+    for the increments; cov(dW_j, W^H_{t_i}) = int_{t_j}^{min(t_{j+1}, t_i)}
+    (t_i - r)^{H-1/2} dr, the difference of _rl_cross_cov between
+    consecutive grid points; _rl_auto_cov on one triangle, mirrored."""
     t = grid.times[1:]
     n = grid.n_steps
-    cov = np.empty((2 * n, 2 * n))
-    cov[:n, :n] = np.minimum.outer(t, t)
-    cross = _rl_cross_cov(t[np.newaxis, :], t[:, np.newaxis], hurst)  # [s, t]
-    cov[:n, n:] = cross
-    cov[n:, :n] = cross.T
-    cov[n:, n:] = _rl_auto_cov(cov[:n, :n], np.maximum.outer(t, t), hurst)
+    cov = np.zeros((2 * n, 2 * n))
+    np.fill_diagonal(cov[:n, :n], grid.dt)
+    levels = _rl_cross_cov(t, grid.times[:, np.newaxis], hurst)  # [s, t]
+    np.subtract(levels[1:], levels[:-1], out=cov[:n, n:])
+    cov[n:, :n] = cov[:n, n:].T
+    auto = cov[n:, n:]
+    i, j = np.triu_indices(n)
+    auto[i, j] = auto[j, i] = _rl_auto_cov(t[i], t[j], hurst)
     return cov
 
 
 def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of cov, or of a copy with the least diagonal
+    jitter that makes it positive definite."""
     scale = np.mean(np.diag(cov))
     for jitter in (0.0, 1e-14, 1e-12, 1e-10):
+        jittered = cov.copy() if jitter else cov
+        np.fill_diagonal(jittered, np.diag(cov) + jitter * scale)
         try:
-            return np.linalg.cholesky(cov + jitter * scale * np.eye(cov.shape[0]))
+            return np.linalg.cholesky(jittered)
         except np.linalg.LinAlgError:
             continue
     raise np.linalg.LinAlgError(
@@ -379,8 +388,10 @@ def exact_level_variance(grid: TimeGrid, hurst: float) -> np.ndarray:
 
 def cholesky_factor(grid: TimeGrid, hurst: float) -> np.ndarray:
     """Upper-triangular U, Fortran-ordered, with U.T @ U the covariance of
-    (W_{t_1..t_n}, W^H_{t_1..t_n}): a row of 2 n_steps standard normals
-    times U samples the exact joint law at the grid points.
+    (dW_0..dW_{n-1}, W^H_{t_1..t_n}): a row of 2 n_steps standard normals
+    times U samples the exact joint law on the grid, the W increments in
+    its first n_steps columns and the W^H levels in the rest. The
+    increments are independent, so U's increment block is sqrt(dt) I.
 
     The dense (2 n_steps)^2 covariance is computed in closed form and
     factored with the least jitter that makes it positive definite;

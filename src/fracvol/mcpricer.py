@@ -188,7 +188,8 @@ def simulate_functionals(
     it while it is in cache. Every scheme streams alike; the Cholesky
     oracle differs only in its law, the factor of the exact covariance,
     whose tiles draw 2 n_steps normals per path from fbm.ORACLE_STREAM.
-    Memory is a few tile buffers (normals, dw, wh, vols) plus
+    Memory is a few tile buffers (dw and wh, or the oracle's normals that
+    become them, and the vols) plus
     O(n_paths x maturities) for the functionals, and for the oracle its
     (2 n_steps)^2 covariance and factor.
 

@@ -34,6 +34,7 @@ from scipy.special import ndtr
 from .blackscholes import (
     IV_TOL,
     ZERO_VANNA_XTOL,
+    ImpliedVol,
     d2,
     implied_vol,
     vega,
@@ -76,7 +77,9 @@ class SwapReport:
     skew (zero by symmetry). ``pricer_calls`` counts
     the strikes priced, ``zero_vanna_evals`` the search's curve
     evaluations and ``zero_vanna_bisected`` whether it fell back to
-    bisection.
+    bisection; ``iv_evals`` counts the call prices that inverting every
+    priced strike for its implied vol took, and ``iv_bisections`` the
+    inversions that fell back to bisection.
     """
 
     hurst: float
@@ -99,6 +102,8 @@ class SwapReport:
     pricer_calls: int
     zero_vanna_evals: int
     zero_vanna_bisected: bool
+    iv_evals: int
+    iv_bisections: int
     n_paths: int
     seed: int
 
@@ -136,7 +141,12 @@ class RateFit:
             raise ValueError(f"r_squared out of range: {self.r_squared}")
 
 
-def implied_smile(pricer: Pricer, x0: float, maturity: float) -> Smile:
+def implied_smile(
+    pricer: Pricer,
+    x0: float,
+    maturity: float,
+    inversions: list[ImpliedVol] | None = None,
+) -> Smile:
     """Memoized log-strike -> SmilePoint on one pricer's paths.
 
     The priced call is C(k) = BS(x0, k, I(k)), so its slope
@@ -148,13 +158,17 @@ def implied_smile(pricer: Pricer, x0: float, maturity: float) -> Smile:
     - 2 a Cov(C, C') + a^2 Var C) / vega^2. Where vega is zero the slope
     is NaN and the SEs infinite. Each strike is priced and inverted at
     most once; an uninvertible price raises (NoSolutionError or
-    ConvergenceError) and is not cached.
+    ConvergenceError) and is not cached. Each inversion's ImpliedVol is
+    appended to inversions, if given.
     """
 
     @functools.cache
     def smile(k: float) -> SmilePoint:
         estimate = pricer(k)
-        vol = implied_vol(estimate.value, x0, k, maturity)
+        inversion = implied_vol(estimate.value, x0, k, maturity)
+        if inversions is not None:
+            inversions.append(inversion)
+        vol = inversion.vol
         sensitivity = vega(x0, k, vol, maturity)
         if not sensitivity > 0.0:
             return SmilePoint(vol, math.inf, math.nan, math.inf)
@@ -202,7 +216,8 @@ def zero_vanna_report(
     report and the skew reuse those entries.
     """
     swap = vol_swap_strike(funcs, maturity)
-    smile = implied_smile(pricer, x0, maturity)
+    inversions: list[ImpliedVol] = []
+    smile = implied_smile(pricer, x0, maturity, inversions)
 
     def curve(k: float) -> tuple[float, float]:
         point = smile(k)
@@ -236,6 +251,8 @@ def zero_vanna_report(
         pricer_calls=smile.cache_info().currsize,
         zero_vanna_evals=search.evals,
         zero_vanna_bisected=search.bisected,
+        iv_evals=sum(i.evals for i in inversions),
+        iv_bisections=sum(i.bisected for i in inversions),
         n_paths=config.n_paths,
         seed=config.seed,
     )
@@ -245,7 +262,8 @@ def analysis_record(reports: Iterable[SwapReport]) -> dict[str, object]:
     """How zero_vanna_report solved its cells, for the manifest: the
     zero-vanna search, the ATM skew, the solver tolerances, and summed
     over the given reports the strikes priced, the search's curve
-    evaluations and the searches that fell back to bisection."""
+    evaluations and the searches that fell back to bisection, and the
+    implied-vol inversions' call prices and bisection fallbacks."""
     reports = list(reports)
     return {
         "zero_vanna_search": ZERO_VANNA_SEARCH,
@@ -255,6 +273,8 @@ def analysis_record(reports: Iterable[SwapReport]) -> dict[str, object]:
         "pricer_calls": sum(r.pricer_calls for r in reports),
         "zero_vanna_evals": sum(r.zero_vanna_evals for r in reports),
         "bisection_fallbacks": sum(r.zero_vanna_bisected for r in reports),
+        "iv_evals": sum(r.iv_evals for r in reports),
+        "iv_bisection_fallbacks": sum(r.iv_bisections for r in reports),
     }
 
 

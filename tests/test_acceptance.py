@@ -235,7 +235,7 @@ def test_criterion_7_implied_vol_analytics(table_reports):
     worst = 0.0
     for i in range(n_points):
         price = float(bs_price(x[i], k[i], vol[i], tau[i]))
-        recovered = implied_vol(price, x[i], k[i], tau[i])
+        recovered = implied_vol(price, x[i], k[i], tau[i]).vol
         worst = max(worst, abs(recovered - vol[i]))
     assert worst < 1e-10, f"worst roundtrip error {worst:.2e}"
 

@@ -126,7 +126,7 @@ class TestGreeks:
 class TestImpliedVol:
     def test_recovers_known_vol(self):
         price = bs_price(0.0, 0.0, 0.2, 1.0)
-        assert implied_vol(price, 0.0, 0.0, 1.0) == pytest.approx(0.2, abs=1e-10)
+        assert implied_vol(price, 0.0, 0.0, 1.0).vol == pytest.approx(0.2, abs=1e-10)
 
     @given(x=FINITE_X, k=FINITE_K, sigma=st.floats(0.05, 1.0), tau=TAUS)
     @settings(max_examples=200, deadline=None)
@@ -138,7 +138,7 @@ class TestImpliedVol:
         if abs(d_1) > 5.0 or abs(d2(x, k, sigma, tau)) > 5.0:
             return
         price = bs_price(x, k, sigma, tau)
-        assert implied_vol(price, x, k, tau) == pytest.approx(sigma, abs=1e-9)
+        assert implied_vol(price, x, k, tau).vol == pytest.approx(sigma, abs=1e-9)
 
     def test_rejects_price_below_intrinsic(self):
         with pytest.raises(NoSolutionError):
@@ -179,7 +179,9 @@ class TestImpliedVol:
             return real(*args)
 
         monkeypatch.setattr(blackscholes, "_call", counted)
-        assert implied_vol(price, 0.01, -0.03, 1.3) == pytest.approx(0.27, abs=1e-10)
+        assert implied_vol(price, 0.01, -0.03, 1.3).vol == pytest.approx(
+            0.27, abs=1e-10
+        )
         assert len(calls) <= 16
 
     def test_near_atm_inversion_prices_each_vol_once(self, monkeypatch):
@@ -197,6 +199,30 @@ class TestImpliedVol:
         implied_vol(price, 0.01, -0.03, 1.3)
         assert len(calls) <= 6
         assert len(set(calls)) == len(calls)
+
+    @pytest.mark.parametrize(
+        "x, k, sigma, tau, bisected",
+        [(0.01, -0.03, 0.27, 1.3, False), (0.0, -0.3, 0.05, 2.8, True)],
+        ids=["newton", "bisected"],
+    )
+    def test_reports_prices_and_bisection(
+        self, monkeypatch, x, k, sigma, tau, bisected
+    ):
+        # evals counts every call price the search took, a bracket end's
+        # sign check among them
+        calls = []
+        real = blackscholes._call
+        price = bs_price(x, k, sigma, tau)
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(blackscholes, "_call", counted)
+        result = implied_vol(price, x, k, tau)
+        assert result.vol == pytest.approx(sigma, abs=1e-10)
+        assert result.evals == len(calls)
+        assert result.bisected is bisected
 
     @pytest.mark.parametrize("tau", [0.0, -1.0])
     def test_rejects_nonpositive_tau_before_pricing(self, monkeypatch, tau):

@@ -111,6 +111,13 @@ class TestParseConfig:
             parse_config(line)
         assert needle in str(excinfo.value)
 
+    def test_integer_above_2_53_parses_exactly(self):
+        # a float keeps 53 bits: the seed would lose its last digit, and a
+        # file would draw other normals than --seed with the same literal
+        assert parse_config("seed = 20261019123456789") == {
+            "seed": 20261019123456789
+        }
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate key 'seed'"):
             parse_config("seed = 1\nseed = 2\n")
@@ -280,6 +287,24 @@ class TestRun:
         assert float(row["T"]) == report.maturity == 1.0
         assert float(row["vol_swap"]) == report.vol_swap
 
+    def test_numpy_reals_write_numbers(self, tmp_path):
+        # numpy reals pass the config's type check; the CSV must still
+        # hold plain numbers, not their numpy repr
+        out = tmp_path / "numpy.csv"
+        overrides = {
+            **FAST,
+            "hurst": [np.float64(0.5)],
+            "maturities": [np.float64(0.5), np.float64(1.0)],
+            "rho": [np.float64(0.0)],
+            "out": str(out),
+        }
+        assert run(build_config(overrides=overrides), stream=io.StringIO()) == 0
+        rows = read_csv(out)
+        assert len(rows) == 1 + 2
+        for row in rows[1:]:
+            for cell in row:
+                float(cell)
+
     def test_full_precision_and_shared_simulation(self, grid_run):
         _, out = grid_run
         rows = read_csv(out)
@@ -360,6 +385,8 @@ class TestRun:
         # every smile entry is one of the search's evaluations
         assert analysis["zero_vanna_evals"] >= analysis["pricer_calls"]
         assert analysis["bisection_fallbacks"] == 0
+        # every priced strike is inverted, at one call price or more
+        assert analysis["iv_evals"] >= analysis["pricer_calls"]
 
     def test_rerun_is_byte_identical(self, tmp_path, grid_run):
         _, first_out = grid_run
@@ -737,19 +764,26 @@ class TestMain:
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# one traced benchmark repetition, as perfbench/child.py runs it
 HOOK_SCRIPT = """
 import io, json, sys
 import spans
 from fracvol import cli
 
 tracer = spans.Tracer()
-spans.install(tracer, [])
+reports = []
+spans.install(tracer, reports)
 config = cli.ExperimentConfig(
-    mode="convergence", estimator="direct_euler", n_paths=256, n_steps=8,
-    hurst=(0.3,), maturities=(0.25, 0.5, 1.0), rho=(-0.8,), out=sys.argv[1],
+    mode="convergence", estimator="direct_euler", n_paths=4096, n_steps=16,
+    hurst=(0.3,), maturities=(0.5, 1.0, 2.0), rho=(-0.8,), out=sys.argv[1],
 )
-rc = cli.run(config, stream=io.StringIO())
-print(json.dumps({"rc": rc, "spans": sorted({s[0] for s in tracer.spans})}))
+rc = tracer.call("cli.run", cli.run, config, stream=io.StringIO())
+spans.replay_normals(tracer)
+print(json.dumps({
+    "rc": rc,
+    "reports": len(reports),
+    "spans": sorted({s[0] for s in tracer.spans}),
+}))
 """
 
 
@@ -845,7 +879,8 @@ class TestBenchmarkHooks:
 
     def test_span_wrappers_still_fit_the_cli(self, tmp_path):
         # perfbench/spans.py wraps names that cli, mcpricer and
-        # swapanalysis import; a rename must fail here, not in the bench.
+        # swapanalysis import, and replays the normals through fbm's
+        # public names; a rename must fail here, not in the bench.
         env = dict(
             os.environ,
             PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]),
@@ -860,17 +895,20 @@ class TestBenchmarkHooks:
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.strip().splitlines()[-1])
         assert result["rc"] == 0
-        for name in (
-            "fbm.block",
-            "fbm.kernel_weights",
-            "volmodel.vol_paths",
-            "volmodel.path_functionals",
-            "mcpricer.simulate",
-            "mcpricer.pricer",
+        assert result["reports"] == 3
+        every_span = [
             "blackscholes.implied_vol",
             "blackscholes.zero_vanna",
-            "swapanalysis.skew",
-            "swapanalysis.report",
+            "cli.run",
+            "fbm.block",
+            "fbm.kernel_weights",
+            "fbm.normals",
+            "mcpricer.pricer",
+            "mcpricer.simulate",
             "swapanalysis.rate_fit",
-        ):
-            assert name in result["spans"], name
+            "swapanalysis.report",
+            "swapanalysis.skew",
+            "volmodel.path_functionals",
+            "volmodel.vol_paths",
+        ]
+        assert [n for n in every_span if n not in result["spans"]] == []

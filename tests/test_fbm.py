@@ -1,5 +1,7 @@
 """Tests for the fractional Brownian motion sampler."""
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from fracvol.fbm import (
     _convolution_matrix,
     _joint_covariance,
     _rl_auto_cov,
+    _rl_cross_cov,
     _triangular_product,
     block_rng,
     cholesky_factor,
@@ -337,13 +340,71 @@ class TestSamplePaths:
 
 class TestCholeskyOracle:
     def test_h_half_covariance_is_brownian(self):
+        # At H = 1/2, W^H is W: its levels have covariance min(s, t), an
+        # increment dW_j loads dt on every level W_{t_i} with j < i, and
+        # the increments are dt I.
         grid = TimeGrid(1.0, 8)
         cov = _joint_covariance(grid, 0.5)
         t = grid.times[1:]
-        brownian = np.minimum.outer(t, t)
+        n, dt = grid.n_steps, grid.dt
+        later = dt * np.less.outer(np.arange(n), np.arange(1, n + 1))  # [j, i]
+        for block, want in (
+            (cov[:n, :n], dt * np.eye(n)),
+            (cov[:n, n:], later),
+            (cov[n:, :n], later.T),
+            (cov[n:, n:], np.minimum.outer(t, t)),
+        ):
+            np.testing.assert_allclose(block, want, atol=1e-10)
+
+    @pytest.mark.parametrize("hurst", [0.1, 0.3, 0.7])
+    def test_matches_differenced_level_factor(self, hurst):
+        # The factor of the covariance of the W levels and W^H, whose
+        # samples' W columns are differenced into increments. The
+        # increments are the levels times an upper-bidiagonal matrix with
+        # unit diagonal, and a Cholesky factor is unique, so both samplers
+        # draw the same paths from the same normals, up to rounding.
+        grid = TimeGrid(1.0, 128)
+        n, n_paths = grid.n_steps, 2000
+        t = grid.times[1:]
+        levels = np.empty((2 * n, 2 * n))
+        levels[:n, :n] = np.minimum.outer(t, t)
+        cross = _rl_cross_cov(t[np.newaxis, :], t[:, np.newaxis], hurst)  # [s, t]
+        levels[:n, n:] = cross
+        levels[n:, :n] = cross.T
+        levels[n:, n:] = _rl_auto_cov(
+            np.minimum.outer(t, t), np.maximum.outer(t, t), hurst
+        )
+        z = block_rng(5, ORACLE_STREAM, 0).standard_normal((n_paths, 2 * n))
+        x = z @ np.linalg.cholesky(levels).T
+        dw = np.diff(x[:, :n], axis=1, prepend=0.0)
+        batch = sample_paths(grid, cholesky_factor(grid, hurst), n_paths, seed=5)
+        for got, want in ((batch.dw, dw), (batch.wh, x[:, n:])):
+            rms = math.sqrt(np.mean(want**2))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-11 * rms)
+
+    def test_increment_block_is_exact(self):
+        # The increments are independent of each other, so the factor's
+        # increment block is sqrt(dt) I to the last bit; the factor is
+        # upper triangular, so its lower-left block is zero.
+        grid = TimeGrid(1.0, 250)
         n = grid.n_steps
-        for block in (cov[:n, :n], cov[:n, n:], cov[n:, :n], cov[n:, n:]):
-            np.testing.assert_allclose(block, brownian, atol=1e-10)
+        factor = cholesky_factor(grid, 0.1)
+        assert np.array_equal(factor[:n, :n], math.sqrt(grid.dt) * np.eye(n))
+        assert not factor[n:, :n].any()
+
+    def test_factor_peak_memory(self):
+        # The covariance and its factor, each (2n)^2 doubles, plus the
+        # W^H block's upper triangle while it is evaluated: no identity,
+        # no jittered copy where no jitter is needed.
+        grid = TimeGrid(1.0, 250)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            cholesky_factor(grid, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * (2 * grid.n_steps) ** 2 * 8
 
     def test_marginal_variance_from_covariance(self):
         grid = TimeGrid(2.0, 16)
@@ -393,7 +454,7 @@ class TestCholeskyOracle:
         # each. Every block, the partial last one included, equals the
         # dense product of one whole-block draw of 2n normals from its own
         # ORACLE_STREAM generator with the factor, up to summation order:
-        # W increments from the differences of the W levels, W^H as drawn.
+        # the W increments are its first n columns, the W^H levels the rest.
         grid = TimeGrid(1.0, 128)
         n = grid.n_steps
         factor = cholesky_factor(grid, 0.3)
@@ -406,9 +467,11 @@ class TestCholeskyOracle:
             rows = slice(start, min(start + block, n_paths))
             rng = block_rng(8, ORACLE_STREAM, b)
             z = rng.standard_normal((rows.stop - start, 2 * n))
-            levels = z @ factor
-            dw = np.diff(levels[:, :n], axis=1, prepend=0.0)
-            for got, want in ((batch.dw[rows], dw), (batch.wh[rows], levels[:, n:])):
+            paths = z @ factor
+            for got, want in (
+                (batch.dw[rows], paths[:, :n]),
+                (batch.wh[rows], paths[:, n:]),
+            ):
                 rms = math.sqrt(np.mean(want**2))
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * rms)
         with pytest.raises(ValueError, match="different grid"):

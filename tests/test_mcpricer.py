@@ -169,7 +169,7 @@ class TestConditionalEstimator:
     def test_atm_iv_matches_reference_table(self, funcs_h05):
         grid, params, funcs = funcs_h05
         est = strike_pricer(funcs, params, 0.0, 1.0)(0.0)
-        iv = implied_vol(est.value, 0.0, 0.0, 1.0)
+        iv = implied_vol(est.value, 0.0, 0.0, 1.0).vol
         assert abs(iv - 0.2026) < 0.0015
 
     def test_rejects_bad_maturity(self, funcs_h05):

@@ -331,6 +331,9 @@ class TestSwapReport:
             + rep_rough_neg.zero_vanna_evals,
             "bisection_fallbacks": int(rep_h05.zero_vanna_bisected)
             + int(rep_rough_neg.zero_vanna_bisected),
+            "iv_evals": rep_h05.iv_evals + rep_rough_neg.iv_evals,
+            "iv_bisection_fallbacks": rep_h05.iv_bisections
+            + rep_rough_neg.iv_bisections,
         }
 
     def test_report_does_not_keep_its_pricer_alive(self):
@@ -441,6 +444,8 @@ def synthetic_report(maturity, err, err_se):
         pricer_calls=4,
         zero_vanna_evals=4,
         zero_vanna_bisected=False,
+        iv_evals=16,
+        iv_bisections=0,
         n_paths=1,
         seed=0,
     )
