@@ -75,10 +75,17 @@ CSV_COLUMNS = {
     "vol_swap": "vol_swap",
     "vol_swap_se": "vol_swap_se",
     "iv_zero_vanna": "iv_zero_vanna",
+    "iv_zero_vanna_se": "iv_zero_vanna_se",
     "atmi": "atmi",
+    "atmi_se": "atmi_se",
     "atm_skew": "atm_skew",
+    "atm_skew_se": "atm_skew_se",
     "err_zero_vanna": "err_zero_vanna",
+    "err_zero_vanna_se": "err_zero_vanna_se",
     "err_atmi": "err_atmi",
+    "err_atmi_se": "err_atmi_se",
+    "k_hat": "k_hat",
+    "zero_vanna_residual": "zero_vanna_residual",
     "n_paths": "n_paths",
     "seed": "seed",
 }

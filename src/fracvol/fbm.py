@@ -318,7 +318,13 @@ def sample_paths(
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> GaussianPathBatch:
     """Materialize all paths as one batch: the tiles of iter_path_blocks,
-    the streaming variant the pricing engine uses, copied into place."""
+    the streaming variant the pricing engine uses, copied into place.
+
+    No production code calls it; it stays as the test oracle's
+    materializer, for checks that need whole paths rather than
+    functionals: the path-law unit tests and acceptance criteria 5 (the
+    moments of sigma_T) and 6 (the Kolmogorov-Smirnov check of the
+    convolution against the exact law)."""
     tiles = iter_path_blocks(grid, law, n_paths, seed, block_size)
     dw = np.empty((n_paths, grid.n_steps))
     wh = np.empty((n_paths, grid.n_steps))

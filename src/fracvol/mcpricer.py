@@ -1,30 +1,24 @@
-"""Monte Carlo estimators for calls and volatility/variance swap strikes.
+"""Monte Carlo estimators for calls and the volatility-swap strike.
 
 The estimator is chosen once, when the paths are simulated
-(McConfig.estimator); the pricer reads it off the functionals. Both
-estimators share rho-free path functionals, so one simulation serves every
-correlation. The conditional (mixing) estimator integrates the independent
-Brownian factor out exactly: given the vol path, the log-price is Gaussian,
-so each path contributes a shifted-spot, reduced-vol Black-Scholes value
-(at |rho| = 1 the law is a point mass and the value intrinsic) and no B
-draws are needed. The direct estimator draws that factor's leg instead:
-given the vol path, int sigma dB is exactly Normal(0, Y), so it is sqrt(Y)
-times one standard normal per path (INDEPENDENT_LEG), and only its
-functionals carry it. The pricer builds the left-point Euler log-price
-from it per rho and averages the payoff, the intrinsic value of that point
-mass. So each pricer binds one of two laws per rho: lognormal, or a point
-mass.
+(McConfig.estimator), and the pricer reads it off the rho-free
+functionals, so one simulation serves every correlation. Conditional
+mixing integrates the Brownian factor independent of the vol path out:
+each path contributes a Black-Scholes value. Direct Euler draws that
+factor's leg, sqrt(Y) times one standard normal per path
+(INDEPENDENT_LEG), and averages the payoff on the Euler terminal spot.
 
-Both estimators always regress their per-path values on the same two
-control variates, CONTROLS, whose means are exact in the discrete scheme:
-the spot martingale (the path's terminal spot, or under mixing its
-conditional mean e^{x_hat}, less e^{x0}; mean zero because sigma is
-adapted and the Ito sum is left-point) and the integrated variance Y less
-its exact discrete mean, which simulate_functionals records. The betas
-come from the same paths. Each price comes with its pathwise log-strike
-slope dC/dk from the same pass (Broadie & Glasserman, Management Science
-1996), and one regression over both gives their means, SEs and
-covariance.
+Each (simulation, rho) has one regression on two control variates,
+CONTROLS, whose means are exact in the discrete scheme: the spot
+martingale less e^{x0} (mean zero because sigma is adapted and the Ito
+sum is left-point) and the integrated variance Y less its exact discrete
+mean, which simulate_functionals records. Its responses are the
+volatility-swap leg sqrt(Y/T), fitted once when the pricer binds, and
+each strike's price with its pathwise log-strike slope dC/dk (Broadie &
+Glasserman, Management Science 1996), betas from the same paths. So every
+estimate carries the means, SEs and covariances of its price, slope and
+swap leg, and the gap between an implied vol and the swap leg has a
+paired SE.
 
 Everything is deterministic given (seed, n_paths, block_size, grid, params):
 per-path arrays are assembled positionally by block index and reduced once,
@@ -68,7 +62,6 @@ __all__ = [
     "StrikeEstimate",
     "simulate_functionals",
     "simulation_record",
-    "vol_swap_strike",
     "strike_pricer",
     "VALID_SCHEMES",
     "VALID_ESTIMATORS",
@@ -79,7 +72,7 @@ __all__ = [
 
 VALID_SCHEMES = ("convolution", "midpoint_convolution", "cholesky_oracle")
 VALID_ESTIMATORS = ("conditional_mixing", "direct_euler")
-# the control variates every call estimator regresses on, in this order
+# the control variates the calls and the swap leg are regressed on, in order
 CONTROLS = ("spot_martingale", "integrated_variance")
 # how every maturity of one simulation is read off its single draw
 MATURITY_LAYOUT = (
@@ -144,25 +137,20 @@ class PriceEstimate:
 
 @dataclass(frozen=True)
 class StrikeEstimate(PriceEstimate):
-    """A call price with its log-strike slope dC/dk, the slope's standard
-    error and the covariance of the two estimates, all from the same
-    paths and the same regression."""
+    """A call price with its log-strike slope dC/dk, the slope's SE and
+    the covariance of the two, and the volatility-swap strike E[sqrt(Y/T)]
+    with its covariance with the price: one regression on the same paths."""
 
     slope: float
     slope_se: float
     cov: float
+    swap: PriceEstimate
+    swap_cov: float
 
     def __post_init__(self):
         super().__post_init__()
         if self.slope_se < 0.0:
             raise ValueError("slope_se must be nonnegative")
-
-
-def _mean_se(values: np.ndarray) -> PriceEstimate:
-    """Sample mean with its SE; SE 0 on a single value."""
-    n = values.shape[0]
-    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return PriceEstimate(value=float(values.mean()), std_error=se, n_paths=n)
 
 
 def simulate_functionals(
@@ -255,7 +243,7 @@ def simulation_record(config: McConfig, hurst: Sequence[float]) -> dict[str, obj
     size in bytes per buffer, how the maturities share one draw, how
     direct Euler draws int sigma dB (None for mixing, which draws none),
     kernel evaluation, convolution method ("cholesky" for the oracle) and
-    the control variates of the call estimators."""
+    the control variates of the calls and the swap leg."""
     evaluation = KERNEL_EVALUATION.get(config.scheme)
     direct = config.estimator == "direct_euler"
     return {
@@ -273,18 +261,11 @@ def simulation_record(config: McConfig, hurst: Sequence[float]) -> dict[str, obj
     }
 
 
-def vol_swap_strike(funcs: PathFunctionals, maturity: float) -> PriceEstimate:
-    """Fair volatility-swap strike E[sqrt(Y/T)] with standard error."""
-    if maturity <= 0.0:
-        raise ValueError("maturity must be positive")
-    return _mean_se(np.sqrt(funcs.integrated_variance / maturity))
-
-
 def _bind_controls(
     spot: np.ndarray, x0: float, funcs: PathFunctionals
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The live CONTROLS on these paths, their sample means and the
-    pseudo-inverse of their centred Gram matrix, for _controlled_mean.
+    pseudo-inverse of their centred Gram matrix, for _regress.
 
     spot is each path's terminal spot, or its conditional mean. Both
     controls have mean exactly zero. A constant control (the spot control
@@ -315,28 +296,30 @@ def _bind_controls(
     return controls, means, np.linalg.pinv(centred @ centred.T)
 
 
-def _controlled_mean(
-    price: np.ndarray,
-    slope: np.ndarray,
+def _regress(
+    responses: Sequence[np.ndarray],
     controls: np.ndarray,
     control_means: np.ndarray,
     gram_pinv: np.ndarray,
-) -> StrikeEstimate:
-    """A call price and its log-strike slope, each the mean of its
-    per-path values less beta times the mean-zero controls, with its own
-    beta regressed on the same paths, and their SEs and covariance.
+    residuals: Sequence[np.ndarray] = (),
+) -> tuple[list[PriceEstimate], np.ndarray, list[np.ndarray]]:
+    """Regress per-path responses on the mean-zero controls, each with its
+    own beta from the same paths: their controlled means (the mean less
+    beta times the controls' means) with SEs, the covariance matrix of
+    those means, and the betas.
 
-    The fit is linear in the response, so the controlled slope is exactly
-    the log-strike derivative of the controlled price. Each response takes
-    one pass for its cross-products with the controls and one to centre it
-    in place (price and slope are overwritten), and each entry of the 2x2
-    residual cross-product matrix one more; no per-path residual is formed.
+    The fit is linear in the response, so a controlled difference is the
+    difference of the controlled means and the controlled slope exactly
+    the derivative of the controlled price. Each response takes one pass
+    for its cross-products with the controls, one to centre it in place
+    (the responses are overwritten) and one per covariance entry; no
+    residual is formed. residuals, of responses fitted earlier on these
+    paths, each add a column: that response's covariance with each mean.
     It divides by n less one for the mean and one per beta, so with no
-    control it gives the plain sample variances (SE 0 on a single path).
+    control it gives the plain sample covariances (SE 0 on a single path).
     """
-    n = price.shape[0]
+    n = controls.shape[1]
     dof = max(n - 1 - controls.shape[0], 1)
-    responses = (price, slope)
     means = [values.mean() for values in responses]
     # the controls' cross-products with centred responses are their sample
     # covariances with them, up to the n - 1 the Gram matrix also omits
@@ -349,21 +332,22 @@ def _controlled_mean(
     # which would cancel all but rounding of a nearly constant one
     for values, mean in zip(responses, means):
         values -= mean
-
-    def residual_cov(i: int, j: int) -> float:
-        # the responses' cross-product less the part the fit explains, per
-        # degree of freedom and path
-        fit = betas[i] @ cross[j]
-        return (responses[i] @ responses[j] - fit) / dof / n
-
-    return StrikeEstimate(
-        value=float(means[0] - betas[0] @ control_means),
-        std_error=math.sqrt(max(residual_cov(0, 0), 0.0)),
-        n_paths=n,
-        slope=float(means[1] - betas[1] @ control_means),
-        slope_se=math.sqrt(max(residual_cov(1, 1), 0.0)),
-        cov=float(residual_cov(0, 1)),
-    )
+    # cross-products less the part the fit explains, per degree of freedom
+    # and path; a residual is orthogonal to the controls, so its product
+    # with a centred response is already the residuals' cross-product
+    r = len(responses)
+    cov = np.empty((r, r + len(residuals)))
+    for i in range(r):
+        for j in range(i, r):
+            fit = betas[i] @ cross[j]
+            cov[i, j] = cov[j, i] = (responses[i] @ responses[j] - fit) / dof / n
+        for j, residual in enumerate(residuals, r):
+            cov[i, j] = responses[i] @ residual / dof / n
+    controlled = [
+        PriceEstimate(float(m - b @ control_means), math.sqrt(max(v, 0.0)), n)
+        for m, b, v in zip(means, betas, cov.diagonal())
+    ]
+    return controlled, cov, betas
 
 
 def strike_pricer(
@@ -388,10 +372,12 @@ def strike_pricer(
     rho^2 Y / 2, so each path's value is the Black-Scholes call at x_hat
     with total vol sqrt((1 - rho^2) Y), and slope -e^k N(d2); at |rho| = 1
     the law is a point mass at x_hat. A point mass prices (S - e^k)+ per
-    path, with slope -e^k 1{S > e^k}. Either closure regresses price and
-    slope on CONTROLS (spot control S - e^{x0}), beta regressed per strike
-    on the same paths, so an implied vol's SE (price SE over vega) is that
-    of the controlled price.
+    path, with slope -e^k 1{S > e^k}.
+
+    One regression on CONTROLS (spot control S - e^{x0}) serves the
+    (simulation, rho): the swap leg sqrt(Y/T) is fitted here and kept as
+    its residual; each strike fits its price and slope and pairs the price
+    with the swap leg by one pass over that residual.
     """
     if maturity <= 0.0:
         raise ValueError("maturity must be positive")
@@ -405,18 +391,28 @@ def strike_pricer(
         log_spot = x0 + rho * ito - 0.5 * rho * rho * y
         total_vol = np.sqrt((1.0 - rho * rho) * y) if abs(rho) < 1.0 else None
     spot = np.exp(log_spot)
-    bound = _bind_controls(spot, x0, funcs)
+    controls, control_means, _ = bound = _bind_controls(spot, x0, funcs)
+    swap = np.sqrt(y / maturity)
+    (swap_leg,), _, (beta,) = _regress([swap], *bound)
+    # centred in place; less its fit, the swap leg's residual
+    swap -= beta @ controls - beta @ control_means
+
+    def estimate(price: np.ndarray, slope: np.ndarray) -> StrikeEstimate:
+        (c, dc), cov, _ = _regress([price, slope], *bound, [swap])
+        return StrikeEstimate(
+            c.value, c.std_error, c.n_paths, dc.value, dc.std_error,
+            cov=float(cov[0, 1]), swap=swap_leg, swap_cov=float(cov[0, 2]),
+        )
 
     if total_vol is None:
 
         def price_intrinsic(k: float) -> StrikeEstimate:
             ek = math.exp(k)
-            payoff = np.maximum(spot - ek, 0.0)
-            return _controlled_mean(payoff, -ek * (spot > ek), *bound)
+            return estimate(np.maximum(spot - ek, 0.0), -ek * (spot > ek))
 
         return price_intrinsic
 
     def price_lognormal(k: float) -> StrikeEstimate:
-        return _controlled_mean(*_call(log_spot, spot, k, total_vol), *bound)
+        return estimate(*_call(log_spot, spot, k, total_vol))
 
     return price_lognormal

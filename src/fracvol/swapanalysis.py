@@ -11,14 +11,11 @@ is a safeguarded Newton iteration on d2 that uses that slope
 (ZERO_VANNA_SEARCH), and the ATM skew is the slope at x0 (ATM_SKEW): a
 report prices about four strikes and no second strike for a difference.
 
-The SE of an implied vol is se_price / vega. The SE of its slope is the
-delta method's on the price, the price slope and their covariance
-(implied_smile), so it counts the noise the vol itself carries into the
-slope; at rho = 0, where the ATM skew is zero by symmetry, the two
-cancel exactly at the money and the SE is rounding. The SE of a
-difference is the quadrature sum of its terms' SEs, which ignores the
-covariance of terms priced on shared paths: it can understate (by
-1.1-1.25x for the gaps at rho = -0.8) as well as overstate.
+Every SE is the delta method's on the one regression per (simulation,
+rho) that gives the prices and the swap leg (mcpricer.strike_pricer): an
+implied vol's is se_price / vega; its slope's counts the noise the vol
+carries into the slope, so at rho = 0 it is rounding at the money; and a
+gap's pairs the vol with the swap leg of the same paths (GAP_SE).
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from .blackscholes import (
     vega,
     zero_vanna_strike,
 )
-from .mcpricer import McConfig, StrikeEstimate, vol_swap_strike
+from .mcpricer import McConfig, PriceEstimate, StrikeEstimate
 from .volmodel import ModelParams, PathFunctionals
 
 # A fitted log-gap point must clear the MC noise floor by this factor.
@@ -51,15 +48,21 @@ SOLVER_FLOOR = 1e-9
 # how zero_vanna_report finds k_hat and the ATM skew, as the manifest names them
 ZERO_VANNA_SEARCH = "safeguarded Newton on d2 with pathwise dI/dk"
 ATM_SKEW = "pathwise dI/dk at x0"
+# how the SE of a gap I(k) - S is formed: sqrt(Var C / vega^2
+# - 2 Cov(C, S) / vega + Var S), C the call price and S the swap leg
+GAP_SE = "paired: delta method on one regression per (simulation, rho)"
 
 
 class SmilePoint(NamedTuple):
-    """An implied vol and its log-strike slope dI/dk, each with its SE."""
+    """An implied vol and its log-strike slope dI/dk, each with its SE, the
+    swap leg of the same paths and the paired SE of the vol less it."""
 
     vol: float
     vol_se: float
     slope: float
     slope_se: float
+    swap: PriceEstimate
+    gap_se: float
 
 
 Pricer = Callable[[float], StrikeEstimate]
@@ -70,16 +73,14 @@ Smile = Callable[[float], SmilePoint]
 class SwapReport:
     """Volatility summaries for one (hurst, maturity, rho) cell.
 
-    ``err_zero_vanna`` and ``err_atmi`` are signed gaps against the
-    volatility-swap strike; their SEs are quadrature SEs of the two legs,
-    which ignore the legs' shared-path covariance. ``atm_skew_se`` is the
-    delta-method SE of implied_smile; at rho = 0 it is rounding, like the
-    skew (zero by symmetry). ``pricer_calls`` counts
-    the strikes priced, ``zero_vanna_evals`` the search's curve
-    evaluations and ``zero_vanna_bisected`` whether it fell back to
-    bisection; ``iv_evals`` counts the call prices that inverting every
-    priced strike for its implied vol took, and ``iv_bisections`` the
-    inversions that fell back to bisection.
+    ``vol_swap`` is the swap leg of the cell's regression, so it can
+    differ between rho cells of one simulation; ``err_zero_vanna`` and
+    ``err_atmi`` are signed gaps against it, with paired SEs (GAP_SE).
+    ``pricer_calls`` counts the strikes priced, ``zero_vanna_evals`` the
+    search's curve evaluations and ``zero_vanna_bisected`` whether it fell
+    back to bisection; ``iv_evals`` counts the call prices that inverting
+    every priced strike took, and ``iv_bisections`` the inversions that
+    fell back to bisection.
     """
 
     hurst: float
@@ -155,9 +156,10 @@ def implied_smile(
     price's over vega; the slope's is the delta method's: the vol's own
     noise dI = dC / vega moves N(d2) and vega, so dI' = (dC' - a dC) / vega
     with a = d1 / (I sqrt(T)) + I' d1 d2 / I, and Var I' = (Var C'
-    - 2 a Cov(C, C') + a^2 Var C) / vega^2. Where vega is zero the slope
-    is NaN and the SEs infinite. Each strike is priced and inverted at
-    most once; an uninvertible price raises (NoSolutionError or
+    - 2 a Cov(C, C') + a^2 Var C) / vega^2. The estimate's swap leg S
+    rides along; I - S has the paired SE of GAP_SE. Where vega is zero the
+    slope is NaN and the SEs infinite. Each strike is priced and inverted
+    at most once; an uninvertible price raises (NoSolutionError or
     ConvergenceError) and is not cached. Each inversion's ImpliedVol is
     appended to inversions, if given.
     """
@@ -170,8 +172,9 @@ def implied_smile(
             inversions.append(inversion)
         vol = inversion.vol
         sensitivity = vega(x0, k, vol, maturity)
+        swap = estimate.swap
         if not sensitivity > 0.0:
-            return SmilePoint(vol, math.inf, math.nan, math.inf)
+            return SmilePoint(vol, math.inf, math.nan, math.inf, swap, math.inf)
         d_2 = d2(x0, k, vol, maturity)
         slope = (estimate.slope + math.exp(k) * float(ndtr(d_2))) / sensitivity
         total_vol = vol * math.sqrt(maturity)
@@ -179,11 +182,11 @@ def implied_smile(
         a = d_1 / total_vol + slope * d_1 * d_2 / vol
         var_c, var_dc = estimate.std_error**2, estimate.slope_se**2
         slope_var = var_dc - 2.0 * a * estimate.cov + a * a * var_c
+        vol_se = estimate.std_error / sensitivity
+        gap_var = vol_se**2 - 2.0 * estimate.swap_cov / sensitivity + swap.std_error**2
+        slope_se = math.sqrt(max(slope_var, 0.0)) / sensitivity
         return SmilePoint(
-            vol=vol,
-            vol_se=estimate.std_error / sensitivity,
-            slope=slope,
-            slope_se=math.sqrt(max(slope_var, 0.0)) / sensitivity,
+            vol, vol_se, slope, slope_se, swap, math.sqrt(max(gap_var, 0.0))
         )
 
     return smile
@@ -206,16 +209,16 @@ def zero_vanna_report(
 ) -> SwapReport:
     """Assemble the full per-cell report for one simulated maturity.
 
-    ``pricer`` and ``funcs`` must come from the same simulation so the
-    swap strike and the implied vols share paths.  The zero-vanna strike
-    is located on the curve implied by ``pricer`` and its residual
-    |d2(k_hat, I(k_hat))| is recorded, not enforced: acceptance criterion
-    7 and the benchmark's correctness gate hold it below 1e-8.  Every
-    vol comes from one implied_smile, so each strike is priced at most
-    once: the search evaluates both the ATM strike and k_hat, and the
-    report and the skew reuse those entries.
+    The zero-vanna strike is located on the curve implied by ``pricer``
+    and its residual |d2(k_hat, I(k_hat))| is recorded, not enforced:
+    acceptance criterion 7 and the benchmark's correctness gate hold it
+    below 1e-8. Every vol comes from one implied_smile, so each strike is
+    priced at most once: the search evaluates both the ATM strike and
+    k_hat, the report and the skew reuse those entries, and the swap leg
+    is read off the ATM one. ``funcs``, the functionals ``pricer`` was
+    bound on, is not read; it stays in the signature callers pass by
+    position.
     """
-    swap = vol_swap_strike(funcs, maturity)
     inversions: list[ImpliedVol] = []
     smile = implied_smile(pricer, x0, maturity, inversions)
 
@@ -226,8 +229,7 @@ def zero_vanna_report(
     search = zero_vanna_strike(curve, x0, maturity)
     k_hat = search.strike
     zv, atm = smile(k_hat), smile(x0)
-    iv_zv, iv_zv_se, atm_vol, atm_se = zv.vol, zv.vol_se, atm.vol, atm.vol_se
-    residual = abs(d2(x0, k_hat, iv_zv, maturity))
+    swap = atm.swap
     skew, skew_se = atm_skew(smile, x0)
 
     return SwapReport(
@@ -236,18 +238,18 @@ def zero_vanna_report(
         rho=params.rho,
         vol_swap=swap.value,
         vol_swap_se=swap.std_error,
-        iv_zero_vanna=iv_zv,
-        iv_zero_vanna_se=iv_zv_se,
-        atmi=atm_vol,
-        atmi_se=atm_se,
+        iv_zero_vanna=zv.vol,
+        iv_zero_vanna_se=zv.vol_se,
+        atmi=atm.vol,
+        atmi_se=atm.vol_se,
         atm_skew=skew,
         atm_skew_se=skew_se,
-        err_zero_vanna=iv_zv - swap.value,
-        err_zero_vanna_se=math.hypot(iv_zv_se, swap.std_error),
-        err_atmi=atm_vol - swap.value,
-        err_atmi_se=math.hypot(atm_se, swap.std_error),
+        err_zero_vanna=zv.vol - swap.value,
+        err_zero_vanna_se=zv.gap_se,
+        err_atmi=atm.vol - swap.value,
+        err_atmi_se=atm.gap_se,
         k_hat=k_hat,
-        zero_vanna_residual=residual,
+        zero_vanna_residual=abs(d2(x0, k_hat, zv.vol, maturity)),
         pricer_calls=smile.cache_info().currsize,
         zero_vanna_evals=search.evals,
         zero_vanna_bisected=search.bisected,
@@ -260,14 +262,15 @@ def zero_vanna_report(
 
 def analysis_record(reports: Iterable[SwapReport]) -> dict[str, object]:
     """How zero_vanna_report solved its cells, for the manifest: the
-    zero-vanna search, the ATM skew, the solver tolerances, and summed
-    over the given reports the strikes priced, the search's curve
-    evaluations and the searches that fell back to bisection, and the
-    implied-vol inversions' call prices and bisection fallbacks."""
+    zero-vanna search, the ATM skew, how a gap's SE is formed, the solver
+    tolerances, and summed over the given reports the strikes priced, the
+    search's curve evaluations and bisection fallbacks, and the implied-vol
+    inversions' call prices and bisection fallbacks."""
     reports = list(reports)
     return {
         "zero_vanna_search": ZERO_VANNA_SEARCH,
         "atm_skew": ATM_SKEW,
+        "gap_se": GAP_SE,
         "iv_tol": IV_TOL,
         "zero_vanna_xtol": ZERO_VANNA_XTOL,
         "pricer_calls": sum(r.pricer_calls for r in reports),
@@ -362,4 +365,5 @@ __all__ = [
     "SOLVER_FLOOR",
     "ZERO_VANNA_SEARCH",
     "ATM_SKEW",
+    "GAP_SE",
 ]

@@ -24,20 +24,25 @@ from fracvol.cli import (
     ConfigError,
     ExperimentConfig,
     _cell_rows,
+    _h_seed,
+    _mc_config,
     _write_csv,
     build_config,
     main,
     parse_config,
     run,
 )
-from fracvol.fbm import TILE_BYTES
+from fracvol.fbm import TILE_BYTES, TimeGrid
 from fracvol.mcpricer import (
     INDEPENDENT_LEG,
     MATURITY_LAYOUT,
     McConfig,
+    simulate_functionals,
     simulation_record,
+    strike_pricer,
 )
-from fracvol.swapanalysis import ATM_SKEW, ZERO_VANNA_SEARCH
+from fracvol.swapanalysis import ATM_SKEW, GAP_SE, ZERO_VANNA_SEARCH
+from fracvol.volmodel import ModelParams
 
 FAST = {
     "n_paths": 3_000,
@@ -271,10 +276,17 @@ class TestRun:
             "vol_swap",
             "vol_swap_se",
             "iv_zero_vanna",
+            "iv_zero_vanna_se",
             "atmi",
+            "atmi_se",
             "atm_skew",
+            "atm_skew_se",
             "err_zero_vanna",
+            "err_zero_vanna_se",
             "err_atmi",
+            "err_atmi_se",
+            "k_hat",
+            "zero_vanna_residual",
             "n_paths",
             "seed",
         ]
@@ -286,6 +298,10 @@ class TestRun:
         assert float(row["H"]) == report.hurst == 0.5
         assert float(row["T"]) == report.maturity == 1.0
         assert float(row["vol_swap"]) == report.vol_swap
+        # every column is its report field, a finite number
+        for column, field in CSV_COLUMNS.items():
+            value = float(row[column])
+            assert value == getattr(report, field) and math.isfinite(value), column
 
     def test_numpy_reals_write_numbers(self, tmp_path):
         # numpy reals pass the config's type check; the CSV must still
@@ -316,9 +332,18 @@ class TestRun:
             value = float(rec["vol_swap"])
             assert repr(value) == rec["vol_swap"]
             by_cell[(rec["rho"], rec["T"])] = rec
-        # vol swap is rho-free and the simulation is shared across rho
-        for t in ("0.5", "1.0"):
-            assert by_cell[("-0.8", t)]["vol_swap"] == by_cell[("0.0", t)]["vol_swap"]
+        # the simulation is shared across rho: every row's vol swap is the
+        # swap leg its rho's pricer fits on the H's one draw
+        config = ExperimentConfig(**FAST)
+        mc = _mc_config(config, _h_seed(config, 0))
+        params = ModelParams(config.sigma0, config.nu, 0.0, 0.5)
+        unit = TimeGrid(1.0, config.n_steps)
+        draw = simulate_functionals(unit, params, mc, config.maturities)
+        for t, funcs in zip(("0.5", "1.0"), draw):
+            for rho in ("-0.8", "0.0"):
+                params = ModelParams(config.sigma0, config.nu, float(rho), 0.5)
+                swap = strike_pricer(funcs, params, 0.0, float(t))(0.0).swap
+                assert by_cell[(rho, t)]["vol_swap"] == repr(swap.value)
             assert by_cell[("-0.8", t)]["seed"] == by_cell[("0.0", t)]["seed"]
 
     def test_manifest_records_config(self, grid_run):
@@ -378,6 +403,7 @@ class TestRun:
         analysis = json.loads(out.with_suffix(".manifest.json").read_text())["analysis"]
         assert analysis["zero_vanna_search"] == ZERO_VANNA_SEARCH
         assert analysis["atm_skew"] == ATM_SKEW
+        assert analysis["gap_se"] == GAP_SE
         assert analysis["iv_tol"] == IV_TOL == 1e-14
         assert analysis["zero_vanna_xtol"] == ZERO_VANNA_XTOL
         # four cells, each the ATM strike and a few Newton iterates

@@ -23,11 +23,9 @@ from fracvol.mcpricer import (
     McConfig,
     PriceEstimate,
     _bind_controls,
-    _controlled_mean,
-    _mean_se,
+    _regress,
     simulate_functionals,
     strike_pricer,
-    vol_swap_strike,
 )
 from fracvol.volmodel import (
     ModelParams,
@@ -46,6 +44,18 @@ def combined_se(a: PriceEstimate, b: PriceEstimate) -> float:
     return math.hypot(a.std_error, b.std_error)
 
 
+def plain_mean(values: np.ndarray) -> PriceEstimate:
+    """Sample mean with its SE, no control; SE 0 on a single value."""
+    n = values.shape[0]
+    se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return PriceEstimate(value=float(values.mean()), std_error=se, n_paths=n)
+
+
+def swap_leg(funcs, params, maturity: float) -> PriceEstimate:
+    """The controlled vol-swap leg that the pricer of (funcs, rho) carries."""
+    return strike_pricer(funcs, params, 0.0, maturity)(0.0).swap
+
+
 def euler_log_return(funcs, rho: float) -> np.ndarray:
     """Left-point Euler X_T - x0 = -Y/2 + rho int sigma dW
     + sqrt(1 - rho^2) int sigma dB, per path, in the pricer's order."""
@@ -60,7 +70,7 @@ def euler_log_return(funcs, rho: float) -> np.ndarray:
 def plain_direct_price(funcs, params, x0: float, k: float) -> PriceEstimate:
     """Direct Euler payoff mean without the terminal-spot control."""
     ret = euler_log_return(funcs, params.rho)
-    return _mean_se(np.maximum(np.exp(x0 + ret) - math.exp(k), 0.0))
+    return plain_mean(np.maximum(np.exp(x0 + ret) - math.exp(k), 0.0))
 
 
 def mixing_values(funcs, rho: float, x0: float, k: float, maturity: float):
@@ -71,18 +81,23 @@ def mixing_values(funcs, rho: float, x0: float, k: float, maturity: float):
     return bs_price(x_hat, k, cond_vol, maturity), x_hat
 
 
-def regression_estimate(values, spot, x0: float, funcs) -> PriceEstimate:
+def regression_residuals(values, spot, x0: float, funcs) -> tuple[np.ndarray, int]:
     """values less the least-squares fit on the centred spot and Y
-    controls, each taken against its exact mean; the residuals' SE counts
-    the mean and both betas as fitted."""
+    controls, each taken against its exact mean, and the residuals'
+    degrees of freedom: n less the mean and each live control's beta."""
     controls = np.column_stack(
         [spot - math.exp(x0), funcs.integrated_variance - funcs.integrated_variance_mean]
     )
     centred = controls - controls.mean(axis=0)
-    beta = np.linalg.lstsq(centred, values - values.mean(), rcond=None)[0]
-    residuals = values - controls @ beta
+    beta, _, rank, _ = np.linalg.lstsq(centred, values - values.mean(), rcond=None)
+    return values - controls @ beta, values.shape[0] - 1 - rank
+
+
+def regression_estimate(values, spot, x0: float, funcs) -> PriceEstimate:
+    """The mean of regression_residuals with its SE."""
+    residuals, dof = regression_residuals(values, spot, x0, funcs)
     n = residuals.shape[0]
-    se = float(residuals.std(ddof=3) / math.sqrt(n))
+    se = float(residuals.std(ddof=n - dof) / math.sqrt(n))
     return PriceEstimate(value=float(residuals.mean()), std_error=se, n_paths=n)
 
 
@@ -347,7 +362,7 @@ class TestControlVariates:
         if estimator == "direct_euler":
             plain = plain_direct_price(funcs, params, 0.0, 0.0)
         else:
-            plain = _mean_se(mixing_values(funcs, rho, 0.0, 0.0, 1.0)[0])
+            plain = plain_mean(mixing_values(funcs, rho, 0.0, 0.0, 1.0)[0])
         est = strike_pricer(funcs, params, 0.0, 1.0)(0.0)
         assert est.std_error * 1.5 <= plain.std_error
         assert abs(est.value - plain.value) < 3.0 * plain.std_error
@@ -381,10 +396,11 @@ class TestControlVariates:
         direct = strike_pricer(funcs, params, 0.0, 1.0)
         for k in (-0.05, 0.0, 0.05):
             a, b = mixing(k), direct(k)
-            for field in ("value", "std_error", "slope", "slope_se", "cov"):
+            for field in ("value", "std_error", "slope", "slope_se", "cov", "swap_cov"):
                 assert getattr(a, field) == pytest.approx(
                     getattr(b, field), rel=1e-12, abs=0.0
                 ), field
+            assert a.swap.value == pytest.approx(b.swap.value, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("n_paths", [1, 2])
     @pytest.mark.parametrize("estimator", ["conditional_mixing", "direct_euler"])
@@ -403,7 +419,7 @@ class TestControlVariates:
             plain = plain_direct_price(funcs, params, 0.0, k)
         else:
             k = 0.0
-            plain = _mean_se(mixing_values(funcs, params.rho, 0.0, k, 1.0)[0])
+            plain = plain_mean(mixing_values(funcs, params.rho, 0.0, k, 1.0)[0])
         est = strike_pricer(funcs, params, 0.0, 1.0)(k)
         assert est.value == pytest.approx(plain.value, rel=1e-12)
         assert est.std_error == pytest.approx(plain.std_error, rel=1e-12, abs=0.0)
@@ -432,18 +448,57 @@ class TestControlVariates:
 
 class TestSwapStrikes:
     def test_zero_nu_vol_swap_exact(self):
+        # the Y control is constant and dropped; at rho != 0 the spot
+        # control stays live and must not move a constant swap leg
         grid = TimeGrid(1.0, 50)
         params = ModelParams(SIGMA0, 0.0, 0.0, 0.3)
         (funcs,) = simulate_functionals(grid, params, McConfig(n_paths=100, seed=14))
-        est = vol_swap_strike(funcs, 1.0)
-        assert est.value == pytest.approx(SIGMA0, abs=1e-12)
-        assert est.std_error < 1e-12
-        var_est = _mean_se(funcs.integrated_variance / 1.0)
+        for rho in (-0.5, 0.0):
+            est = swap_leg(funcs, replace(params, rho=rho), 1.0)
+            assert est.value == pytest.approx(SIGMA0, abs=1e-12)
+            assert est.std_error <= 1e-12
+        var_est = plain_mean(funcs.integrated_variance / 1.0)
         assert var_est.value == pytest.approx(SIGMA0**2, abs=1e-12)
+
+    @pytest.mark.parametrize("rho", [-0.8, 0.0])
+    def test_swap_leg_rides_the_price_regression(self, funcs_h05, rho):
+        # the swap leg goes through the same controls as the price, and
+        # swap_cov is the two residuals' cross-product per degree of
+        # freedom and path
+        grid, _, funcs = funcs_h05
+        params = ModelParams(SIGMA0, NU, rho, 0.5)
+        pricer = strike_pricer(funcs, params, 0.0, grid.maturity)
+        spot = np.exp(mixing_values(funcs, rho, 0.0, 0.0, grid.maturity)[1])
+        swap = np.sqrt(funcs.integrated_variance / grid.maturity)
+        expected = regression_estimate(swap, spot, 0.0, funcs)
+        swap_residuals, dof = regression_residuals(swap, spot, 0.0, funcs)
+        n = swap.shape[0]
+        for k in (-0.05, 0.0, 0.05):
+            est = pricer(k)
+            assert est.swap.value == pytest.approx(expected.value, rel=1e-12, abs=0.0)
+            assert est.swap.std_error == pytest.approx(expected.std_error, rel=1e-9)
+            values = mixing_values(funcs, rho, 0.0, k, grid.maturity)[0]
+            residuals = regression_residuals(values, spot, 0.0, funcs)[0]
+            centred = residuals - residuals.mean()
+            cov = centred @ (swap_residuals - swap_residuals.mean()) / dof / n
+            assert est.swap_cov == pytest.approx(cov, rel=1e-9)
+
+    @pytest.mark.parametrize("hurst", [0.1, 0.3])
+    @pytest.mark.parametrize("rho", [-0.8, 0.0])
+    def test_controlled_swap_near_the_plain_mean(self, hurst, rho):
+        # both estimate E[sqrt(Y/T)] on the same paths; the controls only
+        # remove noise, so the two agree within the plain mean's noise
+        grid = TimeGrid(1.0, 100)
+        params = ModelParams(SIGMA0, NU, rho, hurst)
+        (funcs,) = simulate_functionals(grid, params, McConfig(n_paths=50_000, seed=31))
+        plain = plain_mean(np.sqrt(funcs.integrated_variance))
+        controlled = swap_leg(funcs, params, 1.0)
+        assert abs(controlled.value - plain.value) < 3.0 * plain.std_error
+        assert controlled.std_error < plain.std_error
 
     def test_vol_swap_reference_h05(self, funcs_h05):
         grid, params, funcs = funcs_h05
-        est = vol_swap_strike(funcs, grid.maturity)
+        est = swap_leg(funcs, params, grid.maturity)
         assert abs(est.value - 0.2026) < 0.001
 
     def test_vol_swap_rough_h_brackets(self, funcs_h01_t3):
@@ -451,7 +506,7 @@ class TestSwapStrikes:
         # sigma0 <= vol swap (exp term >= 1 on average after Jensen both
         # ways is not tight, so use the hard bounds) <= sqrt(E[Y/T]).
         grid, params, funcs = funcs_h01_t3
-        est = vol_swap_strike(funcs, grid.maturity)
+        est = swap_leg(funcs, params, grid.maturity)
         upper = math.sqrt(variance_swap_oracle(params, grid.maturity))
         assert est.value < upper
         assert est.value > 0.0
@@ -465,8 +520,8 @@ class TestSwapStrikes:
             coarse, params,
             McConfig(n_paths=30_000, seed=43, scheme="cholesky_oracle"),
         )
-        a = vol_swap_strike(conv, 3.0)
-        b = vol_swap_strike(oracle, 3.0)
+        a = swap_leg(conv, params, 3.0)
+        b = swap_leg(oracle, params, 3.0)
         assert abs(a.value - b.value) < 3.0 * combined_se(a, b)
 
     def test_midpoint_scheme_reproduces_reference_row(self):
@@ -481,25 +536,25 @@ class TestSwapStrikes:
                 n_paths=100_000, seed=47, scheme="midpoint_convolution"
             )
             (funcs,) = simulate_functionals(grid, params, config)
-            est = vol_swap_strike(funcs, maturity)
+            est = swap_leg(funcs, params, maturity)
             assert abs(est.value - target) < 0.001, maturity
 
     def test_variance_swap_matches_oracle(self, funcs_h05):
         grid, params, funcs = funcs_h05
-        est = _mean_se(funcs.integrated_variance / grid.maturity)
+        est = plain_mean(funcs.integrated_variance / grid.maturity)
         oracle = variance_swap_oracle(params, grid.maturity)
         assert abs(est.value - oracle) < 3.0 * est.std_error
 
     def test_variance_swap_matches_oracle_rough(self, funcs_h01_t3):
         grid, params, funcs = funcs_h01_t3
-        est = _mean_se(funcs.integrated_variance / grid.maturity)
+        est = plain_mean(funcs.integrated_variance / grid.maturity)
         oracle = variance_swap_oracle(params, grid.maturity)
         assert abs(est.value - oracle) < 3.0 * est.std_error
 
     def test_jensen_gap_every_run(self, funcs_h05, funcs_h01_t3):
         for grid, params, funcs in (funcs_h05, funcs_h01_t3):
-            vs = vol_swap_strike(funcs, grid.maturity)
-            var = _mean_se(funcs.integrated_variance / grid.maturity)
+            vs = plain_mean(np.sqrt(funcs.integrated_variance / grid.maturity))
+            var = plain_mean(funcs.integrated_variance / grid.maturity)
             assert vs.value <= math.sqrt(var.value)
 
 
@@ -705,8 +760,8 @@ class TestDeterminism:
         params = ModelParams(SIGMA0, NU, 0.0, 0.5)
         (small,) = simulate_functionals(grid, params, McConfig(n_paths=10_000, seed=16))
         (large,) = simulate_functionals(grid, params, McConfig(n_paths=40_000, seed=16))
-        se_small = vol_swap_strike(small, 1.0).std_error
-        se_large = vol_swap_strike(large, 1.0).std_error
+        se_small = swap_leg(small, params, 1.0).std_error
+        se_large = swap_leg(large, params, 1.0).std_error
         # Quadrupling the paths should halve the SE, within sampling slack.
         assert se_large == pytest.approx(se_small / 2.0, rel=0.15)
 
@@ -715,11 +770,11 @@ class TestDeterminism:
         params = ModelParams(SIGMA0, NU, 0.0, 0.3)
         config = McConfig(n_paths=20_000, seed=17, scheme="cholesky_oracle")
         (funcs,) = simulate_functionals(grid, params, config)
-        est = vol_swap_strike(funcs, 1.0)
+        est = swap_leg(funcs, params, 1.0)
         (conv,) = simulate_functionals(
             grid, params, McConfig(n_paths=20_000, seed=18)
         )
-        conv_est = vol_swap_strike(conv, 1.0)
+        conv_est = swap_leg(conv, params, 1.0)
         assert abs(est.value - conv_est.value) < 3.0 * combined_se(est, conv_est)
 
 
@@ -767,7 +822,11 @@ class TestStrikePricer:
         for k in (-0.05, 0.0, 0.05):
             ek = math.exp(k)
             payoff = np.maximum(spot - ek, 0.0)
-            assert pricer(k) == _controlled_mean(payoff, -ek * (spot > ek), *bound)
+            (price, slope), cov, _ = _regress([payoff, -ek * (spot > ek)], *bound)
+            est = pricer(k)
+            assert (est.value, est.std_error) == (price.value, price.std_error)
+            assert (est.slope, est.slope_se) == (slope.value, slope.std_error)
+            assert est.cov == cov[0, 1]
 
     def test_mixing_slope_is_the_derivative_of_the_controlled_price(self):
         # The controlled price is w @ v(k) with strike-free weights w, so
