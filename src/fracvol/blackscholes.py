@@ -130,11 +130,15 @@ class ImpliedVol(NamedTuple):
 
 
 def implied_vol(target_price: float, x: float, k: float, tau: float) -> ImpliedVol:
-    """Invert the call price for volatility to IV_TOL by Newton on vega from
-    ``sqrt(2 |x - k| / tau)``, the price's inflection point in vol, from
-    which Newton converges monotonically (Manaster and Koehler, J. Finance
-    37, 1982). Returns the vol with the call prices the search took and
-    whether it bisected.
+    """Invert the call price for volatility to IV_TOL by Newton on the log
+    price, whose slope in vol is vega / C, from the larger of
+    ``sqrt(2 |x - k| / tau)``, the price's inflection point in vol
+    (Manaster and Koehler, J. Finance 37, 1982), and ``C sqrt(2 pi / tau)
+    / e^x``, the at-the-money approximation (Brenner and Subrahmanyam,
+    Financial Analysts J. 44, 1988). A deep-wing price of 1e-90 takes about
+    ten prices; a price that underflows to 0 lies below the target.
+    Returns the vol with the call prices the search took and whether it
+    bisected.
 
     Raises NoSolutionError if ``target_price`` lies outside the arbitrage
     bounds ``((e^x - e^k)+, e^x)`` or no vol in IV_BRACKET matches it,
@@ -152,15 +156,21 @@ def implied_vol(target_price: float, x: float, k: float, tau: float) -> ImpliedV
         )
     lo, hi = IV_BRACKET
     ex, sqrt_tau = np.exp(x), math.sqrt(tau)
+    log_target = math.log(target_price)
 
-    def price_gap(sigma: float) -> tuple[float, float]:
+    def log_price_gap(sigma: float) -> tuple[float, float]:
         srt = sigma * sqrt_tau
-        return float(_call(x, ex, k, srt)[0]) - target_price, _vega(x, k, srt, sqrt_tau)
+        price = float(_call(x, ex, k, srt)[0])
+        if not price > 0.0:
+            return -math.inf, math.nan
+        return math.log(price) - log_target, _vega(x, k, srt, sqrt_tau) / price
 
+    inflection = math.sqrt(2.0 * abs(x - k) / tau)
+    at_the_money = target_price * math.sqrt(2.0 * math.pi / tau) / ex
     # strictly inside: a start on a bracket end closes the bracket unchecked
-    start = min(max(math.sqrt(2.0 * abs(x - k) / tau), 2.0 * lo), 0.5 * hi)
+    start = min(max(inflection, at_the_money, 2.0 * lo), 0.5 * hi)
     no_root = f"no volatility in bracket [{lo}, {hi}] matches price {target_price}"
-    search = _newton(price_gap, lo, hi, start, IV_TOL, "implied vol", no_root)
+    search = _newton(log_price_gap, lo, hi, start, IV_TOL, "implied vol", no_root)
     return ImpliedVol(*search)
 
 

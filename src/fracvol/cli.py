@@ -446,7 +446,7 @@ def run(config: ExperimentConfig, stream=None) -> int:
     if config.mode == "convergence":
         fits = _rate_fits(config, outcomes, stream)
         extra["rate_fits"] = {
-            _rate_label(*pair): study if isinstance(study, str) else {
+            _rate_label(*pair): {
                 series: _fit_record(fit) for series, fit in study.items()
             }
             for pair, study in fits.items()
@@ -478,8 +478,8 @@ RATES_COLUMNS = (
     "inconclusive",
 )
 
-# per (rho, H): both series' fits, or why the pair could not be fitted
-RateFits = dict[tuple[float, float], dict[str, RateFit] | str]
+# per (rho, H): both series' fits
+RateFits = dict[tuple[float, float], dict[str, RateFit]]
 
 
 def _rate_label(rho: float, hurst: float) -> str:
@@ -502,8 +502,6 @@ def _write_rates_csv(path: Path, fits: RateFits) -> None:
         writer = csv.writer(handle)
         writer.writerow(RATES_COLUMNS)
         for (rho, hurst), study in sorted(fits.items()):
-            if isinstance(study, str):
-                continue
             for series, fit in study.items():
                 writer.writerow(
                     [
@@ -522,7 +520,9 @@ def _write_rates_csv(path: Path, fits: RateFits) -> None:
 def _rate_fits(
     config: ExperimentConfig, outcomes: dict[Cell, SwapReport | str], stream
 ) -> RateFits:
-    """Fit gap-decay rates per (rho, H) from the already-priced grid."""
+    """Fit gap-decay rates per (rho, H) from the already-priced grid. A
+    failed cell is left out of its fit, like a gap below the noise floor;
+    the failures already make the exit code 1."""
     fits: RateFits = {}
     for rho in config.rho:
         for hurst in config.hurst:
@@ -530,15 +530,9 @@ def _rate_fits(
             params = ModelParams(
                 sigma0=config.sigma0, nu=config.nu, rho=rho, hurst=hurst
             )
-            try:
-                study = convergence_study(
-                    params, [r for r in series if isinstance(r, SwapReport)]
-                )
-            except ValueError:
-                # failed cells left too few maturities, or too narrow a
-                # span, to fit; the failures already make the exit code 1
-                fits[(rho, hurst)] = "insufficient cells"
-                continue
+            study = convergence_study(
+                params, [r for r in series if isinstance(r, SwapReport)]
+            )
             for name, fit in study.items():
                 verdict = (
                     "inconclusive"

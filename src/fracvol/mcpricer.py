@@ -214,9 +214,7 @@ def simulate_functionals(
         row += tile.n_paths
         for m, unit_params in enumerate(scaled):
             vols = vol_paths(tile, unit_params, unit, out=vol[: tile.n_paths])
-            funcs = path_functionals(vols, tile, unit)
-            y[m, rows] = funcs.integrated_variance
-            ito[m, rows] = funcs.int_sigma_dw
+            y[m, rows], ito[m, rows] = path_functionals(vols, tile, unit)
 
     z = None
     if config.estimator == "direct_euler":
@@ -274,11 +272,6 @@ def _bind_controls(
     small to leave the regression a degree of freedom, where the fit
     would pass through every path, keeps no control.
     """
-    if funcs.integrated_variance_mean is None:
-        raise ValueError(
-            "pricing needs functionals from simulate_functionals, which "
-            "record the exact mean of the integrated variance"
-        )
     mean_zero = {
         "spot_martingale": spot - math.exp(x0),
         "integrated_variance": funcs.integrated_variance

@@ -122,9 +122,9 @@ class SwapReport:
 class RateFit:
     """Least-squares fit of log|gap| against log maturity.
 
-    ``inconclusive`` is set when fewer than three maturities clear the
-    noise floor; the fit fields are NaN in that case rather than an
-    exception, so callers can still report the cell.
+    ``maturities`` are the points fitted. ``inconclusive`` is set when they
+    fail check_fit_maturities; the fit fields are NaN in that case rather
+    than an exception, so callers can still report the cell.
     """
 
     slope: float
@@ -136,8 +136,7 @@ class RateFit:
     def __post_init__(self) -> None:
         if self.inconclusive:
             return
-        if len(self.maturities) < 3:
-            raise ValueError("a conclusive fit needs at least 3 maturities")
+        check_fit_maturities(self.maturities)
         if not (0.0 <= self.r_squared <= 1.0 + 1e-12):
             raise ValueError(f"r_squared out of range: {self.r_squared}")
 
@@ -284,19 +283,18 @@ def analysis_record(reports: Iterable[SwapReport]) -> dict[str, object]:
 def _fit_rate(
     maturities: np.ndarray, gaps: np.ndarray, gap_ses: np.ndarray
 ) -> RateFit:
-    """Fit log|gap| ~ slope * log T + intercept above the noise floor."""
+    """Fit log|gap| ~ slope * log T + intercept above the noise floor,
+    or flag the fit inconclusive if the points above it fail
+    check_fit_maturities."""
     usable = np.abs(gaps) > np.maximum(
         NOISE_FLOOR_MULTIPLE * gap_ses, SOLVER_FLOOR
     )
-    if int(usable.sum()) < 3:
-        return RateFit(
-            slope=math.nan,
-            intercept=math.nan,
-            r_squared=math.nan,
-            maturities=tuple(float(t) for t in maturities[usable]),
-            inconclusive=True,
-        )
-    log_t = np.log(maturities[usable])
+    used = tuple(float(t) for t in maturities[usable])
+    try:
+        check_fit_maturities(used)
+    except ValueError:
+        return RateFit(math.nan, math.nan, math.nan, used, inconclusive=True)
+    log_t = np.log(used)
     log_gap = np.log(np.abs(gaps[usable]))
     slope, intercept = np.polyfit(log_t, log_gap, 1)
     fitted = slope * log_t + intercept
@@ -307,13 +305,15 @@ def _fit_rate(
         slope=float(slope),
         intercept=float(intercept),
         r_squared=float(min(r_squared, 1.0)),
-        maturities=tuple(float(t) for t in maturities[usable]),
+        maturities=used,
     )
 
 
 def check_fit_maturities(maturities: Sequence[float]) -> None:
     """Raise ValueError unless the maturities can carry a rate fit: at
-    least three, positive, distinct, spanning a factor of 2."""
+    least three, positive, distinct, spanning a factor of 2. The one
+    statement of the rule: a conclusive RateFit, the points convergence_study
+    fits and a convergence-mode config are all held to it."""
     if len(maturities) < 3:
         raise ValueError("need at least 3 maturities to fit a rate")
     if min(maturities) <= 0.0 or len(set(maturities)) != len(maturities):
@@ -328,10 +328,11 @@ def convergence_study(
     """Fit the maturity decay rate of both strike-vs-swap gaps.
 
     ``reports`` are already-priced cells of one (hurst, rho) pair, which
-    must match ``params``; their maturities, which must pass
-    check_fit_maturities, are the fit's abscissae.  A maturity enters a
-    fit only if its |gap| clears max(3 SE, solver tolerance); fewer than
-    three surviving points flags the fit inconclusive.
+    must match ``params``, one per maturity; their maturities are the
+    fit's abscissae.  A maturity enters a fit only if its |gap| clears
+    max(3 SE, solver tolerance); a fit whose surviving points fail
+    check_fit_maturities, however many reports there were, is
+    inconclusive.
     """
     for rep in reports:
         if (rep.hurst, rep.rho) != (params.hurst, params.rho):
@@ -341,7 +342,8 @@ def convergence_study(
             )
     reports = sorted(reports, key=lambda r: r.maturity)
     mats = np.asarray([r.maturity for r in reports], dtype=np.float64)
-    check_fit_maturities(mats)
+    if np.any(mats[1:] == mats[:-1]):
+        raise ValueError("reports must be distinct cells: a maturity repeats")
 
     fits: dict[str, RateFit] = {}
     for field in ("err_zero_vanna", "err_atmi"):

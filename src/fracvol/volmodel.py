@@ -53,12 +53,11 @@ class PathFunctionals:
 
     integrated_variance: Y = int_0^T sigma^2 ds (left-point Riemann sum).
     int_sigma_dw: int_0^T sigma dW (left-point Ito sum, adapted).
+    integrated_variance_mean: the exact E[Y] of the scheme that drew the
+    paths (see integrated_variance_mean), which the pricers' Y control needs.
     int_sigma_db: int_0^T sigma dB against the Brownian driver B independent
     of W, only for the direct Euler estimator. Given the vols it is exactly
     Normal(0, Y), so it is drawn as sqrt(Y) times one normal per path.
-    integrated_variance_mean: the exact E[Y] of the scheme that drew the
-    paths (see integrated_variance_mean), which the pricers' Y control needs;
-    None for functionals of a bare batch, whose scheme is unknown.
 
     None of them depends on rho, so one simulation serves every
     correlation; the pricers mix them per rho.
@@ -66,8 +65,8 @@ class PathFunctionals:
 
     integrated_variance: np.ndarray
     int_sigma_dw: np.ndarray
+    integrated_variance_mean: float
     int_sigma_db: Optional[np.ndarray] = None
-    integrated_variance_mean: Optional[float] = None
 
     def __post_init__(self):
         if self.integrated_variance.shape != self.int_sigma_dw.shape:
@@ -138,9 +137,9 @@ def integrated_variance_mean(
 
 def path_functionals(
     vols: np.ndarray, batch: GaussianPathBatch, grid: TimeGrid
-) -> PathFunctionals:
-    """Integrate each path: Y by left-point Riemann, int sigma dW by the
-    adapted left-point Ito sum (vol at t_j times the increment over
+) -> tuple[np.ndarray, np.ndarray]:
+    """(Y, int sigma dW) per path: Y by left-point Riemann, int sigma dW by
+    the adapted left-point Ito sum (vol at t_j times the increment over
     [t_j, t_{j+1}]). Both are row-wise dot products, with no temporary.
     """
     if vols.shape != batch.dw.shape:
@@ -148,8 +147,7 @@ def path_functionals(
     if vols.shape[1] != grid.n_steps:
         raise ValueError("vols and grid disagree on the number of steps")
     y = np.einsum("ij,ij->i", vols, vols) * grid.dt
-    ito = np.einsum("ij,ij->i", vols, batch.dw)
-    return PathFunctionals(integrated_variance=y, int_sigma_dw=ito)
+    return y, np.einsum("ij,ij->i", vols, batch.dw)
 
 
 def variance_swap_oracle(params: ModelParams, maturity: float) -> float:

@@ -185,8 +185,8 @@ class TestImpliedVol:
         assert len(calls) <= 16
 
     def test_near_atm_inversion_prices_each_vol_once(self, monkeypatch):
-        # Newton from the inflection vol converges monotonically, so it
-        # prices no vol twice and never needs a bracket end
+        # near the money Newton on the log price from its start stays in
+        # the bracket, so it prices no vol twice and never needs an end
         calls = []
         real = blackscholes._call
         price = bs_price(0.01, -0.03, 0.27, 1.3)
@@ -202,7 +202,7 @@ class TestImpliedVol:
 
     @pytest.mark.parametrize(
         "x, k, sigma, tau, bisected",
-        [(0.01, -0.03, 0.27, 1.3, False), (0.0, -0.3, 0.05, 2.8, True)],
+        [(0.01, -0.03, 0.27, 1.3, False), (0.0, 5.0, 0.5, 1.0, True)],
         ids=["newton", "bisected"],
     )
     def test_reports_prices_and_bisection(
@@ -223,6 +223,17 @@ class TestImpliedVol:
         assert result.vol == pytest.approx(sigma, abs=1e-10)
         assert result.evals == len(calls)
         assert result.bisected is bisected
+
+    @pytest.mark.parametrize(
+        "x, k, sigma, tau",
+        [(0.0, 5.0, 0.5, 1.0), (0.0, 3.0, 0.3, 0.5), (0.0, 2.0, 0.1, 1.0)],
+    )
+    def test_inverts_deep_wing_prices(self, x, k, sigma, tau):
+        # prices of 4e-24, 7e-47 and 4e-91, far below their vega scale,
+        # where Newton on the price itself crawls
+        result = implied_vol(bs_price(x, k, sigma, tau), x, k, tau)
+        assert result.vol == pytest.approx(sigma, abs=1e-12)
+        assert result.evals <= 15
 
     @pytest.mark.parametrize("tau", [0.0, -1.0])
     def test_rejects_nonpositive_tau_before_pricing(self, monkeypatch, tau):

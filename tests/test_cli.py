@@ -1,6 +1,7 @@
 """Tests for config parsing and the experiment runner CLI."""
 
 import csv
+import dataclasses
 import importlib.util
 import io
 import itertools
@@ -601,34 +602,55 @@ class TestRun:
 
     def test_rate_fit_on_too_narrow_surviving_span(self, tmp_path, monkeypatch):
         # Failing T = 1 leaves three maturities spanning less than a factor
-        # of 2: the (rho, H) is recorded, not fitted, and every output is
-        # still written.
+        # of 2: both series are fitted inconclusive, exactly as when T = 1
+        # is priced but its gaps sit below the noise floor, and every
+        # output is still written.
         import fracvol.cli as cli_module
 
         real = cli_module.zero_vanna_report
 
-        def flaky(pricer, funcs, params, x0, maturity, config):
+        def failed(pricer, funcs, params, x0, maturity, config):
             if maturity == 1.0:
                 raise ConvergenceError("boom", best=0.0, residual=1.0)
             return real(pricer, funcs, params, x0, maturity, config)
 
-        monkeypatch.setattr(cli_module, "zero_vanna_report", flaky)
-        out = tmp_path / "narrow.csv"
-        config = ExperimentConfig(
-            out=str(out),
-            mode="convergence",
-            n_paths=1_000,
-            n_steps=8,
-            seed=5,
-            hurst=(0.5,),
-            maturities=(0.5, 0.6, 0.7, 1.0),
-            rho=(0.0,),
-        )
-        assert run(config, stream=open("/dev/null", "w")) == 1
-        manifest = json.loads(out.with_suffix(".manifest.json").read_text())
-        assert manifest["rate_fits"] == {"rho=0,H=0.5": "insufficient cells"}
-        assert list(manifest["failed_cells"]) == ["rho=0,H=0.5,T=1"]
-        assert read_csv(out.with_suffix(".rates.csv")) == [list(RATES_COLUMNS)]
+        def unresolved(pricer, funcs, params, x0, maturity, config):
+            report = real(pricer, funcs, params, x0, maturity, config)
+            if maturity == 1.0:
+                return dataclasses.replace(report, err_zero_vanna=0.0, err_atmi=0.0)
+            return report
+
+        outputs = []
+        for name, report in (("failed", failed), ("unresolved", unresolved)):
+            monkeypatch.setattr(cli_module, "zero_vanna_report", report)
+            out = tmp_path / f"{name}.csv"
+            config = ExperimentConfig(
+                out=str(out),
+                mode="convergence",
+                n_paths=1_000,
+                n_steps=8,
+                seed=5,
+                hurst=(0.5,),
+                maturities=(0.5, 0.6, 0.7, 1.0),
+                rho=(0.0,),
+            )
+            code = run(config, stream=open("/dev/null", "w"))
+            assert code == (1 if name == "failed" else 0)
+            manifest = read_strict_json(out.with_suffix(".manifest.json"))
+            assert list(manifest.get("failed_cells", [])) == (
+                ["rho=0,H=0.5,T=1"] if name == "failed" else []
+            )
+            outputs.append(
+                (manifest["rate_fits"], read_csv(out.with_suffix(".rates.csv")))
+            )
+        assert outputs[0] == outputs[1]
+        fits, rates = outputs[0]
+        assert list(fits) == ["rho=0,H=0.5"]
+        for series in ("err_zero_vanna", "err_atmi"):
+            assert fits["rho=0,H=0.5"][series]["inconclusive"] is True
+        assert rates[0] == list(RATES_COLUMNS)
+        assert [row[2] for row in rates[1:]] == ["err_zero_vanna", "err_atmi"]
+        assert all(row[-1] == "True" for row in rates[1:])
 
     def test_rates_csv_in_numeric_rho_order(self, tmp_path):
         out = tmp_path / "order.csv"

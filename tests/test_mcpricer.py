@@ -237,16 +237,12 @@ class TestDirectEstimator:
         w = kernel_weights(grid, 0.3)
         batch = sample_paths(grid, w, 3000, seed=7, block_size=1000)
         vols = vol_paths(batch, params, grid)
-        whole = path_functionals(vols, batch, grid)
+        y, ito = path_functionals(vols, batch, grid)
         z = block_rng(7, B_STREAM, 0).standard_normal(3000)
-        ito_b = np.sqrt(whole.integrated_variance) * z
+        ito_b = np.sqrt(y) * z
         assert np.array_equal(funcs.int_sigma_db, ito_b)
         orth = math.sqrt(1.0 - params.rho**2)
-        expected = (
-            -0.5 * whole.integrated_variance
-            + params.rho * whole.int_sigma_dw
-            + orth * ito_b
-        )
+        expected = -0.5 * y + params.rho * ito + orth * ito_b
         assert np.array_equal(euler_log_return(funcs, params.rho), expected)
 
     def test_one_normal_leg_has_the_law_of_the_increment_sum(self):
@@ -261,11 +257,11 @@ class TestDirectEstimator:
         w = kernel_weights(grid, base.hurst)
         batch = sample_paths(grid, w, n_paths, seed=41)
         vols = vol_paths(batch, base, grid)
-        whole = path_functionals(vols, batch, grid)
+        y, ito = path_functionals(vols, batch, grid)
         db = np.random.default_rng(42).standard_normal(vols.shape)
         euler = PathFunctionals(
-            integrated_variance=whole.integrated_variance,
-            int_sigma_dw=whole.int_sigma_dw,
+            integrated_variance=y,
+            int_sigma_dw=ito,
             int_sigma_db=np.einsum("ij,ij->i", vols, db) * math.sqrt(grid.dt),
             integrated_variance_mean=integrated_variance_mean(
                 base, grid, level_variance(grid, w)
@@ -438,12 +434,14 @@ class TestControlVariates:
             strike_pricer(funcs, params, 0.0, 1.0)
 
     def test_functionals_without_the_mean_of_y_are_rejected(self):
+        # the Y control needs the exact E[Y], so functionals cannot be
+        # built without it: a tile's bare arrays are no PathFunctionals
         grid = TimeGrid(1.0, 8)
         params = ModelParams(SIGMA0, NU, -0.5, 0.3)
         batch = sample_paths(grid, kernel_weights(grid, 0.3), 64, seed=1)
-        funcs = path_functionals(vol_paths(batch, params, grid), batch, grid)
-        with pytest.raises(ValueError, match="mean of the integrated variance"):
-            strike_pricer(funcs, params, 0.0, 1.0)
+        y, ito = path_functionals(vol_paths(batch, params, grid), batch, grid)
+        with pytest.raises(TypeError, match="integrated_variance_mean"):
+            PathFunctionals(integrated_variance=y, int_sigma_dw=ito)
 
 
 class TestSwapStrikes:
@@ -598,14 +596,14 @@ class TestBlockBuffers:
             )
         batch = sample_paths(grid, law, n_paths, seed=19, block_size=self.BLOCK)
         vols = vol_paths(batch, params, grid)
-        whole = path_functionals(vols, batch, grid)
-        assert np.array_equal(funcs.integrated_variance, whole.integrated_variance)
-        assert np.array_equal(funcs.int_sigma_dw, whole.int_sigma_dw)
+        y, ito = path_functionals(vols, batch, grid)
+        assert np.array_equal(funcs.integrated_variance, y)
+        assert np.array_equal(funcs.int_sigma_dw, ito)
         if estimator == "conditional_mixing":
             assert funcs.int_sigma_db is None
             return
         z = block_rng(19, B_STREAM, 0).standard_normal(n_paths)
-        ito_b = np.sqrt(whole.integrated_variance) * z
+        ito_b = np.sqrt(y) * z
         assert np.array_equal(funcs.int_sigma_db, ito_b)
 
     @pytest.mark.parametrize(
@@ -666,11 +664,11 @@ class TestMaturityRescaling:
             variance = level_variance(grid, law)
         batch = sample_paths(grid, law, self.N_PATHS, seed=31, block_size=self.BLOCK)
         vols = vol_paths(batch, params, grid)
-        funcs = path_functionals(vols, batch, grid)
-        arrays = {"y": funcs.integrated_variance, "ito": funcs.int_sigma_dw}
+        y, ito = path_functionals(vols, batch, grid)
+        arrays = {"y": y, "ito": ito}
         if estimator == "direct_euler":
             z = block_rng(31, B_STREAM, 0).standard_normal(self.N_PATHS)
-            arrays["ito_b"] = np.sqrt(funcs.integrated_variance) * z
+            arrays["ito_b"] = np.sqrt(y) * z
         return arrays, integrated_variance_mean(params, grid, variance)
 
     def simulate(self, params, scheme, estimator):

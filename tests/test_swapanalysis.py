@@ -8,6 +8,7 @@ Reference values marked with their origin:
 
 import dataclasses
 import gc
+import itertools
 import math
 import weakref
 
@@ -44,6 +45,7 @@ from fracvol.swapanalysis import (
     SwapReport,
     analysis_record,
     atm_skew,
+    check_fit_maturities,
     convergence_study,
     implied_smile,
     zero_vanna_report,
@@ -535,6 +537,10 @@ class TestRateFit:
     def test_validation(self):
         with pytest.raises(ValueError, match="maturities"):
             RateFit(slope=1.0, intercept=0.0, r_squared=0.9, maturities=(1.0, 2.0))
+        with pytest.raises(ValueError, match="factor of 2"):
+            RateFit(
+                slope=1.0, intercept=0.0, r_squared=0.9, maturities=(1.0, 1.2, 1.5)
+            )
         with pytest.raises(ValueError, match="r_squared"):
             RateFit(
                 slope=1.0, intercept=0.0, r_squared=1.5, maturities=(1.0, 2.0, 3.0)
@@ -616,17 +622,48 @@ class TestRateFit:
         assert fit.r_squared > 0.9
 
     def test_validation_errors(self):
+        # too few or too narrow maturities make inconclusive fits; reports
+        # that are not one series of cells raise
         params = ModelParams(sigma0=SIGMA0, nu=NU, rho=-0.8, hurst=0.3)
 
         def reports(*maturities):
             return [synthetic_report(t, 0.01, 0.0) for t in maturities]
 
-        with pytest.raises(ValueError, match="at least 3"):
-            convergence_study(params, reports(1.0, 2.0))
+        for few_or_narrow in ((1.0, 2.0), (1.0, 1.2, 1.5)):
+            fits = convergence_study(params, reports(*few_or_narrow))
+            for fit in fits.values():
+                assert fit.inconclusive and math.isnan(fit.slope)
+                assert fit.maturities == few_or_narrow
         with pytest.raises(ValueError, match="distinct"):
             convergence_study(params, reports(1.0, 1.0, 2.0))
-        with pytest.raises(ValueError, match="factor of 2"):
-            convergence_study(params, reports(1.0, 1.2, 1.5))
         other = ModelParams(sigma0=SIGMA0, nu=NU, rho=0.0, hurst=0.5)
         with pytest.raises(ValueError, match="does not match"):
             convergence_study(other, reports(1.0, 2.0, 4.0))
+
+    def test_failed_and_unresolved_maturities_fit_alike(self):
+        # A maturity is left out of the fit whether its cell failed or its
+        # gap sits below the noise floor: either way the points fitted are
+        # 0.5-0.7, too narrow a span, and both series come out inconclusive
+        params = ModelParams(sigma0=SIGMA0, nu=NU, rho=-0.8, hurst=0.3)
+        resolved = [synthetic_report(t, 0.01 * t**0.6, 1e-6) for t in (0.5, 0.6, 0.7)]
+        failed = convergence_study(params, resolved)
+        unresolved = convergence_study(
+            params, resolved + [synthetic_report(1.0, 1e-5, 1e-4)]
+        )
+        assert repr(failed) == repr(unresolved)
+        for fit in failed.values():
+            assert fit.inconclusive
+            assert fit.maturities == (0.5, 0.6, 0.7)
+
+    @pytest.mark.parametrize(
+        "maturities",
+        [(0.25, 0.5, 1.0), (0.5, 1.0, 2.0, 3.0)],
+        ids=["euler_pool", "criterion_4"],
+    )
+    def test_every_usable_subset_passes_the_rule(self, maturities):
+        # the benchmark's euler_pool grid and acceptance criterion 4's fit
+        # maturities: any three or more that clear the noise floor span a
+        # factor of 2, so the span rule never turns their fits inconclusive
+        for size in range(3, len(maturities) + 1):
+            for subset in itertools.combinations(maturities, size):
+                check_fit_maturities(subset)
