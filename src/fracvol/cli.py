@@ -329,6 +329,8 @@ def _cell_rows(
     outcomes: list[tuple[Cell, SwapReport | str]] = []
     for maturity, funcs in zip(config.maturities, per_maturity):
         for params in cell_params:
+            # the last pricer's path arrays go before the next one binds
+            pricer = None
             try:
                 pricer = strike_pricer(funcs, params, X0, maturity)
                 outcome = zero_vanna_report(pricer, funcs, params, X0, maturity, mc)

@@ -8,14 +8,32 @@ each path contributes a Black-Scholes value. Direct Euler draws that
 factor's leg, sqrt(Y) times one standard normal per path
 (INDEPENDENT_LEG), and averages the payoff on the Euler terminal spot.
 
-Each (simulation, rho) has one regression on two control variates,
-CONTROLS, whose means are exact in the discrete scheme: the spot
-martingale less e^{x0} (mean zero because sigma is adapted and the Ito
-sum is left-point) and the integrated variance Y less its exact discrete
-mean, which simulate_functionals records. Its responses are the
-volatility-swap leg sqrt(Y/T), fitted once when the pricer binds, and
-each strike's price with its pathwise log-strike slope dC/dk (Broadie &
-Glasserman, Management Science 1996), betas from the same paths. So every
+Each (simulation, rho) has one regression on three control variates,
+CONTROLS, whose means are exact in the discrete scheme:
+
+- the spot martingale less e^{x0};
+- the integrated variance Y less its exact discrete mean, which
+  simulate_functionals records;
+- the exponential martingale exp(lambda int sigma dW - lambda^2 Y / 2) - 1
+  with lambda = -2 |rho|, strike-free, which removes most of the mixing
+  estimator's own noise that the spot control leaves.
+
+The two martingales have mean exactly zero under every scheme and both
+estimators: sigma_j is adapted and each increment dW_j is exactly
+Normal(0, dt) given the past, so each left-point factor
+exp(lambda sigma_j dW_j - lambda^2 sigma_j^2 dt / 2) has conditional mean
+1. The sign of lambda matters. The control stands for the measure tilted
+by it, under which W drifts by lambda sigma and the vol moves with the
+sign of lambda; with lambda = +2 rho at rho > 0 that tilt pushes the vol
+up into its lognormal tail, and the control's rare huge values make the
+regression's SE understate the spread across seeds (about 2x for the
+zero-vanna gap at H = 0.1, T = 1, rho = 0.8). At rho = 0 it is constant
+and dropped.
+
+The regression's responses are the volatility-swap leg sqrt(Y/T),
+fitted once when the pricer binds, and each strike's price with its
+pathwise log-strike slope dC/dk (Broadie & Glasserman, Management
+Science 1996), betas from the same paths. So every
 estimate carries the means, SEs and covariances of its price, slope and
 swap leg, and the gap between an implied vol and the swap leg has a
 paired SE.
@@ -73,7 +91,7 @@ __all__ = [
 VALID_SCHEMES = ("convolution", "midpoint_convolution", "cholesky_oracle")
 VALID_ESTIMATORS = ("conditional_mixing", "direct_euler")
 # the control variates the calls and the swap leg are regressed on, in order
-CONTROLS = ("spot_martingale", "integrated_variance")
+CONTROLS = ("spot_martingale", "integrated_variance", "exponential_martingale")
 # how every maturity of one simulation is read off its single draw
 MATURITY_LAYOUT = (
     "one unit-maturity draw per simulation; maturity T reads it with nu * T^H, "
@@ -260,33 +278,56 @@ def simulation_record(config: McConfig, hurst: Sequence[float]) -> dict[str, obj
 
 
 def _bind_controls(
-    spot: np.ndarray, x0: float, funcs: PathFunctionals
+    spot: np.ndarray, x0: float, rho: float, funcs: PathFunctionals
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The live CONTROLS on these paths, their sample means and the
     pseudo-inverse of their centred Gram matrix, for _regress.
 
-    spot is each path's terminal spot, or its conditional mean. Both
-    controls have mean exactly zero. A constant control (the spot control
-    at rho = 0 under mixing, Y at nu = 0) has zero sample variance and is
-    dropped; pinv tolerates what is left being collinear. A batch too
-    small to leave the regression a degree of freedom, where the fit
-    would pass through every path, keeps no control.
+    spot is each path's terminal spot, or its conditional mean. Every
+    control has mean exactly zero; the exponential martingale's slope is
+    _martingale_slope(rho). A constant control (the spot control at
+    rho = 0 under mixing, Y at nu = 0, the exponential martingale at
+    rho = 0) has zero sample variance and is dropped; pinv tolerates what
+    is left being collinear. A batch too small to leave the regression a
+    degree of freedom, where the fit would pass through every path, keeps
+    no control. The controls are filled into one buffer, a dropped one
+    overwritten by the next, so the live ones are its leading rows.
     """
-    mean_zero = {
-        "spot_martingale": spot - math.exp(x0),
-        "integrated_variance": funcs.integrated_variance
-        - funcs.integrated_variance_mean,
-    }
-    candidates = [mean_zero[name] for name in CONTROLS]
-    if not all(np.isfinite(c).all() for c in candidates):
-        raise ValueError("control variates must be finite on every path")
-    live = [c for c in candidates if c.min() < c.max()]
-    if spot.shape[0] <= 1 + len(live):
-        live = []
-    controls = np.stack(live) if live else np.empty((0, spot.shape[0]))
+    lam = _martingale_slope(rho)
+    buffer = np.empty((len(CONTROLS), spot.shape[0]))
+    live = 0
+    for name in CONTROLS:
+        row = buffer[live]
+        if name == "spot_martingale":
+            np.subtract(spot, math.exp(x0), out=row)
+        elif name == "integrated_variance":
+            y_mean = funcs.integrated_variance_mean
+            np.subtract(funcs.integrated_variance, y_mean, out=row)
+        else:
+            # lambda (int sigma dW - lambda Y / 2), with no temporary
+            np.multiply(funcs.integrated_variance, -0.5 * lam, out=row)
+            row += funcs.int_sigma_dw
+            row *= lam
+            np.exp(row, out=row)
+            row -= 1.0
+        # a NaN or an infinity shows in the extremes
+        low, high = row.min(), row.max()
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise ValueError("control variates must be finite on every path")
+        live += bool(low < high)
+    if spot.shape[0] <= 1 + live:
+        live = 0
+    controls = buffer[:live]
     means = controls.mean(axis=1)
     centred = controls - means[:, None]
     return controls, means, np.linalg.pinv(centred @ centred.T)
+
+
+def _martingale_slope(rho: float) -> float:
+    """lambda of the exponential-martingale control exp(lambda int sigma dW
+    - lambda^2 Y / 2) - 1: -2 |rho|, so the tilt it stands for pushes the
+    vol down at either sign of rho and the control keeps a light tail."""
+    return -2.0 * abs(rho)
 
 
 def _regress(
@@ -384,7 +425,7 @@ def strike_pricer(
         log_spot = x0 + rho * ito - 0.5 * rho * rho * y
         total_vol = np.sqrt((1.0 - rho * rho) * y) if abs(rho) < 1.0 else None
     spot = np.exp(log_spot)
-    controls, control_means, _ = bound = _bind_controls(spot, x0, funcs)
+    controls, control_means, _ = bound = _bind_controls(spot, x0, rho, funcs)
     swap = np.sqrt(y / maturity)
     (swap_leg,), _, (beta,) = _regress([swap], *bound)
     # centred in place; less its fit, the swap leg's residual

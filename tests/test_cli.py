@@ -375,7 +375,9 @@ class TestRun:
             "maturity_layout": MATURITY_LAYOUT,
             "independent_leg": None,
             "seeds": {"H=0.5": 99 * 100},
-            "controls": ["spot_martingale", "integrated_variance"],
+            "controls": [
+                "spot_martingale", "integrated_variance", "exponential_martingale"
+            ],
             "kernel_evaluation": "variance_exact",
             "convolution": {"H=0.5": "cumsum"},
         }

@@ -20,6 +20,7 @@ from fracvol.fbm import (
     sample_paths,
 )
 from fracvol.mcpricer import (
+    CONTROLS,
     McConfig,
     PriceEstimate,
     _bind_controls,
@@ -81,33 +82,47 @@ def mixing_values(funcs, rho: float, x0: float, k: float, maturity: float):
     return bs_price(x_hat, k, cond_vol, maturity), x_hat
 
 
-def regression_residuals(values, spot, x0: float, funcs) -> tuple[np.ndarray, int]:
-    """values less the least-squares fit on the centred spot and Y
-    controls, each taken against its exact mean, and the residuals'
-    degrees of freedom: n less the mean and each live control's beta."""
-    controls = np.column_stack(
-        [spot - math.exp(x0), funcs.integrated_variance - funcs.integrated_variance_mean]
+def oracle_controls(spot, x0: float, funcs, rho: float) -> np.ndarray:
+    """The CONTROLS per path, one column each, against their exact means:
+    the spot less e^{x0}, Y less E[Y], and the exponential martingale
+    exp(lam int sigma dW - lam^2 Y / 2) - 1 with lam = -2 |rho|."""
+    lam = -2.0 * abs(rho)
+    y, ito = funcs.integrated_variance, funcs.int_sigma_dw
+    return np.column_stack(
+        [
+            spot - math.exp(x0),
+            y - funcs.integrated_variance_mean,
+            np.exp(lam * ito - 0.5 * lam * lam * y) - 1.0,
+        ]
     )
+
+
+def regression_residuals(
+    values, spot, x0: float, funcs, rho: float
+) -> tuple[np.ndarray, int]:
+    """values less the least-squares fit on the centred controls, each
+    taken against its exact mean, and the residuals' degrees of freedom:
+    n less the mean and each live control's beta."""
+    controls = oracle_controls(spot, x0, funcs, rho)
     centred = controls - controls.mean(axis=0)
     beta, _, rank, _ = np.linalg.lstsq(centred, values - values.mean(), rcond=None)
     return values - controls @ beta, values.shape[0] - 1 - rank
 
 
-def regression_estimate(values, spot, x0: float, funcs) -> PriceEstimate:
+def regression_estimate(values, spot, x0: float, funcs, rho: float) -> PriceEstimate:
     """The mean of regression_residuals with its SE."""
-    residuals, dof = regression_residuals(values, spot, x0, funcs)
+    residuals, dof = regression_residuals(values, spot, x0, funcs, rho)
     n = residuals.shape[0]
     se = float(residuals.std(ddof=n - dof) / math.sqrt(n))
     return PriceEstimate(value=float(residuals.mean()), std_error=se, n_paths=n)
 
 
-def control_weights(spot, x0: float, funcs) -> np.ndarray:
+def control_weights(spot, x0: float, funcs, rho: float) -> np.ndarray:
     """Per-path weights w with regression_estimate(v).value == w @ v for
     every v: v-bar less beta times the controls' mean, with beta linear
-    in v. They do not depend on the strike."""
-    controls = np.column_stack(
-        [spot - math.exp(x0), funcs.integrated_variance - funcs.integrated_variance_mean]
-    )
+    in v. They do not depend on the strike. rho != 0, so that every
+    control is live."""
+    controls = oracle_controls(spot, x0, funcs, rho)
     centred = controls - controls.mean(axis=0)
     beta_of_v = np.linalg.solve(centred.T @ centred, centred.T)
     return 1.0 / spot.shape[0] - controls.mean(axis=0) @ beta_of_v
@@ -348,6 +363,32 @@ class TestControlVariates:
         oracle = variance_swap_oracle(params, 1.0)
         assert funcs.integrated_variance_mean == pytest.approx(oracle, rel=1e-3)
 
+    @pytest.mark.parametrize(
+        "scheme, estimator",
+        [
+            ("convolution", "conditional_mixing"),
+            ("midpoint_convolution", "conditional_mixing"),
+            ("cholesky_oracle", "conditional_mixing"),
+            ("convolution", "direct_euler"),
+        ],
+    )
+    def test_exponential_martingale_has_mean_zero(self, scheme, estimator):
+        # sigma_j is adapted and dW_j exactly Normal(0, dt) given the past
+        # under every scheme, so each left-point factor of the control has
+        # conditional mean 1; on 10 steps, at two maturities read off one
+        # draw, and at both signs of rho
+        grid = TimeGrid(1.0, 10)
+        params = ModelParams(SIGMA0, NU, 0.0, 0.1)
+        config = McConfig(n_paths=100_000, seed=17, scheme=scheme, estimator=estimator)
+        row = CONTROLS.index("exponential_martingale")
+        for funcs in simulate_functionals(grid, params, config, (0.5, 2.0)):
+            for rho in (-0.8, 0.6):
+                spot = np.exp(mixing_values(funcs, rho, 0.0, 0.0, 1.0)[1])
+                controls, means, _ = _bind_controls(spot, 0.0, rho, funcs)
+                assert controls.shape[0] == len(CONTROLS)
+                se = controls[row].std(ddof=1) / math.sqrt(config.n_paths)
+                assert abs(means[row]) < 3.0 * se
+
     @pytest.mark.parametrize("rho", [-0.8, 0.0])
     @pytest.mark.parametrize("estimator", ["conditional_mixing", "direct_euler"])
     def test_controls_cut_the_se_and_keep_the_mean(self, rho, estimator):
@@ -372,11 +413,11 @@ class TestControlVariates:
         pricer = strike_pricer(funcs, params, 0.0, 1.0)
         for k in (-0.05, 0.0, 0.05):
             intrinsic = np.maximum(np.exp(x_hat) - math.exp(k), 0.0)
-            expected = regression_estimate(intrinsic, np.exp(x_hat), 0.0, funcs)
+            expected = regression_estimate(intrinsic, np.exp(x_hat), 0.0, funcs, rho)
             assert pricer(k).value == pytest.approx(expected.value, rel=1e-12)
             # a point mass: the slope is -e^k on the paths in the money
             in_money = -math.exp(k) * (np.exp(x_hat) > math.exp(k))
-            slope = regression_estimate(in_money, np.exp(x_hat), 0.0, funcs)
+            slope = regression_estimate(in_money, np.exp(x_hat), 0.0, funcs, rho)
             assert pricer(k).slope == pytest.approx(slope.value, rel=1e-12)
             assert pricer(k).slope_se == pytest.approx(slope.std_error, rel=1e-9)
 
@@ -401,7 +442,7 @@ class TestControlVariates:
     @pytest.mark.parametrize("n_paths", [1, 2])
     @pytest.mark.parametrize("estimator", ["conditional_mixing", "direct_euler"])
     def test_tiny_batches_price(self, n_paths, estimator):
-        # two paths leave the two controls' Gram matrix singular and the
+        # two paths leave the controls' Gram matrix singular and the
         # regression no degree of freedom: the fit would pass through both
         # paths and report an SE of rounding, so the plain estimate stands
         grid = TimeGrid(1.0, 16)
@@ -468,15 +509,15 @@ class TestSwapStrikes:
         pricer = strike_pricer(funcs, params, 0.0, grid.maturity)
         spot = np.exp(mixing_values(funcs, rho, 0.0, 0.0, grid.maturity)[1])
         swap = np.sqrt(funcs.integrated_variance / grid.maturity)
-        expected = regression_estimate(swap, spot, 0.0, funcs)
-        swap_residuals, dof = regression_residuals(swap, spot, 0.0, funcs)
+        expected = regression_estimate(swap, spot, 0.0, funcs, rho)
+        swap_residuals, dof = regression_residuals(swap, spot, 0.0, funcs, rho)
         n = swap.shape[0]
         for k in (-0.05, 0.0, 0.05):
             est = pricer(k)
             assert est.swap.value == pytest.approx(expected.value, rel=1e-12, abs=0.0)
             assert est.swap.std_error == pytest.approx(expected.std_error, rel=1e-9)
             values = mixing_values(funcs, rho, 0.0, k, grid.maturity)[0]
-            residuals = regression_residuals(values, spot, 0.0, funcs)[0]
+            residuals = regression_residuals(values, spot, 0.0, funcs, rho)[0]
             centred = residuals - residuals.mean()
             cov = centred @ (swap_residuals - swap_residuals.mean()) / dof / n
             assert est.swap_cov == pytest.approx(cov, rel=1e-9)
@@ -778,7 +819,7 @@ class TestDeterminism:
 
 class TestStrikePricer:
     def test_conditional_closure_matches_direct_call(self, funcs_h05):
-        # The mixing formula and the two-control regression written out:
+        # The mixing formula and the regression on CONTROLS written out:
         # shifted spot, reduced vol, at a correlation the rho-free
         # functionals were not simulated with.
         grid, _, funcs = funcs_h05
@@ -786,7 +827,8 @@ class TestStrikePricer:
         pricer = strike_pricer(funcs, params, 0.0, grid.maturity)
         for k in (-0.05, 0.0, 0.05):
             values, x_hat = mixing_values(funcs, params.rho, 0.0, k, grid.maturity)
-            expected = regression_estimate(values, np.exp(x_hat), 0.0, funcs)
+            spot = np.exp(x_hat)
+            expected = regression_estimate(values, spot, 0.0, funcs, params.rho)
             est = pricer(k)
             assert est.value == pytest.approx(expected.value, rel=1e-12, abs=0.0)
             assert est.std_error == pytest.approx(expected.std_error, rel=1e-9)
@@ -801,7 +843,7 @@ class TestStrikePricer:
         spot = np.exp(euler_log_return(funcs, params.rho))
         for k in (-0.05, 0.0, 0.05):
             payoff = np.maximum(spot - math.exp(k), 0.0)
-            expected = regression_estimate(payoff, spot, 0.0, funcs)
+            expected = regression_estimate(payoff, spot, 0.0, funcs, params.rho)
             est = pricer(k)
             assert est.value == pytest.approx(expected.value, rel=1e-12, abs=0.0)
             assert est.std_error == pytest.approx(expected.std_error, rel=1e-9)
@@ -816,7 +858,7 @@ class TestStrikePricer:
         (funcs,) = simulate_functionals(grid, params, config)
         pricer = strike_pricer(funcs, params, 0.0, 1.0)
         spot = np.exp(0.0 + euler_log_return(funcs, params.rho))
-        bound = _bind_controls(spot, 0.0, funcs)
+        bound = _bind_controls(spot, 0.0, params.rho, funcs)
         for k in (-0.05, 0.0, 0.05):
             ek = math.exp(k)
             payoff = np.maximum(spot - ek, 0.0)
@@ -838,7 +880,7 @@ class TestStrikePricer:
         (funcs,) = simulate_functionals(grid, params, McConfig(n_paths=20_000, seed=38))
         pricer = strike_pricer(funcs, params, 0.0, 1.0)
         x_hat = mixing_values(funcs, params.rho, 0.0, 0.0, 1.0)[1]
-        weights = np.abs(control_weights(np.exp(x_hat), 0.0, funcs)).sum()
+        weights = np.abs(control_weights(np.exp(x_hat), 0.0, funcs, params.rho)).sum()
         s_min = math.sqrt((1.0 - params.rho**2) * funcs.integrated_variance.min())
         h = 1e-4
         for k in (-0.05, 0.0, 0.05):
@@ -861,7 +903,7 @@ class TestStrikePricer:
         (funcs,) = simulate_functionals(grid, params, config)
         pricer = strike_pricer(funcs, params, 0.0, 1.0)
         log_spot = euler_log_return(funcs, params.rho)
-        weights = np.abs(control_weights(np.exp(log_spot), 0.0, funcs))
+        weights = np.abs(control_weights(np.exp(log_spot), 0.0, funcs, params.rho))
         h = 1e-7
         for k in (-0.05, 0.0, 0.05):
             kinks = weights[np.abs(log_spot - k) <= h].sum()
@@ -883,7 +925,7 @@ class TestStrikePricer:
         for k in (-0.05, 0.0, 0.05):
             d_2 = (x_hat - k) / cond_vol - 0.5 * cond_vol
             slope = -math.exp(k) * ndtr(d_2)
-            expected = regression_estimate(slope, np.exp(x_hat), 0.0, funcs)
+            expected = regression_estimate(slope, np.exp(x_hat), 0.0, funcs, params.rho)
             est = pricer(k)
             assert est.slope == pytest.approx(expected.value, rel=1e-12, abs=0.0)
             assert est.slope_se == pytest.approx(expected.std_error, rel=1e-9)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from scipy.special import ndtr
 
-from fracvol import swapanalysis
+from fracvol import mcpricer, swapanalysis
 from fracvol.blackscholes import (
     IV_TOL,
     ZERO_VANNA_XTOL,
@@ -521,6 +521,42 @@ class TestPairedGaps:
             gap, se = np.asarray(pairs).T
             ratio = gap.std(ddof=1) / math.sqrt(np.mean(se**2))
             assert 0.61 <= ratio <= 1.43, f"{key}: SD / SE = {ratio:.3f}"
+
+    def test_martingale_control_keeps_the_se_honest_at_either_sign(
+        self, monkeypatch
+    ):
+        # H = 0.1, 64 seeds, 8,192 paths, 50 steps: the zero-vanna gap's
+        # SD / SE stays in the band above at rho = +-0.8 (0.87-1.15 over
+        # four seed bases). The exponential-martingale control with
+        # lambda = +2 rho tilts the vol up into its lognormal tail at
+        # rho > 0, and there the same check reads 1.9-2.25: the control's
+        # rare huge values hide from the regression's SE. At rho < 0 the
+        # two slopes coincide.
+        grid = TimeGrid(1.0, 50)
+        slopes = {
+            "sign_safe": mcpricer._martingale_slope,
+            "plus_two_rho": lambda r: 2.0 * r,
+        }
+        gaps = {}
+        for seed in range(900, 964):
+            config = McConfig(n_paths=8_192, seed=seed)
+            params = ModelParams(sigma0=SIGMA0, nu=NU, rho=0.0, hurst=0.1)
+            (funcs,) = simulate_functionals(grid, params, config)
+            for name, slope in slopes.items():
+                monkeypatch.setattr(mcpricer, "_martingale_slope", slope)
+                for rho in (-0.8, 0.8):
+                    params = ModelParams(sigma0=SIGMA0, nu=NU, rho=rho, hurst=0.1)
+                    pricer = strike_pricer(funcs, params, X0, 1.0)
+                    rep = zero_vanna_report(pricer, funcs, params, X0, 1.0, config)
+                    pair = (rep.err_zero_vanna, rep.err_zero_vanna_se)
+                    gaps.setdefault((name, rho), []).append(pair)
+        ratios = {}
+        for key, pairs in gaps.items():
+            gap, se = np.asarray(pairs).T
+            ratios[key] = gap.std(ddof=1) / math.sqrt(np.mean(se**2))
+        for rho in (-0.8, 0.8):
+            assert 0.61 <= ratios["sign_safe", rho] <= 1.43, ratios
+        assert ratios["plus_two_rho", 0.8] > 1.43, ratios
 
     @pytest.mark.parametrize("hurst", [0.1, 0.3, 0.5])
     def test_uncorrelated_zero_vanna_gap_far_below_quadrature(self, hurst):
