@@ -31,10 +31,6 @@ __all__ = [
 # slope at the money as about e/2 (see swapanalysis.implied_smile).
 IV_BRACKET = (1e-6, 5.0)
 IV_TOL = 1e-14
-# The smallest share of its vega scale (vega times vol at the Newton
-# start) at which an out-of-the-money call is inverted on the price, not
-# on the log price.
-PRICE_NEWTON_SHARE = 0.01
 # Newton step or log-strike bracket width at which the zero-vanna search
 # stops.
 ZERO_VANNA_XTOL = 1e-12
@@ -134,21 +130,15 @@ class ImpliedVol(NamedTuple):
 
 
 def implied_vol(target_price: float, x: float, k: float, tau: float) -> ImpliedVol:
-    """Invert the call price for volatility to IV_TOL by Newton from the
-    larger of ``sqrt(2 |x - k| / tau)``, the price's inflection point in
-    vol (Manaster and Koehler, J. Finance 37, 1982), and ``C sqrt(2 pi /
-    tau) / e^x``, the at-the-money approximation (Brenner and
-    Subrahmanyam, Financial Analysts J. 44, 1988).
-
-    An out-of-the-money call (k > x) whose target is at least
-    PRICE_NEWTON_SHARE of its vega scale (vega times vol at the start) is
-    inverted on the price: about 5 prices for k / (sigma^2 tau) in [1, 3].
-    Every other target is inverted on the log price, whose slope in vol is
-    vega / C. Far below its vega scale Newton on the price would crawl,
-    while a deep-wing price of 1e-90 takes about ten prices on the log
-    price; a price that underflows to 0 lies below the target. At or in
-    the money the log price also takes about 5 prices. Returns the vol
-    with the call prices the search took and whether it bisected.
+    """Invert the call price for volatility to IV_TOL by Newton on the log
+    price, whose slope in vol is vega / C, from the larger of
+    ``sqrt(2 |x - k| / tau)``, the price's inflection point in vol
+    (Manaster and Koehler, J. Finance 37, 1982), and ``C sqrt(2 pi / tau)
+    / e^x``, the at-the-money approximation (Brenner and Subrahmanyam,
+    Financial Analysts J. 44, 1988). A deep-wing price of 1e-90 takes about
+    ten prices; a price that underflows to 0 lies below the target.
+    Returns the vol with the call prices the search took and whether it
+    bisected.
 
     Raises NoSolutionError if ``target_price`` lies outside the arbitrage
     bounds ``((e^x - e^k)+, e^x)`` or no vol in IV_BRACKET matches it,
@@ -175,20 +165,12 @@ def implied_vol(target_price: float, x: float, k: float, tau: float) -> ImpliedV
             return -math.inf, math.nan
         return math.log(price) - log_target, _vega(x, k, srt, sqrt_tau) / price
 
-    def price_gap(sigma: float) -> tuple[float, float]:
-        srt = sigma * sqrt_tau
-        price = float(_call(x, ex, k, srt)[0])
-        return price - target_price, _vega(x, k, srt, sqrt_tau)
-
     inflection = math.sqrt(2.0 * abs(x - k) / tau)
     at_the_money = target_price * math.sqrt(2.0 * math.pi / tau) / ex
     # strictly inside: a start on a bracket end closes the bracket unchecked
     start = min(max(inflection, at_the_money, 2.0 * lo), 0.5 * hi)
-    vega_scale = _vega(x, k, start * sqrt_tau, sqrt_tau) * start
-    on_price = k > x and target_price >= PRICE_NEWTON_SHARE * vega_scale
-    gap = price_gap if on_price else log_price_gap
     no_root = f"no volatility in bracket [{lo}, {hi}] matches price {target_price}"
-    search = _newton(gap, lo, hi, start, IV_TOL, "implied vol", no_root)
+    search = _newton(log_price_gap, lo, hi, start, IV_TOL, "implied vol", no_root)
     return ImpliedVol(*search)
 
 

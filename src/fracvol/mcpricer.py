@@ -290,37 +290,44 @@ def _bind_controls(
     rho = 0) has zero sample variance and is dropped; pinv tolerates what
     is left being collinear. A batch too small to leave the regression a
     degree of freedom, where the fit would pass through every path, keeps
-    no control. The controls are filled into one buffer, a dropped one
-    overwritten by the next, so the live ones are its leading rows.
+    no control. The controls are filled into one buffer in CONTROLS order,
+    a dropped one overwritten by the next, so the live ones are its
+    leading rows.
     """
+    y, y_mean = funcs.integrated_variance, funcs.integrated_variance_mean
     lam = _martingale_slope(rho)
     buffer = np.empty((len(CONTROLS), spot.shape[0]))
     live = 0
-    for name in CONTROLS:
-        row = buffer[live]
-        if name == "spot_martingale":
-            np.subtract(spot, math.exp(x0), out=row)
-        elif name == "integrated_variance":
-            y_mean = funcs.integrated_variance_mean
-            np.subtract(funcs.integrated_variance, y_mean, out=row)
-        else:
-            # lambda (int sigma dW - lambda Y / 2), with no temporary
-            np.multiply(funcs.integrated_variance, -0.5 * lam, out=row)
-            row += funcs.int_sigma_dw
-            row *= lam
-            np.exp(row, out=row)
-            row -= 1.0
-        # a NaN or an infinity shows in the extremes
-        low, high = row.min(), row.max()
-        if not (math.isfinite(low) and math.isfinite(high)):
-            raise ValueError("control variates must be finite on every path")
-        live += bool(low < high)
+    np.subtract(spot, math.exp(x0), out=buffer[live])
+    live = _keep_if_varies(buffer, live)
+    np.subtract(y, y_mean, out=buffer[live])
+    live = _keep_if_varies(buffer, live)
+    # lambda (int sigma dW - lambda Y / 2), with no temporary
+    row = buffer[live]
+    np.multiply(y, -0.5 * lam, out=row)
+    row += funcs.int_sigma_dw
+    row *= lam
+    np.exp(row, out=row)
+    row -= 1.0
+    live = _keep_if_varies(buffer, live)
     if spot.shape[0] <= 1 + live:
         live = 0
-    controls = buffer[:live]
+    # the pricer keeps these rows: a view would keep the dropped ones too
+    controls = buffer if live == len(CONTROLS) else buffer[:live].copy()
+    del buffer, row
     means = controls.mean(axis=1)
     centred = controls - means[:, None]
     return controls, means, np.linalg.pinv(centred @ centred.T)
+
+
+def _keep_if_varies(buffer: np.ndarray, live: int) -> int:
+    """The live count once row ``live`` of buffer is judged: one more if
+    the row varies across paths. Raises ValueError unless it is finite."""
+    # a NaN or an infinity shows in the extremes
+    low, high = buffer[live].min(), buffer[live].max()
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise ValueError("control variates must be finite on every path")
+    return live + bool(low < high)
 
 
 def _martingale_slope(rho: float) -> float:
