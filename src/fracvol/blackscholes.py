@@ -80,7 +80,7 @@ def bs_price(x, k, sigma, tau):
     return float(price) if scalar else price
 
 
-def _call(x, ex, k, srt):
+def _call(x, ex, k, srt, out=None):
     """Call price and its log-strike slope ``dC/dk = -exp(k) N(d2)``, from
     one N(d2): the one copy of the formula, on checked inputs.
 
@@ -88,11 +88,27 @@ def _call(x, ex, k, srt):
     be positive: a zero total vol is bs_price's to map to the intrinsic
     value. Everything that does not depend on k comes in precomputed, so
     a caller pricing many strikes on the same arrays prepares them once.
+    out, if given, is three float arrays of the inputs' broadcast shape
+    (the price, the slope and scratch), which the formula overwrites and
+    returns the first two of; otherwise they are allocated.
     """
+    if out is None:
+        out = np.empty((3, *np.broadcast_shapes(np.shape(x), np.shape(k), np.shape(srt))))
+    # [i, ...] keeps a row an array even at a scalar's shape ()
+    price, slope, scratch = out[0, ...], out[1, ...], out[2, ...]
     ek = np.exp(k)
-    d_1 = (x - k) / srt + 0.5 * srt
-    n_2 = ndtr(d_1 - srt)
-    return ex * ndtr(d_1) - ek * n_2, -ek * n_2
+    np.subtract(x, k, out=price)
+    price /= srt
+    np.multiply(srt, 0.5, out=scratch)
+    price += scratch  # d1
+    np.subtract(price, srt, out=scratch)
+    ndtr(scratch, out=slope)  # N(d2)
+    ndtr(price, out=price)
+    price *= ex
+    np.multiply(slope, ek, out=scratch)
+    price -= scratch
+    np.negative(scratch, out=slope)
+    return price, slope
 
 
 def _total_vol(x: float, k: float, sigma: float, tau: float) -> float:

@@ -49,6 +49,7 @@ from .mcpricer import (
     VALID_SCHEMES,
     McConfig,
     simulate_functionals,
+    pricer_workspace,
     simulation_record,
     strike_pricer,
 )
@@ -326,13 +327,14 @@ def _cell_rows(
             for maturity in config.maturities
             for p in cell_params
         ]
+    # every (T, rho) binds into this one workspace, which invalidates the
+    # previous pricer: no bind or strike allocates path arrays of its own
+    workspace = pricer_workspace(config.n_paths)
     outcomes: list[tuple[Cell, SwapReport | str]] = []
     for maturity, funcs in zip(config.maturities, per_maturity):
         for params in cell_params:
-            # the last pricer's path arrays go before the next one binds
-            pricer = None
             try:
-                pricer = strike_pricer(funcs, params, X0, maturity)
+                pricer = strike_pricer(funcs, params, X0, maturity, out=workspace)
                 outcome = zero_vanna_report(pricer, funcs, params, X0, maturity, mc)
             except NUMERICAL_ERRORS as exc:
                 outcome = _cause(exc)

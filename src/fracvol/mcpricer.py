@@ -81,6 +81,8 @@ __all__ = [
     "simulate_functionals",
     "simulation_record",
     "strike_pricer",
+    "pricer_workspace",
+    "PRICER_ROWS",
     "VALID_SCHEMES",
     "VALID_ESTIMATORS",
     "CONTROLS",
@@ -92,6 +94,9 @@ VALID_SCHEMES = ("convolution", "midpoint_convolution", "cholesky_oracle")
 VALID_ESTIMATORS = ("conditional_mixing", "direct_euler")
 # the control variates the calls and the swap leg are regressed on, in order
 CONTROLS = ("spot_martingale", "integrated_variance", "exponential_martingale")
+# rows of a pricer workspace: the log spot, the spot and the total vol;
+# the controls and the scratch for centring them; the swap leg's residual
+PRICER_ROWS = 4 + 2 * len(CONTROLS)
 # how every maturity of one simulation is read off its single draw
 MATURITY_LAYOUT = (
     "one unit-maturity draw per simulation; maturity T reads it with nu * T^H, "
@@ -278,7 +283,11 @@ def simulation_record(config: McConfig, hurst: Sequence[float]) -> dict[str, obj
 
 
 def _bind_controls(
-    spot: np.ndarray, x0: float, rho: float, funcs: PathFunctionals
+    spot: np.ndarray,
+    x0: float,
+    rho: float,
+    funcs: PathFunctionals,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The live CONTROLS on these paths, their sample means and the
     pseudo-inverse of their centred Gram matrix, for _regress.
@@ -290,13 +299,16 @@ def _bind_controls(
     rho = 0) has zero sample variance and is dropped; pinv tolerates what
     is left being collinear. A batch too small to leave the regression a
     degree of freedom, where the fit would pass through every path, keeps
-    no control. The controls are filled into one buffer in CONTROLS order,
+    no control. out is 2 len(CONTROLS) path-length rows (allocated if not
+    given): the controls are filled into its first half in CONTROLS order,
     a dropped one overwritten by the next, so the live ones are its
-    leading rows.
+    leading rows, and the second half is scratch for centring them.
     """
     y, y_mean = funcs.integrated_variance, funcs.integrated_variance_mean
     lam = _martingale_slope(rho)
-    buffer = np.empty((len(CONTROLS), spot.shape[0]))
+    if out is None:
+        out = np.empty((2 * len(CONTROLS), spot.shape[0]))
+    buffer, centred = out[: len(CONTROLS)], out[len(CONTROLS) :]
     live = 0
     np.subtract(spot, math.exp(x0), out=buffer[live])
     live = _keep_if_varies(buffer, live)
@@ -312,11 +324,9 @@ def _bind_controls(
     live = _keep_if_varies(buffer, live)
     if spot.shape[0] <= 1 + live:
         live = 0
-    # the pricer keeps these rows: a view would keep the dropped ones too
-    controls = buffer if live == len(CONTROLS) else buffer[:live].copy()
-    del buffer, row
+    controls, centred = buffer[:live], centred[:live]
     means = controls.mean(axis=1)
-    centred = controls - means[:, None]
+    np.subtract(controls, means[:, None], out=centred)
     return controls, means, np.linalg.pinv(centred @ centred.T)
 
 
@@ -391,11 +401,18 @@ def _regress(
     return controlled, cov, betas
 
 
+def pricer_workspace(n_paths: int) -> np.ndarray:
+    """An uninitialised workspace that strike_pricer binds n_paths paths
+    into: PRICER_ROWS path-length float64 rows."""
+    return np.empty((PRICER_ROWS, n_paths))
+
+
 def strike_pricer(
     funcs: PathFunctionals,
     params: ModelParams,
     x0: float,
     maturity: float,
+    out: np.ndarray | None = None,
 ) -> Callable[[float], StrikeEstimate]:
     """Bind one simulated batch into a price-of-log-strike function.
 
@@ -419,26 +436,62 @@ def strike_pricer(
     (simulation, rho): the swap leg sqrt(Y/T) is fitted here and kept as
     its residual; each strike fits its price and slope and pairs the price
     with the swap leg by one pass over that residual.
+
+    Every path-length array the pricer needs lives in out, a
+    pricer_workspace of funcs.n_paths paths (allocated if not given), so
+    neither binding nor pricing a strike allocates one. The pricer stays
+    valid until the next bind into the same out. Raises ValueError if out
+    is not a C-contiguous float64 array of shape (PRICER_ROWS, n_paths).
     """
     if maturity <= 0.0:
         raise ValueError("maturity must be positive")
+    shape = (PRICER_ROWS, funcs.n_paths)
+    if out is None:
+        out = pricer_workspace(funcs.n_paths)
+    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
+    log_spot, spot, total_vol, swap = out[0], out[1], out[2], out[-1]
+    # the controls and their centring scratch; once the controls are
+    # centred, the scratch holds each strike's price, slope and formula
+    # scratch
+    regression = out[3:-1]
+    strike_rows = regression[len(CONTROLS) :]
     rho = params.rho
     y, ito = funcs.integrated_variance, funcs.int_sigma_dw
+    # each log spot in the operation order of its formula, with the total
+    # vol's row as scratch before it is filled
     if funcs.int_sigma_db is not None:
         orth = math.sqrt(1.0 - rho * rho)
-        log_spot = x0 + (-0.5 * y + rho * ito + orth * funcs.int_sigma_db)
+        np.multiply(y, -0.5, out=log_spot)
+        np.multiply(ito, rho, out=total_vol)
+        log_spot += total_vol
+        np.multiply(funcs.int_sigma_db, orth, out=total_vol)
+        log_spot += total_vol
+        log_spot += x0
         total_vol = None
     else:
-        log_spot = x0 + rho * ito - 0.5 * rho * rho * y
-        total_vol = np.sqrt((1.0 - rho * rho) * y) if abs(rho) < 1.0 else None
-    spot = np.exp(log_spot)
-    controls, control_means, _ = bound = _bind_controls(spot, x0, rho, funcs)
-    swap = np.sqrt(y / maturity)
+        np.multiply(ito, rho, out=log_spot)
+        log_spot += x0
+        np.multiply(y, 0.5 * rho * rho, out=total_vol)
+        log_spot -= total_vol
+        if abs(rho) < 1.0:
+            np.multiply(y, 1.0 - rho * rho, out=total_vol)
+            np.sqrt(total_vol, out=total_vol)
+        else:
+            total_vol = None
+    np.exp(log_spot, out=spot)
+    controls, control_means, _ = bound = _bind_controls(spot, x0, rho, funcs, regression)
+    np.divide(y, maturity, out=swap)
+    np.sqrt(swap, out=swap)
     (swap_leg,), _, (beta,) = _regress([swap], *bound)
     # centred in place; less its fit, the swap leg's residual
-    swap -= beta @ controls - beta @ control_means
+    fit = strike_rows[0]
+    np.matmul(beta, controls, out=fit)
+    fit -= beta @ control_means
+    swap -= fit
+    price, slope, _ = strike_rows
 
-    def estimate(price: np.ndarray, slope: np.ndarray) -> StrikeEstimate:
+    def estimate() -> StrikeEstimate:
         (c, dc), cov, _ = _regress([price, slope], *bound, [swap])
         return StrikeEstimate(
             c.value, c.std_error, c.n_paths, dc.value, dc.std_error,
@@ -449,11 +502,16 @@ def strike_pricer(
 
         def price_intrinsic(k: float) -> StrikeEstimate:
             ek = math.exp(k)
-            return estimate(np.maximum(spot - ek, 0.0), -ek * (spot > ek))
+            np.subtract(spot, ek, out=price)
+            np.maximum(price, 0.0, out=price)
+            np.greater(spot, ek, out=slope)
+            np.multiply(slope, -ek, out=slope)
+            return estimate()
 
         return price_intrinsic
 
     def price_lognormal(k: float) -> StrikeEstimate:
-        return estimate(*_call(log_spot, spot, k, total_vol))
+        _call(log_spot, spot, k, total_vol, strike_rows)
+        return estimate()
 
     return price_lognormal

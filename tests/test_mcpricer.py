@@ -21,10 +21,12 @@ from fracvol.fbm import (
 )
 from fracvol.mcpricer import (
     CONTROLS,
+    PRICER_ROWS,
     McConfig,
     PriceEstimate,
     _bind_controls,
     _regress,
+    pricer_workspace,
     simulate_functionals,
     strike_pricer,
 )
@@ -929,3 +931,64 @@ class TestStrikePricer:
             est = pricer(k)
             assert est.slope == pytest.approx(expected.value, rel=1e-12, abs=0.0)
             assert est.slope_se == pytest.approx(expected.std_error, rel=1e-9)
+
+
+class TestPricerWorkspace:
+    @pytest.mark.parametrize(
+        "estimator, rho",
+        [
+            ("conditional_mixing", -0.6),
+            ("direct_euler", -0.6),
+            # the intrinsic closure of the mixing point mass
+            ("conditional_mixing", 1.0),
+        ],
+    )
+    def test_rebinding_matches_a_fresh_pricer(self, estimator, rho):
+        # a workspace that last held another maturity and rho leaves
+        # nothing behind: every estimate equals a fresh pricer's bit for bit
+        grid = TimeGrid(1.0, 16)
+        params = ModelParams(SIGMA0, NU, rho, 0.3)
+        config = McConfig(n_paths=4_096, seed=41, estimator=estimator)
+        short, long = simulate_functionals(grid, params, config, (0.5, 2.0))
+        out = pricer_workspace(config.n_paths)
+        previous = strike_pricer(long, replace(params, rho=0.3), 0.0, 2.0, out=out)
+        previous(-0.1)
+        rebound = strike_pricer(short, params, 0.0, 0.5, out=out)
+        fresh = strike_pricer(short, params, 0.0, 0.5)
+        for k in (-0.05, 0.0, 0.05):
+            assert rebound(k) == fresh(k)
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            np.empty((PRICER_ROWS, 257)),
+            np.empty((PRICER_ROWS - 1, 256)),
+            np.empty((PRICER_ROWS, 256), dtype=np.float32),
+            np.empty((PRICER_ROWS, 256), order="F"),
+        ],
+        ids=["paths", "rows", "dtype", "order"],
+    )
+    def test_rejects_a_workspace_of_another_layout(self, out):
+        grid = TimeGrid(1.0, 8)
+        params = ModelParams(SIGMA0, NU, -0.5, 0.3)
+        (funcs,) = simulate_functionals(grid, params, McConfig(n_paths=256, seed=3))
+        with pytest.raises(ValueError, match="out must be"):
+            strike_pricer(funcs, params, 0.0, 1.0, out=out)
+
+    @pytest.mark.parametrize("estimator", ["conditional_mixing", "direct_euler"])
+    def test_binding_and_pricing_allocate_no_path_array(self, estimator):
+        grid = TimeGrid(1.0, 8)
+        params = ModelParams(SIGMA0, NU, -0.5, 0.3)
+        config = McConfig(n_paths=20_000, seed=43, estimator=estimator)
+        (funcs,) = simulate_functionals(grid, params, config)
+        out = pricer_workspace(config.n_paths)
+        strike_pricer(funcs, params, 0.0, 1.0, out=out)(0.0)
+        tracemalloc.start()
+        try:
+            pricer = strike_pricer(funcs, params, 0.0, 1.0, out=out)
+            for k in (-0.05, 0.0, 0.05):
+                pricer(k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * config.n_paths
