@@ -3,7 +3,9 @@
 All functions work on the log-spot ``x`` and log-strike ``k`` (strike is
 ``exp(k)``, spot is ``exp(x)``), with zero interest rate. ``bs_price``
 broadcasts like numpy arrays (scalar inputs give a scalar output); ``d2``,
-``vega`` and the two solvers, one safeguarded Newton search, take scalars.
+``vega`` and the two solvers, which share one safeguarded search (Newton
+steps for the implied vol, smile-model steps for the zero-vanna strike),
+take scalars.
 Every function is pure and safe to call concurrently.
 """
 from __future__ import annotations
@@ -31,9 +33,13 @@ __all__ = [
 # slope at the money as about e/2 (see swapanalysis.implied_smile).
 IV_BRACKET = (1e-6, 5.0)
 IV_TOL = 1e-14
-# Newton step or log-strike bracket width at which the zero-vanna search
-# stops.
+# Step or log-strike bracket width at which the zero-vanna search stops.
 ZERO_VANNA_XTOL = 1e-12
+# Newton iterations on the zero-vanna search's smile model, and the step
+# at which they stop: far below ZERO_VANNA_XTOL, so the model's root is
+# settled when the search judges its step.
+MODEL_MAX_ITER = 20
+MODEL_XTOL = 1e-3 * ZERO_VANNA_XTOL
 # Iteration budget of both searches.
 ROOT_MAX_ITER = 100
 
@@ -179,7 +185,8 @@ def implied_vol(target_price: float, x: float, k: float, tau: float) -> ImpliedV
         price = float(_call(x, ex, k, srt)[0])
         if not price > 0.0:
             return -math.inf, math.nan
-        return math.log(price) - log_target, _vega(x, k, srt, sqrt_tau) / price
+        gap = math.log(price) - log_target
+        return gap, _newton_step(gap, _vega(x, k, srt, sqrt_tau) / price)
 
     inflection = math.sqrt(2.0 * abs(x - k) / tau)
     at_the_money = target_price * math.sqrt(2.0 * math.pi / tau) / ex
@@ -192,16 +199,17 @@ def implied_vol(target_price: float, x: float, k: float, tau: float) -> ImpliedV
 
 def _newton(f, lo, hi, start, xtol, name, no_root, hi_known=False):
     """``(root, evals, bisected)`` of an increasing f on [lo, hi], where
-    ``f(v)`` returns ``(f(v), f'(v))``, by a safeguarded Newton search.
+    ``f(v)`` returns f(v) and a proposed step toward the root, by a
+    safeguarded search.
 
-    Each evaluation narrows the bracket by the sign of f. A Newton step
-    that would leave the bracket (or a non-finite or zero f') bisects
-    instead; the first time, each end whose sign no evaluation has shown
-    is evaluated once to confirm the sign change (hi_known: the caller
-    knows f(hi) > 0). The search stops once the step or the bracket is
-    narrower than xtol, never on the residual: an f computed from rounded
-    prices is rough at that scale, so a residual rule can sit below its
-    resolution and never be met. The root is a point f was evaluated at.
+    Each evaluation narrows the bracket by the sign of f. A proposed step
+    that would leave the bracket (or is not finite) bisects instead; the
+    first time, each end whose sign no evaluation has shown is evaluated
+    once to confirm the sign change (hi_known: the caller knows
+    f(hi) > 0). The search stops once the step or the bracket is narrower
+    than xtol, never on the residual: an f computed from rounded prices is
+    rough at that scale, so a residual rule can sit below its resolution
+    and never be met. The root is a point f was evaluated at.
 
     Raises NoSolutionError(no_root) when f does not change sign on the
     bracket, and ConvergenceError after ROOT_MAX_ITER steps.
@@ -210,7 +218,7 @@ def _newton(f, lo, hi, start, xtol, name, no_root, hi_known=False):
     v, evals, bisected = start, 0, False
     best = (math.inf, v)
     for _ in range(ROOT_MAX_ITER):
-        value, slope = f(v)
+        value, step = f(v)
         evals += 1
         best = min(best, (abs(value), v))
         if value < 0.0:
@@ -218,7 +226,6 @@ def _newton(f, lo, hi, start, xtol, name, no_root, hi_known=False):
         else:
             hi, checked[1] = v, True
         # NaN fails every comparison below, so it takes the bisection path
-        step = -value / slope if math.isfinite(slope) and slope != 0.0 else math.nan
         if value == 0.0 or abs(step) < xtol or hi - lo < xtol:
             return v, evals, bisected
         if lo < v + step < hi:
@@ -238,9 +245,15 @@ def _newton(f, lo, hi, start, xtol, name, no_root, hi_known=False):
     )
 
 
+def _newton_step(value: float, slope: float) -> float:
+    """The Newton step -value / slope, NaN unless slope is finite and
+    nonzero."""
+    return -value / slope if math.isfinite(slope) and slope != 0.0 else math.nan
+
+
 class ZeroVannaSearch(NamedTuple):
     """A zero-vanna strike and what finding it took: the curve evaluations
-    and whether any Newton step left the bracket, so that it bisected."""
+    and whether any step left the bracket, so that it bisected."""
 
     strike: float
     evals: int
@@ -252,15 +265,22 @@ def zero_vanna_strike(
 ) -> ZeroVannaSearch:
     """Log-strike where the smile's d2 vanishes: ``d2(x, k, I(k), tau) = 0``.
 
-    iv_curve maps k to the smile and its slope, ``(I(k), I'(k))``. The
-    safeguarded Newton search finds the root of ``r(k) = d2(x, k, I(k),
-    tau)``, with ``r'(k) = -1 / (I sqrt(tau)) - I'(k) d1 / I``, to
-    ZERO_VANNA_XTOL on ``[x - 2 I(x)^2 tau, x]``, from the flat smile's root
-    ``x - I(x)^2 tau / 2``. ``r(x) = -I(x) sqrt(tau) / 2`` is always
-    negative; at the left end r is positive for any smile close to its ATM
-    level (``3 I sqrt(tau) / 2`` for a flat one).
+    iv_curve maps k to the smile and its slope, ``(I(k), I'(k))``. Since
+    ``d2 = g(k) / (I sqrt(tau))`` with ``g(k) = x - k - I(k)^2 tau / 2``,
+    d2's root is g's. The safeguarded search finds it to ZERO_VANNA_XTOL
+    on ``[x - 2 I(x)^2 tau, x]``, narrowing the bracket by the sign of d2.
+    Each step goes to g's root on a model of the smile (_model_step): the
+    first, from x, on the ATM tangent line; every later one on the cubic
+    Hermite interpolant of the last two priced (I, I'). Where the model
+    gives no finite step, Newton's on d2 stands in, with ``d2'(k) =
+    -1 / (I sqrt(tau)) - I'(k) d1 / I``; a first step that leaves the
+    bracket starts the search at the flat smile's root ``x - I(x)^2 tau /
+    2`` instead. ``d2(x) = -I(x) sqrt(tau) / 2`` is always negative; at the
+    left end d2 is positive for any smile close to its ATM level
+    (``3 I sqrt(tau) / 2`` for a flat one). On a straight smile the
+    tangent start is exact: the search prices the ATM strike and the root.
 
-    Raises NoSolutionError when r has no sign change on the bracket (the
+    Raises NoSolutionError when d2 has no sign change on the bracket (the
     smile has no zero-vanna strike near the money), ConvergenceError after
     ROOT_MAX_ITER evaluations past the ATM one, and ValueError if the curve
     returns a non-positive or non-finite vol.
@@ -268,13 +288,30 @@ def zero_vanna_strike(
     if tau <= 0.0:
         raise ValueError("tau must be positive")
     sqrt_tau = math.sqrt(tau)
-    sig_x = _curve_d2(iv_curve, x, x, sqrt_tau)[0]
+    # the last two (k, I(k), I'(k)) the curve returned
+    priced: list[tuple[float, float, float]] = []
+
+    def minus_d2(k: float) -> tuple[float, float]:
+        vol, vol_slope = iv_curve(k)
+        if not (math.isfinite(vol) and vol > 0.0):
+            raise ValueError(f"iv_curve returned vol {vol} at k={k}")
+        srt = vol * sqrt_tau
+        d_1 = (x - k) / srt + 0.5 * srt
+        priced[:] = [*priced[-1:], (k, vol, vol_slope)]
+        step = _model_step(priced, x, tau)
+        if not math.isfinite(step):
+            step = _newton_step(srt - d_1, 1.0 / srt + vol_slope * d_1 / vol)
+        return srt - d_1, step
+
+    step = minus_d2(x)[1]
+    sig_x = priced[0][1]
     lo = x - 2.0 * sig_x * sig_x * tau
+    start = x + step if lo < x + step < x else x - 0.5 * sig_x * sig_x * tau
     strike, evals, bisected = _newton(
-        lambda k: _curve_d2(iv_curve, x, k, sqrt_tau)[1:],
+        minus_d2,
         lo,
         x,
-        x - 0.5 * sig_x * sig_x * tau,
+        start,
         ZERO_VANNA_XTOL,
         "zero-vanna strike",
         f"zero-vanna strike: d2 does not change sign on [{lo}, {x}]; "
@@ -284,17 +321,36 @@ def zero_vanna_strike(
     return ZeroVannaSearch(strike, 1 + evals, bisected)
 
 
-def _curve_d2(
-    iv_curve: Callable[[float], tuple[float, float]],
-    x: float,
-    k: float,
-    sqrt_tau: float,
-) -> tuple[float, float, float]:
-    """``(I(k), -r(k), -r'(k))`` for ``r(k) = d2(x, k, I(k), tau)``, which
-    decreases through its root."""
-    vol, vol_slope = iv_curve(k)
-    if not (math.isfinite(vol) and vol > 0.0):
-        raise ValueError(f"iv_curve returned vol {vol} at k={k}")
-    srt = vol * sqrt_tau
-    d_1 = (x - k) / srt + 0.5 * srt
-    return vol, srt - d_1, 1.0 / srt + vol_slope * d_1 / vol
+def _model_step(
+    priced: list[tuple[float, float, float]], x: float, tau: float
+) -> float:
+    """The step from the last priced strike k1 to the root of
+    ``g(k) = x - k - M(k)^2 tau / 2``, where the smile model M is the cubic
+    Hermite interpolant of the priced (k, I, I'), or the tangent line at
+    k1 when only one is priced (or both at k1). Newton's iteration on g
+    from k1, whose first step is Newton's on g itself since M matches I
+    and I' there; NaN unless it settles within MODEL_MAX_ITER steps."""
+    k1, vol, vol_slope = priced[-1]
+    k0, vol0, slope0 = priced[0]
+    c2 = c3 = 0.0
+    h = k0 - k1
+    if h * h > 0.0:
+        # M(k1 + u) = I + I' u + c2 u^2 + c3 u^3 through (I0, I0') at u = h
+        a = (vol0 - vol - vol_slope * h) / (h * h)
+        b = (slope0 - vol_slope) / h
+        c3 = (b - 2.0 * a) / h
+        c2 = 3.0 * a - b
+    u = 0.0
+    for _ in range(MODEL_MAX_ITER):
+        model = vol + u * (vol_slope + u * (c2 + u * c3))
+        model_slope = vol_slope + u * (2.0 * c2 + 3.0 * c3 * u)
+        # -g'(k1 + u); Python floats raise on a division by zero
+        descent = 1.0 + tau * model * model_slope
+        if descent == 0.0:
+            return math.nan
+        du = (x - k1 - u - 0.5 * tau * model * model) / descent
+        u += du
+        # a NaN du stops here too, and returns NaN
+        if not abs(du) > MODEL_XTOL:
+            return u
+    return math.nan

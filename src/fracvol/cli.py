@@ -91,6 +91,16 @@ CSV_COLUMNS = {
     "seed": "seed",
 }
 
+# what solving a cell took, per cell in the manifest (the SwapReport
+# fields; analysis_record sums them over the run)
+COST_FIELDS = (
+    "pricer_calls",
+    "zero_vanna_evals",
+    "zero_vanna_bisected",
+    "iv_evals",
+    "iv_bisections",
+)
+
 FAILED_TOKEN = "FAILED"
 # Failures that mark a cell FAILED; anything else is a bug and propagates.
 NUMERICAL_ERRORS = (ValueError, ConvergenceError, np.linalg.LinAlgError)
@@ -342,6 +352,10 @@ def _cell_rows(
     return outcomes
 
 
+def _cell_label(rho: float, hurst: float, maturity: float) -> str:
+    return f"rho={rho:g},H={hurst:g},T={maturity:g}"
+
+
 def _cause(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
@@ -437,15 +451,19 @@ def run(config: ExperimentConfig, stream=None) -> int:
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     _write_csv(csv_path, outcomes)
 
+    reports = {
+        cell: rep for cell, rep in outcomes.items() if isinstance(rep, SwapReport)
+    }
     extra: dict[str, object] = {
-        "analysis": analysis_record(
-            rep for rep in outcomes.values() if isinstance(rep, SwapReport)
-        )
+        "analysis": analysis_record(reports.values()),
+        "cell_costs": {
+            _cell_label(*cell): {field: getattr(rep, field) for field in COST_FIELDS}
+            for cell, rep in reports.items()
+        },
     }
     if failures:
         extra["failed_cells"] = {
-            f"rho={rho:g},H={hurst:g},T={maturity:g}": cause
-            for (rho, hurst, maturity), cause in failures.items()
+            _cell_label(*cell): cause for cell, cause in failures.items()
         }
     if config.mode == "convergence":
         fits = _rate_fits(config, outcomes, stream)

@@ -7,9 +7,9 @@ power-law decay rate of the strike-vs-swap gaps across maturities.
 
 Every price comes with its pathwise log-strike slope, so each strike of
 the smile also gives the smile's slope dI/dk there. The zero-vanna search
-is a safeguarded Newton iteration on d2 that uses that slope
+steps on a model of the smile built from those vols and slopes
 (ZERO_VANNA_SEARCH), and the ATM skew is the slope at x0 (ATM_SKEW): a
-report prices about four strikes and no second strike for a difference.
+report prices about three strikes and no second strike for a difference.
 
 Every SE is the delta method's on the one regression per (simulation,
 rho) that gives the prices and the swap leg (mcpricer.strike_pricer): an
@@ -46,7 +46,11 @@ NOISE_FLOOR_MULTIPLE = 3.0
 # it was set for (1e-10), far above today's IV_TOL and ZERO_VANNA_XTOL.
 SOLVER_FLOOR = 1e-9
 # how zero_vanna_report finds k_hat and the ATM skew, as the manifest names them
-ZERO_VANNA_SEARCH = "safeguarded Newton on d2 with pathwise dI/dk"
+ZERO_VANNA_SEARCH = (
+    "safeguarded root search on d2: each step goes to the root of "
+    "x - k - I(k)^2 tau / 2 on the ATM tangent line, then on the cubic Hermite "
+    "interpolant of the last two priced (I, dI/dk), with pathwise dI/dk"
+)
 ATM_SKEW = "pathwise dI/dk at x0"
 # how the SE of a gap I(k) - S is formed: sqrt(Var C / vega^2
 # - 2 Cov(C, S) / vega + Var S), C the call price and S the swap leg

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from fracvol import blackscholes
 from fracvol.blackscholes import (
@@ -303,7 +304,7 @@ class TestZeroVannaStrike:
         x, sig, tau = 0.02, 0.22, 1.5
         k_hat, evals, bisected = zero_vanna_strike(lambda k: (sig, 0.0), x, tau)
         assert k_hat == pytest.approx(x - 0.5 * sig * sig * tau, abs=1e-12)
-        # the Newton start is the flat smile's root
+        # the ATM tangent is the flat smile itself, so the start is its root
         assert evals == 2 and not bisected
 
     def test_affine_curve_reference_root(self):
@@ -311,8 +312,28 @@ class TestZeroVannaStrike:
         # quadratic 0.125 k^2 + 0.9 k + 0.02 = 0 (root nearer zero).
         search = zero_vanna_strike(lambda k: (0.2 - 0.5 * k, -0.5), 0.0, 1.0)
         assert search.strike == pytest.approx(AFFINE_ZERO_VANNA_K, abs=1e-10)
-        # Newton converges quadratically from the flat smile's root
-        assert search.evals <= 6 and not search.bisected
+        # the ATM tangent line is the smile, so the start is the root: the
+        # search prices the ATM strike and the root only
+        assert search.evals == 2 and not search.bisected
+
+    def test_convex_smile_matches_brentq(self):
+        # I(k) = 0.22 - 0.35 u + 0.8 u^2, u = k - x: the tangent start
+        # misses the curvature, and the cubic Hermite model through the ATM
+        # point and the start holds any quadratic exactly, so the next step
+        # lands on the root
+        x, tau = 0.01, 1.5
+
+        def curve(k):
+            u = k - x
+            return 0.22 - 0.35 * u + 0.8 * u * u, -0.35 + 1.6 * u
+
+        def g(k):
+            return x - k - 0.5 * tau * curve(k)[0] ** 2
+
+        reference = brentq(g, x - 2.0 * 0.22**2 * tau, x, xtol=1e-15)
+        search = zero_vanna_strike(curve, x, tau)
+        assert abs(search.strike - reference) <= 1e-12
+        assert search.evals <= 3 and not search.bisected
 
     def test_residual_below_tolerance(self):
         def curve(k):
@@ -341,9 +362,9 @@ class TestZeroVannaStrike:
         # Two vol levels 5 / 2^35 apart (about 1.5e-10), with the jump
         # midway between their two zero-d2 strikes: a fixed point on
         # k alternates between the levels with |d2| ~ 2e-10 forever. The
-        # smile's slope is zero on both sides, so each Newton step jumps
-        # to the other level's root; the search falls back to bisection
-        # and the bracket closes on the jump.
+        # smile's slope is zero on both sides, so no smile model steps onto
+        # the jump; the search falls back to bisection and the bracket
+        # closes on it.
         x, tau = 0.0, 2.0
         sig_lo, step = 0.20077559900602, 1.455e-10
         sig_hi = sig_lo + step
@@ -382,9 +403,15 @@ class TestZeroVannaStrike:
         assert search.evals == len(evals)
 
     def test_convergence_error_carries_best_iterate(self, monkeypatch):
-        monkeypatch.setattr(blackscholes, "ROOT_MAX_ITER", 2)
+        # the tangent start is exact on a straight smile, so a curved one
+        # is needed to run out of steps
+        monkeypatch.setattr(blackscholes, "ROOT_MAX_ITER", 1)
+
+        def curve(k):
+            return 0.2 - 0.5 * k + 2.0 * k * k, -0.5 + 4.0 * k
+
         with pytest.raises(ConvergenceError) as err:
-            zero_vanna_strike(lambda k: (0.2 - 0.5 * k, -0.5), 0.0, 1.0)
+            zero_vanna_strike(curve, 0.0, 1.0)
         assert err.value.best == pytest.approx(AFFINE_ZERO_VANNA_K, abs=0.1)
         assert math.isfinite(err.value.residual)
 

@@ -19,6 +19,7 @@ import scipy
 
 from fracvol.blackscholes import IV_TOL, ZERO_VANNA_XTOL, ConvergenceError
 from fracvol.cli import (
+    COST_FIELDS,
     CSV_COLUMNS,
     FAILED_TOKEN,
     RATES_COLUMNS,
@@ -409,13 +410,32 @@ class TestRun:
         assert analysis["gap_se"] == GAP_SE
         assert analysis["iv_tol"] == IV_TOL == 1e-14
         assert analysis["zero_vanna_xtol"] == ZERO_VANNA_XTOL
-        # four cells, each the ATM strike and a few Newton iterates
+        # four cells, each the ATM strike and a few search iterates
         assert 4 * 2 <= analysis["pricer_calls"] <= 4 * 5
         # every smile entry is one of the search's evaluations
         assert analysis["zero_vanna_evals"] >= analysis["pricer_calls"]
         assert analysis["bisection_fallbacks"] == 0
         # every priced strike is inverted, at one call price or more
         assert analysis["iv_evals"] >= analysis["pricer_calls"]
+
+    def test_manifest_records_each_cells_costs(self, grid_run):
+        # one entry per priced (rho, H, T), summing to the run's totals
+        _, out = grid_run
+        manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+        costs, analysis = manifest["cell_costs"], manifest["analysis"]
+        assert sorted(costs) == sorted(
+            f"rho={rho:g},H=0.5,T={t:g}" for rho in (-0.8, 0.0) for t in (0.5, 1.0)
+        )
+        assert all(sorted(cell) == sorted(COST_FIELDS) for cell in costs.values())
+        for field, total in (
+            ("pricer_calls", "pricer_calls"),
+            ("zero_vanna_evals", "zero_vanna_evals"),
+            ("zero_vanna_bisected", "bisection_fallbacks"),
+            ("iv_evals", "iv_evals"),
+            ("iv_bisections", "iv_bisection_fallbacks"),
+        ):
+            assert sum(cell[field] for cell in costs.values()) == analysis[total]
+        assert all(cell["pricer_calls"] >= 2 for cell in costs.values())
 
     def test_rerun_is_byte_identical(self, tmp_path, grid_run):
         _, first_out = grid_run
@@ -513,6 +533,9 @@ class TestRun:
         assert manifest["failed_cells"]["rho=0,H=0.5,T=1"] == (
             "ConvergenceError: boom"
         )
+        # a failed cell has no report, so no costs
+        assert len(manifest["cell_costs"]) == 3
+        assert "rho=0,H=0.5,T=1" not in manifest["cell_costs"]
 
     def test_failed_simulation_runs_once_and_fails_every_rho(
         self, tmp_path, monkeypatch

@@ -298,8 +298,8 @@ class TestSwapReport:
 
     @pytest.mark.parametrize("rho", [-0.8, 0.0])
     def test_monte_carlo_report_prices_at_most_five_strikes(self, rho):
-        # Newton from the flat smile's root on the pathwise slope: the ATM
-        # strike and at most four iterates, and no strike for the skew
+        # smile-model steps from the ATM tangent on the pathwise slope: the
+        # ATM strike and at most four iterates, and no strike for the skew
         params = ModelParams(sigma0=SIGMA0, nu=NU, rho=rho, hurst=0.1)
         config = McConfig(n_paths=20_000, seed=432)
         (funcs,) = simulate_functionals(TimeGrid(1.0, 50), params, config)
