@@ -94,26 +94,27 @@ def _call(x, ex, k, srt, out=None):
     be positive: a zero total vol is bs_price's to map to the intrinsic
     value. Everything that does not depend on k comes in precomputed, so
     a caller pricing many strikes on the same arrays prepares them once.
-    out, if given, is three float arrays of the inputs' broadcast shape
-    (the price, the slope and scratch), which the formula overwrites and
-    returns the first two of; otherwise they are allocated.
+    out, if given, is two float arrays of the inputs' broadcast shape,
+    which the formula overwrites with the price and the slope; otherwise
+    they are allocated.
     """
     if out is None:
-        out = np.empty((3, *np.broadcast_shapes(np.shape(x), np.shape(k), np.shape(srt))))
+        shape = np.broadcast_shapes(np.shape(x), np.shape(k), np.shape(srt))
+        out = np.empty((2, *shape))
     # [i, ...] keeps a row an array even at a scalar's shape ()
-    price, slope, scratch = out[0, ...], out[1, ...], out[2, ...]
+    price, slope = out[0, ...], out[1, ...]
     ek = np.exp(k)
     np.subtract(x, k, out=price)
     price /= srt
-    np.multiply(srt, 0.5, out=scratch)
-    price += scratch  # d1
-    np.subtract(price, srt, out=scratch)
-    ndtr(scratch, out=slope)  # N(d2)
+    np.multiply(srt, 0.5, out=slope)
+    price += slope  # d1
+    np.subtract(price, srt, out=slope)
+    ndtr(slope, out=slope)  # N(d2)
     ndtr(price, out=price)
     price *= ex
-    np.multiply(slope, ek, out=scratch)
-    price -= scratch
-    np.negative(scratch, out=slope)
+    slope *= ek
+    price -= slope
+    np.negative(slope, out=slope)
     return price, slope
 
 

@@ -339,7 +339,7 @@ def _cell_rows(
         ]
     # every (T, rho) binds into this one workspace, which invalidates the
     # previous pricer: no bind or strike allocates path arrays of its own
-    workspace = pricer_workspace(config.n_paths)
+    workspace = pricer_workspace(per_maturity[0])
     outcomes: list[tuple[Cell, SwapReport | str]] = []
     for maturity, funcs in zip(config.maturities, per_maturity):
         for params in cell_params:

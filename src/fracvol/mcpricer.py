@@ -82,7 +82,6 @@ __all__ = [
     "simulation_record",
     "strike_pricer",
     "pricer_workspace",
-    "PRICER_ROWS",
     "VALID_SCHEMES",
     "VALID_ESTIMATORS",
     "CONTROLS",
@@ -94,9 +93,6 @@ VALID_SCHEMES = ("convolution", "midpoint_convolution", "cholesky_oracle")
 VALID_ESTIMATORS = ("conditional_mixing", "direct_euler")
 # the control variates the calls and the swap leg are regressed on, in order
 CONTROLS = ("spot_martingale", "integrated_variance", "exponential_martingale")
-# rows of a pricer workspace: the log spot, the spot and the total vol;
-# the controls and the scratch for centring them; the swap leg's residual
-PRICER_ROWS = 4 + 2 * len(CONTROLS)
 # how every maturity of one simulation is read off its single draw
 MATURITY_LAYOUT = (
     "one unit-maturity draw per simulation; maturity T reads it with nu * T^H, "
@@ -283,11 +279,7 @@ def simulation_record(config: McConfig, hurst: Sequence[float]) -> dict[str, obj
 
 
 def _bind_controls(
-    spot: np.ndarray,
-    x0: float,
-    rho: float,
-    funcs: PathFunctionals,
-    out: np.ndarray | None = None,
+    spot: np.ndarray, x0: float, rho: float, funcs: PathFunctionals, out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The live CONTROLS on these paths, their sample means and the
     pseudo-inverse of their centred Gram matrix, for _regress.
@@ -299,15 +291,13 @@ def _bind_controls(
     rho = 0) has zero sample variance and is dropped; pinv tolerates what
     is left being collinear. A batch too small to leave the regression a
     degree of freedom, where the fit would pass through every path, keeps
-    no control. out is 2 len(CONTROLS) path-length rows (allocated if not
-    given): the controls are filled into its first half in CONTROLS order,
-    a dropped one overwritten by the next, so the live ones are its
-    leading rows, and the second half is scratch for centring them.
+    no control. out is 2 len(CONTROLS) path-length rows: the controls are
+    filled into its first half in CONTROLS order, a dropped one
+    overwritten by the next, so the live ones are its leading rows, and
+    the second half is scratch for centring them.
     """
     y, y_mean = funcs.integrated_variance, funcs.integrated_variance_mean
     lam = _martingale_slope(rho)
-    if out is None:
-        out = np.empty((2 * len(CONTROLS), spot.shape[0]))
     buffer, centred = out[: len(CONTROLS)], out[len(CONTROLS) :]
     live = 0
     np.subtract(spot, math.exp(x0), out=buffer[live])
@@ -401,10 +391,22 @@ def _regress(
     return controlled, cov, betas
 
 
-def pricer_workspace(n_paths: int) -> np.ndarray:
-    """An uninitialised workspace that strike_pricer binds n_paths paths
-    into: PRICER_ROWS path-length float64 rows."""
-    return np.empty((PRICER_ROWS, n_paths))
+def pricer_workspace(funcs: PathFunctionals) -> np.ndarray:
+    """An uninitialised workspace that strike_pricer binds funcs, or any
+    functionals of the same law and path count, into.
+
+    Its path-length float64 rows are, in order: the spot, the CONTROLS,
+    each strike's price and slope, and the swap leg's residual; then, for
+    the lognormal law of mixing functionals, the log spot and the total
+    vol. While the pricer binds, the len(CONTROLS) rows after the controls
+    (price, slope and swap, so at most three controls) centre them.
+    """
+    return np.empty(_workspace_shape(funcs))
+
+
+def _workspace_shape(funcs: PathFunctionals) -> tuple[int, int]:
+    lognormal = funcs.int_sigma_db is None
+    return 4 + len(CONTROLS) + 2 * lognormal, funcs.n_paths
 
 
 def strike_pricer(
@@ -438,58 +440,57 @@ def strike_pricer(
     with the swap leg by one pass over that residual.
 
     Every path-length array the pricer needs lives in out, a
-    pricer_workspace of funcs.n_paths paths (allocated if not given), so
-    neither binding nor pricing a strike allocates one. The pricer stays
-    valid until the next bind into the same out. Raises ValueError if out
-    is not a C-contiguous float64 array of shape (PRICER_ROWS, n_paths).
+    pricer_workspace(funcs) (allocated if not given), so neither binding
+    nor pricing a strike allocates one. The pricer stays valid until the
+    next bind into the same out. Raises ValueError if out is not a
+    C-contiguous float64 array of pricer_workspace(funcs)'s shape.
     """
     if maturity <= 0.0:
         raise ValueError("maturity must be positive")
-    shape = (PRICER_ROWS, funcs.n_paths)
+    shape = _workspace_shape(funcs)
     if out is None:
-        out = pricer_workspace(funcs.n_paths)
+        out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
-    log_spot, spot, total_vol, swap = out[0], out[1], out[2], out[-1]
-    # the controls and their centring scratch; once the controls are
-    # centred, the scratch holds each strike's price, slope and formula
-    # scratch
-    regression = out[3:-1]
-    strike_rows = regression[len(CONTROLS) :]
     rho = params.rho
     y, ito = funcs.integrated_variance, funcs.int_sigma_dw
-    # each log spot in the operation order of its formula, with the total
-    # vol's row as scratch before it is filled
+    n_controls = len(CONTROLS)
+    spot, total_vol = out[0], None
+    strike_rows = out[1 + n_controls : 3 + n_controls]
+    price, slope = strike_rows
+    swap = out[3 + n_controls]
+    # each log spot in the operation order of its formula, with the price
+    # row, free until a strike is priced, as scratch
     if funcs.int_sigma_db is not None:
+        # a point mass needs only the spot, so its log is built in place
+        log_spot = spot
         orth = math.sqrt(1.0 - rho * rho)
         np.multiply(y, -0.5, out=log_spot)
-        np.multiply(ito, rho, out=total_vol)
-        log_spot += total_vol
-        np.multiply(funcs.int_sigma_db, orth, out=total_vol)
-        log_spot += total_vol
+        np.multiply(ito, rho, out=price)
+        log_spot += price
+        np.multiply(funcs.int_sigma_db, orth, out=price)
+        log_spot += price
         log_spot += x0
-        total_vol = None
     else:
+        log_spot = out[-2]
         np.multiply(ito, rho, out=log_spot)
         log_spot += x0
-        np.multiply(y, 0.5 * rho * rho, out=total_vol)
-        log_spot -= total_vol
+        np.multiply(y, 0.5 * rho * rho, out=price)
+        log_spot -= price
         if abs(rho) < 1.0:
+            total_vol = out[-1]
             np.multiply(y, 1.0 - rho * rho, out=total_vol)
             np.sqrt(total_vol, out=total_vol)
-        else:
-            total_vol = None
     np.exp(log_spot, out=spot)
-    controls, control_means, _ = bound = _bind_controls(spot, x0, rho, funcs, regression)
+    bound = _bind_controls(spot, x0, rho, funcs, out[1 : 1 + 2 * n_controls])
+    controls, control_means, _ = bound
     np.divide(y, maturity, out=swap)
     np.sqrt(swap, out=swap)
     (swap_leg,), _, (beta,) = _regress([swap], *bound)
     # centred in place; less its fit, the swap leg's residual
-    fit = strike_rows[0]
-    np.matmul(beta, controls, out=fit)
-    fit -= beta @ control_means
-    swap -= fit
-    price, slope, _ = strike_rows
+    np.matmul(beta, controls, out=price)
+    price -= beta @ control_means
+    swap -= price
 
     def estimate() -> StrikeEstimate:
         (c, dc), cov, _ = _regress([price, slope], *bound, [swap])

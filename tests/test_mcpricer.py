@@ -21,7 +21,6 @@ from fracvol.fbm import (
 )
 from fracvol.mcpricer import (
     CONTROLS,
-    PRICER_ROWS,
     McConfig,
     PriceEstimate,
     _bind_controls,
@@ -386,7 +385,8 @@ class TestControlVariates:
         for funcs in simulate_functionals(grid, params, config, (0.5, 2.0)):
             for rho in (-0.8, 0.6):
                 spot = np.exp(mixing_values(funcs, rho, 0.0, 0.0, 1.0)[1])
-                controls, means, _ = _bind_controls(spot, 0.0, rho, funcs)
+                out = np.empty((2 * len(CONTROLS), funcs.n_paths))
+                controls, means, _ = _bind_controls(spot, 0.0, rho, funcs, out)
                 assert controls.shape[0] == len(CONTROLS)
                 se = controls[row].std(ddof=1) / math.sqrt(config.n_paths)
                 assert abs(means[row]) < 3.0 * se
@@ -860,7 +860,8 @@ class TestStrikePricer:
         (funcs,) = simulate_functionals(grid, params, config)
         pricer = strike_pricer(funcs, params, 0.0, 1.0)
         spot = np.exp(0.0 + euler_log_return(funcs, params.rho))
-        bound = _bind_controls(spot, 0.0, params.rho, funcs)
+        out = np.empty((2 * len(CONTROLS), funcs.n_paths))
+        bound = _bind_controls(spot, 0.0, params.rho, funcs, out)
         for k in (-0.05, 0.0, 0.05):
             ek = math.exp(k)
             payoff = np.maximum(spot - ek, 0.0)
@@ -950,7 +951,7 @@ class TestPricerWorkspace:
         params = ModelParams(SIGMA0, NU, rho, 0.3)
         config = McConfig(n_paths=4_096, seed=41, estimator=estimator)
         short, long = simulate_functionals(grid, params, config, (0.5, 2.0))
-        out = pricer_workspace(config.n_paths)
+        out = pricer_workspace(long)
         previous = strike_pricer(long, replace(params, rho=0.3), 0.0, 2.0, out=out)
         previous(-0.1)
         rebound = strike_pricer(short, params, 0.0, 0.5, out=out)
@@ -958,22 +959,34 @@ class TestPricerWorkspace:
         for k in (-0.05, 0.0, 0.05):
             assert rebound(k) == fresh(k)
 
-    @pytest.mark.parametrize(
-        "out",
-        [
-            np.empty((PRICER_ROWS, 257)),
-            np.empty((PRICER_ROWS - 1, 256)),
-            np.empty((PRICER_ROWS, 256), dtype=np.float32),
-            np.empty((PRICER_ROWS, 256), order="F"),
-        ],
-        ids=["paths", "rows", "dtype", "order"],
-    )
-    def test_rejects_a_workspace_of_another_layout(self, out):
+    @pytest.mark.parametrize("estimator", ["conditional_mixing", "direct_euler"])
+    @pytest.mark.parametrize("layout", ["paths", "rows", "dtype", "order"])
+    def test_rejects_a_workspace_of_another_layout(self, estimator, layout):
         grid = TimeGrid(1.0, 8)
         params = ModelParams(SIGMA0, NU, -0.5, 0.3)
-        (funcs,) = simulate_functionals(grid, params, McConfig(n_paths=256, seed=3))
+        config = McConfig(n_paths=256, seed=3, estimator=estimator)
+        (funcs,) = simulate_functionals(grid, params, config)
+        rows, n_paths = pricer_workspace(funcs).shape
+        out = {
+            "paths": lambda: np.empty((rows, n_paths + 1)),
+            "rows": lambda: np.empty((rows - 1, n_paths)),
+            "dtype": lambda: np.empty((rows, n_paths), dtype=np.float32),
+            "order": lambda: np.empty((rows, n_paths), order="F"),
+        }[layout]()
         with pytest.raises(ValueError, match="out must be"):
             strike_pricer(funcs, params, 0.0, 1.0, out=out)
+
+    def test_direct_euler_needs_no_log_spot_or_total_vol(self):
+        # a point mass prices off the spot alone: two rows fewer
+        grid = TimeGrid(1.0, 8)
+        params = ModelParams(SIGMA0, NU, -0.5, 0.3)
+        shapes = [
+            pricer_workspace(
+                simulate_functionals(grid, params, McConfig(256, 3, estimator=e))[0]
+            ).shape
+            for e in ("conditional_mixing", "direct_euler")
+        ]
+        assert shapes == [(6 + len(CONTROLS), 256), (4 + len(CONTROLS), 256)]
 
     @pytest.mark.parametrize("estimator", ["conditional_mixing", "direct_euler"])
     def test_binding_and_pricing_allocate_no_path_array(self, estimator):
@@ -981,7 +994,7 @@ class TestPricerWorkspace:
         params = ModelParams(SIGMA0, NU, -0.5, 0.3)
         config = McConfig(n_paths=20_000, seed=43, estimator=estimator)
         (funcs,) = simulate_functionals(grid, params, config)
-        out = pricer_workspace(config.n_paths)
+        out = pricer_workspace(funcs)
         strike_pricer(funcs, params, 0.0, 1.0, out=out)(0.0)
         tracemalloc.start()
         try:
