@@ -94,16 +94,18 @@ def _call(x, ex, k, srt, out=None):
     be positive: a zero total vol is bs_price's to map to the intrinsic
     value. Everything that does not depend on k comes in precomputed, so
     a caller pricing many strikes on the same arrays prepares them once.
-    out, if given, is two float arrays of the inputs' broadcast shape,
-    which the formula overwrites with the price and the slope; otherwise
-    they are allocated.
+    out, if given, is two float arrays of the inputs' broadcast shape that
+    receive the price and the slope: the same operations in the same order,
+    run in place, so the results are the same to the bit. Without it the
+    formula allocates its results, which on scalars (implied_vol) is some
+    ten times faster than numpy's in-place calls.
     """
-    if out is None:
-        shape = np.broadcast_shapes(np.shape(x), np.shape(k), np.shape(srt))
-        out = np.empty((2, *shape))
-    # [i, ...] keeps a row an array even at a scalar's shape ()
-    price, slope = out[0, ...], out[1, ...]
     ek = np.exp(k)
+    if out is None:
+        d_1 = (x - k) / srt + 0.5 * srt
+        n_2 = ndtr(d_1 - srt)
+        return ex * ndtr(d_1) - ek * n_2, -ek * n_2
+    price, slope = out
     np.subtract(x, k, out=price)
     price /= srt
     np.multiply(srt, 0.5, out=slope)

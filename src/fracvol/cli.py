@@ -48,8 +48,8 @@ from .mcpricer import (
     VALID_ESTIMATORS,
     VALID_SCHEMES,
     McConfig,
-    simulate_functionals,
     pricer_workspace,
+    simulate_functionals,
     simulation_record,
     strike_pricer,
 )

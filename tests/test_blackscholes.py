@@ -72,6 +72,18 @@ class TestBsPrice:
         for i, k in enumerate(ks):
             assert out[i] == bs_price(0.0, float(k), 0.2, 1.0)
 
+    def test_in_place_kernel_matches_the_allocating_one(self):
+        # the pricers write each strike into a workspace; the same operations
+        # in the same order give the same bits as the allocating formula
+        rng = np.random.default_rng(5)
+        x, srt = rng.normal(0.0, 0.2, 1_000), rng.uniform(0.01, 1.0, 1_000)
+        ex, out = np.exp(x), np.empty((2, 1_000))
+        for k in (-0.3, 0.0, 0.2):
+            price, slope = blackscholes._call(x, ex, k, srt)
+            blackscholes._call(x, ex, k, srt, out)
+            assert out[0].tobytes() == price.tobytes()
+            assert out[1].tobytes() == slope.tobytes()
+
     def test_rejects_negative_sigma(self):
         with pytest.raises(ValueError):
             bs_price(0.0, 0.0, -0.1, 1.0)
