@@ -88,17 +88,20 @@ def bs_price(x, k, sigma, tau):
 
 def _call(x, ex, k, srt, out=None):
     """Call price and its log-strike slope ``dC/dk = -exp(k) N(d2)``, from
-    one N(d2): the one copy of the formula, on checked inputs.
+    one N(d2), on checked inputs.
 
     ex is ``exp(x)`` and srt the total vol ``sigma sqrt(tau)``, which must
     be positive: a zero total vol is bs_price's to map to the intrinsic
     value. Everything that does not depend on k comes in precomputed, so
     a caller pricing many strikes on the same arrays prepares them once.
     out, if given, is two float arrays of the inputs' broadcast shape that
-    receive the price and the slope: the same operations in the same order,
-    run in place, so the results are the same to the bit. Without it the
-    formula allocates its results, which on scalars (implied_vol) is some
-    ten times faster than numpy's in-place calls.
+    receive the price and the slope. The formula has two branches: an
+    allocating one for scalars and bs_price, and one in place for the
+    pricers' workspaces. They run the same operations in the same order,
+    so their results agree to the bit
+    (test_in_place_kernel_matches_the_allocating_one). The allocating one
+    stays because on scalars it is over ten times faster: run in
+    place, the implied-vol layer of a smile_dense run takes twice as long.
     """
     ek = np.exp(k)
     if out is None:
@@ -189,7 +192,10 @@ def implied_vol(target_price: float, x: float, k: float, tau: float) -> ImpliedV
         if not price > 0.0:
             return -math.inf, math.nan
         gap = math.log(price) - log_target
-        return gap, _newton_step(gap, _vega(x, k, srt, sqrt_tau) / price)
+        slope = _vega(x, k, srt, sqrt_tau) / price
+        # NaN, so that the search bisects, where vega underflows
+        step = -gap / slope if math.isfinite(slope) and slope != 0.0 else math.nan
+        return gap, step
 
     inflection = math.sqrt(2.0 * abs(x - k) / tau)
     at_the_money = target_price * math.sqrt(2.0 * math.pi / tau) / ex
@@ -200,7 +206,7 @@ def implied_vol(target_price: float, x: float, k: float, tau: float) -> ImpliedV
     return ImpliedVol(*search)
 
 
-def _newton(f, lo, hi, start, xtol, name, no_root, hi_known=False):
+def _newton(f, lo, hi, start, xtol, name, no_root):
     """``(root, evals, bisected)`` of an increasing f on [lo, hi], where
     ``f(v)`` returns f(v) and a proposed step toward the root, by a
     safeguarded search.
@@ -208,16 +214,16 @@ def _newton(f, lo, hi, start, xtol, name, no_root, hi_known=False):
     Each evaluation narrows the bracket by the sign of f. A proposed step
     that would leave the bracket (or is not finite) bisects instead; the
     first time, each end whose sign no evaluation has shown is evaluated
-    once to confirm the sign change (hi_known: the caller knows
-    f(hi) > 0). The search stops once the step or the bracket is narrower
-    than xtol, never on the residual: an f computed from rounded prices is
-    rough at that scale, so a residual rule can sit below its resolution
-    and never be met. The root is a point f was evaluated at.
+    once to confirm the sign change. The search stops once the step or the
+    bracket is narrower than xtol, never on the residual: an f computed
+    from rounded prices is rough at that scale, so a residual rule can sit
+    below its resolution and never be met. The root is a point f was
+    evaluated at.
 
     Raises NoSolutionError(no_root) when f does not change sign on the
     bracket, and ConvergenceError after ROOT_MAX_ITER steps.
     """
-    checked = [False, hi_known]
+    checked = [False, False]
     v, evals, bisected = start, 0, False
     best = (math.inf, v)
     for _ in range(ROOT_MAX_ITER):
@@ -248,12 +254,6 @@ def _newton(f, lo, hi, start, xtol, name, no_root, hi_known=False):
     )
 
 
-def _newton_step(value: float, slope: float) -> float:
-    """The Newton step -value / slope, NaN unless slope is finite and
-    nonzero."""
-    return -value / slope if math.isfinite(slope) and slope != 0.0 else math.nan
-
-
 class ZeroVannaSearch(NamedTuple):
     """A zero-vanna strike and what finding it took: the curve evaluations
     and whether any step left the bracket, so that it bisected."""
@@ -274,19 +274,17 @@ def zero_vanna_strike(
     on ``[x - 2 I(x)^2 tau, x]``, narrowing the bracket by the sign of d2.
     Each step goes to g's root on a model of the smile (_model_step): the
     first, from x, on the ATM tangent line; every later one on the cubic
-    Hermite interpolant of the last two priced (I, I'). Where the model
-    gives no finite step, Newton's on d2 stands in, with ``d2'(k) =
-    -1 / (I sqrt(tau)) - I'(k) d1 / I``; a first step that leaves the
-    bracket starts the search at the flat smile's root ``x - I(x)^2 tau /
-    2`` instead. ``d2(x) = -I(x) sqrt(tau) / 2`` is always negative; at the
-    left end d2 is positive for any smile close to its ATM level
-    (``3 I sqrt(tau) / 2`` for a flat one). On a straight smile the
-    tangent start is exact: the search prices the ATM strike and the root.
+    Hermite interpolant of the last two priced (I, I'). A model step that
+    is not finite bisects, like one that leaves the bracket. ``d2(x) =
+    -I(x) sqrt(tau) / 2`` is always negative; at the left end d2 is
+    positive for any smile close to its ATM level (``3 I sqrt(tau) / 2``
+    for a flat one). On a straight smile the tangent start is exact: the
+    search prices the ATM strike and the root.
 
     Raises NoSolutionError when d2 has no sign change on the bracket (the
     smile has no zero-vanna strike near the money), ConvergenceError after
-    ROOT_MAX_ITER evaluations past the ATM one, and ValueError if the curve
-    returns a non-positive or non-finite vol.
+    ROOT_MAX_ITER evaluations, the ATM one among them, and ValueError if
+    the curve returns a non-positive or non-finite vol.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
@@ -301,27 +299,23 @@ def zero_vanna_strike(
         srt = vol * sqrt_tau
         d_1 = (x - k) / srt + 0.5 * srt
         priced[:] = [*priced[-1:], (k, vol, vol_slope)]
-        step = _model_step(priced, x, tau)
-        if not math.isfinite(step):
-            step = _newton_step(srt - d_1, 1.0 / srt + vol_slope * d_1 / vol)
-        return srt - d_1, step
+        return srt - d_1, _model_step(priced, x, tau)
 
-    step = minus_d2(x)[1]
+    # the bracket's left end needs I(x): the search starts from that price
+    at_the_money = minus_d2(x)
     sig_x = priced[0][1]
     lo = x - 2.0 * sig_x * sig_x * tau
-    start = x + step if lo < x + step < x else x - 0.5 * sig_x * sig_x * tau
-    strike, evals, bisected = _newton(
-        minus_d2,
+    search = _newton(
+        lambda k: at_the_money if k == x else minus_d2(k),
         lo,
         x,
-        start,
+        x,
         ZERO_VANNA_XTOL,
         "zero-vanna strike",
         f"zero-vanna strike: d2 does not change sign on [{lo}, {x}]; "
         "the smile has no zero-vanna strike",
-        hi_known=True,
     )
-    return ZeroVannaSearch(strike, 1 + evals, bisected)
+    return ZeroVannaSearch(*search)
 
 
 def _model_step(

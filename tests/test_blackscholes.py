@@ -417,14 +417,21 @@ class TestZeroVannaStrike:
     def test_convergence_error_carries_best_iterate(self, monkeypatch):
         # the tangent start is exact on a straight smile, so a curved one
         # is needed to run out of steps
-        monkeypatch.setattr(blackscholes, "ROOT_MAX_ITER", 1)
+        monkeypatch.setattr(blackscholes, "ROOT_MAX_ITER", 2)
 
         def curve(k):
             return 0.2 - 0.5 * k + 2.0 * k * k, -0.5 + 4.0 * k
 
+        def g(k):
+            return -k - 0.5 * curve(k)[0] ** 2
+
+        reference = brentq(g, -2.0 * 0.2**2, 0.0, xtol=1e-15)
         with pytest.raises(ConvergenceError) as err:
             zero_vanna_strike(curve, 0.0, 1.0)
-        assert err.value.best == pytest.approx(AFFINE_ZERO_VANNA_K, abs=0.1)
+        # the best of the two priced strikes is the tangent start, which
+        # misses the curvature by about 2.4e-4
+        assert err.value.best == pytest.approx(reference, abs=1e-3)
+        assert err.value.best != reference
         assert math.isfinite(err.value.residual)
 
     def test_releases_the_curve_on_return(self):
