@@ -50,10 +50,10 @@ class NoSolutionError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """Iterative solver ran out of iterations; ``best`` is its best iterate
-    and ``residual`` the absolute residual there."""
+    and ``residual`` the absolute residual there, both also in the message."""
 
     def __init__(self, message: str, best: float, residual: float):
-        super().__init__(message)
+        super().__init__(f"{message}; best iterate {best!r}, residual {residual!r}")
         self.best = best
         self.residual = residual
 
@@ -284,10 +284,10 @@ def zero_vanna_strike(
     Raises NoSolutionError when d2 has no sign change on the bracket (the
     smile has no zero-vanna strike near the money), ConvergenceError after
     ROOT_MAX_ITER evaluations, the ATM one among them, and ValueError if
-    the curve returns a non-positive or non-finite vol.
+    tau, or a vol the curve returns, is not positive and finite.
     """
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
+    if not 0.0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     sqrt_tau = math.sqrt(tau)
     # the last two (k, I(k), I'(k)) the curve returned
     priced: list[tuple[float, float, float]] = []

@@ -2,11 +2,11 @@
 
 The estimator is chosen once, when the paths are simulated
 (McConfig.estimator), and the pricer reads it off the rho-free
-functionals, so one simulation serves every correlation. Conditional
-mixing integrates the Brownian factor independent of the vol path out:
-each path contributes a Black-Scholes value. Direct Euler draws that
-factor's leg, sqrt(Y) times one standard normal per path
-(INDEPENDENT_LEG), and averages the payoff on the Euler terminal spot.
+functionals, so one simulation serves every correlation. Given the vol
+path both read one law, X_T ~ Normal(x_hat - v / 2, v): conditional
+mixing integrates it out, so each path contributes a Black-Scholes
+value, and direct Euler averages the payoff on one draw of it per path
+(INDEPENDENT_LEG).
 
 Each (simulation, rho) has one regression on three control variates,
 CONTROLS, whose means are exact in the discrete scheme:
@@ -98,11 +98,11 @@ MATURITY_LAYOUT = (
     "one unit-maturity draw per simulation; maturity T reads it with nu * T^H, "
     "then scales Y and E[Y] by T and int sigma dW by sqrt(T)"
 )
-# how the direct Euler estimator draws int sigma dB, the leg of the
-# Brownian driver independent of the vol path
+# how the direct Euler estimator draws its terminal log spot from the
+# conditional law Normal(x_hat - v / 2, v) given the vol path
 INDEPENDENT_LEG = (
-    "sqrt(Y) * z: one standard normal z per path from block 0 of B_STREAM, "
-    "shared by every maturity"
+    "x_hat - v / 2 + sqrt(v) * z: one standard normal z per path from block 0 "
+    "of B_STREAM, shared by every maturity"
 )
 # the kernel_weights evaluation behind each convolution scheme; the
 # Cholesky oracle samples the exact law and evaluates no kernel
@@ -200,15 +200,14 @@ def simulate_functionals(
     O(n_paths x maturities) for the functionals, and for the oracle its
     (2 n_steps)^2 covariance and factor.
 
-    The functionals are rho-free: params.rho is never read. For the
-    direct Euler estimator int sigma dB is sqrt(Y) * z (INDEPENDENT_LEG):
-    given the vols it is exactly Normal(0, Y), so z is one standard normal
-    per path, from block 0 of B_STREAM and independent of W. Every
-    maturity reads the same z, so the legs of two maturities are perfectly
-    correlated; each maturity's marginal law is exact, and nothing reads
-    the joint law across maturities. The exact E[Y] of the scheme, which
-    the pricers' Y control needs, is recorded from the scheme's own W^H
-    variances.
+    The functionals are rho-free: params.rho is never read. For direct
+    Euler they carry independent_normal, one standard normal per path
+    from block 0 of B_STREAM, independent of W, with which the pricer
+    draws (INDEPENDENT_LEG). Every maturity holds the same array, so the
+    draws of two maturities are perfectly correlated; each maturity's
+    marginal law is exact, and nothing reads the joint law across
+    maturities. The exact E[Y] of the scheme, which the pricers' Y
+    control needs, is recorded from the scheme's own W^H variances.
     """
     maturities = (grid.maturity,) if maturities is None else tuple(maturities)
     if not maturities or not all(0.0 < t < math.inf for t in maturities):
@@ -247,7 +246,7 @@ def simulate_functionals(
             PathFunctionals(
                 integrated_variance=y[m],
                 int_sigma_dw=ito[m],
-                int_sigma_db=None if z is None else np.sqrt(y[m]) * z,
+                independent_normal=z,
                 integrated_variance_mean=mean,
             )
         )
@@ -258,7 +257,7 @@ def simulation_record(config: McConfig, hurst: Sequence[float]) -> dict[str, obj
     """How simulate_functionals draws its paths under config at each H,
     in enough detail to reproduce them: bit generator, block size, tile
     size in bytes per buffer, how the maturities share one draw, how
-    direct Euler draws int sigma dB (None for mixing, which draws none),
+    direct Euler draws its spot (None for mixing, which draws none),
     kernel evaluation, convolution method ("cholesky" for the oracle) and
     the control variates of the calls and the swap leg."""
     evaluation = KERNEL_EVALUATION.get(config.scheme)
@@ -391,22 +390,20 @@ def _regress(
     return controlled, cov, betas
 
 
+_WORKSPACE_ROWS = 6 + len(CONTROLS)
+
+
 def pricer_workspace(funcs: PathFunctionals) -> np.ndarray:
     """An uninitialised workspace that strike_pricer binds funcs, or any
-    functionals of the same law and path count, into.
+    functionals of the same path count, into.
 
     Its path-length float64 rows are, in order: the spot, the CONTROLS,
-    each strike's price and slope, and the swap leg's residual; then, for
-    the lognormal law of mixing functionals, the log spot and the total
-    vol. While the pricer binds, the len(CONTROLS) rows after the controls
-    (price, slope and swap, so at most three controls) centre them.
+    each strike's price and slope, the swap leg's residual, the log spot
+    and the total vol. While the pricer binds, the len(CONTROLS) rows
+    after the controls (price, slope and swap, so at most three controls)
+    centre them.
     """
-    return np.empty(_workspace_shape(funcs))
-
-
-def _workspace_shape(funcs: PathFunctionals) -> tuple[int, int]:
-    lognormal = funcs.int_sigma_db is None
-    return 4 + len(CONTROLS) + 2 * lognormal, funcs.n_paths
+    return np.empty((_WORKSPACE_ROWS, funcs.n_paths))
 
 
 def strike_pricer(
@@ -420,19 +417,19 @@ def strike_pricer(
 
     All strikes reuse the same paths (common random numbers), which makes
     differences of implied vols across strikes far less noisy than
-    independent runs would be. The law comes from the functionals, whose
-    estimator was chosen at simulation: it sets, once per rho, the
-    per-path log spot S = e^x the law sits on and its controls, checks
-    them once, and binds one of two closures.
+    independent runs would be. Given the vol path, both estimators read
+    one law, X_T ~ Normal(x_hat - v / 2, v), with x_hat = x0 + rho int
+    sigma dW - rho^2 Y / 2 and v = (1 - rho^2) Y (McCrickerd & Pakkanen,
+    Quantitative Finance 2018). Once per rho the pricer builds x_hat,
+    sqrt(v), the spot S = e^x the payoff sits on and its controls, checks
+    them, and binds one of two closures.
 
-    Direct Euler (functionals that carry int sigma dB): a point mass at the
-    Euler terminal log spot x0 - Y/2 + rho int sigma dW + sqrt(1 - rho^2)
-    int sigma dB. Conditional mixing (all others): given the vol path,
-    X_T ~ Normal(x_hat, (1 - rho^2) Y) with x_hat = x0 + rho int sigma dW -
-    rho^2 Y / 2, so each path's value is the Black-Scholes call at x_hat
-    with total vol sqrt((1 - rho^2) Y), and slope -e^k N(d2); at |rho| = 1
-    the law is a point mass at x_hat. A point mass prices (S - e^k)+ per
-    path, with slope -e^k 1{S > e^k}.
+    Conditional mixing integrates the law out: per path, the Black-Scholes
+    call at x_hat with total vol sqrt(v), and slope -e^k N(d2). Direct
+    Euler (functionals that carry independent_normal z) takes one draw,
+    x_hat - v / 2 + sqrt(v) z, the Euler terminal log spot. At |rho| = 1,
+    v = 0 and either estimator's law is the point mass at x_hat. A point
+    mass prices (S - e^k)+ per path, with slope -e^k 1{S > e^k}.
 
     One regression on CONTROLS (spot control S - e^{x0}) serves the
     (simulation, rho): the swap leg sqrt(Y/T) is fitted here and kept as
@@ -445,9 +442,9 @@ def strike_pricer(
     next bind into the same out. Raises ValueError if out is not a
     C-contiguous float64 array of pricer_workspace(funcs)'s shape.
     """
-    if maturity <= 0.0:
-        raise ValueError("maturity must be positive")
-    shape = _workspace_shape(funcs)
+    if not 0.0 < maturity < math.inf:
+        raise ValueError(f"maturity must be positive and finite, got {maturity}")
+    shape = (_WORKSPACE_ROWS, funcs.n_paths)
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
@@ -455,32 +452,25 @@ def strike_pricer(
     rho = params.rho
     y, ito = funcs.integrated_variance, funcs.int_sigma_dw
     n_controls = len(CONTROLS)
-    spot, total_vol = out[0], None
+    spot, log_spot, total_vol = out[0], out[-2], out[-1]
     strike_rows = out[1 + n_controls : 3 + n_controls]
     price, slope = strike_rows
     swap = out[3 + n_controls]
-    # each log spot in the operation order of its formula, with the price
-    # row, free until a strike is priced, as scratch
-    if funcs.int_sigma_db is not None:
-        # a point mass needs only the spot, so its log is built in place
-        log_spot = spot
-        orth = math.sqrt(1.0 - rho * rho)
-        np.multiply(y, -0.5, out=log_spot)
-        np.multiply(ito, rho, out=price)
-        log_spot += price
-        np.multiply(funcs.int_sigma_db, orth, out=price)
-        log_spot += price
-        log_spot += x0
-    else:
-        log_spot = out[-2]
-        np.multiply(ito, rho, out=log_spot)
-        log_spot += x0
-        np.multiply(y, 0.5 * rho * rho, out=price)
+    # x_hat and sqrt(v) in the operation order of their formulas, with the
+    # price row, free until a strike is priced, as scratch
+    np.multiply(ito, rho, out=log_spot)
+    log_spot += x0
+    np.multiply(y, 0.5 * rho * rho, out=price)
+    log_spot -= price
+    np.multiply(y, 1.0 - rho * rho, out=total_vol)
+    np.sqrt(total_vol, out=total_vol)
+    z = funcs.independent_normal
+    if z is not None:
+        # direct Euler's one draw, x_hat - v / 2 + sqrt(v) z
+        np.multiply(y, 0.5 * (1.0 - rho * rho), out=price)
         log_spot -= price
-        if abs(rho) < 1.0:
-            total_vol = out[-1]
-            np.multiply(y, 1.0 - rho * rho, out=total_vol)
-            np.sqrt(total_vol, out=total_vol)
+        np.multiply(total_vol, z, out=price)
+        log_spot += price
     np.exp(log_spot, out=spot)
     bound = _bind_controls(spot, x0, rho, funcs, out[1 : 1 + 2 * n_controls])
     controls, control_means, _ = bound
@@ -499,7 +489,7 @@ def strike_pricer(
             cov=float(cov[0, 1]), swap=swap_leg, swap_cov=float(cov[0, 2]),
         )
 
-    if total_vol is None:
+    if z is not None or abs(rho) == 1.0:
 
         def price_intrinsic(k: float) -> StrikeEstimate:
             ek = math.exp(k)

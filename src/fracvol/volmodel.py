@@ -55,9 +55,9 @@ class PathFunctionals:
     int_sigma_dw: int_0^T sigma dW (left-point Ito sum, adapted).
     integrated_variance_mean: the exact E[Y] of the scheme that drew the
     paths (see integrated_variance_mean), which the pricers' Y control needs.
-    int_sigma_db: int_0^T sigma dB against the Brownian driver B independent
-    of W, only for the direct Euler estimator. Given the vols it is exactly
-    Normal(0, Y), so it is drawn as sqrt(Y) times one normal per path.
+    independent_normal: one standard normal per path, independent of W,
+    only for the direct Euler estimator, which draws its terminal log spot
+    from the conditional law given the vols with it.
 
     None of them depends on rho, so one simulation serves every
     correlation; the pricers mix them per rho.
@@ -66,10 +66,11 @@ class PathFunctionals:
     integrated_variance: np.ndarray
     int_sigma_dw: np.ndarray
     integrated_variance_mean: float
-    int_sigma_db: Optional[np.ndarray] = None
+    independent_normal: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.integrated_variance.shape != self.int_sigma_dw.shape:
+        arrays = (self.integrated_variance, self.int_sigma_dw, self.independent_normal)
+        if len({a.shape for a in arrays if a is not None}) != 1:
             raise ValueError("functional arrays must have identical shapes")
         if np.any(self.integrated_variance <= 0.0):
             raise ValueError("integrated variance must be positive on every path")
@@ -154,8 +155,8 @@ def variance_swap_oracle(params: ModelParams, maturity: float) -> float:
     """Closed-form fair variance-swap strike E[Y]/T = sigma0^2 1F1(a; a+1; x),
     a = 1/(2H), x = nu^2 T^{2H} / (2H): the time average of E[sigma_s^2] =
     sigma0^2 exp(nu^2 s^{2H} / (2H)) is Kummer's integral (DLMF 13.4.1)."""
-    if maturity <= 0.0:
-        raise ValueError("maturity must be positive")
+    if not 0.0 < maturity < np.inf:
+        raise ValueError(f"maturity must be positive and finite, got {maturity}")
     two_h = 2.0 * params.hurst
     x = params.nu**2 * maturity**two_h / two_h
     return params.sigma0**2 * float(hyp1f1(1.0 / two_h, 1.0 / two_h + 1.0, x))

@@ -283,10 +283,10 @@ def test_both_estimators_agree_at_scale():
         )
         (funcs,) = simulate_functionals(grid, params, config)
         # the pricer reads the law off the functionals: without the
-        # independent leg the same paths price by conditional mixing
+        # independent normal the same paths price by conditional mixing
         direct = strike_pricer(funcs, params, 0.0, maturity)
         conditional = strike_pricer(
-            replace(funcs, int_sigma_db=None), params, 0.0, maturity
+            replace(funcs, independent_normal=None), params, 0.0, maturity
         )
         for k in (-0.1, 0.0, 0.1):
             a: PriceEstimate = direct(k)

@@ -47,14 +47,19 @@ def test_pairs_by_seed_and_applies_gain_rule(tmp_path):
     assert wall["gain_rule_holds"]
     assert wall["parent"]["median"] == pytest.approx(5.055)
     assert wall["change_minus_parent"] == pytest.approx(-1.0)
-    # ties win nothing, so an unmoved metric claims no gain
+    # ties win nothing, so an unmoved metric claims no gain either way
     setup = work["end_to_end"]["setup_s"]
     assert setup["change_wins"] == 0 and not setup["gain_rule_holds"]
+    assert setup["paired_relative"] == {
+        "median": 0.0, "q1": 0.0, "q3": 0.0, "rule_holds": False
+    }
     assert work["change"]["ref_layers"] == {"ref.fbm.blocks_s": pytest.approx(2.0275)}
     assert record["machine"] == {"parent": {"commit": "parent"}, "change": {"commit": "change"}}
 
 
 def test_gain_inside_parent_spread_is_not_claimed(tmp_path):
+    # the parent drifts 1.8 s across seeds and every pair is 0.05 s
+    # faster: the parent's quartiles hide the gain, the pairs do not
     parent, change = tmp_path / "parent", tmp_path / "change"
     for seed in range(1, 11):
         write_run(parent, seed, 4.0 + 0.2 * seed)
@@ -62,6 +67,24 @@ def test_gain_inside_parent_spread_is_not_claimed(tmp_path):
     wall = bench_record.record(parent, change, "")["workloads"]["sim_fft"]["end_to_end"]["wall_s"]
     assert wall["change_wins"] == 10
     assert not wall["gain_rule_holds"]
+    ratios = sorted(-0.05 / (4.0 + 0.2 * seed) for seed in range(1, 11))
+    paired = wall["paired_relative"]
+    assert paired["median"] == pytest.approx((ratios[4] + ratios[5]) / 2)
+    assert paired["q3"] - paired["q1"] < -paired["median"]
+    assert paired["rule_holds"]
+
+
+def test_paired_reading_needs_the_pairs_won(tmp_path):
+    # a median ratio beyond its quartiles is no gain unless nine tenths
+    # of the pairs are won
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for seed in range(1, 11):
+        write_run(parent, seed, 5.0)
+        write_run(change, seed, 4.0 if seed <= 8 else 6.0)
+    wall = bench_record.record(parent, change, "")["workloads"]["sim_fft"]["end_to_end"]["wall_s"]
+    assert wall["change_wins"] == 8
+    assert wall["paired_relative"]["median"] == pytest.approx(-0.2)
+    assert not wall["paired_relative"]["rule_holds"]
 
 
 def test_prefers_untraced_file_and_rejects_smoke(tmp_path):

@@ -180,6 +180,10 @@ class TestImpliedVol:
             implied_vol(price, 0.0, 0.0, 1.0)
         assert err.value.best == pytest.approx(0.2, abs=0.5)
         assert math.isfinite(err.value.residual)
+        # the text, all a failed cell's record keeps, carries both
+        assert str(err.value).endswith(
+            f"best iterate {err.value.best!r}, residual {err.value.residual!r}"
+        )
 
     def test_near_atm_inversion_prices_at_most_16_times(self, monkeypatch):
         # a bisection of IV_BRACKET down to IV_TOL takes 37 prices
@@ -403,6 +407,20 @@ class TestZeroVannaStrike:
         assert search.bisected
         assert search.strike == pytest.approx(AFFINE_ZERO_VANNA_K, abs=1e-11)
 
+    def test_model_step_with_no_descent_bisects(self):
+        # at the money 1 + tau I I' = 0.2 * -5 + 1 = 0: g is flat there,
+        # the model step has no direction, and the search bisects
+        def curve(k):
+            return 0.2 - 5.0 * k - 50.0 * k * k, -5.0 - 100.0 * k
+
+        def g(k):
+            return -k - 0.5 * curve(k)[0] ** 2
+
+        reference = brentq(g, -2.0 * 0.2**2, 0.0, xtol=1e-15)
+        search = zero_vanna_strike(curve, 0.0, 1.0)
+        assert search.bisected
+        assert search.strike == pytest.approx(reference, abs=1e-11)
+
     def test_returns_an_evaluated_strike(self):
         evals = []
 
@@ -433,6 +451,10 @@ class TestZeroVannaStrike:
         assert err.value.best == pytest.approx(reference, abs=1e-3)
         assert err.value.best != reference
         assert math.isfinite(err.value.residual)
+        assert str(err.value) == (
+            f"zero-vanna strike: no convergence in 2 iterations; best iterate "
+            f"{err.value.best!r}, residual {err.value.residual!r}"
+        )
 
     def test_releases_the_curve_on_return(self):
         # a curve closes over a pricer and its path arrays; nothing may
@@ -452,8 +474,17 @@ class TestZeroVannaStrike:
             gc.enable()
 
     def test_rejects_nonpositive_tau(self):
-        with pytest.raises(ValueError):
-            zero_vanna_strike(lambda k: (0.2, 0.0), 0.0, 0.0)
+        strikes = []
+
+        def curve(k):
+            strikes.append(k)
+            return 0.2, 0.0
+
+        for tau in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"tau .* got {tau}"):
+                zero_vanna_strike(curve, 0.0, tau)
+        # rejected before the ATM strike is priced
+        assert strikes == []
 
     def test_rejects_nonpositive_curve(self):
         with pytest.raises(ValueError):

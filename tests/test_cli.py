@@ -181,6 +181,8 @@ class TestBuildConfig:
             ({"hurst": (0.3, 0.3000001)}, "hurst"),
             ({"maturities": (1.0, 1.0000001)}, "maturities"),
             ({"rho": (-0.8, -0.8000001)}, "rho"),
+            # an empty list sorts to an empty tuple, left to ExperimentConfig
+            ({"rho": []}, "rho"),
         ],
     )
     def test_validation_names_field(self, values, needle):
@@ -531,7 +533,7 @@ class TestRun:
         manifest = json.loads(manifest_path.read_text())
         assert list(manifest["failed_cells"]) == ["rho=0,H=0.5,T=1"]
         assert manifest["failed_cells"]["rho=0,H=0.5,T=1"] == (
-            "ConvergenceError: boom"
+            "ConvergenceError: boom; best iterate 0.0, residual 1.0"
         )
         # a failed cell has no report, so no costs
         assert len(manifest["cell_costs"]) == 3

@@ -16,6 +16,7 @@ from fracvol.fbm import (
     W_STREAM,
     GaussianPathBatch,
     TimeGrid,
+    _cholesky_with_jitter,
     _convolution_matrix,
     _joint_covariance,
     _rl_auto_cov,
@@ -140,6 +141,12 @@ class TestKernelWeights:
     def test_rejects_hurst_outside_unit_interval(self, bad):
         with pytest.raises(ValueError):
             kernel_weights(TimeGrid(1.0, 10), bad)
+        with pytest.raises(ValueError, match="hurst"):
+            cholesky_factor(TimeGrid(1.0, 10), bad)
+
+    def test_rejects_unknown_evaluation(self):
+        with pytest.raises(ValueError, match="evaluation must be"):
+            kernel_weights(TimeGrid(1.0, 10), 0.3, evaluation="x")
 
 
 class TestConvolution:
@@ -336,6 +343,8 @@ class TestSamplePaths:
         w = kernel_weights(TimeGrid(1.0, 16), 0.3)
         with pytest.raises(ValueError):
             sample_paths(TimeGrid(1.0, 32), w, 10, seed=0)
+        with pytest.raises(ValueError, match="different grid"):
+            level_variance(TimeGrid(1.0, 32), w)
 
 
 class TestCholeskyOracle:
@@ -448,6 +457,12 @@ class TestCholeskyOracle:
     def test_rejects_oversized_grid(self):
         with pytest.raises(ValueError):
             cholesky_factor(TimeGrid(1.0, 4096), 0.3)
+
+    def test_indefinite_covariance_raises_after_jitter(self):
+        # eigenvalues 3 and -1: no diagonal jitter of 1e-10 of the scale
+        # makes it positive definite
+        with pytest.raises(np.linalg.LinAlgError, match="even after jitter"):
+            _cholesky_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_blocks_match_dense_draws(self):
         # 2,048-path blocks at 128 steps stream as two 1,024-row tiles

@@ -23,6 +23,7 @@ from fracvol.mcpricer import (
     CONTROLS,
     McConfig,
     PriceEstimate,
+    StrikeEstimate,
     _bind_controls,
     _regress,
     pricer_workspace,
@@ -60,13 +61,12 @@ def swap_leg(funcs, params, maturity: float) -> PriceEstimate:
 
 def euler_log_return(funcs, rho: float) -> np.ndarray:
     """Left-point Euler X_T - x0 = -Y/2 + rho int sigma dW
-    + sqrt(1 - rho^2) int sigma dB, per path, in the pricer's order."""
-    orth = math.sqrt(1.0 - rho * rho)
-    return (
-        -0.5 * funcs.integrated_variance
-        + rho * funcs.int_sigma_dw
-        + orth * funcs.int_sigma_db
-    )
+    + sqrt(1 - rho^2) sqrt(Y) z, per path, as the pricer builds it: the draw
+    x_hat - v/2 + sqrt(v) z of the conditional law, v = (1 - rho^2) Y."""
+    y = funcs.integrated_variance
+    x_hat = rho * funcs.int_sigma_dw - 0.5 * rho * rho * y
+    v = y * (1.0 - rho * rho)
+    return x_hat - 0.5 * (1.0 - rho * rho) * y + np.sqrt(v) * funcs.independent_normal
 
 
 def plain_direct_price(funcs, params, x0: float, k: float) -> PriceEstimate:
@@ -152,6 +152,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             McConfig(n_paths=0, seed=1)
 
+    def test_rejects_bad_block_size(self):
+        with pytest.raises(ValueError, match="^block_size"):
+            McConfig(n_paths=10, seed=1, block_size=0)
+
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="^seed"):
             McConfig(n_paths=10, seed=-1)
@@ -167,6 +171,9 @@ class TestConfigValidation:
     def test_rejects_negative_se(self):
         with pytest.raises(ValueError):
             PriceEstimate(value=1.0, std_error=-0.1, n_paths=10)
+        swap = PriceEstimate(value=0.2, std_error=0.0, n_paths=10)
+        with pytest.raises(ValueError, match="^slope_se"):
+            StrikeEstimate(1.0, 0.1, 10, -0.5, -0.1, cov=0.0, swap=swap, swap_cov=0.0)
 
 
 class TestConditionalEstimator:
@@ -205,8 +212,9 @@ class TestConditionalEstimator:
 
     def test_rejects_bad_maturity(self, funcs_h05):
         grid, params, funcs = funcs_h05
-        with pytest.raises(ValueError, match="maturity"):
-            strike_pricer(funcs, params, 0.0, 0.0)(0.0)
+        for maturity in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"maturity .* got {maturity}"):
+                strike_pricer(funcs, params, 0.0, maturity)
 
 
 class TestDirectEstimator:
@@ -240,10 +248,10 @@ class TestDirectEstimator:
         assert abs(spot.mean() - 1.0) < 3.0 * se
 
     def test_streaming_matches_materialized(self):
-        # Rebuild int sigma dB from one materialized batch as sqrt(Y)
-        # times one normal per path from block 0 of the B stream, whatever
-        # the block size: the streaming driver must match it bit for bit,
-        # and so must the Euler log-return the pricer builds from it.
+        # Rebuild the functionals from one materialized batch and one
+        # normal per path from block 0 of the B stream, whatever the block
+        # size: the streaming driver must match them bit for bit, and the
+        # draw the pricer builds from them is the Euler log-return.
         grid = TimeGrid(1.0, 64)
         params = ModelParams(SIGMA0, NU, -0.5, 0.3)
         config = McConfig(
@@ -255,18 +263,22 @@ class TestDirectEstimator:
         vols = vol_paths(batch, params, grid)
         y, ito = path_functionals(vols, batch, grid)
         z = block_rng(7, B_STREAM, 0).standard_normal(3000)
-        ito_b = np.sqrt(y) * z
-        assert np.array_equal(funcs.int_sigma_db, ito_b)
+        assert np.array_equal(funcs.integrated_variance, y)
+        assert np.array_equal(funcs.int_sigma_dw, ito)
+        assert np.array_equal(funcs.independent_normal, z)
         orth = math.sqrt(1.0 - params.rho**2)
-        expected = -0.5 * y + params.rho * ito + orth * ito_b
-        assert np.array_equal(euler_log_return(funcs, params.rho), expected)
+        expected = -0.5 * y + params.rho * ito + orth * np.sqrt(y) * z
+        np.testing.assert_allclose(
+            euler_log_return(funcs, params.rho), expected, rtol=0, atol=1e-15
+        )
 
     def test_one_normal_leg_has_the_law_of_the_increment_sum(self):
         # The old construction: int sigma dB as the left-point sum of the
-        # vols against a B-increment field the test draws itself. Its
-        # controlled call prices must agree with the pricer on sqrt(Y) * z
-        # from an independent simulation, and z must be a standard normal
-        # uncorrelated with int sigma dW.
+        # vols against a B-increment field the test draws itself, passed
+        # to the pricer as the normal int sigma dB / sqrt(Y). Its
+        # controlled call prices must agree with the pricer on one normal
+        # z per path from an independent simulation, and z must be a
+        # standard normal uncorrelated with int sigma dW.
         grid = TimeGrid(1.0, 50)
         n_paths = 50_000
         base = ModelParams(SIGMA0, NU, 0.0, 0.1)
@@ -278,7 +290,9 @@ class TestDirectEstimator:
         euler = PathFunctionals(
             integrated_variance=y,
             int_sigma_dw=ito,
-            int_sigma_db=np.einsum("ij,ij->i", vols, db) * math.sqrt(grid.dt),
+            independent_normal=np.einsum("ij,ij->i", vols, db)
+            * math.sqrt(grid.dt)
+            / np.sqrt(y),
             integrated_variance_mean=integrated_variance_mean(
                 base, grid, level_variance(grid, w)
             ),
@@ -293,7 +307,7 @@ class TestDirectEstimator:
                 a, b = old(k), new(k)
                 assert abs(a.value - b.value) < 3.0 * combined_se(a, b), (rho, k)
 
-        z = funcs.int_sigma_db / np.sqrt(funcs.integrated_variance)
+        z = funcs.independent_normal
         bound = 4.0 / math.sqrt(n_paths)
         assert abs(z.mean()) < bound
         centred = (z - z.mean()) ** 2
@@ -326,8 +340,8 @@ class TestDirectEstimator:
         config = McConfig(n_paths=50_000, seed=13, estimator="direct_euler")
         (funcs,) = simulate_functionals(grid, params, config)
         # mixing on the same paths: the pricer reads the law off the
-        # functionals, so drop the leg only direct Euler prices
-        mixed = replace(funcs, int_sigma_db=None)
+        # functionals, so drop the normal only direct Euler draws with
+        mixed = replace(funcs, independent_normal=None)
         cond = strike_pricer(mixed, params, 0.0, 1.0)(0.0)
         direct = plain_direct_price(funcs, params, 0.0, 0.0)
         assert cond.std_error < direct.std_error
@@ -425,21 +439,19 @@ class TestControlVariates:
 
     @pytest.mark.parametrize("rho", [-1.0, 1.0])
     def test_unit_correlation_estimators_price_one_law(self, rho):
-        # at |rho| = 1 the Euler terminal spot is the mixing shifted spot,
-        # so both estimators price the same intrinsic values
+        # at |rho| = 1, v = 0 and the Euler draw x_hat - v/2 + sqrt(v) z is
+        # exactly x_hat, so both estimators price the same intrinsic
+        # values bit for bit
         grid = TimeGrid(1.0, 50)
         params = ModelParams(SIGMA0, NU, rho, 0.3)
         config = McConfig(n_paths=20_000, seed=5, estimator="direct_euler")
         (funcs,) = simulate_functionals(grid, params, config)
-        mixing = strike_pricer(replace(funcs, int_sigma_db=None), params, 0.0, 1.0)
+        mixing = strike_pricer(
+            replace(funcs, independent_normal=None), params, 0.0, 1.0
+        )
         direct = strike_pricer(funcs, params, 0.0, 1.0)
         for k in (-0.05, 0.0, 0.05):
-            a, b = mixing(k), direct(k)
-            for field in ("value", "std_error", "slope", "slope_se", "cov", "swap_cov"):
-                assert getattr(a, field) == pytest.approx(
-                    getattr(b, field), rel=1e-12, abs=0.0
-                ), field
-            assert a.swap.value == pytest.approx(b.swap.value, rel=1e-12, abs=0.0)
+            assert mixing(k) == direct(k)
 
     @pytest.mark.parametrize("n_paths", [1, 2])
     @pytest.mark.parametrize("estimator", ["conditional_mixing", "direct_euler"])
@@ -643,11 +655,10 @@ class TestBlockBuffers:
         assert np.array_equal(funcs.integrated_variance, y)
         assert np.array_equal(funcs.int_sigma_dw, ito)
         if estimator == "conditional_mixing":
-            assert funcs.int_sigma_db is None
+            assert funcs.independent_normal is None
             return
         z = block_rng(19, B_STREAM, 0).standard_normal(n_paths)
-        ito_b = np.sqrt(y) * z
-        assert np.array_equal(funcs.int_sigma_db, ito_b)
+        assert np.array_equal(funcs.independent_normal, z)
 
     @pytest.mark.parametrize(
         "scheme, estimator",
@@ -710,8 +721,7 @@ class TestMaturityRescaling:
         y, ito = path_functionals(vols, batch, grid)
         arrays = {"y": y, "ito": ito}
         if estimator == "direct_euler":
-            z = block_rng(31, B_STREAM, 0).standard_normal(self.N_PATHS)
-            arrays["ito_b"] = np.sqrt(y) * z
+            arrays["z"] = block_rng(31, B_STREAM, 0).standard_normal(self.N_PATHS)
         return arrays, integrated_variance_mean(params, grid, variance)
 
     def simulate(self, params, scheme, estimator):
@@ -728,8 +738,8 @@ class TestMaturityRescaling:
     @staticmethod
     def arrays(funcs):
         out = {"y": funcs.integrated_variance, "ito": funcs.int_sigma_dw}
-        if funcs.int_sigma_db is not None:
-            out["ito_b"] = funcs.int_sigma_db
+        if funcs.independent_normal is not None:
+            out["z"] = funcs.independent_normal
         return out
 
     @pytest.mark.parametrize(
@@ -777,6 +787,13 @@ class TestMaturityRescaling:
                 se = values.std(ddof=1) / math.sqrt(values.shape[0])
                 assert abs(values.mean() - target) < 4.0 * se, (maturity, name)
 
+    def test_one_normal_array_serves_every_maturity(self):
+        params = ModelParams(SIGMA0, NU, -0.5, 0.3)
+        per_maturity = self.simulate(params, "convolution", "direct_euler")
+        normal = per_maturity[0].independent_normal
+        assert normal.shape == (self.N_PATHS,)
+        assert all(f.independent_normal is normal for f in per_maturity)
+
     def test_rejects_bad_maturities(self):
         params = ModelParams(SIGMA0, NU, -0.5, 0.3)
         config = McConfig(n_paths=10, seed=1)
@@ -794,7 +811,7 @@ class TestDeterminism:
         (b,) = simulate_functionals(grid, params, config)
         assert np.array_equal(a.integrated_variance, b.integrated_variance)
         assert np.array_equal(a.int_sigma_dw, b.int_sigma_dw)
-        assert np.array_equal(a.int_sigma_db, b.int_sigma_db)
+        assert np.array_equal(a.independent_normal, b.independent_normal)
 
     def test_se_scales_with_paths(self):
         grid = TimeGrid(1.0, 50)
@@ -976,8 +993,9 @@ class TestPricerWorkspace:
         with pytest.raises(ValueError, match="out must be"):
             strike_pricer(funcs, params, 0.0, 1.0, out=out)
 
-    def test_direct_euler_needs_no_log_spot_or_total_vol(self):
-        # a point mass prices off the spot alone: two rows fewer
+    def test_both_laws_share_one_layout(self):
+        # direct Euler draws its spot from the log spot and total vol rows
+        # that mixing prices on, so both need the same rows
         grid = TimeGrid(1.0, 8)
         params = ModelParams(SIGMA0, NU, -0.5, 0.3)
         shapes = [
@@ -986,7 +1004,7 @@ class TestPricerWorkspace:
             ).shape
             for e in ("conditional_mixing", "direct_euler")
         ]
-        assert shapes == [(6 + len(CONTROLS), 256), (4 + len(CONTROLS), 256)]
+        assert shapes == [(6 + len(CONTROLS), 256)] * 2
 
     @pytest.mark.parametrize("estimator", ["conditional_mixing", "direct_euler"])
     def test_binding_and_pricing_allocate_no_path_array(self, estimator):

@@ -581,6 +581,11 @@ class TestRateFit:
             RateFit(
                 slope=1.0, intercept=0.0, r_squared=1.5, maturities=(1.0, 2.0, 3.0)
             )
+        for maturities in ((1.0, 1.0, 2.0), (0.0, 1.0, 2.0)):
+            with pytest.raises(ValueError, match="positive and distinct"):
+                RateFit(
+                    slope=1.0, intercept=0.0, r_squared=0.9, maturities=maturities
+                )
         fit = RateFit(
             slope=math.nan,
             intercept=math.nan,

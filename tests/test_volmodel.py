@@ -11,6 +11,7 @@ from fracvol.fbm import TimeGrid, kernel_weights, sample_paths
 from fracvol.volmodel import (
     ModelParams,
     PathFunctionals,
+    integrated_variance_mean,
     path_functionals,
     variance_swap_oracle,
     vol_paths,
@@ -107,6 +108,8 @@ class TestVolPaths:
         params = ModelParams(0.2, 0.4, 0.0, 0.3)
         with pytest.raises(ValueError):
             vol_paths(batch, params, TimeGrid(1.0, grid.n_steps + 1))
+        with pytest.raises(ValueError, match="^out has shape"):
+            vol_paths(batch, params, grid, out=np.empty((10, grid.n_steps + 1)))
 
 
 class TestPathFunctionals:
@@ -148,6 +151,15 @@ class TestPathFunctionals:
         vols = np.full((10, grid.n_steps + 1), 0.2)
         with pytest.raises(ValueError):
             path_functionals(vols, batch, grid)
+        vols = np.full((10, grid.n_steps), 0.2)
+        with pytest.raises(ValueError, match="grid"):
+            path_functionals(vols, batch, TimeGrid(1.0, grid.n_steps + 1))
+
+    def test_mean_of_y_needs_one_variance_per_left_point(self):
+        grid = TimeGrid(1.0, 8)
+        params = ModelParams(sigma0=0.2, nu=0.4, rho=0.0, hurst=0.3)
+        with pytest.raises(ValueError, match="level_variance"):
+            integrated_variance_mean(params, grid, np.ones(grid.n_steps + 1))
 
     def test_functionals_validation(self):
         with pytest.raises(ValueError):
@@ -156,6 +168,10 @@ class TestPathFunctionals:
                 int_sigma_dw=np.array([0.0, 0.0]),
                 integrated_variance_mean=0.1,
             )
+        y = np.array([0.1, 0.2])
+        for ito, normal in ((np.zeros(3), None), (np.zeros(2), np.zeros(3))):
+            with pytest.raises(ValueError, match="identical shapes"):
+                PathFunctionals(y, ito, 0.1, independent_normal=normal)
 
 
 class TestVarianceSwapOracle:
@@ -187,6 +203,12 @@ class TestVarianceSwapOracle:
             assert variance_swap_oracle(params, maturity) == pytest.approx(
                 0.2**2 * integral / maturity, rel=1e-10
             )
+
+    def test_rejects_maturity_not_positive_and_finite(self):
+        params = ModelParams(sigma0=0.2, nu=0.4, rho=0.0, hurst=0.3)
+        for maturity in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"maturity .* got {maturity}"):
+                variance_swap_oracle(params, maturity)
 
     def test_monotone_in_maturity(self):
         params = ModelParams(sigma0=0.2, nu=0.4, rho=0.0, hurst=0.1)

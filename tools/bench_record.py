@@ -16,8 +16,16 @@ median and quartiles over runs, the ``ref.*`` layer split of the
 reference cell (median over runs), and per metric how many pairs the
 change won and whether the gain rule holds: the change wins at least
 nine tenths of the pairs, ties counting for neither, and the medians
-differ by more than the parent's interquartile range. Metric names, units
-and directions come from ``BENCHMARK.json``.
+differ by more than the parent's interquartile range.
+
+Beside it stands the paired reading, which judges each pair on its own:
+the relative change (change - parent) / parent of every pair, its median
+and quartiles, and whether the paired rule holds: the same nine tenths of
+pairs won, and the median ratio beyond zero by more than the ratios' own
+interquartile range. The parent's quartiles also carry whatever drifts
+between runs on the host; a pair's two sides run seconds apart, so their
+ratio does not. Metric names, units and directions come from
+``BENCHMARK.json``.
 """
 from __future__ import annotations
 
@@ -83,6 +91,12 @@ def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
     before, after = spread(parent), spread(change)
     iqr = before["q3"] - before["q1"]
     delta = after["median"] - before["median"]
+    won = wins >= 0.9 * len(parent)
+    paired = None
+    if all(parent):
+        paired = spread([(c - p) / p for p, c in zip(parent, change)])
+        ratio_iqr = paired["q3"] - paired["q1"]
+        paired["rule_holds"] = won and sign * -paired["median"] > ratio_iqr
     return {
         "unit": metric["unit"],
         "parent": before,
@@ -91,7 +105,8 @@ def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
         "relative": delta / before["median"] if before["median"] else None,
         "change_wins": wins,
         "pairs": len(parent),
-        "gain_rule_holds": wins >= 0.9 * len(parent) and sign * -delta > iqr,
+        "gain_rule_holds": won and sign * -delta > iqr,
+        "paired_relative": paired,
     }
 
 
@@ -138,12 +153,20 @@ def main(argv: list[str] | None = None) -> int:
     args.output.write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     for name, work in result["workloads"].items():
         for metric, cmp in work["end_to_end"].items():
-            print(
+            line = (
                 f"{name:<12} {metric:<18} {cmp['parent']['median']:>10.4g} -> "
                 f"{cmp['change']['median']:>10.4g} {cmp['unit']:<3} "
                 f"wins {cmp['change_wins']}/{cmp['pairs']}"
                 f"{'  gain' if cmp['gain_rule_holds'] else ''}"
             )
+            paired = cmp["paired_relative"]
+            if paired is not None:
+                line += (
+                    f"  paired {paired['median']:+.1%} "
+                    f"({paired['q1']:+.1%} to {paired['q3']:+.1%})"
+                    f"{'  paired gain' if paired['rule_holds'] else ''}"
+                )
+            print(line)
     return 0
 
 
