@@ -12,9 +12,16 @@ upper-triangular matrix, the Toeplitz convolution matrix or the factor,
 whose product is the tile. Only W is drawn as a path: the
 independent driver B enters the pricing layer as one normal per path from
 block 0 of B_STREAM.
+
+The draw is pipelined: while the caller works on one tile, a helper
+thread, which lives only as long as the iterator, draws the next tile's
+normals into a second draw buffer. The draws and their order are those
+of a serial draw, so the tiles are too, bit for bit; the memory is two
+draw tiles plus the convolution's wh tile.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -209,20 +216,26 @@ def tile_rows(n_steps: int) -> int:
     return max(1, TILE_BYTES // (8 * n_steps))
 
 
-def _fill_convolution_tile(
-    sqrt_dt: float,
-    matrix: np.ndarray | None,
-    dw: np.ndarray,
-    wh: np.ndarray,
-    rng: np.random.Generator,
-    rows: int,
+def _draw_increments(sqrt_dt: float, rng: np.random.Generator, dw: np.ndarray) -> None:
+    """Fill dw with a tile's W increments, standard normals from its block's
+    generator times sqrt(dt). Runs on the helper thread; both calls
+    release the GIL."""
+    rng.standard_normal(out=dw)
+    dw *= sqrt_dt
+
+
+def _draw_normals(rng: np.random.Generator, z: np.ndarray) -> None:
+    """Fill z with a tile's standard normals from its block's generator.
+    Runs on the helper thread."""
+    rng.standard_normal(out=z)
+
+
+def _convolve_tile(
+    matrix: np.ndarray | None, wh: np.ndarray, dw: np.ndarray
 ) -> GaussianPathBatch:
-    """Draw a tile's W increments from its block's generator into the
-    leading rows of dw, then its W^H levels by the Volterra convolution
-    into those of wh."""
-    tile = GaussianPathBatch(dw=dw[:rows], wh=wh[:rows])
-    rng.standard_normal(out=tile.dw)
-    tile.dw *= sqrt_dt
+    """The tile of these W increments: their W^H levels by the Volterra
+    convolution, written into the leading rows of wh."""
+    tile = GaussianPathBatch(dw=dw, wh=wh[: dw.shape[0]])
     if matrix is None:
         np.cumsum(tile.dw, axis=1, out=tile.wh)
     else:
@@ -231,16 +244,11 @@ def _fill_convolution_tile(
     return tile
 
 
-def _fill_exact_tile(
-    factor: np.ndarray, draws: np.ndarray, rng: np.random.Generator, rows: int
-) -> GaussianPathBatch:
-    """Draw a tile's 2 n_steps normals per path from its block's generator
-    into the leading rows of draws and multiply them in place by the
-    factor: the product's first n_steps columns are the W increments, the
-    rest the W^H levels."""
+def _factor_tile(factor: np.ndarray, z: np.ndarray) -> GaussianPathBatch:
+    """The tile of these 2 n_steps normals per path, multiplied in place by
+    the factor: the product's first n_steps columns are the W increments,
+    the rest the W^H levels."""
     n = factor.shape[0] // 2
-    z = draws[:rows]
-    rng.standard_normal(out=z)
     _triangular_product(factor, z)
     return GaussianPathBatch(dw=z[:, :n], wh=z[:, n:])
 
@@ -276,11 +284,23 @@ def iter_path_blocks(
 
     The arguments are checked at the call, not at the first tile. Every
     tile is written in place into the leading rows of C-contiguous buffers
-    owned by the iterator, none over TILE_BYTES: the convolution's dw and
-    wh buffers, or the exact law's one buffer of 2 n_steps columns, whose
-    halves are the tile's dw and wh. A yielded tile is overwritten by the
-    next: a caller that keeps one must copy it, and may use its arrays as
-    scratch meanwhile.
+    owned by the iterator, none over TILE_BYTES. Tiles alternate between
+    two draw buffers, so tile i shares memory with tile i - 2: n_steps
+    columns of W increments for the convolution, whose W^H levels go into
+    one wh buffer, or the exact law's 2 n_steps columns, whose halves are
+    the tile's dw and wh. A yielded tile stays intact until the next
+    next(): a caller that keeps one must copy it, and may use its arrays
+    as scratch meanwhile.
+
+    While the caller works on tile i, one helper thread draws tile i + 1's
+    normals into the other draw buffer (and scales them by sqrt(dt) for
+    the convolution); standard_normal releases the GIL, so the two
+    overlap. Only the draw runs on the helper: the block generators are
+    made, and the convolution or factor product runs, on the calling
+    thread, in the same order as a serial draw, so every tile is bit for
+    bit what a serial draw gives. The helper is started at the first tile
+    and shut down when the iterator is exhausted, closed or raises; an
+    error in a draw is raised as itself by the next() that wanted the tile.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be at least 1")
@@ -292,20 +312,41 @@ def iter_path_blocks(
         raise ValueError("the law was built for a different grid")
     step = min(tile_rows(2 * n if exact else n), block_size, n_paths)
     if exact:
-        stream = ORACLE_STREAM
-        fill = partial(_fill_exact_tile, law, np.empty((step, 2 * n)))
+        stream, width = ORACLE_STREAM, 2 * n
+        draw, finish = _draw_normals, partial(_factor_tile, law)
     else:
-        stream = W_STREAM
-        matrix = _convolution_matrix(law)
-        buffers = np.empty((step, n)), np.empty((step, n))
-        fill = partial(_fill_convolution_tile, np.sqrt(grid.dt), matrix, *buffers)
+        stream, width = W_STREAM, n
+        draw = partial(_draw_increments, np.sqrt(grid.dt))
+        finish = partial(_convolve_tile, _convolution_matrix(law), np.empty((step, n)))
+    draws = np.empty((step, width)), np.empty((step, width))
 
-    def tiles():
+    def plan():
+        # (block, generator, rows) of every tile in order; a block's
+        # generator is made when its first tile is due
         for b, start in enumerate(range(0, n_paths, block_size)):
             rng = block_rng(seed, stream, b)
             block_rows = min(block_size, n_paths - start)
             for offset in range(0, block_rows, step):
-                yield b, fill(rng, min(step, block_rows - offset))
+                yield b, rng, min(step, block_rows - offset)
+
+    def tile(b, normals, drawn):
+        drawn.result()
+        return b, finish(normals)
+
+    def tiles():
+        helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fbm-draw")
+        try:
+            ahead = None
+            for i, (b, rng, rows) in enumerate(plan()):
+                # this buffer last held tile i - 2, which the caller is done with
+                normals = draws[i % 2][:rows]
+                drawing = b, normals, helper.submit(draw, rng, normals)
+                if ahead is not None:
+                    yield tile(*ahead)
+                ahead = drawing
+            yield tile(*ahead)
+        finally:
+            helper.shutdown(cancel_futures=True)
 
     return tiles()
 

@@ -45,6 +45,7 @@ so results do not depend on generation order.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -56,6 +57,7 @@ from .fbm import (
     BIT_GENERATOR,
     DEFAULT_BLOCK_SIZE,
     TILE_BYTES,
+    GaussianPathBatch,
     TimeGrid,
     block_rng,
     cholesky_factor,
@@ -104,6 +106,10 @@ INDEPENDENT_LEG = (
     "x_hat - v / 2 + sqrt(v) * z: one standard normal z per path from block 0 "
     "of B_STREAM, shared by every maturity"
 )
+# a tile's vols and functionals are taken in this many row chunks, so the
+# vol buffer is a fraction of a tile; vol_paths is elementwise and
+# path_functionals sums each row on its own, so the chunks change no bit
+VOL_CHUNKS = 4
 # the kernel_weights evaluation behind each convolution scheme; the
 # Cholesky oracle samples the exact law and evaluates no kernel
 KERNEL_EVALUATION = {
@@ -150,7 +156,8 @@ class PriceEstimate:
     n_paths: int
 
     def __post_init__(self):
-        if self.std_error < 0.0:
+        # written so that a NaN fails too
+        if not self.std_error >= 0.0:
             raise ValueError("std_error must be nonnegative")
 
 
@@ -168,7 +175,7 @@ class StrikeEstimate(PriceEstimate):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.slope_se < 0.0:
+        if not self.slope_se >= 0.0:
             raise ValueError("slope_se must be nonnegative")
 
 
@@ -192,13 +199,17 @@ def simulate_functionals(
     Every RNG block streams through tiles of at most fbm.TILE_BYTES per
     buffer: each tile is drawn and multiplied by its law's triangular
     matrix once, then every maturity's vols and functionals are taken from
-    it while it is in cache. Every scheme streams alike; the Cholesky
-    oracle differs only in its law, the factor of the exact covariance,
-    whose tiles draw 2 n_steps normals per path from fbm.ORACLE_STREAM.
-    Memory is a few tile buffers (dw and wh, or the oracle's normals that
-    become them, and the vols) plus
-    O(n_paths x maturities) for the functionals, and for the oracle its
-    (2 n_steps)^2 covariance and factor.
+    it, in VOL_CHUNKS row chunks, while it is in cache. Meanwhile
+    iter_path_blocks' helper thread draws the next tile's normals; the
+    tile iterator is closed on the way out, so the helper never outlives
+    this call, even when it raises. Every scheme streams alike; the
+    Cholesky oracle differs only in its law, the factor of the exact
+    covariance, whose tiles draw 2 n_steps normals per path from
+    fbm.ORACLE_STREAM. Memory is a few tile buffers (two draw tiles, the
+    one being used and the one being drawn, the convolution's wh tile and
+    a quarter-tile of vols) plus O(n_paths x maturities) for the
+    functionals, and for the oracle its (2 n_steps)^2 covariance and
+    factor.
 
     The functionals are rho-free: params.rho is never read. For direct
     Euler they carry independent_normal, one standard normal per path
@@ -224,15 +235,22 @@ def simulate_functionals(
         law = kernel_weights(unit, params.hurst, KERNEL_EVALUATION[config.scheme])
         variance = level_variance(unit, law)
     tiles = iter_path_blocks(unit, law, config.n_paths, config.seed, config.block_size)
-    vol = np.empty((min(tile_rows(unit.n_steps), config.n_paths), unit.n_steps))
+    chunk = -(-tile_rows(unit.n_steps) // VOL_CHUNKS)
+    vol = np.empty((min(chunk, config.n_paths), unit.n_steps))
 
     row = 0
-    for _, tile in tiles:
-        rows = slice(row, row + tile.n_paths)
-        row += tile.n_paths
-        for m, unit_params in enumerate(scaled):
-            vols = vol_paths(tile, unit_params, unit, out=vol[: tile.n_paths])
-            y[m, rows], ito[m, rows] = path_functionals(vols, tile, unit)
+    # closed on the way out, so an error here stops the draw helper at once
+    with closing(tiles):
+        for _, tile in tiles:
+            for start in range(0, tile.n_paths, chunk):
+                part = GaussianPathBatch(
+                    dw=tile.dw[start : start + chunk], wh=tile.wh[start : start + chunk]
+                )
+                rows = slice(row, row + part.n_paths)
+                row += part.n_paths
+                for m, unit_params in enumerate(scaled):
+                    vols = vol_paths(part, unit_params, unit, out=vol[: part.n_paths])
+                    y[m, rows], ito[m, rows] = path_functionals(vols, part, unit)
 
     z = None
     if config.estimator == "direct_euler":

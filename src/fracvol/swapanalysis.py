@@ -315,13 +315,15 @@ def _fit_rate(
 
 def check_fit_maturities(maturities: Sequence[float]) -> None:
     """Raise ValueError unless the maturities can carry a rate fit: at
-    least three, positive, distinct, spanning a factor of 2. The one
+    least three, finite, positive, distinct, spanning a factor of 2. The one
     statement of the rule: a conclusive RateFit, the points convergence_study
     fits and a convergence-mode config are all held to it."""
     if len(maturities) < 3:
         raise ValueError("need at least 3 maturities to fit a rate")
-    if min(maturities) <= 0.0 or len(set(maturities)) != len(maturities):
-        raise ValueError("maturities must be positive and distinct")
+    # each checked on its own: min() of a NaN-led list is the NaN
+    finite = all(0.0 < t < math.inf for t in maturities)
+    if not finite or len(set(maturities)) != len(maturities):
+        raise ValueError("maturities must be finite, positive and distinct")
     if max(maturities) / min(maturities) < 2.0:
         raise ValueError("maturities must span at least a factor of 2")
 

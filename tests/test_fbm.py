@@ -1,6 +1,7 @@
 """Tests for the fractional Brownian motion sampler."""
 import gc
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.integrate import quad
 from scipy.linalg import toeplitz
 from scipy.stats import ks_2samp
 
+from fracvol import fbm
 from fracvol.fbm import (
     ORACLE_STREAM,
     W_STREAM,
@@ -287,21 +289,23 @@ class TestSamplePaths:
 
     @pytest.mark.parametrize("hurst", [0.2, 0.5])
     def test_reused_buffers_match_fresh_blocks(self, hurst):
-        # Every block, partial last one included, is written in place into
-        # the same two buffers and equals a fresh draw into fresh arrays:
-        # normals times sqrt(dt), then the same triangular product (or
-        # cumsum at H = 1/2), bit for bit. The product itself is checked
-        # against the dense Toeplitz GEMM in TestConvolution.
+        # Every block, partial last one included, is written in place: the
+        # W increments alternate between two draw buffers, so block i
+        # shares dw with block i - 2 and not with block i - 1, and every
+        # W^H goes into one wh buffer. Each equals a fresh draw into fresh
+        # arrays: normals times sqrt(dt), then the same triangular product
+        # (or cumsum at H = 1/2), bit for bit. The product itself is
+        # checked against the dense Toeplitz GEMM in TestConvolution.
         grid = TimeGrid(1.0, 48)
         w = kernel_weights(grid, hurst)
         blocks = iter_path_blocks(grid, w, 1000, seed=9, block_size=256)
-        first = None
-        n_blocks = 0
+        seen = []
         for idx, blk in blocks:
-            if first is None:
-                first = blk
-            assert np.shares_memory(blk.dw, first.dw)
-            assert np.shares_memory(blk.wh, first.wh)
+            if seen:
+                assert np.shares_memory(blk.wh, seen[0].wh)
+                assert not np.shares_memory(blk.dw, seen[-1].dw)
+            if len(seen) >= 2:
+                assert np.shares_memory(blk.dw, seen[-2].dw)
             rows = min(256, 1000 - idx * 256)
             dw = block_rng(9, W_STREAM, idx).standard_normal((rows, 48)) * math.sqrt(grid.dt)
             if hurst == 0.5:
@@ -309,8 +313,8 @@ class TestSamplePaths:
             else:
                 wh = _triangular_product(_convolution_matrix(w), dw.copy())
             assert np.array_equal(blk.dw, dw) and np.array_equal(blk.wh, wh)
-            n_blocks += 1
-        assert n_blocks == 4
+            seen.append(blk)
+        assert len(seen) == 4
 
     @pytest.mark.parametrize(
         "n_paths,block_size,steps", [(0, 128, 16), (10, 0, 16), (10, 128, 32)]
@@ -345,6 +349,70 @@ class TestSamplePaths:
             sample_paths(TimeGrid(1.0, 32), w, 10, seed=0)
         with pytest.raises(ValueError, match="different grid"):
             level_variance(TimeGrid(1.0, 32), w)
+
+
+class TestDrawHelper:
+    """iter_path_blocks draws the next tile on one helper thread, which
+    lives only while the iterator does."""
+
+    GRID = TimeGrid(1.0, 48)
+
+    def blocks(self):
+        # 4 blocks of one tile each
+        w = kernel_weights(self.GRID, 0.2)
+        return iter_path_blocks(self.GRID, w, 1000, seed=9, block_size=256)
+
+    @pytest.fixture
+    def baseline(self):
+        # a helper of an unclosed iterator from an earlier test, collected
+        # midway, would lower the count
+        gc.collect()
+        return threading.active_count()
+
+    def test_helper_stops_when_exhausted(self, baseline):
+        counts = [threading.active_count() for _ in self.blocks()]
+        assert counts == [baseline + 1] * 4
+        assert threading.active_count() == baseline
+
+    def test_helper_stops_when_closed_mid_block(self, baseline):
+        # one block of four tiles, closed after two
+        grid = TimeGrid(1.0, 250)
+        w = kernel_weights(grid, 0.2)
+        blocks = iter_path_blocks(grid, w, 4 * tile_rows(250), seed=9, block_size=4096)
+        assert [next(blocks)[0], next(blocks)[0]] == [0, 0]
+        assert threading.active_count() == baseline + 1
+        blocks.close()
+        assert threading.active_count() == baseline
+
+    def test_helper_stops_when_the_consumer_raises(self, baseline):
+        with pytest.raises(RuntimeError, match="consumer"):
+            for b, _ in self.blocks():
+                if b == 1:
+                    raise RuntimeError("consumer")
+        assert threading.active_count() == baseline
+
+    def test_draw_error_surfaces_at_next_as_itself(self, baseline, monkeypatch):
+        raised = []
+
+        class FaultyGenerator:
+            def standard_normal(self, out):
+                raised.append(FloatingPointError("draw"))
+                raise raised[-1]
+
+        make_rng = fbm.block_rng
+        monkeypatch.setattr(
+            fbm,
+            "block_rng",
+            lambda seed, stream, b: FaultyGenerator() if b == 2 else make_rng(seed, stream, b),
+        )
+        blocks = self.blocks()
+        assert [next(blocks)[0], next(blocks)[0]] == [0, 1]
+        with pytest.raises(FloatingPointError) as info:
+            next(blocks)
+        assert raised and info.value is raised[0]
+        assert threading.active_count() == baseline
+        with pytest.raises(StopIteration):
+            next(blocks)
 
 
 class TestCholeskyOracle:

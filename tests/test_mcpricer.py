@@ -1,5 +1,7 @@
 """Tests for the Monte Carlo pricing engine."""
+import gc
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -7,17 +9,24 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from fracvol import mcpricer
 from fracvol.blackscholes import bs_price, implied_vol
 from fracvol.fbm import (
     B_STREAM,
+    ORACLE_STREAM,
     TILE_BYTES,
+    W_STREAM,
+    GaussianPathBatch,
     TimeGrid,
+    _convolution_matrix,
+    _triangular_product,
     block_rng,
     cholesky_factor,
     exact_level_variance,
     kernel_weights,
     level_variance,
     sample_paths,
+    tile_rows,
 )
 from fracvol.mcpricer import (
     CONTROLS,
@@ -174,6 +183,13 @@ class TestConfigValidation:
         swap = PriceEstimate(value=0.2, std_error=0.0, n_paths=10)
         with pytest.raises(ValueError, match="^slope_se"):
             StrikeEstimate(1.0, 0.1, 10, -0.5, -0.1, cov=0.0, swap=swap, swap_cov=0.0)
+
+    def test_rejects_nan_se(self):
+        with pytest.raises(ValueError, match="^std_error"):
+            PriceEstimate(value=1.0, std_error=math.nan, n_paths=10)
+        swap = PriceEstimate(value=0.2, std_error=0.0, n_paths=10)
+        with pytest.raises(ValueError, match="^slope_se"):
+            StrikeEstimate(1.0, 0.1, 10, -0.5, math.nan, cov=0.0, swap=swap, swap_cov=0.0)
 
 
 class TestConditionalEstimator:
@@ -660,6 +676,65 @@ class TestBlockBuffers:
         z = block_rng(19, B_STREAM, 0).standard_normal(n_paths)
         assert np.array_equal(funcs.independent_normal, z)
 
+    @pytest.mark.parametrize("scheme", ["convolution", "cholesky_oracle"])
+    def test_matches_serial_tile_draws(self, scheme):
+        # Blocks of several tiles, each taken in several vol chunks, at
+        # three maturities: bit for bit the functionals of a serial draw,
+        # made tile by tile on this thread into fresh arrays, with each
+        # whole tile's vols at once.
+        n_steps, block, hurst = 250, 2500, 0.1
+        unit = TimeGrid(1.0, n_steps)
+        params = ModelParams(SIGMA0, NU, -0.5, hurst)
+        maturities = (0.5, 1.0, 2.0)
+        n_paths = 2 * block + 700
+        config = McConfig(n_paths=n_paths, seed=29, scheme=scheme, block_size=block)
+        funcs = simulate_functionals(unit, params, config, maturities)
+
+        oracle = scheme == "cholesky_oracle"
+        if oracle:
+            law, stream, width = cholesky_factor(unit, hurst), ORACLE_STREAM, 2 * n_steps
+        else:
+            law = _convolution_matrix(kernel_weights(unit, hurst))
+            stream, width = W_STREAM, n_steps
+        step = tile_rows(width)
+        assert step < block
+        tiles = []
+        for b, start in enumerate(range(0, n_paths, block)):
+            rng = block_rng(29, stream, b)
+            block_rows = min(block, n_paths - start)
+            for offset in range(0, block_rows, step):
+                z = rng.standard_normal((min(step, block_rows - offset), width))
+                if oracle:
+                    z = _triangular_product(law, z)
+                    tiles.append(GaussianPathBatch(dw=z[:, :n_steps], wh=z[:, n_steps:]))
+                else:
+                    dw = z * math.sqrt(unit.dt)
+                    wh = _triangular_product(law, dw.copy())
+                    tiles.append(GaussianPathBatch(dw=dw, wh=wh))
+        for maturity, f in zip(maturities, funcs):
+            scaled = replace(params, nu=NU * maturity**hurst)
+            y, ito = zip(
+                *(path_functionals(vol_paths(t, scaled, unit), t, unit) for t in tiles)
+            )
+            assert np.array_equal(f.integrated_variance, np.concatenate(y) * maturity)
+            assert np.array_equal(f.int_sigma_dw, np.concatenate(ito) * math.sqrt(maturity))
+
+    def test_an_error_stops_the_draw_helper(self, monkeypatch):
+        # the traceback holds simulate_functionals' frame, and with it the
+        # tile iterator: the iterator is closed on the way out all the same
+        gc.collect()
+        baseline = threading.active_count()
+
+        def failing_vols(*args, **kwargs):
+            raise FloatingPointError("vols")
+
+        monkeypatch.setattr(mcpricer, "vol_paths", failing_vols)
+        config = McConfig(n_paths=1000, seed=1, block_size=256)
+        with pytest.raises(FloatingPointError, match="vols") as info:
+            simulate_functionals(TimeGrid(1.0, 24), ModelParams(SIGMA0, NU, 0.0, 0.3), config)
+        # info still holds the traceback
+        assert info.tb is not None and threading.active_count() == baseline
+
     @pytest.mark.parametrize(
         "scheme, estimator",
         [
@@ -670,12 +745,14 @@ class TestBlockBuffers:
         ids=["conditional_mixing", "direct_euler", "cholesky_oracle"],
     )
     def test_peak_memory_is_a_few_tile_buffers(self, scheme, estimator):
-        # One full 65,536-path block at 250 steps: the normals, dw, wh and
-        # the vols are tile-sized, so the peak is a few tiles plus the
+        # One full 65,536-path block at 250 steps: two draw tiles (one
+        # being drawn while the other is used), one wh tile and a
+        # quarter-tile of vols, so the peak is a few tiles plus the
         # O(n_paths) functionals (and, for direct Euler, one normal per
-        # path), not the 393 MB of three block-sized buffers. The oracle
-        # also holds its (2n)^2 covariance and factor, where it once held
-        # the whole block's 2n normals per path and their product.
+        # path), not the 393 MB of three block-sized buffers. The oracle's
+        # two draw tiles become its dw and wh; it also holds its (2n)^2
+        # covariance and factor, where it once held the whole block's 2n
+        # normals per path and their product.
         n_paths, n_steps = 65_536, 250
         grid = TimeGrid(1.0, n_steps)
         params = ModelParams(SIGMA0, NU, -0.5, 0.3)

@@ -696,6 +696,15 @@ class TestRateFit:
             assert fit.inconclusive
             assert fit.maturities == (0.5, 0.6, 0.7)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_maturity(self, bad):
+        # a leading NaN is what min() returns, and every comparison with
+        # it is false
+        with pytest.raises(ValueError, match="finite, positive and distinct"):
+            check_fit_maturities((bad, 1.0, 2.0, 4.0))
+        with pytest.raises(ValueError, match="finite, positive and distinct"):
+            check_fit_maturities((1.0, 2.0, bad))
+
     @pytest.mark.parametrize(
         "maturities",
         [(0.25, 0.5, 1.0), (0.5, 1.0, 2.0, 3.0)],
