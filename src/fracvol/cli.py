@@ -1,13 +1,14 @@
 """Command-line experiment runner.
 
 Sweeps a (hurst, maturity, rho) grid, writes one CSV row per cell plus a
-JSON manifest, and prints a human-readable summary in percent units.  One
-task simulates each H once for every maturity and prices all its (rho, T)
-cells; the worker pool maps over H.  The CSV carries raw full-precision
-decimals and is byte-identical across reruns and worker counts: seeds
-derive from the H's grid position, results are emitted in sorted (rho, H,
-T) order, and the manifest (which carries a timestamp) lives in a
-separate file.
+JSON manifest, and prints a human-readable summary in percent units.  The
+hurst axis is split into one contiguous group per worker; a task
+simulates its group once, one draw for every H and maturity, and prices
+all its (rho, H, T) cells.  Every H draws from the config's seed, so an
+H's numbers do not depend on its group.  The CSV carries raw
+full-precision decimals and is byte-identical across reruns and worker
+counts: results are emitted in sorted (rho, H, T) order, and the manifest
+(which carries a timestamp) lives in a separate file.
 
 Config file format, overridable by flags::
 
@@ -64,9 +65,6 @@ from .swapanalysis import (
 from .volmodel import ModelParams
 
 VALID_MODES = ("tables", "convergence")
-# Seeds put h_index in the two decimal digits below the base seed, so a
-# longer hurst list would reuse the normals of the next base seed's H.
-MAX_AXIS_VALUES = 100
 
 # CSV column -> the SwapReport field it carries, in column order
 CSV_COLUMNS = {
@@ -155,15 +153,10 @@ class ExperimentConfig:
             values = getattr(self, name)
             if len(values) == 0:
                 raise ConfigError(f"key '{name}': list must not be empty")
-            # cells, seeds and output rows are keyed by their :g labels
+            # cells and output rows are keyed by their :g labels
             labels = {f"{value:g}" for value in values}
             if len(set(values)) != len(values) or len(labels) != len(values):
                 raise ConfigError(f"key '{name}': values must be distinct to 6 digits")
-        if len(self.hurst) > MAX_AXIS_VALUES:
-            raise ConfigError(
-                f"key 'hurst': at most {MAX_AXIS_VALUES} values, "
-                "or simulations would share seeds"
-            )
         for name, bound in (("n_paths", 2), ("workers", 1)):
             if getattr(self, name) < bound:
                 raise ConfigError(f"key '{name}': must be at least {bound}")
@@ -291,18 +284,13 @@ def build_config(
     return ExperimentConfig(**merged)
 
 
-def _h_seed(config: ExperimentConfig, h_index: int) -> int:
-    # Seeds depend on grid position, not worker scheduling. They carry no
-    # T or rho: one simulation serves every maturity of an H, and its
-    # functionals are rho-free, so every (rho, T) cell of an H prices on
-    # it, whichever the estimator.
-    return config.seed * MAX_AXIS_VALUES + h_index
-
-
-def _mc_config(config: ExperimentConfig, seed: int) -> McConfig:
+def _mc_config(config: ExperimentConfig) -> McConfig:
+    # one seed for every H: a simulation serves every maturity of its H
+    # values, and its functionals are rho-free, so every (rho, H, T) cell
+    # prices on it, whichever the estimator
     return McConfig(
         n_paths=config.n_paths,
-        seed=seed,
+        seed=config.seed,
         scheme=config.scheme,
         estimator=config.estimator,
     )
@@ -311,38 +299,59 @@ def _mc_config(config: ExperimentConfig, seed: int) -> McConfig:
 Cell = tuple[float, float, float]  # (rho, H, T), the CSV's sort order
 
 
+def _hurst_groups(config: ExperimentConfig) -> list[tuple[float, ...]]:
+    """config.hurst in min(workers, len(hurst)) contiguous groups whose
+    sizes differ by at most one, one pool task each."""
+    n = len(config.hurst)
+    count = min(config.workers, n)
+    edges = [n * i // count for i in range(count + 1)]
+    return [config.hurst[a:b] for a, b in zip(edges, edges[1:])]
+
+
 def _cell_rows(
-    config: ExperimentConfig, h_index: int
+    config: ExperimentConfig, group: tuple[float, ...]
 ) -> list[tuple[Cell, SwapReport | str]]:
-    """Price every (rho, T) cell of one H on one shared simulation.
+    """Price every (rho, H, T) cell of a group of H values on one shared
+    simulation.
 
     Each (rho, H, T) gets its report or, on a numerical failure
-    (including NoSolutionError, a ValueError), the failure's cause; a
-    failed simulation fails every (rho, T) of its H with the same cause.
-    Anything else is a bug and propagates.
+    (including NoSolutionError, a ValueError), the failure's cause.
+    Anything else is a bug and propagates. A failed simulation of one H
+    fails every (rho, T) of it with the same cause; when a group's
+    simulation fails, each of its H values is simulated again alone, so
+    that an H's outcome never depends on its group.
     """
-    hurst = config.hurst[h_index]
-    mc = _mc_config(config, _h_seed(config, h_index))
-    cell_params = [
-        ModelParams(sigma0=config.sigma0, nu=config.nu, rho=rho, hurst=hurst)
-        for rho in config.rho
-    ]
+    mc = _mc_config(config)
+    cell_params = {
+        hurst: [
+            ModelParams(sigma0=config.sigma0, nu=config.nu, rho=rho, hurst=hurst)
+            for rho in config.rho
+        ]
+        for hurst in group
+    }
     try:
-        per_maturity = simulate_functionals(
-            TimeGrid(1.0, config.n_steps), cell_params[0], mc, config.maturities
+        per_cell = simulate_functionals(
+            TimeGrid(1.0, config.n_steps),
+            cell_params[group[0]][0],
+            mc,
+            config.maturities,
+            hurst=group,
         )
     except NUMERICAL_ERRORS as exc:
+        if len(group) > 1:
+            return [row for hurst in group for row in _cell_rows(config, (hurst,))]
         return [
-            ((p.rho, hurst, maturity), _cause(exc))
+            ((p.rho, group[0], maturity), _cause(exc))
             for maturity in config.maturities
-            for p in cell_params
+            for p in cell_params[group[0]]
         ]
-    # every (T, rho) binds into this one workspace, which invalidates the
-    # previous pricer: no bind or strike allocates path arrays of its own
-    workspace = pricer_workspace(per_maturity[0])
+    # every (H, T, rho) binds into this one workspace, which invalidates
+    # the previous pricer: no bind or strike allocates path arrays of its own
+    workspace = pricer_workspace(per_cell[0])
+    cells = [(h, t) for h in group for t in config.maturities]
     outcomes: list[tuple[Cell, SwapReport | str]] = []
-    for maturity, funcs in zip(config.maturities, per_maturity):
-        for params in cell_params:
+    for (hurst, maturity), funcs in zip(cells, per_cell):
+        for params in cell_params[hurst]:
             try:
                 pricer = strike_pricer(funcs, params, X0, maturity, out=workspace)
                 outcome = zero_vanna_report(pricer, funcs, params, X0, maturity, mc)
@@ -390,11 +399,7 @@ def _write_manifest(
     csv_path: Path, config: ExperimentConfig, extra: dict[str, object]
 ) -> Path:
     manifest_path = csv_path.with_suffix(".manifest.json")
-    simulation = simulation_record(_mc_config(config, config.seed), config.hurst)
-    simulation["seeds"] = {
-        f"H={hurst:g}": _h_seed(config, h_index)
-        for h_index, hurst in enumerate(config.hurst)
-    }
+    simulation = simulation_record(_mc_config(config), config.hurst)
     payload: dict[str, object] = {
         "version": __version__,
         "versions": {
@@ -432,17 +437,15 @@ def _human_summary(outcomes: dict[Cell, SwapReport | str], stream) -> None:
 def run(config: ExperimentConfig, stream=None) -> int:
     """Execute the experiment; returns the process exit code."""
     stream = sys.stdout if stream is None else stream
-    h_indices = range(len(config.hurst))
-    price_h = functools.partial(_cell_rows, config)
-    # one task per H: a larger pool would fork idle workers
-    workers = min(config.workers, len(config.hurst))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_h = list(pool.map(price_h, h_indices))
+    groups = _hurst_groups(config)
+    price_group = functools.partial(_cell_rows, config)
+    if len(groups) > 1:
+        with ProcessPoolExecutor(max_workers=len(groups)) as pool:
+            per_group = list(pool.map(price_group, groups))
     else:
-        per_h = list(map(price_h, h_indices))
+        per_group = list(map(price_group, groups))
     # emission order is sorted (rho, H, T) regardless of completion order
-    outcomes = dict(sorted(itertools.chain.from_iterable(per_h)))
+    outcomes = dict(sorted(itertools.chain.from_iterable(per_group)))
     failures = {
         cell: cause for cell, cause in outcomes.items() if isinstance(cause, str)
     }
@@ -588,7 +591,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--steps", type=int, dest="n_steps", help="time steps per maturity"
     )
-    parser.add_argument("--seed", type=int, help="base RNG seed")
+    parser.add_argument("--seed", type=int, help="RNG seed, shared by every H")
     parser.add_argument("--estimator", choices=VALID_ESTIMATORS)
     parser.add_argument("--scheme", choices=VALID_SCHEMES)
     parser.add_argument("--out", help="output CSV path")

@@ -6,28 +6,31 @@ convolution whose kernel weights carry the exact cell variance, so the
 marginal Var[W^H_{t_i}] = t_i^{2H} / (2H) holds at every grid point by
 construction. The exact joint law, the test oracle, is a triangular factor
 of the closed-form dense covariance of (dW, W^H), the pair every tile
-hands out (cholesky_factor). Either law streams through the same row tiles
-of iter_path_blocks: a tile's normals are multiplied in place by an
-upper-triangular matrix, the Toeplitz convolution matrix or the factor,
-whose product is the tile. Only W is drawn as a path: the
-independent driver B enters the pricing layer as one normal per path from
-block 0 of B_STREAM.
+hands out (cholesky_factor). Either law streams through the same row
+tiles: a tile's normals are multiplied by an upper-triangular matrix, the
+Toeplitz convolution matrix or the factor, whose product is the tile. Only
+W is drawn as a path: the independent driver B enters the pricing layer
+as one normal per path from block 0 of B_STREAM.
 
-The draw is pipelined: while the caller works on one tile, a helper
-thread, which lives only as long as the iterator, draws the next tile's
-normals into a second draw buffer. The draws and their order are those
-of a serial draw, so the tiles are too, bit for bit; the memory is two
-draw tiles plus the convolution's wh tile.
+The draws depend on (seed, stream, block) only, never on H, so one draw
+serves every H. for_each_tile, the production driver, draws each tile
+once and multiplies it by every H's matrix, on two tile workers, the
+calling thread and one helper thread, which take alternate tiles. The
+draws are made in the serial order, so every tile is bit for bit what
+iter_path_blocks, the serial driver, gives. The product is BLAS dtrmm
+called through ctypes, which releases the GIL, so the two workers' draws,
+products and numpy calls overlap.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import ctypes
+import itertools
+import threading
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg import toeplitz
-from scipy.linalg.blas import dtrmm
+from scipy.linalg import cython_blas, toeplitz
 from scipy.special import hyp2f1
 
 __all__ = [
@@ -37,6 +40,7 @@ __all__ = [
     "kernel_weights",
     "sample_paths",
     "iter_path_blocks",
+    "for_each_tile",
     "cholesky_factor",
     "level_variance",
     "exact_level_variance",
@@ -63,8 +67,9 @@ ORACLE_STREAM = 2
 
 DEFAULT_BLOCK_SIZE = 65_536
 # bytes of the largest tile buffer: a block is drawn, multiplied and
-# consumed in row tiles of this size, so the working set stays in cache
-TILE_BYTES = 2 * 1024 * 1024
+# consumed in row tiles of this size, so the working sets of both tile
+# workers stay in cache
+TILE_BYTES = 1024 * 1024
 # the exact law factors a dense (2 n_steps)^2 covariance
 ORACLE_MAX_STEPS = 2048
 
@@ -187,14 +192,73 @@ def _convolution_matrix(weights: KernelWeights) -> np.ndarray | None:
     return toeplitz(b, np.zeros_like(b)).T
 
 
+def _capsule_function(capsule, prototype):
+    """The C function a PyCapsule points at, called through prototype."""
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi)
+    )
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi)
+    )
+    return prototype(pointer(capsule, name(capsule)))
+
+
+_INT_P = ctypes.POINTER(ctypes.c_int)
+# BLAS dtrmm as scipy.linalg.cython_blas exports it: side, uplo, transa and
+# diag, then m, n, alpha, a, lda, b and ldb, every one by reference. It is
+# the library behind scipy.linalg.blas.dtrmm, whose wrapper holds the GIL
+# for the whole product; a ctypes call releases it.
+_DTRMM = _capsule_function(
+    cython_blas.__pyx_capi__["dtrmm"],
+    ctypes.CFUNCTYPE(
+        None,
+        *[ctypes.c_char_p] * 4,
+        _INT_P,
+        _INT_P,
+        ctypes.POINTER(ctypes.c_double),
+        ctypes.c_void_p,
+        _INT_P,
+        ctypes.c_void_p,
+        _INT_P,
+    ),
+)
+_ONE = ctypes.c_double(1.0)
+
+
 def _triangular_product(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """rows @ matrix for the upper-triangular matrix, computed in place.
 
     BLAS trmm overwrites the Fortran-ordered view rows.T of the
     C-contiguous rows with matrix.T @ rows.T, half the flops of a dense
-    product. Returns the product as trmm wrote it, which is rows itself.
+    product, and releases the GIL meanwhile. Returns the product as trmm
+    wrote it, which is rows itself. BLAS gets raw pointers, so the layouts
+    are checked on every call: matrix a square Fortran-ordered float64
+    array, rows a writeable C-contiguous float64 array as wide as matrix.
     """
-    return dtrmm(1.0, matrix, rows.T, trans_a=1, overwrite_b=1).T
+    n = matrix.shape[0]
+    if not (
+        matrix.dtype == np.float64
+        and matrix.shape == (n, n)
+        and n > 0
+        and matrix.flags.f_contiguous
+    ):
+        raise ValueError("matrix must be a square Fortran-ordered float64 array")
+    if not (
+        rows.dtype == np.float64
+        and rows.ndim == 2
+        and rows.shape[1] == n
+        and rows.flags.c_contiguous
+        and rows.flags.writeable
+    ):
+        raise ValueError(
+            f"rows must be a writeable C-contiguous float64 array of {n} columns"
+        )
+    width, count = ctypes.c_int(n), ctypes.c_int(rows.shape[0])
+    _DTRMM(
+        b"L", b"U", b"T", b"N", width, count, _ONE,
+        matrix.ctypes.data, width, rows.ctypes.data, width,
+    )
+    return rows
 
 
 def level_variance(grid: TimeGrid, weights: KernelWeights) -> np.ndarray:
@@ -218,39 +282,37 @@ def tile_rows(n_steps: int) -> int:
 
 def _draw_increments(sqrt_dt: float, rng: np.random.Generator, dw: np.ndarray) -> None:
     """Fill dw with a tile's W increments, standard normals from its block's
-    generator times sqrt(dt). Runs on the helper thread; both calls
-    release the GIL."""
+    generator times sqrt(dt). Both calls release the GIL."""
     rng.standard_normal(out=dw)
     dw *= sqrt_dt
 
 
 def _draw_normals(rng: np.random.Generator, z: np.ndarray) -> None:
-    """Fill z with a tile's standard normals from its block's generator.
-    Runs on the helper thread."""
+    """Fill z with a tile's standard normals from its block's generator."""
     rng.standard_normal(out=z)
 
 
 def _convolve_tile(
-    matrix: np.ndarray | None, wh: np.ndarray, dw: np.ndarray
+    matrix: np.ndarray | None, dw: np.ndarray, wh: np.ndarray
 ) -> GaussianPathBatch:
     """The tile of these W increments: their W^H levels by the Volterra
-    convolution, written into the leading rows of wh."""
-    tile = GaussianPathBatch(dw=dw, wh=wh[: dw.shape[0]])
+    convolution, written into wh; dw is left as it is."""
     if matrix is None:
-        np.cumsum(tile.dw, axis=1, out=tile.wh)
+        np.cumsum(dw, axis=1, out=wh)
     else:
-        np.copyto(tile.wh, tile.dw)
-        _triangular_product(matrix, tile.wh)
-    return tile
+        np.copyto(wh, dw)
+        _triangular_product(matrix, wh)
+    return GaussianPathBatch(dw=dw, wh=wh)
 
 
-def _factor_tile(factor: np.ndarray, z: np.ndarray) -> GaussianPathBatch:
-    """The tile of these 2 n_steps normals per path, multiplied in place by
-    the factor: the product's first n_steps columns are the W increments,
-    the rest the W^H levels."""
+def _factor_tile(factor: np.ndarray, z: np.ndarray, out: np.ndarray) -> GaussianPathBatch:
+    """The tile of these 2 n_steps normals per path times the factor,
+    written into out; z is left as it is. The product's first n_steps
+    columns are the W increments, the rest the W^H levels."""
     n = factor.shape[0] // 2
-    _triangular_product(factor, z)
-    return GaussianPathBatch(dw=z[:, :n], wh=z[:, n:])
+    np.copyto(out, z)
+    _triangular_product(factor, out)
+    return GaussianPathBatch(dw=out[:, :n], wh=out[:, n:])
 
 
 def block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
@@ -261,6 +323,45 @@ def block_rng(seed: int, stream: int, block: int) -> np.random.Generator:
     return np.random.Generator(BIT_GENERATOR(ss))
 
 
+def _tiling(grid: TimeGrid, laws, n_paths: int, block_size: int):
+    """(stream, width, rows, draw, products) of tiles of these laws, after
+    checking the arguments: the RNG stream and normals per path a tile
+    draws, the rows of a full tile, draw(rng, normals) and one
+    product(normals, out) per law, which multiplies a tile's normals by
+    the law's matrix into out and returns the tile."""
+    if n_paths < 1:
+        raise ValueError("n_paths must be at least 1")
+    if block_size < 1:
+        raise ValueError("block_size must be at least 1")
+    if not laws:
+        raise ValueError("at least one law is needed")
+    n = grid.n_steps
+    exact = not isinstance(laws[0], KernelWeights)
+    for law in laws:
+        if isinstance(law, KernelWeights) == exact:
+            raise ValueError("the laws must be all kernel weights or all factors")
+        if (law.shape[0] // 2 if exact else law.n_steps) != n:
+            raise ValueError("the law was built for a different grid")
+    width = 2 * n if exact else n
+    rows = min(tile_rows(width), block_size, n_paths)
+    if exact:
+        products = [partial(_factor_tile, factor) for factor in laws]
+        return ORACLE_STREAM, width, rows, _draw_normals, products
+    draw = partial(_draw_increments, np.sqrt(grid.dt))
+    products = [partial(_convolve_tile, _convolution_matrix(w)) for w in laws]
+    return W_STREAM, width, rows, draw, products
+
+
+def _tile_plan(seed: int, stream: int, n_paths: int, block_size: int, step: int):
+    """(block, generator, first path, rows) of every tile in order; a
+    block's generator is made when its first tile is due."""
+    for b, start in enumerate(range(0, n_paths, block_size)):
+        rng = block_rng(seed, stream, b)
+        block_rows = min(block_size, n_paths - start)
+        for offset in range(0, block_rows, step):
+            yield b, rng, start + offset, min(step, block_rows - offset)
+
+
 def iter_path_blocks(
     grid: TimeGrid,
     law: KernelWeights | np.ndarray,
@@ -269,7 +370,8 @@ def iter_path_blocks(
     block_size: int = DEFAULT_BLOCK_SIZE,
 ):
     """Iterator of (block_index, GaussianPathBatch) tiles covering n_paths
-    in order.
+    in order, drawn serially on the calling thread: the reference that
+    for_each_tile's tiles equal bit for bit.
 
     law is either the convolution's KernelWeights, whose tiles draw
     n_steps normals per path from W_STREAM, or the exact law's
@@ -283,72 +385,96 @@ def iter_path_blocks(
     numbers as a whole-block draw.
 
     The arguments are checked at the call, not at the first tile. Every
-    tile is written in place into the leading rows of C-contiguous buffers
-    owned by the iterator, none over TILE_BYTES. Tiles alternate between
-    two draw buffers, so tile i shares memory with tile i - 2: n_steps
-    columns of W increments for the convolution, whose W^H levels go into
-    one wh buffer, or the exact law's 2 n_steps columns, whose halves are
-    the tile's dw and wh. A yielded tile stays intact until the next
-    next(): a caller that keeps one must copy it, and may use its arrays
-    as scratch meanwhile.
-
-    While the caller works on tile i, one helper thread draws tile i + 1's
-    normals into the other draw buffer (and scales them by sqrt(dt) for
-    the convolution); standard_normal releases the GIL, so the two
-    overlap. Only the draw runs on the helper: the block generators are
-    made, and the convolution or factor product runs, on the calling
-    thread, in the same order as a serial draw, so every tile is bit for
-    bit what a serial draw gives. The helper is started at the first tile
-    and shut down when the iterator is exhausted, closed or raises; an
-    error in a draw is raised as itself by the next() that wanted the tile.
+    tile is written in place into the leading rows of two C-contiguous
+    buffers owned by the iterator, none over TILE_BYTES: the draw buffer,
+    which holds the convolution's W increments, and the product buffer,
+    its W^H levels, or the exact law's product, whose halves are the
+    tile's dw and wh. So every tile shares memory with the one before: a
+    tile stays intact until the next next(), and a caller that keeps one
+    must copy it.
     """
-    if n_paths < 1:
-        raise ValueError("n_paths must be at least 1")
-    if block_size < 1:
-        raise ValueError("block_size must be at least 1")
-    n = grid.n_steps
-    exact = not isinstance(law, KernelWeights)
-    if (law.shape[0] // 2 if exact else law.n_steps) != n:
-        raise ValueError("the law was built for a different grid")
-    step = min(tile_rows(2 * n if exact else n), block_size, n_paths)
-    if exact:
-        stream, width = ORACLE_STREAM, 2 * n
-        draw, finish = _draw_normals, partial(_factor_tile, law)
-    else:
-        stream, width = W_STREAM, n
-        draw = partial(_draw_increments, np.sqrt(grid.dt))
-        finish = partial(_convolve_tile, _convolution_matrix(law), np.empty((step, n)))
-    draws = np.empty((step, width)), np.empty((step, width))
-
-    def plan():
-        # (block, generator, rows) of every tile in order; a block's
-        # generator is made when its first tile is due
-        for b, start in enumerate(range(0, n_paths, block_size)):
-            rng = block_rng(seed, stream, b)
-            block_rows = min(block_size, n_paths - start)
-            for offset in range(0, block_rows, step):
-                yield b, rng, min(step, block_rows - offset)
-
-    def tile(b, normals, drawn):
-        drawn.result()
-        return b, finish(normals)
+    stream, width, step, draw, (product,) = _tiling(grid, [law], n_paths, block_size)
+    normals, out = np.empty((step, width)), np.empty((step, width))
 
     def tiles():
-        helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fbm-draw")
-        try:
-            ahead = None
-            for i, (b, rng, rows) in enumerate(plan()):
-                # this buffer last held tile i - 2, which the caller is done with
-                normals = draws[i % 2][:rows]
-                drawing = b, normals, helper.submit(draw, rng, normals)
-                if ahead is not None:
-                    yield tile(*ahead)
-                ahead = drawing
-            yield tile(*ahead)
-        finally:
-            helper.shutdown(cancel_futures=True)
+        for b, rng, _, rows in _tile_plan(seed, stream, n_paths, block_size, step):
+            draw(rng, normals[:rows])
+            yield b, product(normals[:rows], out[:rows])
 
     return tiles()
+
+
+def for_each_tile(
+    grid: TimeGrid,
+    laws,
+    n_paths: int,
+    seed: int,
+    consumer,
+    block_size: int = DEFAULT_BLOCK_SIZE,
+) -> None:
+    """Draw each tile of n_paths paths once and multiply it by every law's
+    matrix, on two tile workers.
+
+    laws is a nonempty sequence, all KernelWeights or all cholesky_factor
+    matrices, typically one per H; they share the draws, which depend on
+    (seed, stream, block) only. The tiles, blocks and checks are those of
+    iter_path_blocks, and every tile is bit for bit the one it gives for
+    the same law. consumer() is called once by each worker and returns
+    that worker's consume(law_index, first_path, tile), called for every
+    tile and law in law order, with the index of the tile's first path.
+    A tile is only valid during that call; consume writes what it keeps by
+    path position, so no result depends on which worker ran which tile.
+
+    The calling thread and one helper thread take alternate tiles. For
+    tile i a worker waits until tile i - 1's draw has finished, so each
+    block's generator draws in the serial order, draws the tile into its
+    own buffer, and then multiplies it into its own product buffer for
+    each law in turn and hands it to consume. Memory is two tile buffers
+    per worker. An error in either worker, in a draw, a product or
+    consume, stops both at their next tile and is raised here as itself,
+    the first one if both fail; the helper is joined before this returns
+    or raises.
+    """
+    stream, width, step, draw, products = _tiling(grid, laws, n_paths, block_size)
+    plan = _tile_plan(seed, stream, n_paths, block_size, step)
+    handoff = threading.Condition()
+    drawn = [0]  # tiles whose draw has finished; they finish in order
+    errors: list[BaseException] = []
+
+    def work(first: int) -> None:
+        # every error is kept and raised by the calling thread after the join
+        try:
+            consume = consumer()
+            normals, out = np.empty((step, width)), np.empty((step, width))
+            for i in itertools.count(first, 2):
+                with handoff:
+                    handoff.wait_for(lambda: drawn[0] == i or errors)
+                    if errors:
+                        return
+                tile = next(plan, None)
+                if tile is not None:
+                    _, rng, row, rows = tile
+                    draw(rng, normals[:rows])
+                with handoff:
+                    drawn[0] += 1
+                    handoff.notify_all()
+                if tile is None:
+                    return
+                for h, product in enumerate(products):
+                    consume(h, row, product(normals[:rows], out[:rows]))
+        except BaseException as exc:
+            with handoff:
+                errors.append(exc)
+                handoff.notify_all()
+
+    helper = threading.Thread(target=work, args=(1,), name="fbm-tiles")
+    helper.start()
+    try:
+        work(0)
+    finally:
+        helper.join()
+    if errors:
+        raise errors[0]
 
 
 def sample_paths(
@@ -358,8 +484,8 @@ def sample_paths(
     seed: int,
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> GaussianPathBatch:
-    """Materialize all paths as one batch: the tiles of iter_path_blocks,
-    the streaming variant the pricing engine uses, copied into place.
+    """Materialize all paths as one batch: the tiles of iter_path_blocks
+    copied into place.
 
     No production code calls it; it stays as the test oracle's
     materializer, for checks that need whole paths rather than

@@ -39,18 +39,19 @@ swap leg, and the gap between an implied vol and the swap leg has a
 paired SE.
 
 Everything is deterministic given (seed, n_paths, block_size, grid, params):
-per-path arrays are assembled positionally by block index and reduced once,
-so results do not depend on generation order.
+per-path arrays are written by path position and reduced once, so results
+do not depend on which tile worker drew which tile, nor on the other H
+values simulated with them.
 """
 from __future__ import annotations
 
 import math
-from contextlib import closing
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import volmodel
 from .blackscholes import _call
 from .fbm import (
     B_STREAM,
@@ -63,7 +64,8 @@ from .fbm import (
     cholesky_factor,
     convolution_method,
     exact_level_variance,
-    iter_path_blocks,
+    for_each_tile,
+    iter_path_blocks,  # not called here: perfbench/spans.py wraps this name
     kernel_weights,
     level_variance,
     tile_rows,
@@ -72,6 +74,7 @@ from .volmodel import (
     ModelParams,
     PathFunctionals,
     integrated_variance_mean,
+    # not called here: perfbench/spans.py wraps these two names
     path_functionals,
     vol_paths,
 )
@@ -87,6 +90,7 @@ __all__ = [
     "VALID_SCHEMES",
     "VALID_ESTIMATORS",
     "CONTROLS",
+    "HURST_LAYOUT",
     "MATURITY_LAYOUT",
     "INDEPENDENT_LEG",
 ]
@@ -95,6 +99,8 @@ VALID_SCHEMES = ("convolution", "midpoint_convolution", "cholesky_oracle")
 VALID_ESTIMATORS = ("conditional_mixing", "direct_euler")
 # the control variates the calls and the swap leg are regressed on, in order
 CONTROLS = ("spot_martingale", "integrated_variance", "exponential_martingale")
+# how every H of one simulation shares its draw
+HURST_LAYOUT = "one draw per seed serves every H"
 # how every maturity of one simulation is read off its single draw
 MATURITY_LAYOUT = (
     "one unit-maturity draw per simulation; maturity T reads it with nu * T^H, "
@@ -184,38 +190,46 @@ def simulate_functionals(
     params: ModelParams,
     config: McConfig,
     maturities: Sequence[float] | None = None,
+    hurst: Sequence[float] | None = None,
 ) -> list[PathFunctionals]:
     """Draw one batch of paths and keep only the per-path functionals, one
-    PathFunctionals per maturity, each on grid.n_steps steps.
+    PathFunctionals per (H, maturity), H-major, each on grid.n_steps
+    steps.
 
-    maturities defaults to (grid.maturity,); grid only sets the step
-    count otherwise. One unit-maturity draw serves every maturity. From
-    the same normals, TimeGrid(T, n) has sqrt(T) times the increments and,
-    by Riemann-Liouville self-similarity, T^H times the W^H levels of
-    TimeGrid(1, n), so its vol path is the unit-grid one with vol-of-vol
-    nu * T^H. So Y and its exact mean E[Y] at T are T times the unit-grid
-    ones at nu * T^H, and int sigma dW is sqrt(T) times.
+    hurst defaults to (params.hurst,), and params.hurst is not read
+    otherwise; maturities defaults to (grid.maturity,), and grid only sets
+    the step count otherwise. One unit-maturity draw serves every H and
+    maturity (HURST_LAYOUT, MATURITY_LAYOUT): the normals depend on the
+    seed only, so each H's functionals are bit for bit those of a run at
+    that H alone. From the same normals, TimeGrid(T, n) has sqrt(T) times
+    the increments and, by Riemann-Liouville self-similarity, T^H times
+    the W^H levels of TimeGrid(1, n), so its vol path is the unit-grid one
+    with vol-of-vol nu * T^H. So Y and its exact mean E[Y] at T are T
+    times the unit-grid ones at nu * T^H, and int sigma dW is sqrt(T)
+    times.
 
-    Every RNG block streams through tiles of at most fbm.TILE_BYTES per
-    buffer: each tile is drawn and multiplied by its law's triangular
-    matrix once, then every maturity's vols and functionals are taken from
-    it, in VOL_CHUNKS row chunks, while it is in cache. Meanwhile
-    iter_path_blocks' helper thread draws the next tile's normals; the
-    tile iterator is closed on the way out, so the helper never outlives
-    this call, even when it raises. Every scheme streams alike; the
-    Cholesky oracle differs only in its law, the factor of the exact
-    covariance, whose tiles draw 2 n_steps normals per path from
-    fbm.ORACLE_STREAM. Memory is a few tile buffers (two draw tiles, the
-    one being used and the one being drawn, the convolution's wh tile and
-    a quarter-tile of vols) plus O(n_paths x maturities) for the
-    functionals, and for the oracle its (2 n_steps)^2 covariance and
-    factor.
+    fbm.for_each_tile streams every RNG block through tiles of at most
+    fbm.TILE_BYTES per buffer on two tile workers: each tile is drawn
+    once and, for each H, multiplied by that H's triangular matrix, then
+    every maturity's vols and functionals are taken from it, in VOL_CHUNKS
+    row chunks, while it is in cache, and written by path position. The
+    log-vol drift of each (H, T) is computed once per call. Every scheme
+    streams alike; the Cholesky oracle differs only in its law, the factor
+    of the exact covariance, whose tiles draw 2 n_steps normals per path
+    from fbm.ORACLE_STREAM. Memory is a few tile buffers (per worker, its
+    draw tile, its product tile and a quarter-tile of vols) plus
+    O(n_paths x H x maturities) for the functionals, and per H its
+    convolution matrix, or for the oracle its (2 n_steps)^2 factor.
+
+    The workers call volmodel's functions directly, not the names this
+    module imports, which the benchmark's span wrappers replace with
+    single-threaded ones; those names are kept importable for them.
 
     The functionals are rho-free: params.rho is never read. For direct
     Euler they carry independent_normal, one standard normal per path
     from block 0 of B_STREAM, independent of W, with which the pricer
-    draws (INDEPENDENT_LEG). Every maturity holds the same array, so the
-    draws of two maturities are perfectly correlated; each maturity's
+    draws (INDEPENDENT_LEG). Every H and maturity holds the same array, so
+    the draws of two maturities are perfectly correlated; each maturity's
     marginal law is exact, and nothing reads the joint law across
     maturities. The exact E[Y] of the scheme, which the pricers' Y
     control needs, is recorded from the scheme's own W^H variances.
@@ -223,47 +237,59 @@ def simulate_functionals(
     maturities = (grid.maturity,) if maturities is None else tuple(maturities)
     if not maturities or not all(0.0 < t < math.inf for t in maturities):
         raise ValueError("maturities must be a nonempty list of positive finite values")
+    hurst = (params.hurst,) if hurst is None else tuple(hurst)
+    if not hurst:
+        raise ValueError("hurst must be a nonempty list")
     unit = TimeGrid(1.0, grid.n_steps)
-    scaled = [replace(params, nu=params.nu * t**params.hurst) for t in maturities]
-    shape = (len(maturities), config.n_paths)
-    y, ito = np.empty(shape), np.empty(shape)
+    # the unit-grid params and log-vol drift of each (H, T), H-major
+    scaled = [
+        replace(params, hurst=h, nu=params.nu * t**h) for h in hurst for t in maturities
+    ]
+    drifts = [volmodel._log_vol_drift(p, unit) for p in scaled]
+    y, ito = np.empty((2, len(scaled), config.n_paths))
 
     if config.scheme == "cholesky_oracle":
-        law = cholesky_factor(unit, params.hurst)
-        variance = exact_level_variance(unit, params.hurst)
+        laws = [cholesky_factor(unit, h) for h in hurst]
+        variances = [exact_level_variance(unit, h) for h in hurst]
     else:
-        law = kernel_weights(unit, params.hurst, KERNEL_EVALUATION[config.scheme])
-        variance = level_variance(unit, law)
-    tiles = iter_path_blocks(unit, law, config.n_paths, config.seed, config.block_size)
+        evaluation = KERNEL_EVALUATION[config.scheme]
+        laws = [kernel_weights(unit, h, evaluation) for h in hurst]
+        variances = [level_variance(unit, w) for w in laws]
     chunk = -(-tile_rows(unit.n_steps) // VOL_CHUNKS)
-    vol = np.empty((min(chunk, config.n_paths), unit.n_steps))
 
-    row = 0
-    # closed on the way out, so an error here stops the draw helper at once
-    with closing(tiles):
-        for _, tile in tiles:
+    def consumer():
+        vol = np.empty((min(chunk, config.n_paths), unit.n_steps))
+
+        def consume(h: int, first: int, tile: GaussianPathBatch) -> None:
             for start in range(0, tile.n_paths, chunk):
                 part = GaussianPathBatch(
                     dw=tile.dw[start : start + chunk], wh=tile.wh[start : start + chunk]
                 )
-                rows = slice(row, row + part.n_paths)
-                row += part.n_paths
-                for m, unit_params in enumerate(scaled):
-                    vols = vol_paths(part, unit_params, unit, out=vol[: part.n_paths])
-                    y[m, rows], ito[m, rows] = path_functionals(vols, part, unit)
+                rows = slice(first + start, first + start + part.n_paths)
+                for k in range(h * len(maturities), (h + 1) * len(maturities)):
+                    vols = volmodel._vols_with_drift(
+                        part.wh, scaled[k], drifts[k], vol[: part.n_paths]
+                    )
+                    y[k, rows], ito[k, rows] = volmodel.path_functionals(vols, part, unit)
+
+        return consume
+
+    for_each_tile(unit, laws, config.n_paths, config.seed, consumer, config.block_size)
 
     z = None
     if config.estimator == "direct_euler":
         z = block_rng(config.seed, B_STREAM, 0).standard_normal(config.n_paths)
     out = []
-    for m, (t, unit_params) in enumerate(zip(maturities, scaled)):
-        y[m] *= t
-        ito[m] *= math.sqrt(t)
+    for k, unit_params in enumerate(scaled):
+        t = maturities[k % len(maturities)]
+        y[k] *= t
+        ito[k] *= math.sqrt(t)
+        variance = variances[k // len(maturities)]
         mean = t * integrated_variance_mean(unit_params, unit, variance)
         out.append(
             PathFunctionals(
-                integrated_variance=y[m],
-                int_sigma_dw=ito[m],
+                integrated_variance=y[k],
+                int_sigma_dw=ito[k],
                 independent_normal=z,
                 integrated_variance_mean=mean,
             )
@@ -273,17 +299,20 @@ def simulate_functionals(
 
 def simulation_record(config: McConfig, hurst: Sequence[float]) -> dict[str, object]:
     """How simulate_functionals draws its paths under config at each H,
-    in enough detail to reproduce them: bit generator, block size, tile
-    size in bytes per buffer, how the maturities share one draw, how
-    direct Euler draws its spot (None for mixing, which draws none),
-    kernel evaluation, convolution method ("cholesky" for the oracle) and
-    the control variates of the calls and the swap leg."""
+    in enough detail to reproduce them: bit generator, the one seed, block
+    size, tile size in bytes per buffer, how the H values and the
+    maturities share one draw, how direct Euler draws its spot (None for
+    mixing, which draws none), kernel evaluation, convolution method
+    ("cholesky" for the oracle) and the control variates of the calls and
+    the swap leg."""
     evaluation = KERNEL_EVALUATION.get(config.scheme)
     direct = config.estimator == "direct_euler"
     return {
         "bit_generator": BIT_GENERATOR.__name__,
+        "seed": config.seed,
         "block_size": config.block_size,
         "tile_bytes": TILE_BYTES,
+        "hurst_layout": HURST_LAYOUT,
         "maturity_layout": MATURITY_LAYOUT,
         "independent_leg": INDEPENDENT_LEG if direct else None,
         "controls": list(CONTROLS),

@@ -99,17 +99,26 @@ def vol_paths(
         out = np.empty(shape)
     elif out.shape != shape:
         raise ValueError(f"out has shape {out.shape}, expected {shape}")
-    drift = _log_vol_drift(params, grid.times[:-1])
+    return _vols_with_drift(batch.wh, params, _log_vol_drift(params, grid), out)
+
+
+def _vols_with_drift(
+    wh: np.ndarray, params: ModelParams, drift: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """vol_paths into out, with the drift of _log_vol_drift(params, grid)
+    computed once by the caller, who checks the shapes."""
     out[:, 0] = 0.0
-    np.multiply(batch.wh[:, :-1], params.nu, out=out[:, 1:])
+    np.multiply(wh[:, :-1], params.nu, out=out[:, 1:])
     out -= drift
     np.exp(out, out=out)
     out *= params.sigma0
     return out
 
 
-def _log_vol_drift(params: ModelParams, t: np.ndarray) -> np.ndarray:
-    """nu^2 t^{2H} / (4H), subtracted from nu W^H_t in log sigma_t."""
+def _log_vol_drift(params: ModelParams, grid: TimeGrid) -> np.ndarray:
+    """nu^2 t^{2H} / (4H), subtracted from nu W^H_t in log sigma_t, at the
+    left grid points t_0..t_{n-1}."""
+    t = grid.times[:-1]
     return params.nu**2 * t ** (2.0 * params.hurst) / (4.0 * params.hurst)
 
 
@@ -131,7 +140,7 @@ def integrated_variance_mean(
     """
     if level_variance.shape != (grid.n_steps,):
         raise ValueError("level_variance needs one entry per left grid point")
-    drift = _log_vol_drift(params, grid.times[:-1])
+    drift = _log_vol_drift(params, grid)
     log_second_moment = 2.0 * (params.nu**2 * level_variance - drift)
     return float(grid.dt * params.sigma0**2 * np.exp(log_second_moment).sum())
 

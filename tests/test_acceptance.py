@@ -77,8 +77,9 @@ REF_ATMI_RHO8 = {
 
 @pytest.fixture(scope="module")
 def table_reports():
-    """All 50 (rho, H, T) cells at acceptance scale, one simulation per H;
-    about 2 minutes on 2 cores."""
+    """All 50 (rho, H, T) cells at acceptance scale, one simulation per H
+    (each H's functionals are those of the CLI's one draw for every H,
+    which would hold all five H's at once); about 2 minutes on 2 cores."""
     config = ExperimentConfig(
         n_paths=ACCEPT_PATHS,
         n_steps=ACCEPT_STEPS,
@@ -88,8 +89,8 @@ def table_reports():
         maturities=MATURITIES,
     )
     reports = {}
-    for h_index in range(len(HURSTS)):
-        for cell, outcome in _cell_rows(config, h_index):
+    for hurst in HURSTS:
+        for cell, outcome in _cell_rows(config, (hurst,)):
             assert isinstance(outcome, SwapReport), f"cell {cell} failed: {outcome}"
             reports[cell] = outcome
     return reports

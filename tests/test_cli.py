@@ -26,7 +26,7 @@ from fracvol.cli import (
     ConfigError,
     ExperimentConfig,
     _cell_rows,
-    _h_seed,
+    _hurst_groups,
     _mc_config,
     _write_csv,
     build_config,
@@ -36,6 +36,7 @@ from fracvol.cli import (
 )
 from fracvol.fbm import TILE_BYTES, TimeGrid
 from fracvol.mcpricer import (
+    HURST_LAYOUT,
     INDEPENDENT_LEG,
     MATURITY_LAYOUT,
     McConfig,
@@ -176,7 +177,7 @@ class TestBuildConfig:
             ({"seed": -1}, "seed"),
             ({"mode": "single"}, "mode"),
             ({"nu": math.inf}, "nu"),
-            # seeds, cells and CSV rows are keyed by :g labels, which
+            # cells and CSV rows are keyed by :g labels, which
             # would merge two values equal to 6 significant digits
             ({"hurst": (0.3, 0.3000001)}, "hurst"),
             ({"maturities": (1.0, 1.0000001)}, "maturities"),
@@ -218,17 +219,22 @@ class TestBuildConfig:
             build_config({"mode": "convergence", "maturities": (1.0, 1.2, 1.4)})
 
     @pytest.mark.parametrize("key", ["hurst", "maturities"])
-    def test_axis_longer_than_cell_seed_digits_rejected(self, key):
-        # seeds give h_index two decimal digits: with 101 H values, H_100
-        # would reuse the normals of the next base seed's H_0. Maturities
-        # share their H's seed, so their count is not capped.
+    def test_axis_longer_than_cell_seed_digits_accepted(self, key):
+        # every H and maturity reads the one draw of the seed, so neither
+        # axis is capped
         values = tuple(0.005 * (i + 1) for i in range(101))
-        if key == "maturities":
-            assert len(build_config({key: values}).maturities) == 101
-            return
-        with pytest.raises(ConfigError, match=f"^key '{key}': at most 100"):
-            build_config({key: values})
-        assert len(getattr(build_config({key: values[:100]}), key)) == 100
+        assert len(getattr(build_config({key: values}), key)) == 101
+
+    @pytest.mark.parametrize(
+        "n_hurst, workers, sizes",
+        [(1, 3, [1]), (3, 1, [3]), (3, 2, [1, 2]), (5, 2, [2, 3]), (5, 3, [1, 2, 2])],
+    )
+    def test_hurst_groups_are_contiguous(self, n_hurst, workers, sizes):
+        hurst = tuple(0.1 * (i + 1) for i in range(n_hurst))
+        config = build_config({"hurst": hurst, "workers": workers})
+        groups = _hurst_groups(config)
+        assert [len(g) for g in groups] == sizes
+        assert sum(groups, ()) == config.hurst
 
     def test_benchmark_workloads_build_as_declared(self, monkeypatch):
         # perfbench/child.py builds its config from a JSON round trip of a
@@ -295,7 +301,7 @@ class TestRun:
             "seed",
         ]
         config = ExperimentConfig(**{**FAST, "maturities": (1.0,), "rho": (0.0,)})
-        ((_, report),) = _cell_rows(config, 0)
+        ((_, report),) = _cell_rows(config, config.hurst)
         out = tmp_path / "row.csv"
         _write_csv(out, {(report.rho, report.hurst, report.maturity): report})
         row = dict(zip(*read_csv(out)))
@@ -339,7 +345,7 @@ class TestRun:
         # the simulation is shared across rho: every row's vol swap is the
         # swap leg its rho's pricer fits on the H's one draw
         config = ExperimentConfig(**FAST)
-        mc = _mc_config(config, _h_seed(config, 0))
+        mc = _mc_config(config)
         params = ModelParams(config.sigma0, config.nu, 0.0, 0.5)
         unit = TimeGrid(1.0, config.n_steps)
         draw = simulate_functionals(unit, params, mc, config.maturities)
@@ -373,11 +379,12 @@ class TestRun:
         }
         assert manifest["simulation"] == {
             "bit_generator": "SFC64",
+            "seed": 99,
             "block_size": 65_536,
             "tile_bytes": TILE_BYTES,
+            "hurst_layout": HURST_LAYOUT,
             "maturity_layout": MATURITY_LAYOUT,
             "independent_leg": None,
-            "seeds": {"H=0.5": 99 * 100},
             "controls": [
                 "spot_martingale", "integrated_variance", "exponential_martingale"
             ],
@@ -452,32 +459,34 @@ class TestRun:
         config = ExperimentConfig(out=str(out), workers=2, **FAST)
         assert run(config, stream=open("/dev/null", "w")) == 0
         assert out.read_bytes() == first_out.read_bytes()
-        # FAST has one H, so the pool above runs serially; two H values
-        # give the pool two tasks, in both modes and under both laws
+        # FAST has one H, so the pool above runs serially; three H values
+        # give one group of three, groups of two and one, or three of one,
+        # in both modes and under both laws
         for mode, scheme in itertools.product(
             ("tables", "convergence"), ("convolution", "cholesky_oracle")
         ):
-            two_h = dict(
+            three_h = dict(
                 FAST,
-                hurst=(0.3, 0.5),
+                hurst=(0.3, 0.5, 0.7),
                 maturities=(0.5, 1.0, 2.0),
                 mode=mode,
                 scheme=scheme,
             )
             outputs = []
-            for workers in (1, 2):
+            for workers in (1, 2, 3):
                 out = tmp_path / f"{mode}_{scheme}{workers}.csv"
-                config = ExperimentConfig(out=str(out), workers=workers, **two_h)
+                config = ExperimentConfig(out=str(out), workers=workers, **three_h)
                 assert run(config, stream=open("/dev/null", "w")) == 0
                 rates = out.with_suffix(".rates.csv")
                 outputs.append(
                     (out.read_bytes(), rates.read_bytes() if rates.exists() else None)
                 )
-            assert outputs[0] == outputs[1], (mode, scheme)
+            assert outputs[0] == outputs[1] == outputs[2], (mode, scheme)
             assert (outputs[0][1] is None) == (mode == "tables")
 
     def test_pool_is_capped_at_the_task_count(self, tmp_path, monkeypatch):
-        # one task per H: workers beyond that would be forked idle. The
+        # one task per group of at least one H: workers beyond that would
+        # be forked idle. The
         # stand-in executor maps in this process, so no process starts.
         import fracvol.cli as cli_module
 
@@ -548,7 +557,7 @@ class TestRun:
 
         calls = []
 
-        def singular(*args):
+        def singular(*args, **kwargs):
             calls.append(args)
             raise np.linalg.LinAlgError("not positive definite")
 
@@ -565,6 +574,38 @@ class TestRun:
         assert set(manifest["failed_cells"].values()) == {
             "LinAlgError: not positive definite"
         }
+
+    def test_a_failed_h_leaves_the_rest_of_its_group_priced(
+        self, tmp_path, monkeypatch
+    ):
+        # the group's simulation fails at H = 0.3; each of its H values is
+        # then simulated alone, so H = 0.5 is priced as in a run of its
+        # own, as it is under any worker count
+        import numpy as np
+
+        import fracvol.cli as cli_module
+
+        calls = []
+        real = cli_module.simulate_functionals
+
+        def singular_at_03(grid, params, config, maturities, hurst):
+            calls.append(tuple(hurst))
+            if 0.3 in hurst:
+                raise np.linalg.LinAlgError("not positive definite")
+            return real(grid, params, config, maturities, hurst=hurst)
+
+        monkeypatch.setattr(cli_module, "simulate_functionals", singular_at_03)
+        out = tmp_path / "group.csv"
+        config = ExperimentConfig(out=str(out), **dict(FAST, hurst=(0.3, 0.5)))
+        assert run(config, stream=open("/dev/null", "w")) == 1
+        assert calls == [(0.3, 0.5), (0.3,), (0.5,)]
+        rows = read_csv(out)[1:]
+        failed = [row for row in rows if row[0] == "0.3"]
+        assert len(failed) == 4
+        assert all(row[3:] == [FAILED_TOKEN] * (len(CSV_COLUMNS) - 3) for row in failed)
+        alone = tmp_path / "alone.csv"
+        assert run(ExperimentConfig(out=str(alone), **FAST), stream=open("/dev/null", "w")) == 0
+        assert [row for row in rows if row[0] == "0.5"] == read_csv(alone)[1:]
 
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
         import fracvol.cli as cli_module
@@ -698,22 +739,23 @@ class TestRun:
     def test_direct_euler_shares_one_simulation_across_rho(
         self, tmp_path, monkeypatch
     ):
-        # one simulation per H serves every (rho, T) of that H
+        # one simulation of a group of H values serves every (rho, H, T)
+        # of the group
         import fracvol.cli as cli_module
 
         calls = []
         real = cli_module.simulate_functionals
 
-        def counted(grid, params, config, maturities):
-            calls.append((grid.maturity, params.hurst, tuple(maturities)))
-            return real(grid, params, config, maturities)
+        def counted(grid, params, config, maturities, hurst):
+            calls.append((grid.maturity, tuple(maturities), tuple(hurst)))
+            return real(grid, params, config, maturities, hurst=hurst)
 
         monkeypatch.setattr(cli_module, "simulate_functionals", counted)
         direct = dict(FAST, estimator="direct_euler", hurst=(0.3, 0.5))
         out = tmp_path / "both.csv"
         config = ExperimentConfig(out=str(out), **direct)
         assert run(config, stream=open("/dev/null", "w")) == 0
-        assert sorted(calls) == [(1.0, 0.3, (0.5, 1.0)), (1.0, 0.5, (0.5, 1.0))]
+        assert calls == [(1.0, (0.5, 1.0), (0.3, 0.5))]
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 2 * 2 * 2
         for rho in direct["rho"]:
@@ -839,6 +881,14 @@ class TestMain:
 
 ROOT = Path(__file__).resolve().parents[1]
 
+# the names perfbench/spans.py wraps that only fbm.for_each_tile's tile
+# workers would call
+TILE_WORKER_NAMES = {
+    "fracvol.mcpricer.iter_path_blocks",
+    "fracvol.mcpricer.vol_paths",
+    "fracvol.mcpricer.path_functionals",
+}
+
 # one traced benchmark repetition, as perfbench/child.py runs it
 HOOK_SCRIPT = """
 import io, json, sys
@@ -910,7 +960,10 @@ class TestBenchmarkHooks:
         # through that module global, or the name's span stays empty and
         # its layer metrics read zero without failing anything. The names
         # are read off a real install, which is then undone, and each is
-        # wrapped with a counter for one tiny in-process run.
+        # wrapped with a counter for one tiny in-process run. The tile
+        # workers of fbm.for_each_tile must call none of TILE_WORKER_NAMES:
+        # the span tracer is single-threaded, so they call fbm's and
+        # volmodel's functions directly, and those spans stay empty.
         from fracvol import cli, mcpricer, swapanalysis
 
         spec = importlib.util.spec_from_file_location(
@@ -950,12 +1003,14 @@ class TestBenchmarkHooks:
             out=str(tmp_path / "guard.csv"),
         )
         assert run(config, stream=io.StringIO()) == 0
-        assert all(calls.values()), calls
+        assert {key for key, count in calls.items() if not count} == TILE_WORKER_NAMES
 
     def test_span_wrappers_still_fit_the_cli(self, tmp_path):
         # perfbench/spans.py wraps names that cli, mcpricer and
         # swapanalysis import, and replays the normals through fbm's
-        # public names; a rename must fail here, not in the bench.
+        # public names; a rename must fail here, not in the bench. The
+        # spans of TILE_WORKER_NAMES, and the normals replayed from the
+        # tile spans, stay empty (see test_every_span_wrapper_is_called).
         env = dict(
             os.environ,
             PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]),
@@ -971,19 +1026,14 @@ class TestBenchmarkHooks:
         result = json.loads(proc.stdout.strip().splitlines()[-1])
         assert result["rc"] == 0
         assert result["reports"] == 3
-        every_span = [
+        assert result["spans"] == [
             "blackscholes.implied_vol",
             "blackscholes.zero_vanna",
             "cli.run",
-            "fbm.block",
             "fbm.kernel_weights",
-            "fbm.normals",
             "mcpricer.pricer",
             "mcpricer.simulate",
             "swapanalysis.rate_fit",
             "swapanalysis.report",
             "swapanalysis.skew",
-            "volmodel.path_functionals",
-            "volmodel.vol_paths",
         ]
-        assert [n for n in every_span if n not in result["spans"]] == []

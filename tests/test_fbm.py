@@ -1,6 +1,7 @@
 """Tests for the fractional Brownian motion sampler."""
 import gc
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import toeplitz
+from scipy.linalg.blas import dtrmm
 from scipy.stats import ks_2samp
 
 from fracvol import fbm
@@ -27,6 +29,7 @@ from fracvol.fbm import (
     block_rng,
     cholesky_factor,
     exact_level_variance,
+    for_each_tile,
     iter_path_blocks,
     kernel_weights,
     level_variance,
@@ -187,6 +190,50 @@ class TestConvolution:
         assert np.shares_memory(written, buffer)
         np.testing.assert_allclose(wh, expected, rtol=0, atol=1e-13 * rms)
 
+    @pytest.mark.parametrize("law", ["convolution", "cholesky"])
+    def test_triangular_product_matches_scipy_dtrmm(self, law):
+        # The ctypes call runs the BLAS that scipy.linalg.blas.dtrmm wraps,
+        # so the two agree bit for bit, at one row, an odd count, a full
+        # tile and one row less.
+        grid = TimeGrid(1.0, 250)
+        if law == "convolution":
+            matrix = _convolution_matrix(kernel_weights(grid, 0.1))
+        else:
+            matrix = cholesky_factor(grid, 0.1)
+        width = matrix.shape[0]
+        full = tile_rows(width)
+        rng = np.random.default_rng(3)
+        for rows in (1, 37, full - 1, full):
+            z = rng.standard_normal((rows, width))
+            want = dtrmm(1.0, matrix, z.copy().T, trans_a=1, overwrite_b=1).T
+            got = z.copy()
+            assert _triangular_product(matrix, got) is got
+            assert np.array_equal(got, want), rows
+
+    def test_triangular_product_checks_layouts(self):
+        # BLAS reads raw pointers: every layout it would misread is refused
+        matrix = _convolution_matrix(kernel_weights(TimeGrid(1.0, 8), 0.3))
+        rows = np.ones((5, 8))
+        for bad_matrix in (
+            np.ascontiguousarray(matrix),  # C-ordered
+            np.asfortranarray(matrix, dtype=np.float32),
+            np.asfortranarray(matrix[:, :7]),  # not square
+        ):
+            with pytest.raises(ValueError, match="matrix must be"):
+                _triangular_product(bad_matrix, rows.copy())
+        readonly = rows.copy()
+        readonly.flags.writeable = False
+        for bad_rows in (
+            np.ones((8, 10))[:, :8],  # rows not contiguous
+            np.ones((8, 5)).T,  # Fortran-ordered
+            np.ones((5, 8), dtype=np.float32),
+            np.ones((5, 7)),  # another width
+            np.ones(8),
+            readonly,
+        ):
+            with pytest.raises(ValueError, match="rows must be"):
+                _triangular_product(matrix, bad_rows)
+
     @pytest.mark.parametrize("evaluation", ["variance_exact", "midpoint"])
     def test_level_variance_matches_sampled_levels(self, evaluation):
         # H = 0.1 on 10 steps: the midpoint levels fall well short of
@@ -290,9 +337,9 @@ class TestSamplePaths:
     @pytest.mark.parametrize("hurst", [0.2, 0.5])
     def test_reused_buffers_match_fresh_blocks(self, hurst):
         # Every block, partial last one included, is written in place: the
-        # W increments alternate between two draw buffers, so block i
-        # shares dw with block i - 2 and not with block i - 1, and every
-        # W^H goes into one wh buffer. Each equals a fresh draw into fresh
+        # W increments all go into one draw buffer and every W^H into one
+        # product buffer, so each block shares both with the first block
+        # and never dw with wh. Each equals a fresh draw into fresh
         # arrays: normals times sqrt(dt), then the same triangular product
         # (or cumsum at H = 1/2), bit for bit. The product itself is
         # checked against the dense Toeplitz GEMM in TestConvolution.
@@ -301,11 +348,10 @@ class TestSamplePaths:
         blocks = iter_path_blocks(grid, w, 1000, seed=9, block_size=256)
         seen = []
         for idx, blk in blocks:
+            assert not np.shares_memory(blk.dw, blk.wh)
             if seen:
                 assert np.shares_memory(blk.wh, seen[0].wh)
-                assert not np.shares_memory(blk.dw, seen[-1].dw)
-            if len(seen) >= 2:
-                assert np.shares_memory(blk.dw, seen[-2].dw)
+                assert np.shares_memory(blk.dw, seen[0].dw)
             rows = min(256, 1000 - idx * 256)
             dw = block_rng(9, W_STREAM, idx).standard_normal((rows, 48)) * math.sqrt(grid.dt)
             if hurst == 0.5:
@@ -351,68 +397,184 @@ class TestSamplePaths:
             level_variance(TimeGrid(1.0, 32), w)
 
 
+def serial_tiles(grid, law, n_paths, seed, block_size):
+    """{first path: (dw, wh)} of iter_path_blocks' tiles, copied."""
+    tiles, row = {}, 0
+    for _, tile in iter_path_blocks(grid, law, n_paths, seed, block_size):
+        tiles[row] = (tile.dw.copy(), tile.wh.copy())
+        row += tile.n_paths
+    return tiles
+
+
+class TestForEachTile:
+    """for_each_tile draws each tile once, for every law, on two workers:
+    every tile is bit for bit the serial iterator's."""
+
+    @pytest.mark.parametrize("oracle", [False, True], ids=["convolution", "cholesky"])
+    def test_every_law_gets_the_serial_tiles(self, oracle):
+        # 5 blocks of 3 tiles and a partial block; H = 1/2 takes the
+        # cumsum. Shortened switch intervals interleave the two workers
+        # as finely as the interpreter allows; the handoff must still draw
+        # each block's tiles in order.
+        grid = TimeGrid(1.0, 48 if oracle else 96)
+        hursts = (0.2, 0.5, 0.3)
+        if oracle:
+            laws = [cholesky_factor(grid, h) for h in hursts]
+        else:
+            laws = [kernel_weights(grid, h) for h in hursts]
+        step = tile_rows(2 * 48 if oracle else 96)
+        block, n_paths = 3 * step, 5 * 3 * step + 100
+        got = {}
+        threads = set()
+
+        def consumer():
+            def consume(h, first, tile):
+                threads.add(threading.get_ident())
+                got[h, first] = (tile.dw.copy(), tile.wh.copy())
+
+            return consume
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for_each_tile(grid, laws, n_paths, 13, consumer, block_size=block)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threads) == 2
+        for h, law in enumerate(laws):
+            want = serial_tiles(grid, law, n_paths, 13, block)
+            assert len(want) == 16
+            for first, (dw, wh) in want.items():
+                assert np.array_equal(got[h, first][0], dw)
+                assert np.array_equal(got[h, first][1], wh)
+        if not oracle:
+            # one draw serves every law, so each gets the same increments
+            # (the oracle's increments are the draw times its factor's
+            # increment block, which jitter moves at the degenerate H = 1/2)
+            assert all(
+                np.array_equal(got[0, first][0], got[h, first][0])
+                for h in (1, 2)
+                for first in want
+            )
+
+    def test_checks_the_laws(self):
+        grid = TimeGrid(1.0, 16)
+        w = kernel_weights(grid, 0.3)
+        with pytest.raises(ValueError, match="all kernel weights or all factors"):
+            for_each_tile(grid, [w, cholesky_factor(grid, 0.3)], 10, 0, None)
+        with pytest.raises(ValueError, match="at least one law"):
+            for_each_tile(grid, [], 10, 0, None)
+        with pytest.raises(ValueError, match="different grid"):
+            for_each_tile(TimeGrid(1.0, 8), [w], 10, 0, None)
+
+
 class TestDrawHelper:
-    """iter_path_blocks draws the next tile on one helper thread, which
-    lives only while the iterator does."""
+    """for_each_tile's tile workers are the calling thread, which takes
+    the even tiles, and one helper thread, which takes the odd ones and
+    lives only for the call. An error on either stops both and is raised
+    as itself."""
 
     GRID = TimeGrid(1.0, 48)
 
-    def blocks(self):
-        # 4 blocks of one tile each
-        w = kernel_weights(self.GRID, 0.2)
-        return iter_path_blocks(self.GRID, w, 1000, seed=9, block_size=256)
+    def run(self, consume, n_paths=1000, block_size=256):
+        # at 48 steps, blocks of 256 paths are one tile each
+        laws = [kernel_weights(self.GRID, 0.2), kernel_weights(self.GRID, 0.5)]
+        for_each_tile(self.GRID, laws, n_paths, 9, lambda: consume, block_size)
 
     @pytest.fixture
     def baseline(self):
-        # a helper of an unclosed iterator from an earlier test, collected
-        # midway, would lower the count
+        # a helper left by an earlier test, joined midway, would lower it
         gc.collect()
         return threading.active_count()
 
     def test_helper_stops_when_exhausted(self, baseline):
-        counts = [threading.active_count() for _ in self.blocks()]
-        assert counts == [baseline + 1] * 4
+        seen = []
+
+        def consume(h, first, tile):
+            on_caller = threading.current_thread() is threading.main_thread()
+            seen.append((first, h, on_caller, threading.active_count()))
+
+        self.run(consume)
+        assert sorted(seen) == [
+            (256 * i, h, i % 2 == 0, baseline + 1) for i in range(4) for h in (0, 1)
+        ]
         assert threading.active_count() == baseline
 
     def test_helper_stops_when_closed_mid_block(self, baseline):
-        # one block of four tiles, closed after two
-        grid = TimeGrid(1.0, 250)
-        w = kernel_weights(grid, 0.2)
-        blocks = iter_path_blocks(grid, w, 4 * tile_rows(250), seed=9, block_size=4096)
-        assert [next(blocks)[0], next(blocks)[0]] == [0, 0]
-        assert threading.active_count() == baseline + 1
-        blocks.close()
+        # one block of eight tiles: the helper's consume fails on its
+        # first tile, so the run ends mid-block, after at most the three
+        # tiles drawn before the helper failed
+        grid_rows = tile_rows(48)
+        drawn = []
+        make_rng = fbm.block_rng
+
+        class CountingGenerator:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, out):
+                drawn.append(out.shape[0])
+                return self.rng.standard_normal(out=out)
+
+        failure = OSError("helper")
+
+        def consume(h, first, tile):
+            if threading.current_thread() is not threading.main_thread():
+                raise failure
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                fbm, "block_rng", lambda *key: CountingGenerator(make_rng(*key))
+            )
+            with pytest.raises(OSError) as info:
+                self.run(consume, n_paths=8 * grid_rows, block_size=8 * grid_rows)
+        assert info.value is failure
+        assert 2 <= len(drawn) <= 3
         assert threading.active_count() == baseline
 
     def test_helper_stops_when_the_consumer_raises(self, baseline):
-        with pytest.raises(RuntimeError, match="consumer"):
-            for b, _ in self.blocks():
-                if b == 1:
-                    raise RuntimeError("consumer")
-        assert threading.active_count() == baseline
+        for on_helper in (False, True):
+            failure = ArithmeticError(f"consumer on the helper: {on_helper}")
 
-    def test_draw_error_surfaces_at_next_as_itself(self, baseline, monkeypatch):
-        raised = []
+            def consume(h, first, tile):
+                helper = threading.current_thread() is not threading.main_thread()
+                if helper == on_helper and h == 1:
+                    raise failure
 
-        class FaultyGenerator:
-            def standard_normal(self, out):
-                raised.append(FloatingPointError("draw"))
-                raise raised[-1]
+            with pytest.raises(ArithmeticError) as info:
+                self.run(consume)
+            assert info.value is failure
+            assert threading.active_count() == baseline
 
+    def test_draw_error_surfaces_as_itself(self, baseline, monkeypatch):
+        # block b is tile b: block 2's draw is the caller's, block 1's the
+        # helper's
         make_rng = fbm.block_rng
-        monkeypatch.setattr(
-            fbm,
-            "block_rng",
-            lambda seed, stream, b: FaultyGenerator() if b == 2 else make_rng(seed, stream, b),
-        )
-        blocks = self.blocks()
-        assert [next(blocks)[0], next(blocks)[0]] == [0, 1]
-        with pytest.raises(FloatingPointError) as info:
-            next(blocks)
-        assert raised and info.value is raised[0]
-        assert threading.active_count() == baseline
-        with pytest.raises(StopIteration):
-            next(blocks)
+        for faulty_block in (2, 1):
+            raised = []
+
+            class FaultyGenerator:
+                def standard_normal(self, out):
+                    raised.append(FloatingPointError("draw"))
+                    raise raised[-1]
+
+            monkeypatch.setattr(
+                fbm,
+                "block_rng",
+                lambda seed, stream, b, bad=faulty_block: (
+                    FaultyGenerator() if b == bad else make_rng(seed, stream, b)
+                ),
+            )
+            consumed = []
+
+            def consume(h, first, tile):
+                consumed.append(first // 256)
+
+            with pytest.raises(FloatingPointError) as info:
+                self.run(consume)
+            assert raised and info.value is raised[0]
+            assert faulty_block not in consumed and 3 not in consumed
+            assert threading.active_count() == baseline
 
 
 class TestCholeskyOracle:
@@ -533,8 +695,8 @@ class TestCholeskyOracle:
             _cholesky_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_blocks_match_dense_draws(self):
-        # 2,048-path blocks at 128 steps stream as two 1,024-row tiles
-        # each. Every block, the partial last one included, equals the
+        # 2,048-path blocks at 128 steps stream as several tiles each.
+        # Every block, the partial last one included, equals the
         # dense product of one whole-block draw of 2n normals from its own
         # ORACLE_STREAM generator with the factor, up to summation order:
         # the W increments are its first n columns, the W^H levels the rest.
@@ -544,7 +706,9 @@ class TestCholeskyOracle:
         assert factor.flags.f_contiguous and np.array_equal(factor, np.triu(factor))
         block, n_paths = 2048, 2 * 2048 + 500
         tiles = list(iter_path_blocks(grid, factor, n_paths, seed=8, block_size=block))
-        assert [b for b, _ in tiles] == [0, 0, 1, 1, 2]
+        per_block = -(-block // tile_rows(2 * n))
+        assert per_block > 1
+        assert [b for b, _ in tiles] == [0] * per_block + [1] * per_block + [2]
         batch = sample_paths(grid, factor, n_paths, seed=8, block_size=block)
         for b, start in enumerate(range(0, n_paths, block)):
             rows = slice(start, min(start + block, n_paths))

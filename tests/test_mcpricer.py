@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from fracvol import mcpricer
+from fracvol import fbm, volmodel
 from fracvol.blackscholes import bs_price, implied_vol
 from fracvol.fbm import (
     B_STREAM,
@@ -720,20 +720,51 @@ class TestBlockBuffers:
             assert np.array_equal(f.int_sigma_dw, np.concatenate(ito) * math.sqrt(maturity))
 
     def test_an_error_stops_the_draw_helper(self, monkeypatch):
-        # the traceback holds simulate_functionals' frame, and with it the
-        # tile iterator: the iterator is closed on the way out all the same
+        # An error in a draw or in the vols, on the calling thread or on
+        # the helper, is raised as itself, and the helper is gone; the
+        # traceback holds simulate_functionals' frame all the same. The
+        # workers look the functions up on fbm and volmodel at each call.
         gc.collect()
         baseline = threading.active_count()
+        make_rng = fbm.block_rng
+        make_vols = volmodel._vols_with_drift
+        for where in ("draw", "vols"):
+            for on_helper in (False, True):
+                failure = FloatingPointError(f"{where}, on the helper: {on_helper}")
 
-        def failing_vols(*args, **kwargs):
-            raise FloatingPointError("vols")
+                def on_this_worker():
+                    helper = threading.current_thread() is not threading.main_thread()
+                    return helper == on_helper
 
-        monkeypatch.setattr(mcpricer, "vol_paths", failing_vols)
-        config = McConfig(n_paths=1000, seed=1, block_size=256)
-        with pytest.raises(FloatingPointError, match="vols") as info:
-            simulate_functionals(TimeGrid(1.0, 24), ModelParams(SIGMA0, NU, 0.0, 0.3), config)
-        # info still holds the traceback
-        assert info.tb is not None and threading.active_count() == baseline
+                class FaultyGenerator:
+                    def __init__(self, rng):
+                        self.rng = rng
+
+                    def standard_normal(self, out):
+                        if on_this_worker():
+                            raise failure
+                        return self.rng.standard_normal(out=out)
+
+                def faulty_vols(*args):
+                    if on_this_worker():
+                        raise failure
+                    return make_vols(*args)
+
+                with pytest.MonkeyPatch.context() as patch:
+                    if where == "draw":
+                        patch.setattr(
+                            fbm, "block_rng", lambda *key: FaultyGenerator(make_rng(*key))
+                        )
+                    else:
+                        patch.setattr(volmodel, "_vols_with_drift", faulty_vols)
+                    config = McConfig(n_paths=1000, seed=1, block_size=256)
+                    with pytest.raises(FloatingPointError) as info:
+                        simulate_functionals(
+                            TimeGrid(1.0, 24), ModelParams(SIGMA0, NU, 0.0, 0.3), config
+                        )
+                assert info.value is failure
+                # info still holds the traceback
+                assert info.tb is not None and threading.active_count() == baseline
 
     @pytest.mark.parametrize(
         "scheme, estimator",
@@ -745,14 +776,14 @@ class TestBlockBuffers:
         ids=["conditional_mixing", "direct_euler", "cholesky_oracle"],
     )
     def test_peak_memory_is_a_few_tile_buffers(self, scheme, estimator):
-        # One full 65,536-path block at 250 steps: two draw tiles (one
-        # being drawn while the other is used), one wh tile and a
-        # quarter-tile of vols, so the peak is a few tiles plus the
-        # O(n_paths) functionals (and, for direct Euler, one normal per
-        # path), not the 393 MB of three block-sized buffers. The oracle's
-        # two draw tiles become its dw and wh; it also holds its (2n)^2
-        # covariance and factor, where it once held the whole block's 2n
-        # normals per path and their product.
+        # One full 65,536-path block at 250 steps: each of the two tile
+        # workers holds a draw tile, a product tile (the convolution's wh,
+        # or the oracle's dw and wh) and a quarter-tile of vols, so the
+        # peak is a few tiles plus the O(n_paths) functionals (and, for
+        # direct Euler, one normal per path), not the 393 MB of three
+        # block-sized buffers. The oracle also holds its (2n)^2 covariance
+        # and factor, where it once held the whole block's 2n normals per
+        # path and their product.
         n_paths, n_steps = 65_536, 250
         grid = TimeGrid(1.0, n_steps)
         params = ModelParams(SIGMA0, NU, -0.5, 0.3)
@@ -768,6 +799,54 @@ class TestBlockBuffers:
         functionals = 3 * n_paths * 8
         law = 2 * (2 * n_steps) ** 2 * 8 if scheme == "cholesky_oracle" else 0
         assert peak < 6 * TILE_BYTES + law + functionals, peak / TILE_BYTES
+
+
+class TestHurstGroups:
+    """One simulation of several H values draws once: each H's
+    functionals are bit for bit those of a run at that H alone."""
+
+    @pytest.mark.parametrize(
+        "scheme, estimator",
+        [
+            ("convolution", "conditional_mixing"),
+            ("midpoint_convolution", "conditional_mixing"),
+            ("cholesky_oracle", "conditional_mixing"),
+            ("convolution", "direct_euler"),
+        ],
+    )
+    def test_group_equals_one_h_runs(self, scheme, estimator):
+        # H = 1/2 takes the cumsum; two blocks of several tiles each
+        grid = TimeGrid(1.0, 100)
+        group = (0.1, 0.5, 0.3)
+        maturities = (0.5, 2.0)
+        params = ModelParams(SIGMA0, NU, -0.5, 0.7)
+        block = 3 * tile_rows(200) + 5
+        config = McConfig(
+            n_paths=2 * block, seed=41, scheme=scheme, estimator=estimator,
+            block_size=block,
+        )
+        funcs = simulate_functionals(grid, params, config, maturities, hurst=group)
+        assert len(funcs) == len(group) * len(maturities)
+        for h_index, hurst in enumerate(group):
+            alone = simulate_functionals(
+                grid, replace(params, hurst=hurst), config, maturities
+            )
+            for got, want in zip(funcs[2 * h_index : 2 * h_index + 2], alone):
+                assert np.array_equal(got.integrated_variance, want.integrated_variance)
+                assert np.array_equal(got.int_sigma_dw, want.int_sigma_dw)
+                assert got.integrated_variance_mean == want.integrated_variance_mean
+                if estimator == "direct_euler":
+                    assert np.array_equal(got.independent_normal, want.independent_normal)
+                else:
+                    assert got.independent_normal is None
+
+    def test_rejects_an_empty_group(self):
+        config = McConfig(n_paths=10, seed=1)
+        params = ModelParams(SIGMA0, NU, 0.0, 0.3)
+        with pytest.raises(ValueError, match="hurst must be"):
+            simulate_functionals(TimeGrid(1.0, 8), params, config, hurst=())
+        with pytest.raises(ValueError, match="hurst must lie"):
+            simulate_functionals(TimeGrid(1.0, 8), params, config, hurst=(0.3, 1.0))
 
 
 class TestMaturityRescaling:
