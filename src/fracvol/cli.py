@@ -33,7 +33,7 @@ import math
 import numbers
 import platform
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -350,14 +350,19 @@ def _cell_rows(
     workspace = pricer_workspace(per_cell[0])
     cells = [(h, t) for h in group for t in config.maturities]
     outcomes: list[tuple[Cell, SwapReport | str]] = []
-    for (hurst, maturity), funcs in zip(cells, per_cell):
-        for params in cell_params[hurst]:
-            try:
-                pricer = strike_pricer(funcs, params, X0, maturity, out=workspace)
-                outcome = zero_vanna_report(pricer, funcs, params, X0, maturity, mc)
-            except NUMERICAL_ERRORS as exc:
-                outcome = _cause(exc)
-            outcomes.append(((params.rho, hurst, maturity), outcome))
+    # the pricers' per-path passes take the second half of the paths on
+    # this one helper thread, which lives only for the pricing loop
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="pricer") as helper:
+        for (hurst, maturity), funcs in zip(cells, per_cell):
+            for params in cell_params[hurst]:
+                try:
+                    pricer = strike_pricer(
+                        funcs, params, X0, maturity, out=workspace, helper=helper
+                    )
+                    outcome = zero_vanna_report(pricer, funcs, params, X0, maturity, mc)
+                except NUMERICAL_ERRORS as exc:
+                    outcome = _cause(exc)
+                outcomes.append(((params.rho, hurst, maturity), outcome))
     return outcomes
 
 

@@ -41,11 +41,15 @@ paired SE.
 Everything is deterministic given (seed, n_paths, block_size, grid, params):
 per-path arrays are written by path position and reduced once, so results
 do not depend on which tile worker drew which tile, nor on the other H
-values simulated with them.
+values simulated with them. Pricing runs each elementwise per-path pass
+on two path halves, the second on a helper thread the caller owns, and
+every reduction on the calling thread, so results do not depend on the
+helper either.
 """
 from __future__ import annotations
 
 import math
+from concurrent.futures import Executor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -115,7 +119,7 @@ INDEPENDENT_LEG = (
 # a tile's vols and functionals are taken in this many row chunks, so the
 # vol buffer is a fraction of a tile; vol_paths is elementwise and
 # path_functionals sums each row on its own, so the chunks change no bit
-VOL_CHUNKS = 4
+VOL_CHUNKS = 2
 # the kernel_weights evaluation behind each convolution scheme; the
 # Cholesky oracle samples the exact law and evaluates no kernel
 KERNEL_EVALUATION = {
@@ -217,7 +221,7 @@ def simulate_functionals(
     streams alike; the Cholesky oracle differs only in its law, the factor
     of the exact covariance, whose tiles draw 2 n_steps normals per path
     from fbm.ORACLE_STREAM. Memory is a few tile buffers (per worker, its
-    draw tile, its product tile and a quarter-tile of vols) plus
+    draw tile, its product tile and a half-tile of vols) plus
     O(n_paths x H x maturities) for the functionals, and per H its
     convolution matrix, or for the oracle its (2 n_steps)^2 factor.
 
@@ -324,56 +328,66 @@ def simulation_record(config: McConfig, hurst: Sequence[float]) -> dict[str, obj
     }
 
 
-def _bind_controls(
-    spot: np.ndarray, x0: float, rho: float, funcs: PathFunctionals, out: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The live CONTROLS on these paths, their sample means and the
-    pseudo-inverse of their centred Gram matrix, for _regress.
+def _control_rows(
+    spot: np.ndarray,
+    x0: float,
+    rho: float,
+    funcs: PathFunctionals,
+    out: np.ndarray,
+    rows: slice,
+) -> None:
+    """Write the CONTROLS on paths rows into out's len(CONTROLS) rows, in
+    CONTROLS order; elementwise, so any split of the paths gives the same
+    bits.
 
     spot is each path's terminal spot, or its conditional mean. Every
     control has mean exactly zero; the exponential martingale's slope is
-    _martingale_slope(rho). A constant control (the spot control at
-    rho = 0 under mixing, Y at nu = 0, the exponential martingale at
-    rho = 0) has zero sample variance and is dropped; pinv tolerates what
-    is left being collinear. A batch too small to leave the regression a
-    degree of freedom, where the fit would pass through every path, keeps
-    no control. out is 2 len(CONTROLS) path-length rows: the controls are
-    filled into its first half in CONTROLS order, a dropped one
-    overwritten by the next, so the live ones are its leading rows, and
-    the second half is scratch for centring them.
+    _martingale_slope(rho).
     """
-    y, y_mean = funcs.integrated_variance, funcs.integrated_variance_mean
+    y, ito = funcs.integrated_variance[rows], funcs.int_sigma_dw[rows]
     lam = _martingale_slope(rho)
-    buffer, centred = out[: len(CONTROLS)], out[len(CONTROLS) :]
-    live = 0
-    np.subtract(spot, math.exp(x0), out=buffer[live])
-    live = _keep_if_varies(buffer, live)
-    np.subtract(y, y_mean, out=buffer[live])
-    live = _keep_if_varies(buffer, live)
+    spot_row, y_row, row = out[:, rows]
+    np.subtract(spot[rows], math.exp(x0), out=spot_row)
+    np.subtract(y, funcs.integrated_variance_mean, out=y_row)
     # lambda (int sigma dW - lambda Y / 2), with no temporary
-    row = buffer[live]
     np.multiply(y, -0.5 * lam, out=row)
-    row += funcs.int_sigma_dw
+    row += ito
     row *= lam
     np.exp(row, out=row)
     row -= 1.0
-    live = _keep_if_varies(buffer, live)
-    if spot.shape[0] <= 1 + live:
+
+
+def _fit_controls(out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The live controls among those _control_rows wrote into out's first
+    len(CONTROLS) rows, their sample means and the pseudo-inverse of their
+    centred Gram matrix, for _regress.
+
+    Raises ValueError unless every control is finite on every path. A
+    constant control (the spot control at rho = 0 under mixing, Y at
+    nu = 0, the exponential martingale at rho = 0) has zero sample variance
+    and is dropped, the live ones moved up in CONTROLS order to be the
+    leading rows; pinv tolerates what is left being collinear. A batch too
+    small to leave the regression a degree of freedom, where the fit would
+    pass through every path, keeps no control. out has 2 len(CONTROLS)
+    path-length rows; the second half is scratch for centring the controls.
+    """
+    buffer, centred = out[: len(CONTROLS)], out[len(CONTROLS) :]
+    live = 0
+    for i, row in enumerate(buffer):
+        # a NaN or an infinity shows in the extremes
+        low, high = row.min(), row.max()
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise ValueError("control variates must be finite on every path")
+        if low < high:
+            if live < i:
+                np.copyto(buffer[live], row)
+            live += 1
+    if buffer.shape[1] <= 1 + live:
         live = 0
     controls, centred = buffer[:live], centred[:live]
     means = controls.mean(axis=1)
     np.subtract(controls, means[:, None], out=centred)
     return controls, means, np.linalg.pinv(centred @ centred.T)
-
-
-def _keep_if_varies(buffer: np.ndarray, live: int) -> int:
-    """The live count once row ``live`` of buffer is judged: one more if
-    the row varies across paths. Raises ValueError unless it is finite."""
-    # a NaN or an infinity shows in the extremes
-    low, high = buffer[live].min(), buffer[live].max()
-    if not (math.isfinite(low) and math.isfinite(high)):
-        raise ValueError("control variates must be finite on every path")
-    return live + bool(low < high)
 
 
 def _martingale_slope(rho: float) -> float:
@@ -453,12 +467,48 @@ def pricer_workspace(funcs: PathFunctionals) -> np.ndarray:
     return np.empty((_WORKSPACE_ROWS, funcs.n_paths))
 
 
+def _split(helper: Executor | None, n: int, work: Callable[[slice], object]) -> None:
+    """Run the elementwise pass work(rows) over paths [0, n) as two halves:
+    the calling thread takes [0, n // 2) and helper, a one-thread
+    executor, [n // 2, n); with no helper the caller runs both.
+
+    The halves write disjoint slices, so the result is bit for bit one
+    whole-array pass. The helper's half is waited for before this returns
+    or raises, so it never writes into a workspace bound again. An error
+    in either half is raised as itself, the caller's if both fail.
+    """
+    first, second = slice(0, n // 2), slice(n // 2, n)
+    if helper is None:
+        work(first)
+        work(second)
+        return
+    future = helper.submit(work, second)
+    try:
+        work(first)
+    finally:
+        error = future.exception()
+    if error is not None:
+        raise error
+
+
+def _intrinsic(spot: np.ndarray, k: float, out: np.ndarray) -> None:
+    """The point mass's call (spot - e^k)+ and its log-strike slope
+    -e^k 1{spot > e^k}, per path, into out's two rows."""
+    ek = math.exp(k)
+    price, slope = out
+    np.subtract(spot, ek, out=price)
+    np.maximum(price, 0.0, out=price)
+    np.greater(spot, ek, out=slope)
+    np.multiply(slope, -ek, out=slope)
+
+
 def strike_pricer(
     funcs: PathFunctionals,
     params: ModelParams,
     x0: float,
     maturity: float,
     out: np.ndarray | None = None,
+    helper: Executor | None = None,
 ) -> Callable[[float], StrikeEstimate]:
     """Bind one simulated batch into a price-of-log-strike function.
 
@@ -488,6 +538,14 @@ def strike_pricer(
     nor pricing a strike allocates one. The pricer stays valid until the
     next bind into the same out. Raises ValueError if out is not a
     C-contiguous float64 array of pricer_workspace(funcs)'s shape.
+
+    helper, a one-thread executor the caller owns, takes the second half
+    of the paths in each elementwise pass (_split): once per bind, x_hat,
+    sqrt(v), the spot and the controls, and once per strike, its price and
+    slope. Every reduction (the controls' extremes and means, the Gram
+    matrix, the regression) runs on the calling thread in one order, so
+    every estimate is bit for bit the same with or without it. The helper
+    runs numpy and ndtr kernels only, which release the GIL.
     """
     if not 0.0 < maturity < math.inf:
         raise ValueError(f"maturity must be positive and finite, got {maturity}")
@@ -497,29 +555,34 @@ def strike_pricer(
     elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
         raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
     rho = params.rho
-    y, ito = funcs.integrated_variance, funcs.int_sigma_dw
+    y, ito, z = funcs.integrated_variance, funcs.int_sigma_dw, funcs.independent_normal
     n_controls = len(CONTROLS)
     spot, log_spot, total_vol = out[0], out[-2], out[-1]
     strike_rows = out[1 + n_controls : 3 + n_controls]
     price, slope = strike_rows
     swap = out[3 + n_controls]
-    # x_hat and sqrt(v) in the operation order of their formulas, with the
-    # price row, free until a strike is priced, as scratch
-    np.multiply(ito, rho, out=log_spot)
-    log_spot += x0
-    np.multiply(y, 0.5 * rho * rho, out=price)
-    log_spot -= price
-    np.multiply(y, 1.0 - rho * rho, out=total_vol)
-    np.sqrt(total_vol, out=total_vol)
-    z = funcs.independent_normal
-    if z is not None:
-        # direct Euler's one draw, x_hat - v / 2 + sqrt(v) z
-        np.multiply(y, 0.5 * (1.0 - rho * rho), out=price)
-        log_spot -= price
-        np.multiply(total_vol, z, out=price)
-        log_spot += price
-    np.exp(log_spot, out=spot)
-    bound = _bind_controls(spot, x0, rho, funcs, out[1 : 1 + 2 * n_controls])
+
+    def bind(rows: slice) -> None:
+        # x_hat and sqrt(v) in the operation order of their formulas, with
+        # the price row, free until a strike is priced, as scratch
+        x, scratch, vol = log_spot[rows], price[rows], total_vol[rows]
+        np.multiply(ito[rows], rho, out=x)
+        x += x0
+        np.multiply(y[rows], 0.5 * rho * rho, out=scratch)
+        x -= scratch
+        np.multiply(y[rows], 1.0 - rho * rho, out=vol)
+        np.sqrt(vol, out=vol)
+        if z is not None:
+            # direct Euler's one draw, x_hat - v / 2 + sqrt(v) z
+            np.multiply(y[rows], 0.5 * (1.0 - rho * rho), out=scratch)
+            x -= scratch
+            np.multiply(vol, z[rows], out=scratch)
+            x += scratch
+        np.exp(x, out=spot[rows])
+        _control_rows(spot, x0, rho, funcs, out[1 : 1 + n_controls], rows)
+
+    _split(helper, funcs.n_paths, bind)
+    bound = _fit_controls(out[1 : 1 + 2 * n_controls])
     controls, control_means, _ = bound
     np.divide(y, maturity, out=swap)
     np.sqrt(swap, out=swap)
@@ -539,17 +602,23 @@ def strike_pricer(
     if z is not None or abs(rho) == 1.0:
 
         def price_intrinsic(k: float) -> StrikeEstimate:
-            ek = math.exp(k)
-            np.subtract(spot, ek, out=price)
-            np.maximum(price, 0.0, out=price)
-            np.greater(spot, ek, out=slope)
-            np.multiply(slope, -ek, out=slope)
+            _split(
+                helper,
+                funcs.n_paths,
+                lambda rows: _intrinsic(spot[rows], k, strike_rows[:, rows]),
+            )
             return estimate()
 
         return price_intrinsic
 
     def price_lognormal(k: float) -> StrikeEstimate:
-        _call(log_spot, spot, k, total_vol, strike_rows)
+        _split(
+            helper,
+            funcs.n_paths,
+            lambda rows: _call(
+                log_spot[rows], spot[rows], k, total_vol[rows], strike_rows[:, rows]
+            ),
+        )
         return estimate()
 
     return price_lognormal

@@ -11,6 +11,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -794,6 +795,62 @@ class TestRun:
         # mirrored strikes invert to vols equal to within the inversion
         # tolerance, not bitwise
         assert abs(float(rec["atm_skew"])) < 1e-12
+
+
+class TestPricingHelper:
+    """_cell_rows prices on the calling thread and one helper thread, which
+    it starts for its pricing loop and joins before it returns or raises,
+    so no thread is alive when cli.run forks its pool."""
+
+    def faulty_kernel(self, monkeypatch, error):
+        """Make mcpricer's call kernel raise error on the helper's half;
+        the threads it ran on are recorded."""
+        import fracvol.mcpricer as mcpricer
+
+        caller, threads = threading.current_thread(), []
+
+        def kernel(*args):
+            threads.append(threading.current_thread())
+            if threading.current_thread() is not caller:
+                raise error
+
+        monkeypatch.setattr(mcpricer, "_call", kernel)
+        return caller, threads
+
+    def test_no_thread_outlives_the_cell_rows(self):
+        baseline = threading.active_count()
+        config = ExperimentConfig(**FAST)
+        rows = _cell_rows(config, config.hurst)
+        assert len(rows) == 4 and not any(isinstance(o, str) for _, o in rows)
+        assert threading.active_count() == baseline
+
+    def test_a_numerical_failure_on_the_helper_fails_its_cell(self, monkeypatch):
+        baseline = threading.active_count()
+        caller, threads = self.faulty_kernel(monkeypatch, ValueError("on the helper"))
+        config = ExperimentConfig(**FAST)
+        rows = _cell_rows(config, config.hurst)
+        assert {outcome for _, outcome in rows} == {"ValueError: on the helper"}
+        assert any(thread is not caller for thread in threads)
+        assert threading.active_count() == baseline
+
+    def test_a_bug_on_the_helper_propagates_as_itself(self, monkeypatch):
+        baseline = threading.active_count()
+        bug = TypeError("not a numerical failure")
+        self.faulty_kernel(monkeypatch, bug)
+        config = ExperimentConfig(**FAST)
+        with pytest.raises(TypeError) as info:
+            _cell_rows(config, config.hurst)
+        assert info.value is bug
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_thread_outlives_a_run(self, tmp_path, workers):
+        baseline = threading.active_count()
+        config = ExperimentConfig(
+            out=str(tmp_path / "run.csv"), **dict(FAST, hurst=(0.3, 0.5), workers=workers)
+        )
+        assert run(config, stream=io.StringIO()) == 0
+        assert threading.active_count() == baseline
 
 
 class TestMain:

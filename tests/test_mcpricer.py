@@ -2,7 +2,9 @@
 import gc
 import math
 import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from scipy.special import ndtr
 
 from fracvol import fbm, volmodel
-from fracvol.blackscholes import bs_price, implied_vol
+from fracvol.blackscholes import _call, bs_price, implied_vol
 from fracvol.fbm import (
     B_STREAM,
     ORACLE_STREAM,
@@ -33,8 +35,11 @@ from fracvol.mcpricer import (
     McConfig,
     PriceEstimate,
     StrikeEstimate,
-    _bind_controls,
+    _control_rows,
+    _fit_controls,
+    _intrinsic,
     _regress,
+    _split,
     pricer_workspace,
     simulate_functionals,
     strike_pricer,
@@ -136,6 +141,14 @@ def control_weights(spot, x0: float, funcs, rho: float) -> np.ndarray:
     centred = controls - controls.mean(axis=0)
     beta_of_v = np.linalg.solve(centred.T @ centred, centred.T)
     return 1.0 / spot.shape[0] - controls.mean(axis=0) @ beta_of_v
+
+
+def bind_controls(spot, x0: float, rho: float, funcs):
+    """The live controls, their means and the Gram pseudo-inverse, as the
+    pricer binds them on these paths, in a fresh buffer."""
+    out = np.empty((2 * len(CONTROLS), funcs.n_paths))
+    _control_rows(spot, x0, rho, funcs, out[: len(CONTROLS)], slice(None))
+    return _fit_controls(out)
 
 
 @pytest.fixture(scope="module")
@@ -415,8 +428,7 @@ class TestControlVariates:
         for funcs in simulate_functionals(grid, params, config, (0.5, 2.0)):
             for rho in (-0.8, 0.6):
                 spot = np.exp(mixing_values(funcs, rho, 0.0, 0.0, 1.0)[1])
-                out = np.empty((2 * len(CONTROLS), funcs.n_paths))
-                controls, means, _ = _bind_controls(spot, 0.0, rho, funcs, out)
+                controls, means, _ = bind_controls(spot, 0.0, rho, funcs)
                 assert controls.shape[0] == len(CONTROLS)
                 se = controls[row].std(ddof=1) / math.sqrt(config.n_paths)
                 assert abs(means[row]) < 3.0 * se
@@ -778,7 +790,7 @@ class TestBlockBuffers:
     def test_peak_memory_is_a_few_tile_buffers(self, scheme, estimator):
         # One full 65,536-path block at 250 steps: each of the two tile
         # workers holds a draw tile, a product tile (the convolution's wh,
-        # or the oracle's dw and wh) and a quarter-tile of vols, so the
+        # or the oracle's dw and wh) and a half-tile of vols, so the
         # peak is a few tiles plus the O(n_paths) functionals (and, for
         # direct Euler, one normal per path), not the 393 MB of three
         # block-sized buffers. The oracle also holds its (2n)^2 covariance
@@ -1033,8 +1045,7 @@ class TestStrikePricer:
         (funcs,) = simulate_functionals(grid, params, config)
         pricer = strike_pricer(funcs, params, 0.0, 1.0)
         spot = np.exp(0.0 + euler_log_return(funcs, params.rho))
-        out = np.empty((2 * len(CONTROLS), funcs.n_paths))
-        bound = _bind_controls(spot, 0.0, params.rho, funcs, out)
+        bound = bind_controls(spot, 0.0, params.rho, funcs)
         for k in (-0.05, 0.0, 0.05):
             ek = math.exp(k)
             payoff = np.maximum(spot - ek, 0.0)
@@ -1162,20 +1173,105 @@ class TestPricerWorkspace:
         ]
         assert shapes == [(6 + len(CONTROLS), 256)] * 2
 
+    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("estimator", ["conditional_mixing", "direct_euler"])
-    def test_binding_and_pricing_allocate_no_path_array(self, estimator):
+    def test_binding_and_pricing_allocate_no_path_array(self, estimator, threads):
         grid = TimeGrid(1.0, 8)
         params = ModelParams(SIGMA0, NU, -0.5, 0.3)
         config = McConfig(n_paths=20_000, seed=43, estimator=estimator)
         (funcs,) = simulate_functionals(grid, params, config)
         out = pricer_workspace(funcs)
-        strike_pricer(funcs, params, 0.0, 1.0, out=out)(0.0)
-        tracemalloc.start()
-        try:
-            pricer = strike_pricer(funcs, params, 0.0, 1.0, out=out)
-            for k in (-0.05, 0.0, 0.05):
-                pricer(k)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            helper = pool if threads == 2 else None
+            strike_pricer(funcs, params, 0.0, 1.0, out=out, helper=helper)(0.0)
+            tracemalloc.start()
+            try:
+                pricer = strike_pricer(funcs, params, 0.0, 1.0, out=out, helper=helper)
+                for k in (-0.05, 0.0, 0.05):
+                    pricer(k)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
         assert peak < 8 * config.n_paths
+
+
+class TestPathHalves:
+    """Each elementwise pass of the pricer runs on two path halves, the
+    second on a helper thread, and writes the bytes of one whole pass."""
+
+    @pytest.mark.parametrize("n_paths", [1, 2, 257, 4_096])
+    def test_kernels_on_two_halves_match_one_pass(self, n_paths):
+        rng = np.random.default_rng(11)
+        x, srt = rng.normal(0.0, 0.2, n_paths), rng.uniform(0.01, 1.0, n_paths)
+        ex = np.exp(x)
+        whole = np.empty((2, n_paths))
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            for k in (-0.3, 0.0, 0.2):
+                for kernel, args in ((_call, (x, ex, k, srt)), (_intrinsic, (ex, k))):
+                    kernel(*args, whole)
+                    # a half left unwritten would keep its NaN
+                    halves = np.full((2, n_paths), np.nan)
+                    _split(
+                        helper,
+                        n_paths,
+                        lambda rows: kernel(
+                            *(a[rows] if isinstance(a, np.ndarray) else a for a in args),
+                            halves[:, rows],
+                        ),
+                    )
+                    assert halves.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("n_paths", [1, 257, 4_096])
+    @pytest.mark.parametrize(
+        "estimator, rho",
+        [
+            ("conditional_mixing", -0.6),
+            ("direct_euler", -0.6),
+            # the intrinsic closure of the mixing point mass
+            ("conditional_mixing", 1.0),
+        ],
+        ids=["mixing", "direct_euler", "point_mass"],
+    )
+    def test_a_helper_changes_no_bit(self, estimator, rho, n_paths):
+        grid = TimeGrid(1.0, 16)
+        params = ModelParams(SIGMA0, NU, rho, 0.3)
+        config = McConfig(n_paths=n_paths, seed=47, estimator=estimator)
+        (funcs,) = simulate_functionals(grid, params, config)
+        alone, split = pricer_workspace(funcs), pricer_workspace(funcs)
+        # rows a small batch leaves unwritten read alike
+        alone.fill(np.nan)
+        split.fill(np.nan)
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            one_thread = strike_pricer(funcs, params, 0.0, 1.0, out=alone)
+            two_threads = strike_pricer(funcs, params, 0.0, 1.0, out=split, helper=helper)
+            assert split.tobytes() == alone.tobytes()
+            for k in (-0.05, 0.0, 0.05):
+                # repr tells -0.0 from 0.0 and shows every digit
+                assert repr(two_threads(k)) == repr(one_thread(k))
+                assert split.tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("failing", ["caller", "helper", "both"])
+    def test_an_error_surfaces_after_the_helpers_half(self, failing):
+        # the helper's half ends well after the caller's, so a split that
+        # did not wait for it would raise before it finished
+        caller = threading.current_thread()
+        finished = threading.Event()
+        errors = {}
+
+        def work(rows):
+            half = "caller" if threading.current_thread() is caller else "helper"
+            try:
+                if half == "helper":
+                    time.sleep(0.05)
+                if failing in (half, "both"):
+                    raise errors.setdefault(half, ValueError(half))
+            finally:
+                if half == "helper":
+                    finished.set()
+
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            with pytest.raises(ValueError) as info:
+                _split(helper, 10, work)
+            assert finished.is_set()
+        assert info.value is errors["helper" if failing == "helper" else "caller"]
+
