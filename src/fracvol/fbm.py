@@ -15,16 +15,15 @@ as one normal per path from block 0 of B_STREAM.
 The draws depend on (seed, stream, block) only, never on H, so one draw
 serves every H. for_each_tile, the production driver, draws each tile
 once and multiplies it by every H's matrix, on two tile workers, the
-calling thread and one helper thread, which take alternate tiles. The
-draws are made in the serial order, so every tile is bit for bit what
-iter_path_blocks, the serial driver, gives. The product is BLAS dtrmm
-called through ctypes, which releases the GIL, so the two workers' draws,
-products and numpy calls overlap.
+calling thread and one helper thread, each of which takes the next tile
+when free. The draws are made in the serial order, under one lock, so
+every tile is bit for bit what iter_path_blocks, the serial driver,
+gives. The product is BLAS dtrmm called through ctypes, which releases
+the GIL, so the two workers' products overlap each other and the draws.
 """
 from __future__ import annotations
 
 import ctypes
-import itertools
 import threading
 from dataclasses import dataclass
 from functools import partial
@@ -425,52 +424,47 @@ def for_each_tile(
     A tile is only valid during that call; consume writes what it keeps by
     path position, so no result depends on which worker ran which tile.
 
-    The calling thread and one helper thread take alternate tiles. For
-    tile i a worker waits until tile i - 1's draw has finished, so each
-    block's generator draws in the serial order, draws the tile into its
-    own buffer, and then multiplies it into its own product buffer for
-    each law in turn and hands it to consume. Memory is two tile buffers
-    per worker. An error in either worker, in a draw, a product or
-    consume, stops both at their next tile and is raised here as itself,
-    the first one if both fail; the helper is joined before this returns
-    or raises.
+    The calling thread and one helper thread each take the next tile
+    when free. Under one lock a worker takes the next tile of the plan
+    and draws it into its own buffer, so each block's generator draws in
+    the serial order; outside it, the worker multiplies the tile into its
+    own product buffer for each law in turn and hands it to consume.
+    Memory is two tile buffers per worker. An error in either worker, in
+    a draw, a product or consume, stops both before their next tile and
+    is raised here as itself, the first one if both fail; the helper is
+    joined before this returns or raises.
     """
     stream, width, step, draw, products = _tiling(grid, laws, n_paths, block_size)
     plan = _tile_plan(seed, stream, n_paths, block_size, step)
-    handoff = threading.Condition()
-    drawn = [0]  # tiles whose draw has finished; they finish in order
+    taking = threading.Lock()
     errors: list[BaseException] = []
 
-    def work(first: int) -> None:
+    def work() -> None:
         # every error is kept and raised by the calling thread after the join
         try:
             consume = consumer()
             normals, out = np.empty((step, width)), np.empty((step, width))
-            for i in itertools.count(first, 2):
-                with handoff:
-                    handoff.wait_for(lambda: drawn[0] == i or errors)
-                    if errors:
+            while True:
+                with taking:
+                    tile = None if errors else next(plan, None)
+                    if tile is None:
                         return
-                tile = next(plan, None)
-                if tile is not None:
                     _, rng, row, rows = tile
-                    draw(rng, normals[:rows])
-                with handoff:
-                    drawn[0] += 1
-                    handoff.notify_all()
-                if tile is None:
-                    return
+                    try:
+                        draw(rng, normals[:rows])
+                    except BaseException as exc:
+                        # kept before the lock is free, so no tile follows it
+                        errors.append(exc)
+                        return
                 for h, product in enumerate(products):
                     consume(h, row, product(normals[:rows], out[:rows]))
         except BaseException as exc:
-            with handoff:
-                errors.append(exc)
-                handoff.notify_all()
+            errors.append(exc)
 
-    helper = threading.Thread(target=work, args=(1,), name="fbm-tiles")
+    helper = threading.Thread(target=work, name="fbm-tiles")
     helper.start()
     try:
-        work(0)
+        work()
     finally:
         helper.join()
     if errors:

@@ -519,7 +519,7 @@ def strike_pricer(
     sigma dW - rho^2 Y / 2 and v = (1 - rho^2) Y (McCrickerd & Pakkanen,
     Quantitative Finance 2018). Once per rho the pricer builds x_hat,
     sqrt(v), the spot S = e^x the payoff sits on and its controls, checks
-    them, and binds one of two closures.
+    them, and picks one of two per-path payoffs for every strike.
 
     Conditional mixing integrates the law out: per path, the Black-Scholes
     call at x_hat with total vol sqrt(v), and slope -e^k N(d2). Direct
@@ -559,13 +559,13 @@ def strike_pricer(
     n_controls = len(CONTROLS)
     spot, log_spot, total_vol = out[0], out[-2], out[-1]
     strike_rows = out[1 + n_controls : 3 + n_controls]
-    price, slope = strike_rows
+    call, slope = strike_rows
     swap = out[3 + n_controls]
 
     def bind(rows: slice) -> None:
         # x_hat and sqrt(v) in the operation order of their formulas, with
-        # the price row, free until a strike is priced, as scratch
-        x, scratch, vol = log_spot[rows], price[rows], total_vol[rows]
+        # the call row, free until a strike is priced, as scratch
+        x, scratch, vol = log_spot[rows], call[rows], total_vol[rows]
         np.multiply(ito[rows], rho, out=x)
         x += x0
         np.multiply(y[rows], 0.5 * rho * rho, out=scratch)
@@ -588,37 +588,26 @@ def strike_pricer(
     np.sqrt(swap, out=swap)
     (swap_leg,), _, (beta,) = _regress([swap], *bound)
     # centred in place; less its fit, the swap leg's residual
-    np.matmul(beta, controls, out=price)
-    price -= beta @ control_means
-    swap -= price
+    np.matmul(beta, controls, out=call)
+    call -= beta @ control_means
+    swap -= call
 
-    def estimate() -> StrikeEstimate:
-        (c, dc), cov, _ = _regress([price, slope], *bound, [swap])
+    if z is not None or abs(rho) == 1.0:
+
+        def pay(k: float, rows: slice) -> None:
+            _intrinsic(spot[rows], k, strike_rows[:, rows])
+
+    else:
+
+        def pay(k: float, rows: slice) -> None:
+            _call(log_spot[rows], spot[rows], k, total_vol[rows], strike_rows[:, rows])
+
+    def price(k: float) -> StrikeEstimate:
+        _split(helper, funcs.n_paths, lambda rows: pay(k, rows))
+        (c, dc), cov, _ = _regress([call, slope], *bound, [swap])
         return StrikeEstimate(
             c.value, c.std_error, c.n_paths, dc.value, dc.std_error,
             cov=float(cov[0, 1]), swap=swap_leg, swap_cov=float(cov[0, 2]),
         )
 
-    if z is not None or abs(rho) == 1.0:
-
-        def price_intrinsic(k: float) -> StrikeEstimate:
-            _split(
-                helper,
-                funcs.n_paths,
-                lambda rows: _intrinsic(spot[rows], k, strike_rows[:, rows]),
-            )
-            return estimate()
-
-        return price_intrinsic
-
-    def price_lognormal(k: float) -> StrikeEstimate:
-        _split(
-            helper,
-            funcs.n_paths,
-            lambda rows: _call(
-                log_spot[rows], spot[rows], k, total_vol[rows], strike_rows[:, rows]
-            ),
-        )
-        return estimate()
-
-    return price_lognormal
+    return price

@@ -87,6 +87,29 @@ def test_paired_reading_needs_the_pairs_won(tmp_path):
     assert not wall["paired_relative"]["rule_holds"]
 
 
+def test_flags_a_regression_beyond_its_bound(tmp_path):
+    # wall_s's bound is 24 % of the parent's median: 30 % worse is beyond
+    # it, 10 % worse is not, and neither claims a gain
+    bound = {
+        m["name"]: m["bound"]
+        for m in json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())[
+            "end_to_end"
+        ]
+    }["wall_s"]
+    assert 0.1 < bound < 0.3
+    for worse, within in ((1.3, False), (1.1, True)):
+        parent, change = tmp_path / f"parent{worse}", tmp_path / f"change{worse}"
+        for seed in range(1, 11):
+            write_run(parent, seed, 5.0)
+            write_run(change, seed, 5.0 * worse)
+        work = bench_record.record(parent, change, "")["workloads"]["sim_fft"]
+        wall = work["end_to_end"]["wall_s"]
+        assert wall["within_bound"] is within
+        assert not wall["gain_rule_holds"]
+        # the unmoved metrics are within their bounds
+        assert work["end_to_end"]["setup_s"]["within_bound"]
+
+
 def test_prefers_untraced_file_and_rejects_smoke(tmp_path):
     out = tmp_path / "side"
     write_run(out, 1, 3.0, trace=0)

@@ -3,6 +3,7 @@ import gc
 import math
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -406,16 +407,49 @@ def serial_tiles(grid, law, n_paths, seed, block_size):
     return tiles
 
 
+def meeting_consumer(consume, timeout=5.0):
+    """A for_each_tile consumer that hands every call to consume, but holds
+    each worker's first tile until the other worker has one too, so both
+    workers take tiles whatever the scheduling. A worker that waits longer
+    than timeout fails with threading.BrokenBarrierError."""
+    meeting = threading.Barrier(2, timeout=timeout)
+
+    def consumer():
+        waiting = [True]
+
+        def worker_consume(h, first, tile):
+            if waiting[0]:
+                waiting[0] = False
+                meeting.wait()
+            consume(h, first, tile)
+
+        return worker_consume
+
+    return consumer
+
+
 class TestForEachTile:
     """for_each_tile draws each tile once, for every law, on two workers:
     every tile is bit for bit the serial iterator's."""
 
     @pytest.mark.parametrize("oracle", [False, True], ids=["convolution", "cholesky"])
-    def test_every_law_gets_the_serial_tiles(self, oracle):
+    def test_every_law_gets_the_serial_tiles(self, oracle, monkeypatch):
         # 5 blocks of 3 tiles and a partial block; H = 1/2 takes the
         # cumsum. Shortened switch intervals interleave the two workers
-        # as finely as the interpreter allows; the handoff must still draw
-        # each block's tiles in order.
+        # as finely as the interpreter allows, and each draw sleeps first,
+        # which lets the other worker reach its own draw meanwhile; the
+        # lock must still draw each block's tiles in order.
+        make_rng = fbm.block_rng
+
+        class SlowGenerator:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, out):
+                time.sleep(1e-3)
+                return self.rng.standard_normal(out=out)
+
+        monkeypatch.setattr(fbm, "block_rng", lambda *key: SlowGenerator(make_rng(*key)))
         grid = TimeGrid(1.0, 48 if oracle else 96)
         hursts = (0.2, 0.5, 0.3)
         if oracle:
@@ -424,22 +458,24 @@ class TestForEachTile:
             laws = [kernel_weights(grid, h) for h in hursts]
         step = tile_rows(2 * 48 if oracle else 96)
         block, n_paths = 3 * step, 5 * 3 * step + 100
-        got = {}
+        got, calls = {}, []
         threads = set()
 
-        def consumer():
-            def consume(h, first, tile):
-                threads.add(threading.get_ident())
-                got[h, first] = (tile.dw.copy(), tile.wh.copy())
-
-            return consume
+        def consume(h, first, tile):
+            calls.append((h, first))
+            threads.add(threading.get_ident())
+            got[h, first] = (tile.dw.copy(), tile.wh.copy())
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for_each_tile(grid, laws, n_paths, 13, consumer, block_size=block)
+            for_each_tile(
+                grid, laws, n_paths, 13, meeting_consumer(consume), block_size=block
+            )
         finally:
             sys.setswitchinterval(interval)
+        # the meeting gives each worker a tile; every (tile, law) pair is
+        # consumed exactly once, on one of them
         assert len(threads) == 2
         for h, law in enumerate(laws):
             want = serial_tiles(grid, law, n_paths, 13, block)
@@ -447,6 +483,7 @@ class TestForEachTile:
             for first, (dw, wh) in want.items():
                 assert np.array_equal(got[h, first][0], dw)
                 assert np.array_equal(got[h, first][1], wh)
+        assert sorted(calls) == [(h, first) for h in range(3) for first in want]
         if not oracle:
             # one draw serves every law, so each gets the same increments
             # (the oracle's increments are the draw times its factor's
@@ -469,17 +506,26 @@ class TestForEachTile:
 
 
 class TestDrawHelper:
-    """for_each_tile's tile workers are the calling thread, which takes
-    the even tiles, and one helper thread, which takes the odd ones and
-    lives only for the call. An error on either stops both and is raised
-    as itself."""
+    """for_each_tile's tile workers are the calling thread and one helper
+    thread that lives only for the call; each takes the next tile, in
+    plan order, when it is free. Every (tile, law) pair is consumed
+    exactly once, on one of them. An error on either stops both and is
+    raised as itself. Where a test needs a worker to hold a tile, its
+    consume waits for the other worker, with a timeout, rather than on
+    the scheduler."""
 
     GRID = TimeGrid(1.0, 48)
 
     def run(self, consume, n_paths=1000, block_size=256):
-        # at 48 steps, blocks of 256 paths are one tile each
+        # at 48 steps, blocks of 256 paths are one tile each; each
+        # worker's first tile waits until the other worker has one
         laws = [kernel_weights(self.GRID, 0.2), kernel_weights(self.GRID, 0.5)]
-        for_each_tile(self.GRID, laws, n_paths, 9, lambda: consume, block_size)
+        consumer = meeting_consumer(consume)
+        for_each_tile(self.GRID, laws, n_paths, 9, consumer, block_size)
+
+    @staticmethod
+    def on_caller():
+        return threading.current_thread() is threading.main_thread()
 
     @pytest.fixture
     def baseline(self):
@@ -491,21 +537,33 @@ class TestDrawHelper:
         seen = []
 
         def consume(h, first, tile):
-            on_caller = threading.current_thread() is threading.main_thread()
-            seen.append((first, h, on_caller, threading.active_count()))
+            seen.append((first, h, self.on_caller(), threading.active_count()))
 
         self.run(consume)
-        assert sorted(seen) == [
-            (256 * i, h, i % 2 == 0, baseline + 1) for i in range(4) for h in (0, 1)
+        assert sorted((first, h) for first, h, _, _ in seen) == [
+            (256 * i, h) for i in range(4) for h in (0, 1)
         ]
+        # a tile's laws in law order, on the worker that drew it
+        for i in range(4):
+            assert [h for first, h, _, _ in seen if first == 256 * i] == [0, 1]
+        worker = {first: on_caller for first, h, on_caller, _ in seen if h == 0}
+        assert all(worker[first] == on_caller for first, _, on_caller, _ in seen)
+        assert set(worker.values()) == {True, False}
+        # the helper lives while it consumes; once the plan is exhausted it
+        # ends, maybe while the caller consumes its last tile, and is joined
+        assert {count for _, _, on_caller, count in seen if not on_caller} == {
+            baseline + 1
+        }
+        assert {count for *_, count in seen} <= {baseline, baseline + 1}
         assert threading.active_count() == baseline
 
     def test_helper_stops_when_closed_mid_block(self, baseline):
         # one block of eight tiles: the helper's consume fails on its
-        # first tile, so the run ends mid-block, after at most the three
-        # tiles drawn before the helper failed
+        # first tile, and the caller's first consume returns only once the
+        # helper has ended, so the run ends mid-block after two draws, one
+        # per worker, with the caller's one tile consumed
         grid_rows = tile_rows(48)
-        drawn = []
+        drawn, caller_calls = [], []
         make_rng = fbm.block_rng
 
         class CountingGenerator:
@@ -519,8 +577,13 @@ class TestDrawHelper:
         failure = OSError("helper")
 
         def consume(h, first, tile):
-            if threading.current_thread() is not threading.main_thread():
+            if not self.on_caller():
                 raise failure
+            if not caller_calls:
+                for thread in threading.enumerate():
+                    if thread.name == "fbm-tiles":
+                        thread.join(5.0)
+            caller_calls.append(h)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(
@@ -529,7 +592,8 @@ class TestDrawHelper:
             with pytest.raises(OSError) as info:
                 self.run(consume, n_paths=8 * grid_rows, block_size=8 * grid_rows)
         assert info.value is failure
-        assert 2 <= len(drawn) <= 3
+        assert drawn == [grid_rows, grid_rows]
+        assert caller_calls == [0, 1]
         assert threading.active_count() == baseline
 
     def test_helper_stops_when_the_consumer_raises(self, baseline):
@@ -537,8 +601,7 @@ class TestDrawHelper:
             failure = ArithmeticError(f"consumer on the helper: {on_helper}")
 
             def consume(h, first, tile):
-                helper = threading.current_thread() is not threading.main_thread()
-                if helper == on_helper and h == 1:
+                if self.on_caller() != on_helper and h == 1:
                     raise failure
 
             with pytest.raises(ArithmeticError) as info:
@@ -547,34 +610,61 @@ class TestDrawHelper:
             assert threading.active_count() == baseline
 
     def test_draw_error_surfaces_as_itself(self, baseline, monkeypatch):
-        # block b is tile b: block 2's draw is the caller's, block 1's the
-        # helper's
+        # block b is tile b. Tiles 0 and 1 go one to each worker; the
+        # other worker holds its tile until block 2's draw has failed, so
+        # that draw is the drawing worker's, and no tile is consumed after
         make_rng = fbm.block_rng
-        for faulty_block in (2, 1):
+        for caller_draws in (True, False):
             raised = []
+            failed = threading.Event()
 
             class FaultyGenerator:
-                def standard_normal(self, out):
-                    raised.append(FloatingPointError("draw"))
-                    raise raised[-1]
+                def standard_normal(generator, out):
+                    raised.append((FloatingPointError("draw"), self.on_caller()))
+                    failed.set()
+                    raise raised[-1][0]
 
             monkeypatch.setattr(
                 fbm,
                 "block_rng",
-                lambda seed, stream, b, bad=faulty_block: (
-                    FaultyGenerator() if b == bad else make_rng(seed, stream, b)
+                lambda seed, stream, b: (
+                    FaultyGenerator() if b == 2 else make_rng(seed, stream, b)
                 ),
             )
             consumed = []
 
             def consume(h, first, tile):
+                if self.on_caller() != caller_draws:
+                    assert failed.wait(5.0)
                 consumed.append(first // 256)
 
             with pytest.raises(FloatingPointError) as info:
                 self.run(consume)
-            assert raised and info.value is raised[0]
-            assert faulty_block not in consumed and 3 not in consumed
+            assert [on_caller for _, on_caller in raised] == [caller_draws]
+            assert info.value is raised[0][0]
+            assert sorted(consumed) == [0, 0, 1, 1]
             assert threading.active_count() == baseline
+
+    def test_a_stalled_worker_does_not_stall_the_other(self, baseline):
+        # four one-tile blocks: the helper holds its first tile until the
+        # caller has consumed three, which it can only do by taking every
+        # tile the helper leaves while it waits
+        three = threading.Event()
+        waited, caller_tiles = [], []
+
+        def consume(h, first, tile):
+            if not self.on_caller():
+                if not waited:
+                    waited.append(three.wait(5.0))
+            elif h == 1:
+                caller_tiles.append(first)
+                if len(caller_tiles) == 3:
+                    three.set()
+
+        self.run(consume, n_paths=1024)
+        assert waited == [True]
+        assert len(caller_tiles) == 3
+        assert threading.active_count() == baseline
 
 
 class TestCholeskyOracle:

@@ -736,6 +736,8 @@ class TestBlockBuffers:
         # the helper, is raised as itself, and the helper is gone; the
         # traceback holds simulate_functionals' frame all the same. The
         # workers look the functions up on fbm and volmodel at each call.
+        # The other worker holds its first vols, outside the tile lock,
+        # until the error is raised, so the faulty worker takes a tile.
         gc.collect()
         baseline = threading.active_count()
         make_rng = fbm.block_rng
@@ -743,10 +745,15 @@ class TestBlockBuffers:
         for where in ("draw", "vols"):
             for on_helper in (False, True):
                 failure = FloatingPointError(f"{where}, on the helper: {on_helper}")
+                raised = threading.Event()
 
                 def on_this_worker():
                     helper = threading.current_thread() is not threading.main_thread()
                     return helper == on_helper
+
+                def fail():
+                    raised.set()
+                    raise failure
 
                 class FaultyGenerator:
                     def __init__(self, rng):
@@ -754,12 +761,15 @@ class TestBlockBuffers:
 
                     def standard_normal(self, out):
                         if on_this_worker():
-                            raise failure
+                            fail()
                         return self.rng.standard_normal(out=out)
 
                 def faulty_vols(*args):
                     if on_this_worker():
-                        raise failure
+                        if where == "vols":
+                            fail()
+                    else:
+                        assert raised.wait(5.0)
                     return make_vols(*args)
 
                 with pytest.MonkeyPatch.context() as patch:
@@ -767,8 +777,7 @@ class TestBlockBuffers:
                         patch.setattr(
                             fbm, "block_rng", lambda *key: FaultyGenerator(make_rng(*key))
                         )
-                    else:
-                        patch.setattr(volmodel, "_vols_with_drift", faulty_vols)
+                    patch.setattr(volmodel, "_vols_with_drift", faulty_vols)
                     config = McConfig(n_paths=1000, seed=1, block_size=256)
                     with pytest.raises(FloatingPointError) as info:
                         simulate_functionals(

@@ -24,8 +24,12 @@ and quartiles, and whether the paired rule holds: the same nine tenths of
 pairs won, and the median ratio beyond zero by more than the ratios' own
 interquartile range. The parent's quartiles also carry whatever drifts
 between runs on the host; a pair's two sides run seconds apart, so their
-ratio does not. Metric names, units and directions come from
-``BENCHMARK.json``.
+ratio does not.
+
+A change that claims no gain is judged on the no-regression verdict
+``within_bound``: the change's median is worse than the parent's by no
+more than the metric's ``bound``, a share of the parent's median. Metric
+names, units, directions and bounds come from ``BENCHMARK.json``.
 """
 from __future__ import annotations
 
@@ -106,6 +110,7 @@ def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
         "change_wins": wins,
         "pairs": len(parent),
         "gain_rule_holds": won and sign * -delta > iqr,
+        "within_bound": sign * delta <= metric["bound"] * abs(before["median"]),
         "paired_relative": paired,
     }
 
@@ -158,6 +163,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"{cmp['change']['median']:>10.4g} {cmp['unit']:<3} "
                 f"wins {cmp['change_wins']}/{cmp['pairs']}"
                 f"{'  gain' if cmp['gain_rule_holds'] else ''}"
+                f"{'  within bound' if cmp['within_bound'] else '  BEYOND BOUND'}"
             )
             paired = cmp["paired_relative"]
             if paired is not None:
