@@ -163,7 +163,6 @@ class PriceEstimate:
 
     value: float
     std_error: float
-    n_paths: int
 
     def __post_init__(self):
         # written so that a NaN fails too
@@ -357,10 +356,10 @@ def _control_rows(
     row -= 1.0
 
 
-def _fit_controls(out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The live controls among those _control_rows wrote into out's first
-    len(CONTROLS) rows, their sample means and the pseudo-inverse of their
-    centred Gram matrix, for _regress.
+def _fit_controls(controls: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centre in place the live controls among the len(CONTROLS) rows
+    _control_rows wrote: the centred rows, their sample means and the
+    pseudo-inverse of their Gram matrix, for _regress.
 
     Raises ValueError unless every control is finite on every path. A
     constant control (the spot control at rho = 0 under mixing, Y at
@@ -368,26 +367,24 @@ def _fit_controls(out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and is dropped, the live ones moved up in CONTROLS order to be the
     leading rows; pinv tolerates what is left being collinear. A batch too
     small to leave the regression a degree of freedom, where the fit would
-    pass through every path, keeps no control. out has 2 len(CONTROLS)
-    path-length rows; the second half is scratch for centring the controls.
+    pass through every path, keeps no control.
     """
-    buffer, centred = out[: len(CONTROLS)], out[len(CONTROLS) :]
     live = 0
-    for i, row in enumerate(buffer):
+    for i, row in enumerate(controls):
         # a NaN or an infinity shows in the extremes
         low, high = row.min(), row.max()
         if not (math.isfinite(low) and math.isfinite(high)):
             raise ValueError("control variates must be finite on every path")
         if low < high:
             if live < i:
-                np.copyto(buffer[live], row)
+                np.copyto(controls[live], row)
             live += 1
-    if buffer.shape[1] <= 1 + live:
+    if controls.shape[1] <= 1 + live:
         live = 0
-    controls, centred = buffer[:live], centred[:live]
-    means = controls.mean(axis=1)
-    np.subtract(controls, means[:, None], out=centred)
-    return controls, means, np.linalg.pinv(centred @ centred.T)
+    centred = controls[:live]
+    means = centred.mean(axis=1)
+    centred -= means[:, None]
+    return centred, means, np.linalg.pinv(np.einsum("in,jn->ij", centred, centred))
 
 
 def _martingale_slope(rho: float) -> float:
@@ -399,15 +396,15 @@ def _martingale_slope(rho: float) -> float:
 
 def _regress(
     responses: Sequence[np.ndarray],
-    controls: np.ndarray,
+    centred: np.ndarray,
     control_means: np.ndarray,
     gram_pinv: np.ndarray,
     residuals: Sequence[np.ndarray] = (),
 ) -> tuple[list[PriceEstimate], np.ndarray, list[np.ndarray]]:
-    """Regress per-path responses on the mean-zero controls, each with its
-    own beta from the same paths: their controlled means (the mean less
-    beta times the controls' means) with SEs, the covariance matrix of
-    those means, and the betas.
+    """Regress per-path responses on the centred controls of _fit_controls,
+    each with its own beta from the same paths: their controlled means (the
+    mean less beta times the controls' means) with SEs, the covariance
+    matrix of those means, and the betas.
 
     The fit is linear in the response, so a controlled difference is the
     difference of the controlled means and the controlled slope exactly
@@ -419,15 +416,12 @@ def _regress(
     It divides by n less one for the mean and one per beta, so with no
     control it gives the plain sample covariances (SE 0 on a single path).
     """
-    n = controls.shape[1]
-    dof = max(n - 1 - controls.shape[0], 1)
+    n = centred.shape[1]
+    dof = max(n - 1 - centred.shape[0], 1)
     means = [values.mean() for values in responses]
-    # the controls' cross-products with centred responses are their sample
-    # covariances with them, up to the n - 1 the Gram matrix also omits
-    cross = [
-        controls @ values - (n * mean) * control_means
-        for values, mean in zip(responses, means)
-    ]
+    # the centred controls' cross-products with a response are their sample
+    # covariances with it, up to the n - 1 the Gram matrix also omits
+    cross = [centred @ values for values in responses]
     betas = [gram_pinv @ c for c in cross]
     # centred, a response's cross-products need no n * mean * mean term,
     # which would cancel all but rounding of a nearly constant one
@@ -445,7 +439,7 @@ def _regress(
         for j, residual in enumerate(residuals, r):
             cov[i, j] = responses[i] @ residual / dof / n
     controlled = [
-        PriceEstimate(float(m - b @ control_means), math.sqrt(max(v, 0.0)), n)
+        PriceEstimate(float(m - b @ control_means), math.sqrt(max(v, 0.0)))
         for m, b, v in zip(means, betas, cov.diagonal())
     ]
     return controlled, cov, betas
@@ -460,9 +454,8 @@ def pricer_workspace(funcs: PathFunctionals) -> np.ndarray:
 
     Its path-length float64 rows are, in order: the spot, the CONTROLS,
     each strike's price and slope, the swap leg's residual, the log spot
-    and the total vol. While the pricer binds, the len(CONTROLS) rows
-    after the controls (price, slope and swap, so at most three controls)
-    centre them.
+    and the total vol. Once the pricer binds, the live controls lead their
+    rows, centred.
     """
     return np.empty((_WORKSPACE_ROWS, funcs.n_paths))
 
@@ -582,14 +575,12 @@ def strike_pricer(
         _control_rows(spot, x0, rho, funcs, out[1 : 1 + n_controls], rows)
 
     _split(helper, funcs.n_paths, bind)
-    bound = _fit_controls(out[1 : 1 + 2 * n_controls])
-    controls, control_means, _ = bound
+    bound = _fit_controls(out[1 : 1 + n_controls])
     np.divide(y, maturity, out=swap)
     np.sqrt(swap, out=swap)
     (swap_leg,), _, (beta,) = _regress([swap], *bound)
     # centred in place; less its fit, the swap leg's residual
-    np.matmul(beta, controls, out=call)
-    call -= beta @ control_means
+    np.matmul(beta, bound[0], out=call)
     swap -= call
 
     if z is not None or abs(rho) == 1.0:
@@ -606,7 +597,7 @@ def strike_pricer(
         _split(helper, funcs.n_paths, lambda rows: pay(k, rows))
         (c, dc), cov, _ = _regress([call, slope], *bound, [swap])
         return StrikeEstimate(
-            c.value, c.std_error, c.n_paths, dc.value, dc.std_error,
+            c.value, c.std_error, dc.value, dc.std_error,
             cov=float(cov[0, 1]), swap=swap_leg, swap_cov=float(cov[0, 2]),
         )
 

@@ -118,3 +118,26 @@ def test_prefers_untraced_file_and_rejects_smoke(tmp_path):
     write_run(out, 2, 3.0, smoke=True)
     with pytest.raises(SystemExit, match="smoke"):
         bench_record.load_runs(out)
+
+
+def test_spread_wider_than_the_bound_is_unresolved(tmp_path):
+    # parent runs over 4.0-7.6 s have an IQR of 1.8 s, wider than wall_s's
+    # bound of the parent's 5.8 s median: an unmoved change cannot be told
+    # from one 24 % slower, unless every change run beats every parent run
+    for label, change_wall in (
+        ("same", lambda seed: 4.0 + 0.4 * (seed - 1)),
+        ("faster", lambda seed: 3.9 - 0.01 * seed),
+    ):
+        parent, change = tmp_path / f"parent_{label}", tmp_path / f"change_{label}"
+        for seed in range(1, 11):
+            write_run(parent, seed, 4.0 + 0.4 * (seed - 1))
+            write_run(change, seed, change_wall(seed))
+        work = bench_record.record(parent, change, "")["workloads"]["sim_fft"]
+        wall = work["end_to_end"]["wall_s"]
+        assert wall["within_bound"]
+        assert wall["resolved"] is (label == "faster")
+        assert bench_record.verdict(wall) == (
+            "within bound" if label == "faster" else "unresolved"
+        )
+        # the unmoved metrics do not spread, so their reading stands
+        assert work["end_to_end"]["setup_s"]["resolved"]

@@ -65,7 +65,7 @@ def plain_mean(values: np.ndarray) -> PriceEstimate:
     """Sample mean with its SE, no control; SE 0 on a single value."""
     n = values.shape[0]
     se = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return PriceEstimate(value=float(values.mean()), std_error=se, n_paths=n)
+    return PriceEstimate(value=float(values.mean()), std_error=se)
 
 
 def swap_leg(funcs, params, maturity: float) -> PriceEstimate:
@@ -129,7 +129,7 @@ def regression_estimate(values, spot, x0: float, funcs, rho: float) -> PriceEsti
     residuals, dof = regression_residuals(values, spot, x0, funcs, rho)
     n = residuals.shape[0]
     se = float(residuals.std(ddof=n - dof) / math.sqrt(n))
-    return PriceEstimate(value=float(residuals.mean()), std_error=se, n_paths=n)
+    return PriceEstimate(value=float(residuals.mean()), std_error=se)
 
 
 def control_weights(spot, x0: float, funcs, rho: float) -> np.ndarray:
@@ -144,10 +144,10 @@ def control_weights(spot, x0: float, funcs, rho: float) -> np.ndarray:
 
 
 def bind_controls(spot, x0: float, rho: float, funcs):
-    """The live controls, their means and the Gram pseudo-inverse, as the
-    pricer binds them on these paths, in a fresh buffer."""
-    out = np.empty((2 * len(CONTROLS), funcs.n_paths))
-    _control_rows(spot, x0, rho, funcs, out[: len(CONTROLS)], slice(None))
+    """The live controls centred, their means and the Gram pseudo-inverse,
+    as the pricer binds them on these paths, in a fresh buffer."""
+    out = np.empty((len(CONTROLS), funcs.n_paths))
+    _control_rows(spot, x0, rho, funcs, out, slice(None))
     return _fit_controls(out)
 
 
@@ -192,17 +192,17 @@ class TestConfigValidation:
 
     def test_rejects_negative_se(self):
         with pytest.raises(ValueError):
-            PriceEstimate(value=1.0, std_error=-0.1, n_paths=10)
-        swap = PriceEstimate(value=0.2, std_error=0.0, n_paths=10)
+            PriceEstimate(value=1.0, std_error=-0.1)
+        swap = PriceEstimate(value=0.2, std_error=0.0)
         with pytest.raises(ValueError, match="^slope_se"):
-            StrikeEstimate(1.0, 0.1, 10, -0.5, -0.1, cov=0.0, swap=swap, swap_cov=0.0)
+            StrikeEstimate(1.0, 0.1, -0.5, -0.1, cov=0.0, swap=swap, swap_cov=0.0)
 
     def test_rejects_nan_se(self):
         with pytest.raises(ValueError, match="^std_error"):
-            PriceEstimate(value=1.0, std_error=math.nan, n_paths=10)
-        swap = PriceEstimate(value=0.2, std_error=0.0, n_paths=10)
+            PriceEstimate(value=1.0, std_error=math.nan)
+        swap = PriceEstimate(value=0.2, std_error=0.0)
         with pytest.raises(ValueError, match="^slope_se"):
-            StrikeEstimate(1.0, 0.1, 10, -0.5, math.nan, cov=0.0, swap=swap, swap_cov=0.0)
+            StrikeEstimate(1.0, 0.1, -0.5, math.nan, cov=0.0, swap=swap, swap_cov=0.0)
 
 
 class TestConditionalEstimator:
@@ -399,6 +399,30 @@ class TestControlVariates:
         else:
             assert funcs.integrated_variance_mean == pytest.approx(exact_law, rel=1e-12)
 
+    @pytest.mark.parametrize("rho", [-0.8, 0.0])
+    def test_bind_centres_the_live_controls_in_place(self, rho):
+        # the bound pricer's control rows hold the live controls less their
+        # sample means: all three at rho = -0.8, only Y at rho = 0, where
+        # the spot and the exponential martingale are constant
+        grid = TimeGrid(1.0, 32)
+        params = ModelParams(SIGMA0, NU, rho, 0.3)
+        (funcs,) = simulate_functionals(grid, params, McConfig(n_paths=4_096, seed=7))
+        out = pricer_workspace(funcs)
+        strike_pricer(funcs, params, 0.0, 1.0, out)
+        spot = np.exp(mixing_values(funcs, rho, 0.0, 0.0, 1.0)[1])
+        live = [0, 1, 2] if rho else [CONTROLS.index("integrated_variance")]
+        controls = oracle_controls(spot, 0.0, funcs, rho)[:, live].T
+        expected = controls - controls.mean(axis=1, keepdims=True)
+        rows = out[1 : 1 + len(live)]
+        scale = np.abs(expected).max(axis=1, keepdims=True)
+        assert np.all(np.abs(rows - expected) <= 1e-13 * scale)
+        # on a bare buffer of the control rows, the centred block is a view
+        buffer = np.empty((len(CONTROLS), funcs.n_paths))
+        _control_rows(spot, 0.0, rho, funcs, buffer, slice(None))
+        centred, _, _ = _fit_controls(buffer)
+        assert centred.shape == (len(live), funcs.n_paths)
+        assert np.shares_memory(centred, buffer)
+
     def test_mean_of_y_matches_the_variance_swap_oracle(self):
         grid = TimeGrid(1.0, 250)
         params = ModelParams(SIGMA0, NU, 0.0, 0.3)
@@ -504,7 +528,6 @@ class TestControlVariates:
         assert est.std_error == pytest.approx(plain.std_error, rel=1e-12, abs=0.0)
         if n_paths == 2:
             assert est.std_error > 1e-6
-        assert est.n_paths == n_paths
 
     @pytest.mark.parametrize("field", ["integrated_variance", "int_sigma_dw"])
     def test_non_finite_paths_are_rejected(self, field):
@@ -1028,7 +1051,6 @@ class TestStrikePricer:
             est = pricer(k)
             assert est.value == pytest.approx(expected.value, rel=1e-12, abs=0.0)
             assert est.std_error == pytest.approx(expected.std_error, rel=1e-9)
-            assert est.n_paths == expected.n_paths
 
     def test_direct_closure_matches_regression(self):
         grid = TimeGrid(1.0, 32)

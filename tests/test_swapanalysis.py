@@ -88,11 +88,10 @@ def analytic_pricer(vol_of_k, x0, maturity, slope_of_k=lambda k: 0.0):
         return StrikeEstimate(
             value=float(bs_price(x0, k, vol, maturity)),
             std_error=0.0,
-            n_paths=1,
             slope=strike_slope(x0, k, vol, slope_of_k(k), maturity),
             slope_se=0.0,
             cov=0.0,
-            swap=PriceEstimate(vol_of_k(x0), 0.0, 1),
+            swap=PriceEstimate(vol_of_k(x0), 0.0),
             swap_cov=0.0,
         )
 
@@ -148,15 +147,13 @@ class TestIvCurve:
         # dI' = (dC' - a dC) / vega, a = d1 / (I sqrt T) + I' d1 d2 / I.
         # Gap SE: I - S with dI = dC / vega, paired through Cov(C, S)
         se_price, se_slope, cov = 3e-4, 5e-4, -1e-7
-        swap, swap_cov = PriceEstimate(0.24, 2e-4, 100), 4e-8
+        swap, swap_cov = PriceEstimate(0.24, 2e-4), 4e-8
         vol, vol_slope, k, maturity = 0.25, -0.1, 0.05, 1.5
 
         def pricer(k: float) -> StrikeEstimate:
             price = float(bs_price(X0, k, vol, maturity))
             slope = strike_slope(X0, k, vol, vol_slope, maturity)
-            return StrikeEstimate(
-                price, se_price, 100, slope, se_slope, cov, swap, swap_cov
-            )
+            return StrikeEstimate(price, se_price, slope, se_slope, cov, swap, swap_cov)
 
         point = implied_smile(pricer, X0, maturity)(k)
         sensitivity = vega(X0, k, vol, maturity)
@@ -189,8 +186,8 @@ class TestIvCurve:
     def test_uninvertible_price_raises(self):
         def pricer(k: float) -> StrikeEstimate:
             # above the e^x upper arbitrage bound
-            swap = PriceEstimate(SIGMA0, 0.0, 10)
-            return StrikeEstimate(2.0, 0.0, 10, -0.5, 0.0, 0.0, swap, 0.0)
+            swap = PriceEstimate(SIGMA0, 0.0)
+            return StrikeEstimate(2.0, 0.0, -0.5, 0.0, 0.0, swap, 0.0)
 
         with pytest.raises(NoSolutionError, match="arbitrage bounds"):
             implied_smile(pricer, X0, 1.0)(0.1)
@@ -243,7 +240,7 @@ class TestAtmSkew:
 
     def test_reads_any_smile_function(self):
         def smile(k: float) -> SmilePoint:
-            swap = PriceEstimate(SIGMA0, 0.0, 1)
+            swap = PriceEstimate(SIGMA0, 0.0)
             return SmilePoint(SIGMA0 + 0.1 * (k - X0), 0.0, 0.1, 2e-4, swap, 0.0)
 
         assert atm_skew(smile, X0) == (0.1, 2e-4)

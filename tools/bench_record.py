@@ -28,8 +28,12 @@ ratio does not.
 
 A change that claims no gain is judged on the no-regression verdict
 ``within_bound``: the change's median is worse than the parent's by no
-more than the metric's ``bound``, a share of the parent's median. Metric
-names, units, directions and bounds come from ``BENCHMARK.json``.
+more than the metric's ``bound``, a share of the parent's median. That
+reading is ``resolved`` unless the wider of the two sides' interquartile
+ranges exceeds the same bound and some change run is not better than every
+parent run: then the runs spread too widely to tell an unchanged metric
+from one that moved, and the metric is unresolved. Metric names, units,
+directions and bounds come from ``BENCHMARK.json``.
 """
 from __future__ import annotations
 
@@ -96,6 +100,9 @@ def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
     iqr = before["q3"] - before["q1"]
     delta = after["median"] - before["median"]
     won = wins >= 0.9 * len(parent)
+    allowed = metric["bound"] * abs(before["median"])
+    widest = max(iqr, after["q3"] - after["q1"])
+    beats_all = all(sign * (p - c) > 0 for p in parent for c in change)
     paired = None
     if all(parent):
         paired = spread([(c - p) / p for p, c in zip(parent, change)])
@@ -110,9 +117,17 @@ def compare(metric: dict, parent: list[float], change: list[float]) -> dict:
         "change_wins": wins,
         "pairs": len(parent),
         "gain_rule_holds": won and sign * -delta > iqr,
-        "within_bound": sign * delta <= metric["bound"] * abs(before["median"]),
+        "within_bound": sign * delta <= allowed,
+        "resolved": widest <= allowed or beats_all,
         "paired_relative": paired,
     }
+
+
+def verdict(cmp: dict) -> str:
+    """The no-regression reading of one metric, as printed."""
+    if not cmp["within_bound"]:
+        return "BEYOND BOUND"
+    return "within bound" if cmp["resolved"] else "unresolved"
 
 
 def record(parent_dir: Path, change_dir: Path, note: str) -> dict:
@@ -163,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"{cmp['change']['median']:>10.4g} {cmp['unit']:<3} "
                 f"wins {cmp['change_wins']}/{cmp['pairs']}"
                 f"{'  gain' if cmp['gain_rule_holds'] else ''}"
-                f"{'  within bound' if cmp['within_bound'] else '  BEYOND BOUND'}"
+                f"  {verdict(cmp)}"
             )
             paired = cmp["paired_relative"]
             if paired is not None:
